@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check lint charmvet vet-baseline race fuzz bench collectives vet profile chaos gen gencheck bench/dispatch bench/manychares introspect serve serving
+.PHONY: all build test check guards lint charmvet vet-baseline race fuzz bench collectives vet profile chaos gen gencheck bench/dispatch bench/manychares introspect serve serving
 
 all: build
 
@@ -63,11 +63,19 @@ serving:
 # generated bindings are fresh, run the full test suite under the race
 # detector, then the chaos/recovery suite, the live-introspection smoke and
 # the elastic-serving smoke.
-check: build lint gencheck
+check: build lint gencheck guards
 	$(GO) test -race ./...
 	$(MAKE) chaos
 	$(MAKE) introspect
 	$(MAKE) serve
+
+# guards runs, without -short and without the race detector's own
+# allocations, the fine-grain stencil allocation guard, the Message size-class
+# guard and a smoke of the bound when-guard benchmark (0 allocs/op, target
+# <= 30 ns; it fails if an evaluation allocates).
+guards:
+	$(GO) test -count=1 -run 'TestStencilFineAllocGuard' .
+	$(GO) test -count=1 -run 'TestMessageSizeClass' -bench 'BenchmarkWhenGuardBlock' -benchtime 100x ./internal/core
 
 race:
 	$(GO) test -race ./...
@@ -77,6 +85,7 @@ race:
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzDecodeInvoke -fuzztime 10s ./internal/ser
+	$(GO) test -run '^$$' -fuzz FuzzBoundGuard -fuzztime 10s ./internal/expr
 
 bench:
 	$(GO) test -run xxx -bench BenchmarkRemoteInvokeRate -benchtime 2s .

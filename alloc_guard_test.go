@@ -1,10 +1,12 @@
 package charmgo_test
 
 import (
+	"runtime"
 	"testing"
 
 	"charmgo/internal/bench"
 	"charmgo/internal/core"
+	"charmgo/internal/stencil"
 	"charmgo/internal/transport"
 )
 
@@ -66,5 +68,41 @@ func TestGeneratedCodecAllocGuard(t *testing.T) {
 	}
 	if g, r := gen.AllocsPerOp(), ref.AllocsPerOp(); r < 3*g {
 		t.Errorf("gob baseline = %d allocs/op vs generated %d: differential collapsed, guard no longer measures the fallback", r, g)
+	}
+}
+
+// TestStencilFineAllocGuard pins what one step of the benchmark's
+// stencil_fine job (64^3 grid, 8x8x4 blocks, 2 PEs: 1280 ghost messages a
+// step) allocates, taken as the difference between a 40-step and a 10-step
+// job so that the grids and the boot cancel out. Since guards are bound at
+// Register and faces are recycled, a ghost message costs its Message, the
+// caller's args slice with three boxed values and the element index — no
+// guard environment, no boxed field, no face. The run was 1.97 MB and 15.7
+// mallocs per message before; a regression here means one of them is back.
+func TestStencilFineAllocGuard(t *testing.T) {
+	if testing.Short() {
+		t.Skip("benchmark guard, skipped in -short")
+	}
+	job := func(iters int) (bytes, mallocs uint64) {
+		p := stencil.Params{GridX: 64, GridY: 64, GridZ: 64, BX: 8, BY: 8, BZ: 4, Iters: iters}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := stencil.RunCharm(p, core.Config{PEs: 2}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs
+	}
+	const steps, msgsPerStep = 30, 2 * (7*8*4 + 8*7*4 + 8*8*3)
+	b10, m10 := job(10)
+	b40, m40 := job(10 + steps)
+	perStep := float64(b40-b10) / steps
+	perMsg := float64(m40-m10) / steps / msgsPerStep
+	t.Logf("%.0f B/step, %.2f mallocs per ghost message", perStep, perMsg)
+	if perStep > 0.65e6 {
+		t.Errorf("a step allocates %.0f B, want <= 650000", perStep)
+	}
+	if perMsg > 9 {
+		t.Errorf("a ghost message costs %.2f mallocs, want <= 9", perMsg)
 	}
 }

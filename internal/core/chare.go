@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"charmgo/internal/expr"
 )
@@ -200,26 +199,23 @@ func (c *Chare) Contribute(data any, reducer Reducer, target any) {
 
 // ---- waiting (paper section II-H2) ----
 
-var waitExprCache sync.Map // string -> *expr.Expr
-
-func compileCond(cond string) *expr.Expr {
-	if e, ok := waitExprCache.Load(cond); ok {
-		return e.(*expr.Expr)
+// waitGuard returns cond bound to the chare's type (self only), binding it on
+// the type's first Wait on that condition.
+func (ct *chareType) waitGuard(cond string) expr.Guard {
+	if g, ok := ct.waits.Load(cond); ok {
+		return g.(expr.Guard)
 	}
-	e, err := expr.Compile(cond)
-	if err != nil {
-		panic(fmt.Sprintf("core: wait condition: %v", err))
-	}
-	waitExprCache.Store(cond, e)
-	return e
+	g := bindCond(cond, ct.rtype, nil, nil, fmt.Sprintf("wait-condition of %s", ct.name))
+	ct.waits.Store(cond, g)
+	return g
 }
 
 // Wait suspends the calling (threaded) entry method until the condition —
 // a Python-style expression over self — becomes true (paper: self.wait()).
 func (c *Chare) Wait(cond string) {
 	ec := c.ctx()
-	e := compileCond(cond)
-	ok, err := e.EvalBool(emEnv{self: ec.el.iface})
+	g := ec.coll.ct.waitGuard(cond)
+	ok, err := g(ec.el.iface, nil)
 	if err != nil {
 		panic(fmt.Sprintf("core: wait-condition %q: %v", cond, err))
 	}
@@ -230,7 +226,7 @@ func (c *Chare) Wait(cond string) {
 	if th == nil {
 		panic("core: Wait requires a threaded entry method (mark it with core.Threaded)")
 	}
-	ec.el.waiters = append(ec.el.waiters, &waiter{e: e, th: th})
+	ec.el.waiters = append(ec.el.waiters, &waiter{cond: cond, ready: g, th: th})
 	ec.p.suspendCur()
 }
 

@@ -150,8 +150,9 @@ func (el *element) addLoad(d time.Duration) { el.load.Add(int64(d)) }
 func (el *element) setLoad(d time.Duration) { el.load.Store(int64(d)) }
 
 type waiter struct {
-	e  *expr.Expr
-	th *emThread
+	cond  string
+	ready expr.Guard
+	th    *emThread
 }
 
 // emThread is a threaded entry method execution (paper section II-H1).
@@ -737,42 +738,11 @@ func (p *peState) emReady(el *element, info *emInfo, m *Message) bool {
 	if info.when == nil {
 		return true
 	}
-	env := emEnv{self: el.iface, args: m.Args, names: info.argNames}
-	ok, err := info.when.EvalBool(env)
+	ok, err := info.when(el.iface, m.Args)
 	if err != nil {
-		panic(fmt.Sprintf("core: when-condition %q on %s.%s: %v", info.when.Src(), el.coll.ct.name, info.name, err))
+		panic(fmt.Sprintf("core: when-condition %q on %s.%s: %v", info.whenSrc, el.coll.ct.name, info.name, err))
 	}
 	return ok
-}
-
-type emEnv struct {
-	self  any
-	args  []any
-	names []string
-}
-
-func (e emEnv) Lookup(name string) (any, bool) {
-	if name == "self" {
-		return e.self, true
-	}
-	for i, n := range e.names {
-		if n == name && i < len(e.args) {
-			return e.args[i], true
-		}
-	}
-	if len(name) > 3 && name[:3] == "arg" {
-		k := 0
-		for _, c := range name[3:] {
-			if c < '0' || c > '9' {
-				return nil, false
-			}
-			k = k*10 + int(c-'0')
-		}
-		if k < len(e.args) {
-			return e.args[k], true
-		}
-	}
-	return nil, false
 }
 
 // invokeEMInner executes one entry method (inline or threaded) without
@@ -1005,9 +975,9 @@ func (p *peState) recheck(el *element) {
 	for !el.dead {
 		progressed := false
 		for i, w := range el.waiters {
-			ok, err := w.e.EvalBool(emEnv{self: el.iface})
+			ok, err := w.ready(el.iface, nil)
 			if err != nil {
-				panic(fmt.Sprintf("core: wait-condition %q: %v", w.e.Src(), err))
+				panic(fmt.Sprintf("core: wait-condition %q: %v", w.cond, err))
 			}
 			if ok {
 				el.waiters = append(el.waiters[:i], el.waiters[i+1:]...)

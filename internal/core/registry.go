@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"slices"
 	"sort"
+	"sync"
 
 	"charmgo/internal/expr"
 	"charmgo/internal/ser"
@@ -46,7 +47,8 @@ type emInfo struct {
 	fn       reflect.Value // func with receiver as first arg
 	argTypes []reflect.Type
 	threaded bool
-	when     *expr.Expr
+	when     expr.Guard // bound at Register; nil when the method is ungated
+	whenSrc  string
 	argNames []string // names under which args are visible to when-conditions
 }
 
@@ -60,6 +62,7 @@ type chareType struct {
 	hasResume bool        // has a ResumeFromSync entry method
 	stealable bool        // no threaded/when-gated methods: grants may move PEs
 	gen       *GenBinding // generated dispatch/codec bindings, if any
+	waits     sync.Map    // Wait condition string -> expr.Guard bound to rtype
 }
 
 // RegOpt configures chare type registration.
@@ -94,6 +97,22 @@ func Threaded(methods ...string) RegOpt {
 // parameter names). Unnamed arguments are always available as arg0, arg1, ...
 func ArgNames(method string, names ...string) RegOpt {
 	return func(o *regOpts) { o.argNames[method] = names }
+}
+
+// bindCond parses a when/wait condition and binds it to the chare struct
+// type and the argument list it will see (expr.Bind), so that a condition
+// naming a field or argument that does not exist panics here, with what
+// describing where it was declared, and not on a PE at its first evaluation.
+func bindCond(cond string, self reflect.Type, argNames []string, argTypes []reflect.Type, what string) expr.Guard {
+	e, err := expr.Compile(cond)
+	if err != nil {
+		panic(fmt.Sprintf("core: %s: %v", what, err))
+	}
+	g, err := e.Bind(self, argNames, argTypes)
+	if err != nil {
+		panic(fmt.Sprintf("core: %s: %v", what, err))
+	}
+	return g
 }
 
 // baseMethods is the set of method names promoted from the embedded Chare
@@ -157,15 +176,13 @@ func (rt *Runtime) Register(proto Chareable, opts ...RegOpt) string {
 		for a := 1; a < nIn; a++ {
 			info.argTypes = append(info.argTypes, m.Type.In(a))
 		}
-		if cond, ok := o.whens[mn]; ok {
-			e, err := expr.Compile(cond)
-			if err != nil {
-				panic(fmt.Sprintf("core: when-condition for %s.%s: %v", name, mn, err))
-			}
-			info.when = e
-		}
 		info.threaded = o.threaded[mn]
 		info.argNames = o.argNames[mn]
+		if cond, ok := o.whens[mn]; ok {
+			info.whenSrc = cond
+			info.when = bindCond(cond, st, info.argNames, info.argTypes,
+				fmt.Sprintf("when-condition for %s.%s", name, mn))
+		}
 		ct.methods = append(ct.methods, info)
 		ct.byName[mn] = info
 		if mn == "ResumeFromSync" {

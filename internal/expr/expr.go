@@ -25,6 +25,7 @@ import (
 	"math"
 	"reflect"
 	"strings"
+	"sync"
 )
 
 // Env resolves free variable names during evaluation.
@@ -105,27 +106,35 @@ func (e *Expr) Names() []string {
 }
 
 func collectNames(n node, set map[string]bool) {
+	walk(n, func(n node) {
+		if id, ok := n.(*identNode); ok {
+			set[id.name] = true
+		}
+	})
+}
+
+// walk calls f on n and every node below it.
+func walk(n node, f func(node)) {
+	f(n)
 	switch t := n.(type) {
-	case *identNode:
-		set[t.name] = true
 	case *binNode:
-		collectNames(t.l, set)
-		collectNames(t.r, set)
+		walk(t.l, f)
+		walk(t.r, f)
 	case *cmpNode:
 		for _, o := range t.operands {
-			collectNames(o, set)
+			walk(o, f)
 		}
 	case *notNode:
-		collectNames(t.x, set)
+		walk(t.x, f)
 	case *negNode:
-		collectNames(t.x, set)
+		walk(t.x, f)
 	case *attrNode:
-		collectNames(t.x, set)
+		walk(t.x, f)
 	case *indexNode:
-		collectNames(t.x, set)
-		collectNames(t.idx, set)
+		walk(t.x, f)
+		walk(t.idx, f)
 	case *callNode:
-		collectNames(t.arg, set)
+		walk(t.arg, f)
 	}
 }
 
@@ -337,7 +346,36 @@ func (p *parser) parseNot() (node, error) {
 	return p.parseCmp()
 }
 
-var cmpOps = map[string]bool{"==": true, "!=": true, "<": true, "<=": true, ">": true, ">=": true}
+// How two ordered values can stand to each other; ordNone is a NaN on
+// either side.
+const (
+	ordLess uint8 = 1 << iota
+	ordEqual
+	ordGreater
+	ordNone
+
+	satEq = ordEqual
+	satNe = ordLess | ordGreater | ordNone
+)
+
+// cmpOps maps each comparison operator to the orderings that satisfy it.
+var cmpOps = map[string]uint8{
+	"==": satEq, "!=": satNe,
+	"<": ordLess, "<=": ordLess | ordEqual,
+	">": ordGreater, ">=": ordGreater | ordEqual,
+}
+
+func ordering[T string | float64](l, r T) uint8 {
+	switch {
+	case l < r:
+		return ordLess
+	case l == r:
+		return ordEqual
+	case l > r:
+		return ordGreater
+	}
+	return ordNone
+}
 
 // acceptCmpOp consumes a comparison operator, including Python's "in" and
 // "not in" membership tests; it returns the operator and whether one was
@@ -347,7 +385,7 @@ func (p *parser) acceptCmpOp() (string, bool) {
 	if !ok {
 		return "", false
 	}
-	if t.kind == tOp && cmpOps[t.text] {
+	if t.kind == tOp && cmpOps[t.text] != 0 {
 		p.pos++
 		return t.text, true
 	}
@@ -760,15 +798,13 @@ func Attr(v any, name string) (any, error) {
 	}
 	switch rv.Kind() {
 	case reflect.Struct:
-		f := rv.FieldByName(name)
-		if !f.IsValid() {
-			f = rv.FieldByName(snakeToCamel(name))
+		ref := fieldOf(rv.Type(), name)
+		if ref.err != nil {
+			return nil, ref.err
 		}
-		if !f.IsValid() {
-			return nil, fmt.Errorf("type %s has no field %q (tried %q)", rv.Type(), name, snakeToCamel(name))
-		}
-		if !f.CanInterface() {
-			return nil, fmt.Errorf("field %q of %s is unexported", name, rv.Type())
+		f, err := rv.FieldByIndexErr(ref.index)
+		if err != nil {
+			return nil, err
 		}
 		return f.Interface(), nil
 	case reflect.Map:
@@ -781,6 +817,57 @@ func Attr(v any, name string) (any, error) {
 		return nil, fmt.Errorf("map has no key %q", name)
 	}
 	return nil, fmt.Errorf("cannot access attribute %q on %T", name, v)
+}
+
+// fieldRef is one resolved attribute of a struct type: the index path of the
+// field (through embedded structs) and its type, or why there is none.
+type fieldRef struct {
+	index []int
+	typ   reflect.Type
+	err   error
+}
+
+// structFields memoizes the attribute names looked up on one struct type.
+type structFields struct {
+	mu     sync.RWMutex
+	byName map[string]*fieldRef
+}
+
+var fieldCache sync.Map // reflect.Type (struct) -> *structFields
+
+// fieldOf resolves attribute name on struct type t — the exact field name
+// first, then its snake_case to CamelCase mapping — once per (type, name).
+// Bind and the interpreter's Attr both resolve through it, so neither pays
+// reflect's breadth-first search of embedded structs per evaluation.
+func fieldOf(t reflect.Type, name string) *fieldRef {
+	c, ok := fieldCache.Load(t)
+	if !ok {
+		c, _ = fieldCache.LoadOrStore(t, &structFields{byName: map[string]*fieldRef{}})
+	}
+	sf := c.(*structFields)
+	sf.mu.RLock()
+	ref := sf.byName[name]
+	sf.mu.RUnlock()
+	if ref != nil {
+		return ref
+	}
+	ref = &fieldRef{}
+	f, found := t.FieldByName(name)
+	if !found {
+		f, found = t.FieldByName(snakeToCamel(name))
+	}
+	switch {
+	case !found:
+		ref.err = fmt.Errorf("type %s has no field %q (tried %q)", t, name, snakeToCamel(name))
+	case !f.IsExported():
+		ref.err = fmt.Errorf("field %q of %s is unexported", name, t)
+	default:
+		ref.index, ref.typ = f.Index, f.Type
+	}
+	sf.mu.Lock()
+	sf.byName[name] = ref
+	sf.mu.Unlock()
+	return ref
 }
 
 // snakeToCamel converts msg_count to MsgCount.
@@ -845,38 +932,14 @@ func arith(op string, l, r any) (any, error) {
 	li, lIsInt := ln.(int64)
 	ri, rIsInt := rn.(int64)
 	if lIsInt && rIsInt {
-		switch op {
-		case "+":
-			return li + ri, nil
-		case "-":
-			return li - ri, nil
-		case "*":
-			return li * ri, nil
-		case "/":
-			if ri == 0 {
-				return nil, fmt.Errorf("division by zero")
-			}
-			if li%ri == 0 {
-				return li / ri, nil
-			}
-			return float64(li) / float64(ri), nil
-		case "//":
-			if ri == 0 {
-				return nil, fmt.Errorf("division by zero")
-			}
-			return floorDivInt(li, ri), nil
-		case "%":
-			if ri == 0 {
-				return nil, fmt.Errorf("modulo by zero")
-			}
-			// Python-style modulo: result has the sign of the divisor.
-			m := li % ri
-			if m != 0 && (m < 0) != (ri < 0) {
-				m += ri
-			}
-			return m, nil
+		v, err := arithInt(op, li, ri)
+		if err != nil {
+			return nil, err
 		}
-		return nil, fmt.Errorf("unknown operator %q", op)
+		if v.k == kFloat {
+			return v.float(), nil
+		}
+		return v.int(), nil
 	}
 	lf, err := toFloat(ln)
 	if err != nil {
@@ -886,6 +949,50 @@ func arith(op string, l, r any) (any, error) {
 	if err != nil {
 		return nil, fmt.Errorf("right operand of %q: %w", op, err)
 	}
+	f, err := arithFloat(op, lf, rf)
+	if err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// arithInt is integer arithmetic; "/" yields a float unless it divides evenly.
+func arithInt(op string, li, ri int64) (val, error) {
+	switch op {
+	case "+":
+		return intVal(li + ri), nil
+	case "-":
+		return intVal(li - ri), nil
+	case "*":
+		return intVal(li * ri), nil
+	case "/":
+		if ri == 0 {
+			return val{}, fmt.Errorf("division by zero")
+		}
+		if li%ri == 0 {
+			return intVal(li / ri), nil
+		}
+		return floatVal(float64(li) / float64(ri)), nil
+	case "//":
+		if ri == 0 {
+			return val{}, fmt.Errorf("division by zero")
+		}
+		return intVal(floorDivInt(li, ri)), nil
+	case "%":
+		if ri == 0 {
+			return val{}, fmt.Errorf("modulo by zero")
+		}
+		// Python-style modulo: result has the sign of the divisor.
+		m := li % ri
+		if m != 0 && (m < 0) != (ri < 0) {
+			m += ri
+		}
+		return intVal(m), nil
+	}
+	return val{}, fmt.Errorf("unknown operator %q", op)
+}
+
+func arithFloat(op string, lf, rf float64) (float64, error) {
 	switch op {
 	case "+":
 		return lf + rf, nil
@@ -895,17 +1002,17 @@ func arith(op string, l, r any) (any, error) {
 		return lf * rf, nil
 	case "/":
 		if rf == 0 {
-			return nil, fmt.Errorf("division by zero")
+			return 0, fmt.Errorf("division by zero")
 		}
 		return lf / rf, nil
 	case "//":
 		if rf == 0 {
-			return nil, fmt.Errorf("division by zero")
+			return 0, fmt.Errorf("division by zero")
 		}
 		return math.Floor(lf / rf), nil
 	case "%":
 		if rf == 0 {
-			return nil, fmt.Errorf("modulo by zero")
+			return 0, fmt.Errorf("modulo by zero")
 		}
 		m := math.Mod(lf, rf)
 		if m != 0 && (m < 0) != (rf < 0) {
@@ -913,7 +1020,7 @@ func arith(op string, l, r any) (any, error) {
 		}
 		return m, nil
 	}
-	return nil, fmt.Errorf("unknown operator %q", op)
+	return 0, fmt.Errorf("unknown operator %q", op)
 }
 
 func floorDivInt(a, b int64) int64 {
@@ -966,20 +1073,7 @@ func compare(op string, l, r any) (bool, error) {
 			}
 			return false, fmt.Errorf("cannot compare string with %T", r)
 		}
-		switch op {
-		case "==":
-			return ls == rs, nil
-		case "!=":
-			return ls != rs, nil
-		case "<":
-			return ls < rs, nil
-		case "<=":
-			return ls <= rs, nil
-		case ">":
-			return ls > rs, nil
-		case ">=":
-			return ls >= rs, nil
-		}
+		return cmpOrdered(op, ls, rs)
 	}
 	lf, lok := toFloatOK(ln)
 	rf, rok := toFloatOK(rn)
@@ -993,21 +1087,16 @@ func compare(op string, l, r any) (bool, error) {
 		}
 		return false, fmt.Errorf("cannot order values of type %T and %T", l, r)
 	}
-	switch op {
-	case "==":
-		return lf == rf, nil
-	case "!=":
-		return lf != rf, nil
-	case "<":
-		return lf < rf, nil
-	case "<=":
-		return lf <= rf, nil
-	case ">":
-		return lf > rf, nil
-	case ">=":
-		return lf >= rf, nil
+	return cmpOrdered(op, lf, rf)
+}
+
+// cmpOrdered applies a comparison operator to two strings or two floats.
+func cmpOrdered[T string | float64](op string, l, r T) (bool, error) {
+	sat, ok := cmpOps[op]
+	if !ok {
+		return false, fmt.Errorf("unknown comparison %q", op)
 	}
-	return false, fmt.Errorf("unknown comparison %q", op)
+	return sat&ordering(l, r) != 0, nil
 }
 
 func toFloatOK(v any) (float64, bool) {

@@ -75,6 +75,12 @@ func opposite(d int) int { return d ^ 1 }
 type Grid struct {
 	SX, SY, SZ int
 	A, B       []float64
+
+	// spare[d] is the face last unpacked from the neighbour in direction d,
+	// kept as the buffer of the next face packed toward d (see unpackGhost).
+	// Unexported, so a migrating block leaves its spares behind and packFace
+	// allocates until the next exchange has refilled them.
+	spare [numDirs][]float64
 }
 
 func newBlockData(sx, sy, sz int) *Grid {
@@ -121,7 +127,18 @@ func (bd *Grid) compute() int {
 	return bd.SX * bd.SY * bd.SZ
 }
 
-// packFace copies the interior boundary face for direction d into a buffer.
+// faceBuf returns the n-cell buffer for the face sent toward d: the spare
+// from that neighbour if there is one, else a new slice.
+func (bd *Grid) faceBuf(d, n int) []float64 {
+	if buf := bd.spare[d]; len(buf) == n {
+		bd.spare[d] = nil
+		return buf
+	}
+	return make([]float64, n)
+}
+
+// packFace copies the interior boundary face for direction d into a buffer
+// whose ownership passes to the caller (and on to whoever it is sent to).
 func (bd *Grid) packFace(d int) []float64 {
 	switch d {
 	case dirXLo, dirXHi:
@@ -129,7 +146,7 @@ func (bd *Grid) packFace(d int) []float64 {
 		if d == dirXHi {
 			x = bd.SX
 		}
-		out := make([]float64, bd.SY*bd.SZ)
+		out := bd.faceBuf(d, bd.SY*bd.SZ)
 		i := 0
 		for y := 1; y <= bd.SY; y++ {
 			for z := 1; z <= bd.SZ; z++ {
@@ -143,7 +160,7 @@ func (bd *Grid) packFace(d int) []float64 {
 		if d == dirYHi {
 			y = bd.SY
 		}
-		out := make([]float64, bd.SX*bd.SZ)
+		out := bd.faceBuf(d, bd.SX*bd.SZ)
 		i := 0
 		for x := 1; x <= bd.SX; x++ {
 			for z := 1; z <= bd.SZ; z++ {
@@ -157,7 +174,7 @@ func (bd *Grid) packFace(d int) []float64 {
 		if d == dirZHi {
 			z = bd.SZ
 		}
-		out := make([]float64, bd.SX*bd.SY)
+		out := bd.faceBuf(d, bd.SX*bd.SY)
 		i := 0
 		for x := 1; x <= bd.SX; x++ {
 			for y := 1; y <= bd.SY; y++ {
@@ -169,8 +186,16 @@ func (bd *Grid) packFace(d int) []float64 {
 	}
 }
 
-// unpackGhost stores a face received from direction d into the ghost layer.
+// unpackGhost stores a face received from direction d into the ghost layer
+// and takes ownership of data. A received face belongs to the receiver in all
+// three implementations — an entry-method or channel argument is delivered by
+// reference in-node and decoded into a fresh slice off the wire, mini-MPI
+// hands over the sender's slice — and a block gets from each neighbour
+// exactly the face size it sends back, so data becomes the buffer of the next
+// packFace(d): Block, ChanBlock and RunMPI all exchange faces without
+// allocating after the first step.
 func (bd *Grid) unpackGhost(d int, data []float64) {
+	bd.spare[d] = data
 	switch d {
 	case dirXLo, dirXHi:
 		x := 0

@@ -2,11 +2,13 @@ package stencil
 
 import (
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 
 	"charmgo/internal/core"
 	"charmgo/internal/lb"
+	"charmgo/internal/transport"
 )
 
 func almostEqual(a, b float64) bool {
@@ -181,6 +183,88 @@ func TestPackUnpackRoundtrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// An unpacked face is the buffer of the next face packed toward the same
+// neighbour, once.
+func TestPackFaceReusesUnpackedFace(t *testing.T) {
+	bd := newBlockData(2, 3, 4)
+	bd.fill(0, 0, 0)
+	for d := 0; d < numDirs; d++ {
+		want := append([]float64(nil), bd.packFace(d)...)
+		recv := make([]float64, len(want))
+		bd.unpackGhost(d, recv)
+		out := bd.packFace(d)
+		if &out[0] != &recv[0] {
+			t.Errorf("dir %d: packFace did not take the face unpacked from that side", d)
+		}
+		for i := range want {
+			if out[i] != want[i] {
+				t.Fatalf("dir %d: recycled face = %v, want %v", d, out, want)
+			}
+		}
+		if again := bd.packFace(d); &again[0] == &recv[0] {
+			t.Errorf("dir %d: one buffer handed out twice", d)
+		}
+	}
+}
+
+// runCharmOnMemNodes runs the block array across single-PE runtimes joined
+// by the in-memory transport: every face crosses the wire codec.
+func runCharmOnMemNodes(p Params, nodes int) Result {
+	nw := transport.NewMemNetwork(nodes)
+	var res Result
+	var wg sync.WaitGroup
+	for i := 0; i < nodes; i++ {
+		rt := core.NewRuntime(core.Config{PEs: 1, Transport: nw.Endpoint(i)})
+		Register(rt)
+		entry := Entry(p, &res)
+		if i > 0 {
+			entry = nil
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rt.Start(entry)
+		}()
+	}
+	wg.Wait()
+	for i := 0; i < nodes; i++ {
+		nw.Endpoint(i).Close()
+	}
+	return res
+}
+
+// The 8x8x4 decomposition (the benchmark's stencil_fine, on a grid whose
+// three face sizes differ) stays correct on every way a recycled face can
+// reach a block: by reference in-node, after a migration has dropped the
+// block's spares (RotateLB moves every block at every LB point), as a copy
+// decoded under ForceSerialize, and off the wire between two nodes.
+func TestFaceReuseMatchesSequential(t *testing.T) {
+	p := Params{GridX: 16, GridY: 24, GridZ: 16, BX: 8, BY: 8, BZ: 4, Iters: 12}
+	want, err := RunSequential(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	migrating := p
+	migrating.LBPeriod = 4
+	runs := map[string]func() (Result, error){
+		"by reference": func() (Result, error) { return RunCharm(p, core.Config{PEs: 2}) },
+		"migrating":    func() (Result, error) { return RunCharm(migrating, core.Config{PEs: 2, LB: lb.Rotate{}}) },
+		"serialized":   func() (Result, error) { return RunCharm(p, core.Config{PEs: 2, ForceSerialize: true}) },
+		"two nodes":    func() (Result, error) { return runCharmOnMemNodes(p, 2), nil },
+	}
+	for name, run := range runs {
+		t.Run(name, func(t *testing.T) {
+			got, err := run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !almostEqual(got.Checksum, want) {
+				t.Errorf("checksum %v, sequential %v", got.Checksum, want)
+			}
+		})
 	}
 }
 
