@@ -70,12 +70,21 @@ check: build lint gencheck guards
 	$(MAKE) serve
 
 # guards runs, without -short and without the race detector's own
-# allocations, the fine-grain stencil allocation guard, the Message size-class
-# guard and a smoke of the bound when-guard benchmark (0 allocs/op, target
-# <= 30 ns; it fails if an evaluation allocates).
+# allocations, the fine-grain stencil and kvservice request allocation guards,
+# the Message size-class guard, a smoke of the bound when-guard benchmark
+# (0 allocs/op, target <= 30 ns; it fails if an evaluation allocates), the
+# tests that pin the aggregator's flush rules and the kvservice timeout and
+# close-at-once tests; then the two that race a parking PE or a starting
+# node, under the race detector at 1, 2 and 8 scheduler threads.
 guards:
-	$(GO) test -count=1 -run 'TestStencilFineAllocGuard' .
+	$(GO) test -count=1 -run 'TestStencilFineAllocGuard|TestKVRequestAllocGuard' .
 	$(GO) test -count=1 -run 'TestMessageSizeClass' -bench 'BenchmarkWhenGuardBlock' -benchtime 100x ./internal/core
+	$(GO) test -count=1 -run 'TestSenderFlushesWhenAllPEsParked|TestNoStrandedSendUnderParkRace|TestFloodStillBatches|TestBackstopFlushesPinnedPE' ./internal/core
+	$(GO) test -count=1 -run 'TestServiceCloseImmediately|TestCallTimeoutStillFires' ./internal/elastic
+	for p in 1 2 8; do \
+		GOMAXPROCS=$$p $(GO) test -race -count=1 -run 'TestNoStrandedSendUnderParkRace' ./internal/core && \
+		GOMAXPROCS=$$p $(GO) test -race -count=1 -run 'TestServiceCloseImmediately' ./internal/elastic || exit 1; \
+	done
 
 race:
 	$(GO) test -race ./...

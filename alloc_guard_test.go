@@ -1,11 +1,14 @@
 package charmgo_test
 
 import (
+	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 
 	"charmgo/internal/bench"
 	"charmgo/internal/core"
+	"charmgo/internal/elastic"
 	"charmgo/internal/stencil"
 	"charmgo/internal/transport"
 )
@@ -104,5 +107,48 @@ func TestStencilFineAllocGuard(t *testing.T) {
 	}
 	if perMsg > 9 {
 		t.Errorf("a ghost message costs %.2f mallocs, want <= 9", perMsg)
+	}
+}
+
+// TestKVRequestAllocGuard pins what one kvservice read costs end to end on
+// the benchmark's kv_closed shape (3 nodes x 1 PE, 24 shards, 64-byte
+// values): request and reply Messages on both sides, their codecs, the
+// external future and its channel. It was 1 436 B and 23.8 mallocs while
+// every request armed a fresh 20 s time.After; the deadline timer is pooled
+// now, and a regression here means a per-request timer (or something of its
+// size) is back on the path.
+func TestKVRequestAllocGuard(t *testing.T) {
+	if testing.Short() {
+		t.Skip("benchmark guard, skipped in -short")
+	}
+	svc, err := elastic.NewService(elastic.ServiceConfig{Nodes: 3, PEs: 1, Shards: 24})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	const keys, reads = 256, 20000
+	key := make([]string, keys)
+	for i := range key {
+		key[i] = fmt.Sprintf("key-%04d", i)
+		if err := svc.Put(key[i], strings.Repeat("v", 64)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < reads; i++ {
+		if _, err := svc.Get(key[i%keys]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / reads
+	mallocs := float64(after.Mallocs-before.Mallocs) / reads
+	t.Logf("%.0f B, %.1f mallocs per Get", bytes, mallocs)
+	if bytes > 1150 {
+		t.Errorf("a Get round trip allocates %.0f B, want <= 1150", bytes)
+	}
+	if mallocs > 20 {
+		t.Errorf("a Get round trip costs %.1f mallocs, want <= 20", mallocs)
 	}
 }

@@ -3,15 +3,27 @@ package core
 import (
 	"encoding/binary"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"charmgo/internal/transport"
 )
 
-// Default aggregation knobs (Config.BatchBytes / Config.FlushInterval).
 const (
-	defaultBatchBytes    = 8 << 10
-	defaultFlushInterval = 100 * time.Microsecond
+	// defaultBatchBytes is the aggregation threshold (Config.BatchBytes).
+	defaultBatchBytes = 8 << 10
+	// backstopDelay bounds how long a batch can sit when rules (a)-(c)
+	// below cannot see it: a PE that is awake but pinned in a long entry
+	// method, or whose threaded entry method blocks in plain Go code.
+	backstopDelay = time.Millisecond
+)
+
+// Which rule transmitted a batch (EvFlush trace argument).
+const (
+	flushThreshold = "threshold" // the sender that filled it to BatchBytes
+	flushIdle      = "idle"      // a PE scheduler about to park, or Exit
+	flushSender    = "sender"    // a sender that found every local PE parked
+	flushBackstop  = "backstop"  // the backstop timer
 )
 
 // aggregator is the TRAM analog (Charm++'s Topological Routing and
@@ -22,16 +34,28 @@ const (
 //
 // Messages are serialized exactly once, directly into the outgoing batch
 // buffer (a pooled transport frame), so aggregation adds no copies to the
-// send path. A batch is transmitted when it reaches the size threshold, when
-// a PE scheduler runs out of work (the idle hook in peState.loop, which
-// keeps request/response latency low), or at the latest when the background
-// flusher ticks.
+// send path. A pending batch is transmitted by whoever can tell that nobody
+// else will: (a) the sender that fills it to the size threshold, (b) a PE
+// scheduler about to park (the idle hook in peState.loop/stealLoop), (c) a
+// sender that finds every local PE parked, because then no idle hook is
+// coming. While any local PE is awake, sends keep coalescing until that PE
+// drains its mailbox (back-pressure batching).
+//
+// No send is stranded between (b) and (c): a PE counts itself into
+// rt.nIdle before its idle-hook flushAll, and a sender reads rt.nIdle
+// after appending, under the batch's mutex. Whichever of the two takes that
+// mutex second sees the other: the PE's flush finds the append, or the
+// sender finds the PE parked and transmits itself (DESIGN.md §3.1).
 type aggregator struct {
 	rt        *Runtime
 	threshold int
 	nodes     []aggNode
-	stop      chan struct{}
-	wg        sync.WaitGroup
+
+	// One-shot backstop, armed only by an empty->non-empty append that did
+	// not transmit, so an idle runtime makes no timer wake-ups.
+	backstop *time.Timer
+	delay    time.Duration // backstopDelay, unless a test stretches it
+	armed    atomic.Bool
 }
 
 // aggNode is the pending batch for one destination node. The mutex is held
@@ -39,36 +63,37 @@ type aggregator struct {
 // node exactly like the transport's per-connection write lock would, and
 // guarantees per-destination frame ordering.
 type aggNode struct {
-	mu  sync.Mutex
-	buf []byte   // nil when empty; pooled frame starting with the batch header
-	n   int      // messages coalesced into buf (trace/metrics only)
-	_   [24]byte // pad to a cache line so per-node locks don't false-share
+	mu   sync.Mutex
+	buf  []byte    // nil when empty; pooled frame starting with the batch header
+	n    int       // messages coalesced into buf (trace/metrics only)
+	born time.Time // first append of a batch left pending; also pads to a cache line
 }
 
-func newAggregator(rt *Runtime, threshold int, interval time.Duration) *aggregator {
+func newAggregator(rt *Runtime, threshold int) *aggregator {
 	if threshold == 0 {
 		threshold = defaultBatchBytes
-	}
-	if interval <= 0 {
-		interval = defaultFlushInterval
 	}
 	a := &aggregator{
 		rt:        rt,
 		threshold: threshold,
 		nodes:     make([]aggNode, rt.numNodes),
-		stop:      make(chan struct{}),
+		delay:     backstopDelay,
 	}
-	a.wg.Add(1)
-	go a.flushLoop(interval)
+	a.backstop = time.AfterFunc(time.Hour, func() {
+		a.armed.Store(false) // before flushing: a later append re-arms
+		a.flushAll(flushBackstop)
+	})
+	a.backstop.Stop() // created disarmed; send arms it with Reset
 	return a
 }
 
-// send appends m's frame to the destination node's pending batch,
-// transmitting it if the threshold is reached.
+// send appends m's frame to the destination node's pending batch and
+// transmits it under rule (a) or (c).
 func (a *aggregator) send(node int, dest PE, m *Message) {
 	an := &a.nodes[node]
 	an.mu.Lock()
-	if an.buf == nil {
+	first := an.buf == nil
+	if first {
 		d := batchDest // non-constant so the negative->uint32 conversion compiles
 		an.buf = binary.LittleEndian.AppendUint32(transport.GetBuf(), uint32(d))
 	}
@@ -82,72 +107,66 @@ func (a *aggregator) send(node int, dest PE, m *Message) {
 		// per-message wire size = the sub-frame just appended (length delta)
 		tr.Comm(int(m.Src), int(dest), len(an.buf)-off-4)
 	}
-	if len(an.buf) >= a.threshold {
-		a.xmitLocked(node, an)
+	switch {
+	case len(an.buf) >= a.threshold:
+		a.xmitLocked(node, an, flushThreshold)
+	case a.rt.nIdle.Load() == int32(a.rt.cfg.PEs):
+		a.xmitLocked(node, an, flushSender)
+	case first:
+		an.born = time.Now()
+		if !a.armed.Load() && a.armed.CompareAndSwap(false, true) {
+			a.backstop.Reset(a.delay)
+		}
 	}
 	an.mu.Unlock()
 }
 
-// flushNode transmits node's pending batch, if any.
-func (a *aggregator) flushNode(node int) {
-	an := &a.nodes[node]
-	an.mu.Lock()
-	if an.buf != nil {
-		a.xmitLocked(node, an)
-	}
-	an.mu.Unlock()
-}
-
-// flushAll transmits every pending batch. Called from idle PE schedulers,
-// the background flusher, and Exit.
-func (a *aggregator) flushAll() {
+// flushAll transmits every pending batch. Called from PE schedulers about
+// to park, the backstop timer, and Exit.
+func (a *aggregator) flushAll(by string) {
 	for n := range a.nodes {
 		if n == a.rt.nodeID {
 			continue
 		}
-		a.flushNode(n)
+		an := &a.nodes[n]
+		an.mu.Lock()
+		if an.buf != nil {
+			a.xmitLocked(n, an, by)
+		}
+		an.mu.Unlock()
 	}
 }
 
 // xmitLocked hands the pending batch to the transport. an.mu is held, which
-// preserves per-destination ordering between threshold flushes and timer
-// flushes.
-func (a *aggregator) xmitLocked(node int, an *aggNode) {
+// preserves per-destination ordering between the transmitters.
+func (a *aggregator) xmitLocked(node int, an *aggNode, by string) {
 	buf := an.buf
 	msgs := an.n
 	an.buf = nil
 	an.n = 0
 	size := len(buf) - transport.PrefixLen
+	// The timer also catches batches that were about to leave anyway; only
+	// one that waited out the whole delay was stranded.
+	stranded := by == flushBackstop && time.Since(an.born) >= a.delay
+	if stranded {
+		a.rt.nBackstop.Add(1)
+	}
 	if tr := a.rt.cfg.Trace; tr != nil {
-		tr.Flush(node, tr.Since(), size, msgs)
+		tr.Flush(node, tr.Since(), size, msgs, by)
 	}
 	if met := a.rt.met; met != nil {
 		met.batchFlushes.Inc()
 		met.batchBytes.Observe(int64(size))
 		met.batchMsgs.Observe(int64(msgs))
+		if stranded {
+			met.batchBackstops.Inc()
+		}
 	}
 	a.rt.xmit(node, buf)
 }
 
-// flushLoop is the timeout backstop: idle-hook flushes normally win, but a
-// PE pinned by a long-running entry method must not strand its sends.
-func (a *aggregator) flushLoop(interval time.Duration) {
-	defer a.wg.Done()
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-a.stop:
-			return
-		case <-t.C:
-			a.flushAll()
-		}
-	}
-}
-
-// shutdown flushes pending batches and stops the background flusher.
+// shutdown disarms the backstop and flushes pending batches.
 func (a *aggregator) shutdown() {
-	close(a.stop)
-	a.wg.Wait()
-	a.flushAll()
+	a.backstop.Stop()
+	a.flushAll(flushIdle)
 }

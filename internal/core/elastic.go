@@ -348,8 +348,7 @@ func (rt *Runtime) viewParent(root int) int {
 
 type extWaiter struct {
 	need int
-	got  int
-	vals []any
+	vals []any // collected values; unused when need == 1
 	ch   chan any
 }
 
@@ -391,21 +390,17 @@ func (rt *Runtime) extComplete(id int64, v any) {
 		rt.extMu.Unlock()
 		return
 	}
-	w.vals = append(w.vals, v)
-	w.got++
-	done := w.got >= w.need
-	if done {
-		delete(rt.extW, id)
+	if w.need > 1 {
+		w.vals = append(w.vals, v)
+		if len(w.vals) < w.need {
+			rt.extMu.Unlock()
+			return
+		}
+		v = w.vals
 	}
+	delete(rt.extW, id)
 	rt.extMu.Unlock()
-	if !done {
-		return
-	}
-	if w.need == 1 {
-		w.ch <- w.vals[0]
-	} else {
-		w.ch <- w.vals
-	}
+	w.ch <- v
 }
 
 // ExtCall invokes an entry method on the referenced element from any

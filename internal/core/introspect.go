@@ -184,6 +184,7 @@ func (s *sampler) tick() {
 		TotalPEs:    rt.totalPEs,
 		SendsLocal:  rt.nMsgsLocal.Load(),
 		SendsWire:   rt.nMsgsWire.Load(),
+		Backstops:   rt.nBackstop.Load(),
 		PEs:         make([]introspect.PESample, len(rt.pes)),
 	}
 	for i, p := range rt.pes {

@@ -208,3 +208,23 @@ func TestMultiNodeExitFromRemote(t *testing.T) {
 type Exiter struct{ Chare }
 
 func (e *Exiter) Ping() { e.Exit() }
+
+// TestCreateSharesResolvedType creates 64 collections on 4-PE nodes under
+// the race detector: the node's PEs share one *createMsg per collection (the
+// in-node fan-out on the creating node, the decoded broadcast on the other),
+// so its node-local type record must be resolved once, before the fan-out,
+// and only read afterwards.
+func TestCreateSharesResolvedType(t *testing.T) {
+	const nodes, pes, colls = 2, 4, 64
+	runMultiNode(t, nodes, pes, nil, func(rt *Runtime) {
+		rt.Register(&NodeWorker{})
+	}, func(self *Chare) {
+		for c := 0; c < colls; c++ {
+			g := self.NewGroup(&NodeWorker{}, fmt.Sprint(c))
+			last := nodes*pes - 1
+			if got, want := g.At(last).CallRet("Describe").Get(), fmt.Sprintf("%d@pe%d", c, last); got != want {
+				t.Fatalf("collection %d: %v, want %v", c, got, want)
+			}
+		}
+	})
+}

@@ -31,6 +31,10 @@ type rtMetrics struct {
 	batchFlushes *metrics.Counter
 	batchBytes   *metrics.Histogram
 	batchMsgs    *metrics.Histogram
+	// batchBackstops counts batches that had waited out the whole backstop
+	// delay when the timer transmitted them: sends that rules (a)-(c) of the
+	// aggregator stranded.
+	batchBackstops *metrics.Counter
 
 	decodeHot *metrics.Counter // custom-codec frames (mInvoke/mFutureSet)
 	decodeGob *metrics.Counter // gob-fallback control frames
@@ -70,6 +74,8 @@ func newRTMetrics(rt *Runtime, reg *metrics.Registry) *rtMetrics {
 		batchMsgs:    reg.Histogram("charmgo_batch_msgs", "messages coalesced per aggregator batch"),
 		decodeHot:    reg.Counter("charmgo_decode_hot_total", "inbound frames decoded by the custom codec"),
 		decodeGob:    reg.Counter("charmgo_decode_gob_total", "inbound frames decoded by the gob fallback"),
+		batchBackstops: reg.Counter("charmgo_batch_backstop_flushes_total",
+			"aggregator batches stranded until the backstop timer transmitted them"),
 		dispatchStatic: reg.Counter("charmgo_dispatch_static_total",
 			"entry methods dispatched via method table / FastDispatcher"),
 		dispatchDynamic: reg.Counter("charmgo_dispatch_dynamic_total",

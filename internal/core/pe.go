@@ -226,10 +226,12 @@ func (p *peState) loop() {
 		m, ok := p.mbox.tryPop()
 		if !ok {
 			// Idle hook: before blocking, push out any aggregation batches this
-			// (or any) PE has pending so remote work is not stranded behind the
-			// flush timer while we have nothing to do.
+			// (or any) PE has pending. Count ourselves parked first: a sender
+			// that appends after this flush must see nobody left to do it
+			// (aggregator.go).
+			p.rt.nIdle.Add(1)
 			if p.rt.agg != nil {
-				p.rt.agg.flushAll()
+				p.rt.agg.flushAll(flushIdle)
 			}
 			if tr != nil {
 				idleAt := tr.Since()
@@ -238,6 +240,7 @@ func (p *peState) loop() {
 			} else {
 				m, ok = p.mbox.pop()
 			}
+			p.rt.nIdle.Add(-1)
 		}
 		if !ok {
 			break
@@ -413,6 +416,7 @@ const mainCID CID = 0
 
 func (p *peState) startMain() {
 	cm := &createMsg{CID: mainCID, Kind: ckSingle, Type: "mainChare", OnPE: 0, Creator: 0}
+	p.rt.putCollMeta(cm) // resolves cm.ct before the PEs share cm
 	p.rt.bcastAllPEs(&Message{Kind: mCreate, Src: p.pe, Ctl: cm})
 	p.rt.send(p.pe, &Message{Kind: mInvoke, CID: mainCID, Idx: []int{0}, MID: -1, Method: "Run", Src: p.pe})
 }

@@ -27,6 +27,10 @@ func (rt *Runtime) rebindMsg(m *Message) {
 	case *futSetMsg:
 		c.Val = rt.rebindOwned(c.Val, nil)
 	case *createMsg:
+		// Resolved here, once, before every local PE shares c (putCollMeta).
+		rt.mu.Lock()
+		c.ct = rt.types[c.Type]
+		rt.mu.Unlock()
 		for i, a := range c.Args {
 			c.Args[i] = rt.rebindOwned(a, nil)
 		}

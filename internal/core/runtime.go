@@ -75,14 +75,11 @@ type Config struct {
 	// BatchBytes is the TRAM-style aggregation threshold for cross-node
 	// sends: small frames destined for the same node are coalesced into one
 	// batch frame, transmitted when it reaches this size, when a PE runs out
-	// of work, or when FlushInterval elapses. 0 selects the default
-	// (8 KiB); a negative value disables aggregation (every message is its
-	// own transport frame, as in plain Charm++ without TRAM).
+	// of work, or by a sender that finds every local PE parked
+	// (aggregator.go). 0 selects the default (8 KiB); a negative value
+	// disables aggregation (every message is its own transport frame, as in
+	// plain Charm++ without TRAM).
 	BatchBytes int
-	// FlushInterval is the background flush period for partially filled
-	// batches — the latency bound for aggregated messages when every PE is
-	// busy. 0 selects the default (100us).
-	FlushInterval time.Duration
 	// TreeArity is the fan-out k of the k-ary spanning tree used for
 	// inter-node collectives (tree.go): a broadcast source sends at most k
 	// frames and each receiving node relays to at most k children, and
@@ -182,8 +179,13 @@ type Runtime struct {
 	entry   func(*Chare)
 	started atomic.Bool
 
+	// nIdle counts the PEs parked (or about to park: counted before the
+	// idle-hook flush) with nothing to run. Both schedulers keep it; the
+	// aggregator's sender-side flush rule and the steal publish throttle
+	// read it.
+	nIdle atomic.Int32
+
 	// work stealing (steal.go); all zero when Config.StealEnabled is off
-	nIdle        atomic.Int32 // PEs currently parked with empty deques
 	stealPause   atomic.Int32 // >0: thieves must hand grants back to owners
 	stolenActive atomic.Int32 // grants currently executing on non-owner PEs
 	runqBacklog  atomic.Int64 // messages parked in element run queues
@@ -235,6 +237,7 @@ type Runtime struct {
 	// test/diagnostic counters (atomics; the send path is hot)
 	nMsgsLocal atomic.Int64
 	nMsgsWire  atomic.Int64
+	nBackstop  atomic.Int64 // batches stranded until the aggregator's backstop
 	// nBcastSends counts per-destination transmissions used to originate
 	// broadcasts from this node: with the spanning tree it grows by at most
 	// TreeArity per broadcast regardless of job size, with flat collectives
@@ -292,6 +295,18 @@ func NewRuntime(cfg Config) *Runtime {
 	if cfg.InitialActive != nil {
 		rt.elasticInit()
 	}
+	// Everything Exit touches exists from here on, so an Exit that races (or
+	// precedes) Start finds mailboxes to post to instead of a half-built slice.
+	rt.pes = make([]*peState, cfg.PEs)
+	for i := range rt.pes {
+		rt.pes[i] = newPEState(rt, rt.basePE+PE(i))
+	}
+	if cfg.Metrics != nil {
+		rt.met = newRTMetrics(rt, cfg.Metrics)
+	}
+	if rt.numNodes > 1 && cfg.BatchBytes >= 0 {
+		rt.agg = newAggregator(rt, cfg.BatchBytes)
+	}
 	rt.Register(&mainChare{}, Threaded("Run"))
 	return rt
 }
@@ -326,26 +341,16 @@ func (rt *Runtime) Start(entry func(self *Chare)) {
 	rt.mu.Lock()
 	rt.wt = buildWireTables(rt.types)
 	rt.mu.Unlock()
-	rt.pes = make([]*peState, rt.cfg.PEs)
-	for i := 0; i < rt.cfg.PEs; i++ {
-		rt.pes[i] = newPEState(rt, rt.basePE+PE(i))
-	}
 	if tr := rt.cfg.Trace; tr != nil {
 		tr.SetTopology(rt.totalPEs, int(rt.basePE))
 		if rt.cfg.TraceGather && rt.numNodes > 1 && rt.nodeID == 0 {
 			rt.traceRepCh = make(chan trace.Report, rt.numNodes)
 		}
 	}
-	if rt.cfg.Metrics != nil {
-		rt.met = newRTMetrics(rt, rt.cfg.Metrics)
-	}
 	if rt.cfg.Introspect != nil || rt.cfg.SampleInterval > 0 {
 		rt.setupIntrospect()
 	}
 	if tr := rt.cfg.Transport; tr != nil {
-		if rt.numNodes > 1 && rt.cfg.BatchBytes >= 0 {
-			rt.agg = newAggregator(rt, rt.cfg.BatchBytes, rt.cfg.FlushInterval)
-		}
 		tr.SetHandler(rt.onFrame)
 	}
 	for _, p := range rt.pes {
@@ -385,14 +390,15 @@ func (rt *Runtime) Exit() {
 			if rt.agg != nil {
 				// Preserve ordering: pending application traffic must reach
 				// peers before the exit frame.
-				rt.agg.flushAll()
+				rt.agg.flushAll(flushIdle)
 			}
 			exit := &Message{Kind: mExit, Src: -1}
 			for n := 0; n < rt.numNodes; n++ {
 				if n != rt.nodeID && rt.nodeActive(n) {
 					// xmit swallows errors once exited; a peer may be down
 					rt.ordSentTo(n)
-					rt.xmit(n, appendMsg(transport.GetBuf(), -1, exit, rt.wt))
+					// nil tables: Start may be building rt.wt right now
+					rt.xmit(n, appendMsg(transport.GetBuf(), -1, exit, nil))
 				}
 			}
 		}
@@ -660,7 +666,11 @@ func (rt *Runtime) onFrame(from int, frame []byte) {
 // collected and pushed into each mailbox in bulk (one lock acquisition and
 // wakeup per PE per batch instead of per message).
 func (rt *Runtime) onBatch(from int, body []byte) {
-	perPE := make([][]*Message, rt.cfg.PEs)
+	var few [4][]*Message // keeps the per-PE table off the heap on small nodes
+	perPE := few[:min(rt.cfg.PEs, len(few))]
+	if rt.cfg.PEs > len(few) {
+		perPE = make([][]*Message, rt.cfg.PEs)
+	}
 	pending := 0 // buffered local unicasts not yet counted for ordering
 	flush := func() {
 		for i, ms := range perPE {
@@ -792,6 +802,10 @@ func (rt *Runtime) BcastSends() int64 { return rt.nBcastSends.Load() }
 
 // collection metadata
 
+// putCollMeta publishes cm on this node. A createMsg shared by the node's PEs
+// arrives with cm.ct already resolved — by the creating PE's own putCollMeta
+// before the fan-out, or at decode (rebindMsg) — so PEs only read it; the
+// lazy write below runs for a creator or for a PE-private copy.
 func (rt *Runtime) putCollMeta(cm *createMsg) {
 	if cm.ct == nil {
 		rt.mu.Lock()

@@ -288,14 +288,15 @@ func (p *peState) stealLoop() {
 		if p.trySteal() {
 			continue
 		}
-		if p.rt.agg != nil {
-			p.rt.agg.flushAll()
-		}
 		// Nothing anywhere: park until a mailbox push or a sibling publishes
 		// a grant (parkCheck re-checks the deques inside the park handshake,
 		// so a grant pushed before we finished arming is never slept through).
+		// Counted parked before the idle-hook flush, as in peState.loop.
 		p.idle.Store(true)
 		p.rt.nIdle.Add(1)
+		if p.rt.agg != nil {
+			p.rt.agg.flushAll(flushIdle)
+		}
 		var idleAt time.Duration
 		if tr != nil {
 			idleAt = tr.Since()

@@ -257,3 +257,50 @@ func TestSplitterMovesHotElement(t *testing.T) {
 	}
 	sp.Stop()
 }
+
+// TestServiceCloseImmediately boots, serves one request and closes, many
+// times over. Close calls Exit on every node, and a node the request never
+// touched may not have entered Start yet: Exit must find that node's PEs
+// (built by NewRuntime) rather than a half-filled slice.
+func TestServiceCloseImmediately(t *testing.T) {
+	boots := 200
+	if testing.Short() {
+		boots = 20
+	}
+	for i := 0; i < boots; i++ {
+		svc, err := NewService(ServiceConfig{Nodes: 3, PEs: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := svc.Put("k", "v"); err != nil {
+			t.Fatalf("boot %d: %v", i, err)
+		}
+		svc.Close()
+	}
+}
+
+// TestCallTimeoutStillFires checks the pooled request timer against a shard
+// that never replies (its node's endpoint is closed, so the request frame is
+// dropped): the call fails with the timeout error after RequestTimeout, the
+// second and third time on a pooled timer that has already fired once.
+func TestCallTimeoutStillFires(t *testing.T) {
+	const timeout = 5 * time.Millisecond
+	svc, err := NewService(ServiceConfig{Nodes: 2, PEs: 1, Shards: 2, RequestTimeout: timeout})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	if err := svc.nw.Endpoint(1).Close(); err != nil { // shard 1 lives on node 1
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		start := time.Now()
+		_, err := svc.call(1, "Len")
+		if err == nil || !strings.Contains(err.Error(), "Len on shard 1 timed out") {
+			t.Fatalf("call %d to a silent shard: err = %v, want a timeout", i, err)
+		}
+		if d := time.Since(start); d < timeout {
+			t.Errorf("call %d timed out after %v, before RequestTimeout %v", i, d, timeout)
+		}
+	}
+}

@@ -80,6 +80,7 @@ type Service struct {
 
 	inflight atomic.Int64
 	deaths   atomic.Int64 // detector false positives (should stay 0)
+	timers   sync.Pool    // stopped, drained *time.Timer (request deadlines)
 	wg       sync.WaitGroup
 	closed   sync.Once
 }
@@ -183,10 +184,27 @@ func (s *Service) call(shard int, method string, args ...any) (any, error) {
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
 	ch, ref := s.arr.At(shard).ExtCall(method, args...)
+	// The deadline timer is pooled: go.mod predates go 1.23, so a time.After
+	// per request would sit in the timer heap for the whole RequestTimeout —
+	// millions of live timers at the rate this path serves.
+	t, _ := s.timers.Get().(*time.Timer)
+	if t == nil {
+		t = time.NewTimer(s.cfg.RequestTimeout)
+	} else {
+		t.Reset(s.cfg.RequestTimeout)
+	}
 	select {
 	case v := <-ch:
+		if !t.Stop() {
+			select { // fired while the reply arrived: drain before reuse
+			case <-t.C:
+			default:
+			}
+		}
+		s.timers.Put(t)
 		return v, nil
-	case <-time.After(s.cfg.RequestTimeout):
+	case <-t.C:
+		s.timers.Put(t)
 		s.rts[0].DropExtFuture(ref)
 		return nil, fmt.Errorf("elastic: %s on shard %d timed out", method, shard)
 	}

@@ -81,6 +81,9 @@ type NodeSnapshot struct {
 	Colls       []CollSample  `json:"colls,omitempty"`
 	SendsLocal  int64         `json:"sendsLocal"` // cumulative in-node deliveries
 	SendsWire   int64         `json:"sendsWire"`  // cumulative cross-node sends
+	// Backstops counts aggregator batches that sat until the backstop timer
+	// (cumulative): sends no flush rule saw. Expected to stay 0.
+	Backstops   int64         `json:"backstopFlushes"`
 	TraceDrops  []uint64      `json:"traceDrops,omitempty"` // per local PE ring-buffer losses
 	// CommBytes holds this node's rows of the PE×PE wire-byte matrix
 	// (len(PEs) × TotalPEs row-major, source rows only), when tracing is on.

@@ -45,7 +45,8 @@ func Render(s ClusterSnapshot, opt RenderOptions) string {
 		case nv.Stale:
 			status = fmt.Sprintf("  [STALE %.0fms]", nv.AgeMillis)
 		}
-		fmt.Fprintf(&b, "node %d%s  sends local=%d wire=%d", nv.Node, status, nv.SendsLocal, nv.SendsWire)
+		fmt.Fprintf(&b, "node %d%s  sends local=%d wire=%d backstop-flushes=%d",
+			nv.Node, status, nv.SendsLocal, nv.SendsWire, nv.Backstops)
 		if d := sumU64(nv.TraceDrops); d > 0 {
 			fmt.Fprintf(&b, "  trace-drops=%d", d)
 		}

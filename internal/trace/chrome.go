@@ -98,7 +98,7 @@ func WriteChrome(w io.Writer, reports ...Report) error {
 			case EvFlush:
 				ce.Ph, ce.Cat, ce.S = "i", "agg", "p"
 				ce.Name = fmt.Sprintf("flush→node%d", e.Dest)
-				ce.Args = map[string]any{"bytes": e.Bytes, "msgs": e.N}
+				ce.Args = map[string]any{"bytes": e.Bytes, "msgs": e.N, "by": e.Method}
 			case EvFrameOut, EvFrameIn:
 				ce.Ph, ce.Cat, ce.S = "i", "net", "p"
 				dir := "frame←node"

@@ -79,7 +79,7 @@ func buildReports() []Report {
 		tr.Idle(0, 0, 10)
 		tr.Recv(0, "RecvGhost", 10, 2)
 		tr.SendTo(0, (node*2+3)%4, "RecvGhost", 11, 0)
-		tr.Flush(node, 20, 4096, 7)
+		tr.Flush(node, 20, 4096, 7, "idle")
 		tr.Frame(true, 1-node, 21, 4100)
 		tr.Frame(false, 1-node, 22, 2100)
 		tr.TreeHop(1-node, 23, 4100)

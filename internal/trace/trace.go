@@ -52,7 +52,8 @@ const (
 	// of migration orders issued).
 	EvLB
 	// EvFlush is one aggregator batch transmission (Dest = destination
-	// node, Bytes = batch frame size, N = messages coalesced).
+	// node, Bytes = batch frame size, N = messages coalesced, Method = which
+	// rule transmitted it: threshold, idle, sender or backstop).
 	EvFlush
 	// EvFrameOut is one outbound transport frame (Dest = destination node).
 	EvFrameOut
@@ -274,9 +275,10 @@ func (t *Tracer) LB(pe int, at time.Duration, moves int) {
 	t.record(pe, Event{PE: pe, Kind: EvLB, At: at, N: moves})
 }
 
-// Flush records one aggregator batch transmission to a node.
-func (t *Tracer) Flush(node int, at time.Duration, bytes, msgs int) {
-	t.record(-1, Event{PE: -1, Kind: EvFlush, At: at, Dest: node, Bytes: bytes, N: msgs})
+// Flush records one aggregator batch transmission to a node; by names the
+// rule that transmitted it (threshold, idle, sender or backstop).
+func (t *Tracer) Flush(node int, at time.Duration, bytes, msgs int, by string) {
+	t.record(-1, Event{PE: -1, Kind: EvFlush, At: at, Dest: node, Bytes: bytes, N: msgs, Method: by})
 }
 
 // Frame records one transport frame crossing the node boundary; out selects
