@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check guards lint charmvet vet-baseline race fuzz bench collectives vet profile chaos gen gencheck bench/dispatch bench/manychares introspect serve serving
+.PHONY: all build test check guards prof/wire lint charmvet vet-baseline race fuzz bench collectives vet profile chaos gen gencheck bench/dispatch bench/manychares introspect serve serving
 
 all: build
 
@@ -70,21 +70,35 @@ check: build lint gencheck guards
 	$(MAKE) serve
 
 # guards runs, without -short and without the race detector's own
-# allocations, the fine-grain stencil and kvservice request allocation guards,
-# the Message size-class guard, a smoke of the bound when-guard benchmark
-# (0 allocs/op, target <= 30 ns; it fails if an evaluation allocates), the
-# tests that pin the aggregator's flush rules and the kvservice timeout and
-# close-at-once tests; then the two that race a parking PE or a starting
-# node, under the race detector at 1, 2 and 8 scheduler threads.
+# allocations, the fine-grain stencil, kvservice request and remote-invoke
+# allocation guards, the Message size-class guard, the wire codec allocation
+# guards, the one-clock-read-per-entry-method count, a smoke of the bound
+# when-guard benchmark (0 allocs/op, target <= 30 ns; it fails if an
+# evaluation allocates), the tests that pin the aggregator's flush rules and
+# the kvservice timeout and close-at-once tests; then, under the race
+# detector at 1, 2 and 8 scheduler threads, the two that race a parking PE or
+# a starting node and the one that poisons every returned invoke box.
 guards:
-	$(GO) test -count=1 -run 'TestStencilFineAllocGuard|TestKVRequestAllocGuard' .
-	$(GO) test -count=1 -run 'TestMessageSizeClass' -bench 'BenchmarkWhenGuardBlock' -benchtime 100x ./internal/core
+	$(GO) test -count=1 -run 'TestStencilFineAllocGuard|TestKVRequestAllocGuard|TestRemoteInvokeAllocGuard' .
+	$(GO) test -count=1 -run 'TestMessageSizeClass|TestAppendMsgAllocs|TestDecodeArgsAllocs|TestDecodeErrorReturnsBox|TestOneClockReadPerEM' -bench 'BenchmarkWhenGuardBlock' -benchtime 100x ./internal/core
 	$(GO) test -count=1 -run 'TestSenderFlushesWhenAllPEsParked|TestNoStrandedSendUnderParkRace|TestFloodStillBatches|TestBackstopFlushesPinnedPE' ./internal/core
 	$(GO) test -count=1 -run 'TestServiceCloseImmediately|TestCallTimeoutStillFires' ./internal/elastic
 	for p in 1 2 8; do \
-		GOMAXPROCS=$$p $(GO) test -race -count=1 -run 'TestNoStrandedSendUnderParkRace' ./internal/core && \
+		GOMAXPROCS=$$p $(GO) test -race -count=1 -run 'TestNoStrandedSendUnderParkRace|TestRecycledBoxNeverObserved' ./internal/core && \
 		GOMAXPROCS=$$p $(GO) test -race -count=1 -run 'TestServiceCloseImmediately' ./internal/elastic || exit 1; \
 	done
+
+# prof/wire is where a wire-path issue starts: BenchmarkRemoteInvokeRate over
+# loopback TCP with default batching (the benchmark's stream_tcp shape) under
+# the CPU and allocation profilers, top 25 lines of each. PROF_DIR keeps the
+# test binary and the profiles out of the checkout.
+PROF_DIR ?= /tmp/charmgo-prof
+prof/wire:
+	mkdir -p $(PROF_DIR)
+	$(GO) test -run '^$$' -bench 'BenchmarkRemoteInvokeRate/tcp-batched' -benchtime 5s -benchmem \
+		-o $(PROF_DIR)/wire.test -cpuprofile $(PROF_DIR)/wire.cpu -memprofile $(PROF_DIR)/wire.mem -memprofilerate 4096 .
+	$(GO) tool pprof -top -nodecount 25 $(PROF_DIR)/wire.test $(PROF_DIR)/wire.cpu
+	$(GO) tool pprof -sample_index=alloc_space -top -nodecount 25 $(PROF_DIR)/wire.test $(PROF_DIR)/wire.mem
 
 race:
 	$(GO) test -race ./...

@@ -13,12 +13,13 @@ import (
 	"charmgo/internal/transport"
 )
 
-// TestRemoteInvokeAllocGuard pins the remote-invoke hot path at the seed's
-// allocation baseline with tracing and metrics off. The baseline is 4
-// allocs/op, all predating the observability layer: the caller's variadic
-// args slice, the sender-side Message, and the receiver's decoded Message
-// and args. The nil-tracer / nil-metrics guards must add zero on top — a
-// regression here means instrumentation leaked into the hot path.
+// TestRemoteInvokeAllocGuard pins the remote-invoke hot path, sender and
+// receiver together, at what the caller allocates: the variadic args slice of
+// p.Call("Ping", 1) (the 1 itself is in the runtime's small-value cache).
+// Nothing on either node is the runtime's: the sender encodes from a Message
+// on its stack, the receiver decodes into a recycled box. It was 4 — that
+// slice, the sender's Message, the receiver's box and its argument list. A
+// regression means one of them, or instrumentation, is back on the path.
 func TestRemoteInvokeAllocGuard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark guard, skipped in -short")
@@ -27,8 +28,8 @@ func TestRemoteInvokeAllocGuard(t *testing.T) {
 		nw := transport.NewMemNetwork(2)
 		benchRemoteRate(b, []transport.Transport{nw.Endpoint(0), nw.Endpoint(1)}, 0)
 	})
-	if a := res.AllocsPerOp(); a > 4 {
-		t.Errorf("remote invoke with observability off = %d allocs/op, want <= 4", a)
+	if a := res.AllocsPerOp(); a > 1 {
+		t.Errorf("remote invoke with observability off = %d allocs/op, want <= 1 (the caller's args slice)", a)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 
 	"charmgo"
 	"charmgo/internal/pool"
+	"charmgo/internal/testport"
 	"charmgo/internal/transport"
 )
 
@@ -148,7 +149,7 @@ func TestMultiProcessDisthello(t *testing.T) {
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("build: %v\n%s", err, out)
 	}
-	addrs := "127.0.0.1:39701,127.0.0.1:39702"
+	addrs := strings.Join(testport.Addrs(2), ",")
 	var outs [2][]byte
 	var errs [2]error
 	var wg sync.WaitGroup

@@ -90,29 +90,49 @@ func newAggregator(rt *Runtime, threshold int) *aggregator {
 // send appends m's frame to the destination node's pending batch and
 // transmits it under rule (a) or (c).
 func (a *aggregator) send(node int, dest PE, m *Message) {
+	an, off := a.open(node)
+	an.buf = appendMsg(an.buf, dest, m, a.rt.wt)
+	a.close(node, an, off, m.Src, dest)
+}
+
+// sendInvoke is send for an mInvoke: appendInvoke only reads m, so the
+// caller's Message does not escape to the heap through here.
+func (a *aggregator) sendInvoke(node int, dest PE, m *Message) {
+	an, off := a.open(node)
+	an.buf = appendInvoke(an.buf, dest, m, a.rt.wt)
+	a.close(node, an, off, m.Src, dest)
+}
+
+// open locks node's batch, starts it if it is empty and reserves the next
+// sub-frame's length slot, at the returned offset; the caller serializes the
+// message in place behind it and calls close.
+func (a *aggregator) open(node int) (*aggNode, int) {
 	an := &a.nodes[node]
 	an.mu.Lock()
-	first := an.buf == nil
-	if first {
+	if an.buf == nil {
 		d := batchDest // non-constant so the negative->uint32 conversion compiles
 		an.buf = binary.LittleEndian.AppendUint32(transport.GetBuf(), uint32(d))
 	}
-	// Reserve the sub-frame length slot, serialize in place, then patch it.
 	off := len(an.buf)
 	an.buf = append(an.buf, 0, 0, 0, 0)
-	an.buf = appendMsg(an.buf, dest, m, a.rt.wt)
-	binary.LittleEndian.PutUint32(an.buf[off:], uint32(len(an.buf)-off-4))
+	return an, off
+}
+
+// close patches the length of the sub-frame appended since open, applies the
+// flush rules and unlocks the batch.
+func (a *aggregator) close(node int, an *aggNode, off int, src, dest PE) {
+	size := len(an.buf) - off - 4
+	binary.LittleEndian.PutUint32(an.buf[off:], uint32(size))
 	an.n++
 	if tr := a.rt.cfg.Trace; tr != nil {
-		// per-message wire size = the sub-frame just appended (length delta)
-		tr.Comm(int(m.Src), int(dest), len(an.buf)-off-4)
+		tr.Comm(int(src), int(dest), size) // per-message wire size
 	}
 	switch {
 	case len(an.buf) >= a.threshold:
 		a.xmitLocked(node, an, flushThreshold)
 	case a.rt.nIdle.Load() == int32(a.rt.cfg.PEs):
 		a.xmitLocked(node, an, flushSender)
-	case first:
+	case an.n == 1:
 		an.born = time.Now()
 		if !a.armed.Load() && a.armed.CompareAndSwap(false, true) {
 			a.backstop.Reset(a.delay)

@@ -74,9 +74,7 @@ func (ch *Channel) Send(v any) {
 			Port: ch.Port, Seq: seq, Val: v,
 		},
 	}
-	pr := ch.Peer
-	pr.rt = p.rt
-	p.rt.send(pr.destPE(), m)
+	p.rt.send(p.rt.destPE(m.CID, m.Idx, p.rt.collMeta(m.CID)), m)
 }
 
 // Recv returns the next value from the peer in send order, suspending the

@@ -3,6 +3,7 @@ package core
 // Edge cases, failure injection, and less-travelled API surface.
 
 import (
+	"charmgo/internal/testport"
 	"strings"
 	"testing"
 	"time"
@@ -453,7 +454,7 @@ func TestLBRotationMultiNode(t *testing.T) {
 // ---- real TCP transport end-to-end ----
 
 func TestRuntimeOverTCP(t *testing.T) {
-	addrs := []string{"127.0.0.1:39501", "127.0.0.1:39502"}
+	addrs := testport.Addrs(2)
 	trs := make([]*transport.TCP, 2)
 	errs := make([]error, 2)
 	var init func(i int) = func(i int) { trs[i], errs[i] = transport.NewTCP(i, addrs) }

@@ -39,7 +39,9 @@ func fuzzWireTables() *wireTables {
 // FuzzDecodeFrame hardens the wire decoder against hostile frames: no input
 // may panic or over-read, and any frame that decodes as an invoke or
 // future-set must survive a re-encode/re-decode roundtrip with its header
-// fields intact (the same property Runtime.onFrame relies on).
+// fields intact (the same property Runtime.onFrame relies on). Invokes decode
+// into recycled boxes, as at ingress: a frame that fails half way must leave
+// its box fit for the next one.
 func FuzzDecodeFrame(f *testing.F) {
 	wt := fuzzWireTables()
 	for _, seed := range fuzzFrameSeeds(wt) {
@@ -49,8 +51,9 @@ func FuzzDecodeFrame(f *testing.F) {
 		if len(frame) > 1<<16 {
 			t.Skip()
 		}
+		stock := &boxStock{list: &boxList{}}
 		for _, tables := range []*wireTables{nil, wt} {
-			dest, m, err := decodeMsgWT(frame, tables)
+			dest, m, err := decodeMsgFull(frame, tables, false, nil, stock)
 			if err != nil {
 				continue
 			}
@@ -60,7 +63,7 @@ func FuzzDecodeFrame(f *testing.F) {
 				continue
 			}
 			re := appendMsg(nil, dest, m, tables)
-			dest2, m2, err := decodeMsgWT(re, tables)
+			dest2, m2, err := decodeMsgFull(re, tables, false, nil, stock)
 			if err != nil {
 				t.Fatalf("re-decode of re-encoded frame failed: %v (orig %x)", err, frame)
 			}
@@ -68,6 +71,10 @@ func FuzzDecodeFrame(f *testing.F) {
 				m2.MID != m.MID || m2.Method != m.Method || m2.Src != m.Src ||
 				m2.Fut != m.Fut || !idxEqual(m2.Idx, m.Idx) || len(m2.Args) != len(m.Args) {
 				t.Fatalf("roundtrip mismatch:\n  first  %d %v\n  second %d %v", dest, m, dest2, m2)
+			}
+			if m.Kind == mInvoke {
+				stock.giveBack(m)
+				stock.giveBack(m2)
 			}
 		}
 	})

@@ -39,9 +39,11 @@ type GenBinding struct {
 	// with ser.AppendArgs. ok=false (arguments didn't match the generated
 	// signature) leaves dst unmodified.
 	Enc []func(dst []byte, args []any) ([]byte, bool)
-	// Dec[id] decodes an argument list for method id, returning the arguments
-	// and bytes consumed. ok=false means fall back to ser.DecodeArgs.
-	Dec []func(data []byte, alias bool) ([]any, int, bool)
+	// Dec[id] decodes an argument list for method id, appending the arguments
+	// to dst (the receiver's recycled slots, wire.go) and returning the bytes
+	// consumed. ok=false returns dst as it came and means fall back to
+	// ser.DecodeArgsInto.
+	Dec []func(dst []any, data []byte, alias bool) ([]any, int, bool)
 }
 
 // genBindings maps "pkgpath.TypeName" (reflect's PkgPath, so "main" for main

@@ -88,17 +88,17 @@ func genPingBinding() *GenBinding {
 			},
 			nil, nil, nil, nil,
 		},
-		Dec: []func([]byte, bool) ([]any, int, bool){
-			func(data []byte, alias bool) ([]any, int, bool) {
+		Dec: []func([]any, []byte, bool) ([]any, int, bool){
+			func(dst []any, data []byte, alias bool) ([]any, int, bool) {
 				d := ser.NewDec(data, alias)
 				if d.Count() != 1 {
-					return nil, 0, false
+					return dst, 0, false
 				}
 				a0 := d.Int()
 				if !d.Ok() {
-					return nil, 0, false
+					return dst, 0, false
 				}
-				return []any{a0}, d.Used(), true
+				return append(dst, a0), d.Used(), true
 			},
 			nil, nil, nil, nil,
 		},
@@ -173,7 +173,7 @@ func init() {
 		Methods:  []string{"Gone", "Now", "Old"},
 		Dispatch: func(any, int, []any) (any, bool) { return nil, false },
 		Enc:      make([]func([]byte, []any) ([]byte, bool), 3),
-		Dec:      make([]func([]byte, bool) ([]any, int, bool), 3),
+		Dec:      make([]func([]any, []byte, bool) ([]any, int, bool), 3),
 	})
 }
 

@@ -91,7 +91,7 @@ type peStats struct {
 	busy       atomic.Int64 // entry-method nanos, added at EM/segment completion
 	ems        atomic.Int64 // entry methods completed
 	recvs      atomic.Int64 // messages dequeued
-	emStart    atomic.Int64 // unix-nano start of the in-flight EM; 0 when idle
+	emStart    atomic.Int64 // PE-clock start (peState.stamp) of the in-flight EM; 0 when idle
 	steals     atomic.Int64 // run grants stolen from sibling PEs (steal.go)
 	stealFails atomic.Int64 // steal attempts that found no victim work
 }
@@ -187,11 +187,12 @@ func (s *sampler) tick() {
 		Backstops:   rt.nBackstop.Load(),
 		PEs:         make([]introspect.PESample, len(rt.pes)),
 	}
+	peNow := int64(now.Sub(rt.t0)) // now on the PE clocks
 	for i, p := range rt.pes {
 		busy := p.stats.busy.Load()
 		// Credit the in-flight entry method so a wedged PE reads 100%, not 0.
-		if st := p.stats.emStart.Load(); st != 0 && now.UnixNano() > st {
-			busy += now.UnixNano() - st
+		if st := p.stats.emStart.Load(); st != 0 && peNow > st {
+			busy += peNow - st
 		}
 		dBusy := busy - s.prevBusy[i]
 		if dBusy < 0 {

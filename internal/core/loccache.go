@@ -63,22 +63,24 @@ func newLocCache() *locCache {
 	return lc
 }
 
-func (lc *locCache) shard(cid CID, key string) *locShard {
+// locShardOf hashes an element key — given as the string it is stored under
+// or as the bytes a per-message lookup built on its stack — to a shard index.
+func locShardOf[K string | []byte](cid CID, key K) uint64 {
 	h := uint64(uint32(cid)) * 0x9e3779b97f4a7c15
 	for i := 0; i < len(key); i++ {
 		h = (h ^ uint64(key[i])) * 0x100000001b3
 	}
-	return &lc.shards[h%locShards]
+	return h % locShards
 }
 
 // get returns the cached location hint for an element, if any. Lock-free in
-// steady state (no pending overlay writes in the shard).
-func (lc *locCache) get(cid CID, key string) (PE, bool) {
-	s := lc.shard(cid, key)
-	k := locKey{cid: cid, key: key}
+// steady state (no pending overlay writes in the shard), and allocation-free:
+// the key bytes are only ever converted inside a map index expression.
+func (lc *locCache) get(cid CID, key []byte) (PE, bool) {
+	s := &lc.shards[locShardOf(cid, key)]
 	if s.dirtyN.Load() > 0 {
 		s.mu.Lock()
-		pe, ok := s.dirty[k]
+		pe, ok := s.dirty[locKey{cid: cid, key: string(key)}]
 		s.mu.Unlock()
 		if ok {
 			if pe == locTomb {
@@ -87,7 +89,7 @@ func (lc *locCache) get(cid CID, key string) (PE, bool) {
 			return pe, true
 		}
 	}
-	if pe, ok := (*s.published.Load())[k]; ok {
+	if pe, ok := (*s.published.Load())[locKey{cid: cid, key: string(key)}]; ok {
 		return pe, true
 	}
 	return 0, false
@@ -96,7 +98,7 @@ func (lc *locCache) get(cid CID, key string) (PE, bool) {
 // put records a location hint, merging the overlay into a freshly published
 // map when it has grown enough.
 func (lc *locCache) put(cid CID, key string, pe PE) {
-	s := lc.shard(cid, key)
+	s := &lc.shards[locShardOf(cid, key)]
 	k := locKey{cid: cid, key: key}
 	s.mu.Lock()
 	if s.dirty == nil {

@@ -12,12 +12,12 @@ func TestLocCachePutGet(t *testing.T) {
 		lc.put(CID(i%7), fmt.Sprintf("k%d", i), PE(i%13))
 	}
 	for i := 0; i < 10000; i++ {
-		pe, ok := lc.get(CID(i%7), fmt.Sprintf("k%d", i))
+		pe, ok := lc.get(CID(i%7), []byte(fmt.Sprintf("k%d", i)))
 		if !ok || pe != PE(i%13) {
 			t.Fatalf("get(%d, k%d) = %d,%v", i%7, i, pe, ok)
 		}
 	}
-	if _, ok := lc.get(99, "absent"); ok {
+	if _, ok := lc.get(99, []byte("absent")); ok {
 		t.Fatal("get of an absent key reported a hit")
 	}
 }
@@ -35,7 +35,7 @@ func TestLocCacheMergePublishes(t *testing.T) {
 		t.Fatal("no shard ever merged its dirty overlay into the published map")
 	}
 	for i := 0; i < n; i++ {
-		if pe, ok := lc.get(CID(1), fmt.Sprintf("key-%d", i)); !ok || pe != PE(i%11) {
+		if pe, ok := lc.get(CID(1), []byte(fmt.Sprintf("key-%d", i))); !ok || pe != PE(i%11) {
 			t.Fatalf("post-merge get(key-%d) = %d,%v", i, pe, ok)
 		}
 	}
@@ -45,7 +45,7 @@ func TestLocCacheOverwrite(t *testing.T) {
 	lc := newLocCache()
 	lc.put(CID(3), "x", 4)
 	lc.put(CID(3), "x", 9)
-	if pe, ok := lc.get(CID(3), "x"); !ok || pe != 9 {
+	if pe, ok := lc.get(CID(3), []byte("x")); !ok || pe != 9 {
 		t.Fatalf("overwrite lost: got %d,%v want 9,true", pe, ok)
 	}
 }
@@ -58,7 +58,7 @@ func TestLocCacheScrubRange(t *testing.T) {
 	}
 	lc.scrubRange(4, 8) // retire PEs [4,8)
 	for i := 0; i < n; i++ {
-		pe, ok := lc.get(CID(2), fmt.Sprintf("s%d", i))
+		pe, ok := lc.get(CID(2), []byte(fmt.Sprintf("s%d", i)))
 		want := PE(i % 16)
 		if want >= 4 && want < 8 {
 			if ok {
@@ -70,7 +70,7 @@ func TestLocCacheScrubRange(t *testing.T) {
 	}
 	// Scrubbed keys can be re-cached at a surviving PE.
 	lc.put(CID(2), "s4", 1)
-	if pe, ok := lc.get(CID(2), "s4"); !ok || pe != 1 {
+	if pe, ok := lc.get(CID(2), []byte("s4")); !ok || pe != 1 {
 		t.Fatalf("re-cache after scrub: got %d,%v", pe, ok)
 	}
 }
@@ -85,7 +85,7 @@ func TestLocCacheConcurrent(t *testing.T) {
 			for i := 0; i < 5000; i++ {
 				key := fmt.Sprintf("c%d", i%512)
 				lc.put(CID(w), key, PE(i%7))
-				if pe, ok := lc.get(CID(w), key); ok && pe > 7 {
+				if pe, ok := lc.get(CID(w), []byte(key)); ok && pe > 7 {
 					t.Errorf("garbage read: %d", pe)
 					return
 				}

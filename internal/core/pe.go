@@ -71,6 +71,25 @@ type peState struct {
 	idle       atomic.Bool // parked with nothing to run (wake-idle protocol)
 	alsoFn     func() bool // cached park re-check closure (no per-park alloc)
 
+	// The PE clock: stamp is the time, since rt.t0, at which the last entry
+	// method (or threaded segment) on this PE ended, which is when the next
+	// one is taken to start — so a dispatched message costs one clock read,
+	// at its end, and the dequeue and routing in between count toward the
+	// method they lead to. A scheduler that parked re-reads it on waking.
+	// addLoad, the sampler and the tracer's EM spans all use these stamps.
+	// now is time.Since(rt.t0) unless a test counts the reads.
+	now   func() time.Duration
+	stamp time.Duration
+
+	// cur is the message dispatch is handling; curSpent is set when cur was
+	// a boxed invoke that ran inline with its Args unpacked into typed
+	// parameters, which is the one case in which dispatch returns its box
+	// (wire.go). freed collects returned boxes for rt.boxes, a chunk at a
+	// time.
+	cur      *Message
+	curSpent bool
+	freed    []*Message
+
 	// stats are the cumulative counters behind live introspection sampling,
 	// written by the scheduler only when a sampler is attached and read by
 	// the sampler goroutine (hence atomics).
@@ -159,7 +178,7 @@ type waiter struct {
 type emThread struct {
 	resume   chan struct{}
 	el       *element
-	segStart time.Time
+	segStart time.Duration // PE clock (peState.stamp) at which the running segment began
 }
 
 type thYield struct {
@@ -183,6 +202,7 @@ func newPEState(rt *Runtime, pe PE) *peState {
 		yieldCh:     make(chan thYield),
 		suspended:   map[*emThread]bool{},
 		lbRoot:      map[CID]*lbRootState{},
+		now:         func() time.Duration { return time.Since(rt.t0) },
 	}
 	if rt.cfg.MutexMailbox {
 		p.mbox = newMailbox()
@@ -222,6 +242,7 @@ func (p *peState) loop() {
 	}
 	tr := p.rt.cfg.Trace
 	lpe := p.lpe()
+	p.stamp = p.now()
 	for !p.exiting {
 		m, ok := p.mbox.tryPop()
 		if !ok {
@@ -241,6 +262,7 @@ func (p *peState) loop() {
 				m, ok = p.mbox.pop()
 			}
 			p.rt.nIdle.Add(-1)
+			p.stamp = p.now() // time parked is nobody's load
 		}
 		if !ok {
 			break
@@ -263,6 +285,7 @@ func (p *peState) dispatch(m *Message) {
 		p.stats.recvs.Add(1)
 	}
 	p.rt.qdCountRecv(m.Kind)
+	p.cur, p.curSpent = m, false
 	p.handle(m)
 	// Zero-copy broadcast fan-out: the same *Message was queued to every
 	// local PE; the last one to finish handling it releases the shared
@@ -270,6 +293,23 @@ func (p *peState) dispatch(m *Message) {
 	// broadcast).
 	if sh := m.shared; sh != nil && sh.refs.Add(-1) == 0 && sh.release != nil {
 		sh.release()
+	}
+	if p.curSpent {
+		p.returnBox(m)
+	}
+	p.cur = nil
+}
+
+// returnBox is the one place a decoded invoke's box goes back to the node's
+// box list (wire.go has the ownership rule).
+func (p *peState) returnBox(m *Message) {
+	resetBox(m)
+	if p.rt.poisonBoxes {
+		poisonBox(m)
+	}
+	p.freed = append(p.freed, m)
+	if len(p.freed) >= boxChunk {
+		p.freed = p.rt.boxes.put(p.freed)
 	}
 }
 
@@ -609,17 +649,17 @@ func (p *peState) routeInvoke(m *Message) {
 	}
 	if m.Idx == nil { // broadcast: deliver to every local element
 		for _, el := range coll.elems {
-			cp := *m
-			p.deliverOrBuffer(coll, el, &cp)
+			p.deliverOrBuffer(coll, el, m.copyOf())
 		}
 		return
 	}
-	key := idxKey(m.Idx)
-	if el := coll.elems[key]; el != nil && !el.dead {
+	var kb [idxKeyBuf]byte
+	key := appendIdxKey(kb[:0], m.Idx)
+	if el := coll.elems[string(key)]; el != nil && !el.dead {
 		p.deliverOrBuffer(coll, el, m)
 		return
 	}
-	p.forward(coll, m, key)
+	p.forward(coll, m, string(key))
 }
 
 // routeElem locates the destination element of a non-broadcast message,
@@ -631,11 +671,12 @@ func (p *peState) routeElem(m *Message) (el *element, done bool) {
 		p.pendingColl[m.CID] = append(p.pendingColl[m.CID], m)
 		return nil, true
 	}
-	key := idxKey(m.Idx)
-	if el := coll.elems[key]; el != nil && !el.dead {
+	var kb [idxKeyBuf]byte
+	key := appendIdxKey(kb[:0], m.Idx)
+	if el := coll.elems[string(key)]; el != nil && !el.dead {
 		return el, false
 	}
-	p.forward(coll, m, key)
+	p.forward(coll, m, string(key))
 	return nil, true
 }
 
@@ -676,7 +717,7 @@ func (p *peState) forward(coll *localColl, m *Message, key string) {
 		coll.pendingElem[key] = append(coll.pendingElem[key], m)
 		return
 	}
-	if c, ok := p.rt.cachedLoc(m.CID, key); ok && c != p.pe {
+	if c, ok := p.rt.cachedLoc(m.CID, []byte(key)); ok && c != p.pe {
 		p.rt.send(c, m)
 		return
 	}
@@ -758,12 +799,14 @@ func (p *peState) invokeEMInner(el *element, info *emInfo, m *Message) {
 		return
 	}
 	atomic.AddInt64(&p.rt.qd.running, 1)
-	start := time.Now()
+	start := p.stamp
 	if sm := p.rt.sampler; sm != nil {
-		p.stats.emStart.Store(start.UnixNano())
+		p.stats.emStart.Store(int64(start))
 	}
-	ret := p.callEM(el, info, args)
-	dur := time.Since(start)
+	ret, unpacked := p.callEM(el, info, args)
+	end := p.now()
+	p.stamp = end
+	dur := end - start
 	el.addLoad(dur)
 	if sm := p.rt.sampler; sm != nil {
 		p.stats.emStart.Store(0)
@@ -772,13 +815,16 @@ func (p *peState) invokeEMInner(el *element, info *emInfo, m *Message) {
 	}
 	atomic.AddInt64(&p.rt.qd.running, -1)
 	if tr := p.rt.cfg.Trace; tr != nil {
-		tr.EM(p.lpe(), el.coll.ct.name, info.name, tr.Since()-dur, dur)
+		tr.EM(p.lpe(), el.coll.ct.name, info.name, start+p.rt.trOff, dur)
 	}
 	if met := p.rt.met; met != nil {
 		met.peEMs[p.lpe()].Inc()
 	}
 	if m.Fut.valid() {
 		p.rt.sendFutureSet(m.Fut, ret)
+	}
+	if unpacked && m.boxed && m == p.cur {
+		p.curSpent = true
 	}
 }
 
@@ -789,24 +835,30 @@ func (p *peState) invokeEMInner(el *element, info *emInfo, m *Message) {
 // precomputed method table; in DynamicDispatch mode it performs a per-call
 // reflective name lookup with permissive argument coercion, modelling
 // interpreted dispatch (DESIGN.md).
-func (p *peState) callEM(el *element, info *emInfo, args []any) any {
+//
+// unpacked reports that the method received its arguments as typed
+// parameters copied out of args, so that args itself is free again when the
+// call returns. A FastDispatcher is handed args, and a variadic method a
+// slice reflect builds around them: both may keep what they got.
+func (p *peState) callEM(el *element, info *emInfo, args []any) (ret any, unpacked bool) {
 	if g := el.coll.ct.gen; g != nil {
 		if ret, ok := g.Dispatch(el.iface, int(info.id), args); ok {
 			if met := p.rt.met; met != nil {
 				met.dispatchGenerated.Inc()
 			}
-			return ret
+			return ret, true
 		}
 		// Declined: an argument needs coercion (e.g. a dynamic caller passed
 		// an int where the method takes float64). Fall through to reflection.
 	}
+	unpacked = !info.variadic
 	if p.rt.cfg.Dispatch == StaticDispatch {
 		if met := p.rt.met; met != nil {
 			met.dispatchStatic.Inc()
 		}
 		if el.fast != nil {
 			el.fast.DispatchEM(int(info.id), args)
-			return nil
+			return nil, false
 		}
 		in := make([]reflect.Value, 1+len(info.argTypes))
 		in[0] = el.obj
@@ -819,9 +871,9 @@ func (p *peState) callEM(el *element, info *emInfo, args []any) any {
 		}
 		out := info.fn.Call(in)
 		if len(out) > 0 {
-			return out[0].Interface()
+			return out[0].Interface(), unpacked
 		}
-		return nil
+		return nil, unpacked
 	}
 	// Dynamic dispatch: name lookup per invocation.
 	if met := p.rt.met; met != nil {
@@ -842,9 +894,9 @@ func (p *peState) callEM(el *element, info *emInfo, args []any) any {
 	}
 	out := mv.Call(in)
 	if len(out) > 0 {
-		return out[0].Interface()
+		return out[0].Interface(), unpacked
 	}
-	return nil
+	return nil, unpacked
 }
 
 // coerceArg converts a received argument to the parameter type. Dynamic mode
@@ -882,9 +934,9 @@ func (p *peState) runThreaded(el *element, info *emInfo, m *Message, args []any)
 	el.liveThreads++
 	p.curThread = th
 	atomic.AddInt64(&p.rt.qd.running, 1)
-	th.segStart = time.Now()
+	th.segStart = p.stamp
 	if sm := p.rt.sampler; sm != nil {
-		p.stats.emStart.Store(th.segStart.UnixNano())
+		p.stats.emStart.Store(int64(th.segStart))
 	}
 	go func() {
 		var pv any
@@ -894,7 +946,7 @@ func (p *peState) runThreaded(el *element, info *emInfo, m *Message, args []any)
 					pv = r
 				}
 			}()
-			ret := p.callEM(el, info, args)
+			ret, _ := p.callEM(el, info, args)
 			if m.Fut.valid() {
 				p.rt.sendFutureSet(m.Fut, ret)
 			}
@@ -908,7 +960,9 @@ func (p *peState) runThreaded(el *element, info *emInfo, m *Message, args []any)
 func (p *peState) waitYield() {
 	y := <-p.yieldCh
 	el := y.th.el
-	seg := time.Since(y.th.segStart)
+	end := p.now() // this goroutine was blocked while the thread ran
+	p.stamp = end
+	seg := end - y.th.segStart
 	el.addLoad(seg)
 	p.curThread = nil
 	if sm := p.rt.sampler; sm != nil {
@@ -921,7 +975,7 @@ func (p *peState) waitYield() {
 	atomic.AddInt64(&p.rt.qd.running, -1)
 	if tr := p.rt.cfg.Trace; tr != nil {
 		// threaded entry methods are traced as run segments
-		tr.EM(p.lpe(), el.coll.ct.name, "(threaded)", tr.Since()-seg, seg)
+		tr.EM(p.lpe(), el.coll.ct.name, "(threaded)", y.th.segStart+p.rt.trOff, seg)
 	}
 	if y.done {
 		if met := p.rt.met; met != nil {
@@ -958,9 +1012,9 @@ func (p *peState) resumeThread(th *emThread) {
 	delete(p.suspended, th)
 	p.curThread = th
 	atomic.AddInt64(&p.rt.qd.running, 1)
-	th.segStart = time.Now()
+	th.segStart = p.stamp
 	if sm := p.rt.sampler; sm != nil {
-		p.stats.emStart.Store(th.segStart.UnixNano())
+		p.stats.emStart.Store(int64(th.segStart))
 	}
 	th.resume <- struct{}{}
 	p.waitYield()

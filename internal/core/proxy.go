@@ -93,7 +93,11 @@ func collTotal(rt *Runtime, cm *createMsg) int {
 
 func (pr Proxy) invoke(method string, args []any, fut FutureRef) {
 	rt := pr.runtime()
-	m := &Message{
+	// m stays on this stack when the destination is on another node: the
+	// aggregator serializes it straight into the batch buffer (sendInvoke).
+	// Only a same-node delivery or a broadcast needs a Message that outlives
+	// the call.
+	m := Message{
 		Kind:   mInvoke,
 		CID:    pr.CID,
 		Idx:    pr.Elem,
@@ -112,7 +116,8 @@ func (pr Proxy) invoke(method string, args []any, fut FutureRef) {
 	// bindings, in which case it upgrades to id-based dispatch and typed
 	// codecs (the paper's generated-stub path), keeping the reflective
 	// name-lookup fallback for unbound types.
-	if meta := rt.collMeta(pr.CID); meta != nil && meta.ct != nil {
+	meta := rt.collMeta(pr.CID)
+	if meta != nil && meta.ct != nil {
 		if info, ok := meta.ct.byName[method]; ok {
 			if rt.cfg.Dispatch == StaticDispatch || meta.ct.gen != nil {
 				m.MID = info.id
@@ -123,26 +128,33 @@ func (pr Proxy) invoke(method string, args []any, fut FutureRef) {
 		}
 	}
 	if pr.Elem == nil {
-		rt.bcastAllPEs(m)
+		hm := m
+		rt.bcastAllPEs(&hm)
 		return
 	}
-	rt.send(pr.destPE(), m)
+	pe := rt.admit(rt.destPE(pr.CID, pr.Elem, meta), &m)
+	if rt.isLocal(pe) {
+		hm := m
+		rt.sendLocal(pe, &hm)
+		return
+	}
+	rt.sendInvoke(pe, &m)
 }
 
-// destPE picks the best-known PE for the referenced element.
-func (pr Proxy) destPE() PE {
-	rt := pr.runtime()
-	key := idxKey(pr.Elem)
-	if pe, ok := rt.cachedLoc(pr.CID, key); ok {
+// destPE picks the best-known PE for an element; meta is its collection's
+// metadata if that is known here yet.
+func (rt *Runtime) destPE(cid CID, idx []int, meta *createMsg) PE {
+	var kb [idxKeyBuf]byte
+	key := appendIdxKey(kb[:0], idx)
+	if pe, ok := rt.cachedLoc(cid, key); ok {
 		return pe
 	}
-	meta := rt.collMeta(pr.CID)
 	if meta == nil {
 		// Metadata not here yet (proxy arrived before the create broadcast):
 		// route via the element's home PE, which will forward.
-		return rt.homePE(pr.CID, key)
+		return rt.homePE(cid, string(key))
 	}
-	return rt.initialPE(meta, pr.Elem)
+	return rt.initialPE(meta, idx)
 }
 
 // Insert dynamically inserts an element into a sparse array (paper:

@@ -412,20 +412,7 @@ func (p *peState) deliverRedResult(t Target, result any) {
 		p.rt.bcastAllPEs(m)
 		return
 	}
-	p.rt.send(p.rt.homePEOrInitial(t.CID, t.Idx), m)
-}
-
-// homePEOrInitial picks a routing destination for an element using available
-// metadata (initial placement) or its home.
-func (rt *Runtime) homePEOrInitial(cid CID, idx []int) PE {
-	key := idxKey(idx)
-	if pe, ok := rt.cachedLoc(cid, key); ok {
-		return pe
-	}
-	if meta := rt.collMeta(cid); meta != nil {
-		return rt.initialPE(meta, idx)
-	}
-	return rt.homePE(cid, key)
+	p.rt.send(p.rt.destPE(t.CID, t.Idx, p.rt.collMeta(t.CID)), m)
 }
 
 func idxLess(a, b []int) bool {

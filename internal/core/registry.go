@@ -46,6 +46,7 @@ type emInfo struct {
 	name     string
 	fn       reflect.Value // func with receiver as first arg
 	argTypes []reflect.Type
+	variadic bool // reflect hands it a slice built around the arguments
 	threaded bool
 	when     expr.Guard // bound at Register; nil when the method is ungated
 	whenSrc  string
@@ -171,7 +172,7 @@ func (rt *Runtime) Register(proto Chareable, opts ...RegOpt) string {
 	sort.Strings(names)
 	for i, mn := range names {
 		m, _ := pt.MethodByName(mn)
-		info := &emInfo{id: int32(i), name: mn, fn: m.Func}
+		info := &emInfo{id: int32(i), name: mn, fn: m.Func, variadic: m.Type.IsVariadic()}
 		nIn := m.Type.NumIn() // includes receiver
 		for a := 1; a < nIn; a++ {
 			info.argTypes = append(info.argTypes, m.Type.In(a))

@@ -201,8 +201,23 @@ type Runtime struct {
 
 	qd qdState
 
-	wt  *wireTables // method-name interning, built at Start
-	agg *aggregator // cross-node send aggregation; nil when disabled
+	wt      *wireTables         // method-name interning, built at Start
+	agg     *aggregator         // cross-node send aggregation; nil when disabled
+	bufSend transport.BufSender // cfg.Transport's zero-copy send; nil if it has none
+
+	// receive path: the node's free invoke boxes and, per sending node, what
+	// de-batching its frames reuses (wire.go)
+	boxes boxList
+	in    []peerIn
+	// poisonBoxes (tests) overwrites a box's Method, Idx and Args slots with
+	// sentinels when the dispatch loop returns it, so a reference that
+	// outlived the return is seen.
+	poisonBoxes bool
+
+	// t0 is the origin of the PE clocks (peState.now); a PE stamp plus trOff
+	// is the same instant on cfg.Trace's clock.
+	t0    time.Time
+	trOff time.Duration
 
 	// spanning-tree collectives (tree.go)
 	arity    int           // resolved Config.TreeArity (<= 0 disables)
@@ -263,6 +278,7 @@ func NewRuntime(cfg Config) *Runtime {
 		done:     make(chan struct{}),
 		running:  make(chan struct{}),
 		frags:    map[fragKey]*fragAsm{},
+		t0:       time.Now(),
 	}
 	rt.dequeSize = cfg.StealDequeSize
 	if rt.dequeSize <= 0 {
@@ -280,8 +296,14 @@ func NewRuntime(cfg Config) *Runtime {
 	if cfg.Transport != nil {
 		rt.nodeID = cfg.Transport.NodeID()
 		rt.numNodes = cfg.Transport.NumNodes()
+		rt.bufSend, _ = cfg.Transport.(transport.BufSender)
 	} else {
 		rt.numNodes = 1
+	}
+	rt.in = make([]peerIn, rt.numNodes)
+	for i := range rt.in {
+		rt.in[i].boxes.list = &rt.boxes
+		rt.in[i].perPE = make([][]*Message, cfg.PEs)
 	}
 	rt.basePE = PE(rt.nodeID * cfg.PEs)
 	rt.totalPEs = rt.numNodes * cfg.PEs
@@ -342,6 +364,7 @@ func (rt *Runtime) Start(entry func(self *Chare)) {
 	rt.wt = buildWireTables(rt.types)
 	rt.mu.Unlock()
 	if tr := rt.cfg.Trace; tr != nil {
+		rt.trOff = rt.t0.Sub(tr.Epoch())
 		tr.SetTopology(rt.totalPEs, int(rt.basePE))
 		if rt.cfg.TraceGather && rt.numNodes > 1 && rt.nodeID == 0 {
 			rt.traceRepCh = make(chan trace.Report, rt.numNodes)
@@ -430,6 +453,36 @@ func (rt *Runtime) isLocal(pe PE) bool {
 
 // send routes m to the PE that should handle it.
 func (rt *Runtime) send(pe PE, m *Message) {
+	// Whoever sends a decoded message again (a forward, a migration's
+	// backlog) has kept it: its box is not returned.
+	m.boxed = false
+	pe = rt.admit(pe, m)
+	if rt.isLocal(pe) {
+		rt.sendLocal(pe, m)
+		return
+	}
+	node := rt.countWire(pe)
+	if rt.agg != nil {
+		rt.agg.send(node, pe, m)
+		return
+	}
+	rt.xmitMsg(node, pe, m.Src, appendMsg(transport.GetBuf(), pe, m, rt.wt))
+}
+
+// sendInvoke is send for an invoke that admit routed to another node. m is
+// only read, so it can live on the caller's stack (Proxy.invoke).
+func (rt *Runtime) sendInvoke(pe PE, m *Message) {
+	node := rt.countWire(pe)
+	if rt.agg != nil {
+		rt.agg.sendInvoke(node, pe, m)
+		return
+	}
+	rt.xmitMsg(node, pe, m.Src, appendInvoke(transport.GetBuf(), pe, m, rt.wt))
+}
+
+// admit checks and resolves a send's destination and counts and traces the
+// send; what follows depends on where the returned PE lives.
+func (rt *Runtime) admit(pe PE, m *Message) PE {
 	if pe < 0 || int(pe) >= rt.totalPEs {
 		panic(fmt.Sprintf("core: send to invalid PE %d (total %d)", pe, rt.totalPEs))
 	}
@@ -444,40 +497,47 @@ func (rt *Runtime) send(pe PE, m *Message) {
 		}
 		tr.SendTo(src, int(pe), m.Method, tr.Since(), 0)
 	}
-	if rt.isLocal(pe) {
-		if rt.cfg.ForceSerialize && serializableKind(m.Kind) {
-			frame := appendMsg(transport.GetBuf(), pe, m, rt.wt)
-			_, m2, err := rt.decodeFrame(frame[transport.PrefixLen:])
-			transport.PutBuf(frame)
-			if err != nil {
-				panic("core: ForceSerialize roundtrip: " + err.Error())
-			}
-			rt.rebindMsg(m2)
-			m = m2
+	return pe
+}
+
+// sendLocal delivers an admitted message to a PE of this node: by reference,
+// or through the codec under Config.ForceSerialize.
+func (rt *Runtime) sendLocal(pe PE, m *Message) {
+	if rt.cfg.ForceSerialize && serializableKind(m.Kind) {
+		frame := appendMsg(transport.GetBuf(), pe, m, rt.wt)
+		_, m2, err := rt.decodeFrame(frame[transport.PrefixLen:], false, nil)
+		transport.PutBuf(frame)
+		if err != nil {
+			panic("core: ForceSerialize roundtrip: " + err.Error())
 		}
-		rt.nMsgsLocal.Add(1)
-		if met := rt.met; met != nil {
-			met.sendsLocal.Inc()
-		}
-		if tr := rt.cfg.Trace; tr != nil {
-			m.enq = tr.Since()
-		}
-		rt.localPE(pe).mbox.push(m)
-		return
+		rt.rebindMsg(m2)
+		m = m2
 	}
+	rt.nMsgsLocal.Add(1)
+	if met := rt.met; met != nil {
+		met.sendsLocal.Inc()
+	}
+	if tr := rt.cfg.Trace; tr != nil {
+		m.enq = tr.Since()
+	}
+	rt.localPE(pe).mbox.push(m)
+}
+
+// countWire accounts for one message leaving for pe's node and returns it.
+func (rt *Runtime) countWire(pe PE) int {
 	rt.nMsgsWire.Add(1)
 	if met := rt.met; met != nil {
 		met.sendsWire.Inc()
 	}
 	node := rt.nodeOf(pe)
 	rt.ordSentTo(node) // tree broadcasts must not overtake this message
-	if rt.agg != nil {
-		rt.agg.send(node, pe, m)
-		return
-	}
-	frame := appendMsg(transport.GetBuf(), pe, m, rt.wt)
+	return node
+}
+
+// xmitMsg transmits one message's frame unbatched (aggregation disabled).
+func (rt *Runtime) xmitMsg(node int, pe, src PE, frame []byte) {
 	if tr := rt.cfg.Trace; tr != nil {
-		tr.Comm(int(m.Src), int(pe), len(frame)-transport.PrefixLen)
+		tr.Comm(int(src), int(pe), len(frame)-transport.PrefixLen)
 	}
 	rt.xmit(node, frame)
 }
@@ -494,8 +554,8 @@ func (rt *Runtime) xmit(node int, buf []byte) {
 		tr.Frame(true, node, tr.Since(), len(buf)-transport.PrefixLen)
 	}
 	var err error
-	if bs, ok := rt.cfg.Transport.(transport.BufSender); ok {
-		err = bs.SendBuf(node, buf)
+	if rt.bufSend != nil {
+		err = rt.bufSend.SendBuf(node, buf)
 	} else {
 		err = rt.cfg.Transport.Send(node, buf[transport.PrefixLen:])
 		transport.PutBuf(buf)
@@ -595,14 +655,14 @@ func (rt *Runtime) deliverAllLocalShared(m *Message, release func()) {
 	if (m.Kind == mInvoke && m.Idx != nil) || m.Kind == mChanMsg {
 		for _, p := range rt.pes {
 			rt.qdCountSend(m.Kind) // per-copy; matched when the PE dequeues it
-			cp := *m
+			cp := m.copyOf()
 			if tr != nil {
 				cp.enq = tr.Since()
 				if m.Kind == mInvoke {
 					tr.Send(src, m.Method, cp.enq, 0)
 				}
 			}
-			p.mbox.push(&cp)
+			p.mbox.push(cp)
 		}
 		if release != nil {
 			release()
@@ -624,9 +684,29 @@ func (rt *Runtime) deliverAllLocalShared(m *Message, release func()) {
 	}
 }
 
-// onFrame handles an inbound frame from another node. Frames may arrive
-// through the zero-copy SendBuf path, in which case they are only valid for
-// the duration of this call — decodeMsgWT copies everything it returns.
+// peerIn is what the receive path keeps per sending node instead of
+// rebuilding it per frame: the per-PE tables onBatch sorts a batch into and
+// a stock of free invoke boxes. A transport calls the handler from one
+// goroutine per peer; mu is for a peer that re-dials (elastic rejoin) while
+// its previous connection's last frame is still being handled.
+type peerIn struct {
+	mu    sync.Mutex
+	perPE [][]*Message // local unicasts of the batch being split, by local PE
+	boxes boxStock
+}
+
+func (rt *Runtime) peerIn(from int) *peerIn {
+	if from >= 0 && from < len(rt.in) {
+		return &rt.in[from]
+	}
+	// A peer id outside the job (the transport takes it from the dialer's
+	// hello unchecked): nothing is kept for it.
+	return &peerIn{perPE: make([][]*Message, len(rt.pes)), boxes: boxStock{list: &rt.boxes}}
+}
+
+// onFrame handles an inbound frame from another node. A frame is valid only
+// for the duration of this call, whichever transport and send path delivered
+// it (internal/transport): everything kept is decoded or copied out of it.
 func (rt *Runtime) onFrame(from int, frame []byte) {
 	if met := rt.met; met != nil {
 		met.framesIn.Inc()
@@ -648,12 +728,17 @@ func (rt *Runtime) onFrame(from int, frame []byte) {
 			return
 		}
 	}
-	if m, dest, local := rt.ingress(from, frame); local {
+	in := rt.peerIn(from)
+	in.mu.Lock()
+	m, dest, local := rt.ingress(from, frame, &in.boxes)
+	in.mu.Unlock()
+	if local {
 		if tr := rt.cfg.Trace; tr != nil {
 			m.enq = tr.Since()
 		}
+		kind := m.Kind // m is the PE's once pushed: it may be a box on its way back
 		rt.localPE(dest).mbox.push(m)
-		if !elasticKind(m.Kind) {
+		if !elasticKind(kind) {
 			// Membership-protocol traffic is uncounted on both ends
 			// (elastic.go): its sender bypassed the sent vector too.
 			rt.ordRecvFrom(from)
@@ -666,17 +751,17 @@ func (rt *Runtime) onFrame(from int, frame []byte) {
 // collected and pushed into each mailbox in bulk (one lock acquisition and
 // wakeup per PE per batch instead of per message).
 func (rt *Runtime) onBatch(from int, body []byte) {
-	var few [4][]*Message // keeps the per-PE table off the heap on small nodes
-	perPE := few[:min(rt.cfg.PEs, len(few))]
-	if rt.cfg.PEs > len(few) {
-		perPE = make([][]*Message, rt.cfg.PEs)
-	}
+	in := rt.peerIn(from)
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	perPE := in.perPE
 	pending := 0 // buffered local unicasts not yet counted for ordering
 	flush := func() {
 		for i, ms := range perPE {
 			if len(ms) > 0 {
 				rt.pes[i].mbox.pushAll(ms)
-				perPE[i] = perPE[i][:0]
+				clear(ms) // the mailbox owns them now
+				perPE[i] = ms[:0]
 			}
 		}
 		// Count the ordering receives only now that the messages are in the
@@ -703,7 +788,7 @@ func (rt *Runtime) onBatch(from int, body []byte) {
 				flush()
 			}
 		}
-		m, dest, local := rt.ingress(from, sub)
+		m, dest, local := rt.ingress(from, sub, &in.boxes)
 		if local {
 			if tr := rt.cfg.Trace; tr != nil {
 				m.enq = tr.Since()
@@ -722,8 +807,8 @@ func (rt *Runtime) onBatch(from int, body []byte) {
 // ingress decodes and routes one inbound frame. It returns (m, dest, true)
 // when the message is a unicast for a local PE (the caller enqueues it), and
 // handles every other case itself.
-func (rt *Runtime) ingress(from int, frame []byte) (*Message, PE, bool) {
-	dest, m, err := rt.decodeFrame(frame)
+func (rt *Runtime) ingress(from int, frame []byte, boxes *boxStock) (*Message, PE, bool) {
+	dest, m, err := rt.decodeFrame(frame, false, boxes)
 	if err != nil {
 		panic(fmt.Sprintf("core: bad frame from node %d: %v", from, err))
 	}
@@ -833,7 +918,7 @@ func (rt *Runtime) cacheLoc(cid CID, key string, pe PE) {
 	rt.loc.put(cid, key, pe)
 }
 
-func (rt *Runtime) cachedLoc(cid CID, key string) (PE, bool) {
+func (rt *Runtime) cachedLoc(cid CID, key []byte) (PE, bool) {
 	return rt.loc.get(cid, key)
 }
 

@@ -269,6 +269,7 @@ func (p *peState) refillDeque() {
 func (p *peState) stealLoop() {
 	tr := p.rt.cfg.Trace
 	lpe := p.lpe()
+	p.stamp = p.now()
 	for !p.exiting {
 		if m, ok := p.mbox.tryPop(); ok {
 			p.dispatch(m)
@@ -308,6 +309,7 @@ func (p *peState) stealLoop() {
 		if tr != nil {
 			tr.Idle(lpe, idleAt, tr.Since()-idleAt)
 		}
+		p.stamp = p.now() // as in peState.loop
 	}
 	p.shutdownThreads()
 }

@@ -227,11 +227,7 @@ func (rt *Runtime) holdOrDeliver(root int, need int64, inner []byte, release fun
 // (reassembled fragments) decode with their []byte arguments aliasing the
 // buffer — the node's only copy of a large payload is the reassembly itself.
 func (rt *Runtime) deliverTreeInner(inner []byte, release func(), owned bool) {
-	decode := (*Runtime).decodeFrame
-	if owned {
-		decode = (*Runtime).decodeFrameOwned
-	}
-	_, m, err := decode(rt, inner)
+	_, m, err := rt.decodeFrame(inner, owned, nil)
 	if err != nil {
 		panic(fmt.Sprintf("core: bad tree-broadcast payload: %v", err))
 	}

@@ -112,18 +112,28 @@ const (
 	mRunGrant
 )
 
+// idxKeyBuf sizes the stack scratch for an index key: enough for 4
+// dimensions; deeper indexes spill into append's own growth.
+const idxKeyBuf = 4 * binary.MaxVarintLen64
+
+// appendIdxKey appends the compact map key of an element index to dst. The
+// per-message paths (Proxy.destPE, routeInvoke) build the key in a stack
+// buffer and look it up as m[string(key)], which does not allocate; idxKey
+// is for the paths that store the key.
+func appendIdxKey(dst []byte, idx []int) []byte {
+	for _, v := range idx {
+		dst = binary.AppendVarint(dst, int64(v))
+	}
+	return dst
+}
+
 // idxKey converts an element index to a compact map key. The scratch buffer
 // has a constant size so it stays on the stack (a make with a cap derived
 // from len(idx) would heap-allocate on every call); only the final string
-// conversion allocates. Indexes deeper than 4 dimensions spill into append's
-// own growth.
+// conversion allocates.
 func idxKey(idx []int) string {
-	var buf [4 * binary.MaxVarintLen64]byte
-	out := buf[:0]
-	for _, v := range idx {
-		out = binary.AppendVarint(out, int64(v))
-	}
-	return string(out)
+	var buf [idxKeyBuf]byte
+	return string(appendIdxKey(buf[:0], idx))
 }
 
 // keyIdx reverses idxKey.
@@ -219,6 +229,14 @@ type Message struct {
 	Ctl    any  // control payload for non-invoke kinds
 	hops   int8 // forwarding hop count (location management loop guard)
 
+	// boxed marks an invoke that decodeMsgFull took from the node's box list
+	// (wire.go): Idx and Args point at storage that is reused once the PE
+	// dispatch loop returns the box. Only that loop returns one, and only for
+	// the message it dequeued and invoked inline; whoever else holds the
+	// pointer or the slices keeps them, and the box is then left to the GC.
+	// Cleared by send and copyOf. Unexported: node-local, never serialized.
+	boxed bool
+
 	// enq is the tracer-relative enqueue time, stamped at mailbox push only
 	// when tracing is enabled; the dequeue side turns it into queue-wait
 	// latency (EvRecv). Unexported: node-local, never serialized.
@@ -236,6 +254,15 @@ type Message struct {
 	// the typed generated encoder instead of the reflective generic one.
 	// Unexported: node-local, never serialized.
 	gen *GenBinding
+}
+
+// copyOf returns a private copy of m for one more receiver of a broadcast.
+// The copy shares m's Idx and Args but is not a box and is never returned to
+// the box list; nor is m, which is only ever copied, never invoked itself.
+func (m *Message) copyOf() *Message {
+	cp := *m
+	cp.boxed = false
+	return &cp
 }
 
 func (m *Message) String() string {

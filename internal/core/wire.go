@@ -6,6 +6,8 @@ import (
 	"encoding/gob"
 	"fmt"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"charmgo/internal/ser"
 )
@@ -114,31 +116,11 @@ func encodeMsg(dest PE, m *Message) []byte {
 // With a pooled, pre-sized dst it performs no allocations outside the gob
 // fallback. wt may be nil (method names are then shipped as strings).
 func appendMsg(dst []byte, dest PE, m *Message, wt *wireTables) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(int32(dest)))
-	dst = append(dst, byte(m.Kind))
 	switch m.Kind {
 	case mInvoke:
-		dst = binary.AppendVarint(dst, int64(m.CID))
-		dst = binary.AppendVarint(dst, int64(m.Src))
-		dst = binary.AppendVarint(dst, int64(m.MID))
-		dst = binary.AppendVarint(dst, int64(m.Fut.PE))
-		dst = binary.AppendVarint(dst, m.Fut.ID)
-		dst = appendMethod(dst, m.Method, wt)
-		dst = appendIdx(dst, m.Idx)
-		// Generated typed encoder when the send path resolved one; it is
-		// byte-identical with ser.AppendArgs, so receivers decode either way.
-		if m.gen != nil && m.MID >= 0 && int(m.MID) < len(m.gen.Enc) {
-			if enc := m.gen.Enc[m.MID]; enc != nil {
-				if out, ok := enc(dst, m.Args); ok {
-					return out
-				}
-			}
-		}
-		var err error
-		if dst, err = ser.AppendArgs(dst, m.Args); err != nil {
-			panic(fmt.Sprintf("core: cannot serialize arguments of %s: %v", m.Method, err))
-		}
+		return appendInvoke(dst, dest, m, wt)
 	case mFutureSet:
+		dst = appendFrameHdr(dst, dest, m.Kind)
 		fs := m.Ctl.(*futSetMsg)
 		dst = binary.AppendVarint(dst, int64(fs.Ref.PE))
 		dst = binary.AppendVarint(dst, fs.Ref.ID)
@@ -146,16 +128,50 @@ func appendMsg(dst []byte, dest PE, m *Message, wt *wireTables) []byte {
 		if dst, err = ser.AppendArgs(dst, []any{fs.Val}); err != nil {
 			panic(fmt.Sprintf("core: cannot serialize future value: %v", err))
 		}
-	default:
-		// Cold path (control traffic): gob into a scratch buffer and copy.
-		// Writing through a pointer to dst instead would make the slice
-		// header escape and cost the hot kinds an allocation per call.
-		var gb bytes.Buffer
-		enc := gob.NewEncoder(&gb)
-		if err := enc.Encode(m); err != nil {
-			panic(fmt.Sprintf("core: cannot serialize control message kind %d: %v", m.Kind, err))
+		return dst
+	}
+	// Cold path (control traffic): gob into a scratch buffer and copy.
+	// Writing through a pointer to dst instead would make the slice
+	// header escape and cost the hot kinds an allocation per call.
+	dst = appendFrameHdr(dst, dest, m.Kind)
+	var gb bytes.Buffer
+	enc := gob.NewEncoder(&gb)
+	if err := enc.Encode(m); err != nil {
+		panic(fmt.Sprintf("core: cannot serialize control message kind %d: %v", m.Kind, err))
+	}
+	return append(dst, gb.Bytes()...)
+}
+
+func appendFrameHdr(dst []byte, dest PE, kind msgKind) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(int32(dest)))
+	return append(dst, byte(kind))
+}
+
+// appendInvoke is appendMsg for an mInvoke, and the whole of its encoder. It
+// only reads m — handing m to gob is what makes appendMsg's argument escape —
+// so a sender that knows it has an invoke for another node (Proxy.invoke)
+// keeps the Message on its stack and calls this directly.
+func appendInvoke(dst []byte, dest PE, m *Message, wt *wireTables) []byte {
+	dst = appendFrameHdr(dst, dest, mInvoke)
+	dst = binary.AppendVarint(dst, int64(m.CID))
+	dst = binary.AppendVarint(dst, int64(m.Src))
+	dst = binary.AppendVarint(dst, int64(m.MID))
+	dst = binary.AppendVarint(dst, int64(m.Fut.PE))
+	dst = binary.AppendVarint(dst, m.Fut.ID)
+	dst = appendMethod(dst, m.Method, wt)
+	dst = appendIdx(dst, m.Idx)
+	// Generated typed encoder when the send path resolved one; it is
+	// byte-identical with ser.AppendArgs, so receivers decode either way.
+	if m.gen != nil && m.MID >= 0 && int(m.MID) < len(m.gen.Enc) {
+		if enc := m.gen.Enc[m.MID]; enc != nil {
+			if out, ok := enc(dst, m.Args); ok {
+				return out
+			}
 		}
-		dst = append(dst, gb.Bytes()...)
+	}
+	dst, err := ser.AppendArgs(dst, m.Args)
+	if err != nil {
+		panic(fmt.Sprintf("core: cannot serialize arguments of %s: %v", m.Method, err))
 	}
 	return dst
 }
@@ -191,31 +207,25 @@ func decodeMsg(frame []byte) (PE, *Message, error) {
 }
 
 func decodeMsgWT(frame []byte, wt *wireTables) (PE, *Message, error) {
-	return decodeMsgFull(frame, wt, false, nil)
+	return decodeMsgFull(frame, wt, false, nil, nil)
 }
 
-// decodeMsgOwned decodes a frame the caller owns outright and keeps
-// immutable and un-recycled for the lifetime of the message: []byte
-// arguments alias the frame instead of being copied. Reassembled tree
-// broadcasts use it — their buffer is garbage-collected, so the decoded
-// message is the only payload copy the node ever makes.
-func decodeMsgOwned(frame []byte, wt *wireTables) (PE, *Message, error) {
-	return decodeMsgFull(frame, wt, true, nil)
+// decodeFrame is the runtime's ingress decoder: it additionally resolves
+// generated bindings for invoke frames, so argument lists of bound chare
+// types decode through typed generated readers instead of the reflective
+// generic decoder, and it takes invoke boxes from the caller's stock (nil:
+// a new box per invoke).
+//
+// owned is for a frame the caller owns outright and keeps immutable and
+// un-recycled for the lifetime of the message: []byte arguments alias the
+// frame instead of being copied. Reassembled tree broadcasts use it — their
+// buffer is garbage-collected, so the decoded message is the only payload
+// copy the node ever makes.
+func (rt *Runtime) decodeFrame(frame []byte, owned bool, boxes *boxStock) (PE, *Message, error) {
+	return decodeMsgFull(frame, rt.wt, owned, rt, boxes)
 }
 
-// decodeFrame / decodeFrameOwned are the runtime's ingress decoders: they
-// additionally resolve generated bindings for invoke frames, so argument
-// lists of bound chare types decode through typed generated readers instead
-// of the reflective generic decoder.
-func (rt *Runtime) decodeFrame(frame []byte) (PE, *Message, error) {
-	return decodeMsgFull(frame, rt.wt, false, rt)
-}
-
-func (rt *Runtime) decodeFrameOwned(frame []byte) (PE, *Message, error) {
-	return decodeMsgFull(frame, rt.wt, true, rt)
-}
-
-func decodeMsgFull(frame []byte, wt *wireTables, alias bool, rt *Runtime) (PE, *Message, error) {
+func decodeMsgFull(frame []byte, wt *wireTables, alias bool, rt *Runtime, boxes *boxStock) (PE, *Message, error) {
 	if len(frame) < 5 {
 		return 0, nil, fmt.Errorf("short frame (%d bytes)", len(frame))
 	}
@@ -224,47 +234,11 @@ func decodeMsgFull(frame []byte, wt *wireTables, alias bool, rt *Runtime) (PE, *
 	body := frame[5:]
 	switch kind {
 	case mInvoke:
-		// One allocation covers the message and its (typically ≤4-dim)
-		// element index: m.Idx points into box.idx, which lives exactly as
-		// long as the message itself.
-		box := &invokeBox{}
-		m := &box.m
-		m.Kind = mInvoke
-		r := &reader{b: body}
-		m.CID = CID(r.varint())
-		m.Src = PE(r.varint())
-		m.MID = int32(r.varint())
-		m.Fut.PE = PE(r.varint())
-		m.Fut.ID = r.varint()
-		m.Method = r.method(wt)
-		m.Idx = r.idxInto(box.idx[:0])
-		if r.err != nil {
-			return 0, nil, r.err
+		m := boxes.take()
+		if err := decodeInvoke(m, body, wt, alias, rt); err != nil {
+			boxes.giveBack(m)
+			return 0, nil, err
 		}
-		rest := r.rest()
-		// Typed generated decoder for bound chare types (byte-identical
-		// format). A decline — signature drift, hand-built frame — falls
-		// through to the generic decoder, which also reports any real error.
-		if rt != nil && m.MID >= 0 {
-			if meta := rt.collMeta(m.CID); meta != nil && meta.ct != nil && meta.ct.gen != nil {
-				g := meta.ct.gen
-				if int(m.MID) < len(g.Dec) && g.Dec[m.MID] != nil {
-					if args, _, ok := g.Dec[m.MID](rest, alias); ok {
-						m.Args = args
-						return dest, m, nil
-					}
-				}
-			}
-		}
-		decode := ser.DecodeArgs
-		if alias {
-			decode = ser.DecodeArgsAlias
-		}
-		args, _, err := decode(rest)
-		if err != nil {
-			return 0, nil, fmt.Errorf("invoke args: %w", err)
-		}
-		m.Args = args
 		return dest, m, nil
 	case mFutureSet:
 		r := &reader{b: body}
@@ -288,11 +262,200 @@ func decodeMsgFull(frame []byte, wt *wireTables, alias bool, rt *Runtime) (PE, *
 	}
 }
 
+// decodeInvoke fills the box m from an invoke frame's body: the element
+// index and the arguments go into the slots the box brought with it.
+func decodeInvoke(m *Message, body []byte, wt *wireTables, alias bool, rt *Runtime) error {
+	m.Kind = mInvoke
+	m.boxed = true
+	r := reader{b: body}
+	m.CID = CID(r.varint())
+	m.Src = PE(r.varint())
+	m.MID = int32(r.varint())
+	m.Fut.PE = PE(r.varint())
+	m.Fut.ID = r.varint()
+	m.Method = r.method(wt)
+	idx := r.idxInto(m.Idx[:0])
+	if r.err != nil {
+		return r.err // m.Idx keeps its slots for giveBack
+	}
+	m.Idx = idx
+	rest := r.rest()
+	// Typed generated decoder for bound chare types (byte-identical
+	// format). A decline — signature drift, hand-built frame — falls
+	// through to the generic decoder, which also reports any real error.
+	if rt != nil && m.MID >= 0 {
+		if meta := rt.collMeta(m.CID); meta != nil && meta.ct != nil && meta.ct.gen != nil {
+			g := meta.ct.gen
+			if int(m.MID) < len(g.Dec) && g.Dec[m.MID] != nil {
+				if args, _, ok := g.Dec[m.MID](m.Args[:0], rest, alias); ok {
+					m.Args = args
+					return nil
+				}
+			}
+		}
+	}
+	args, _, err := ser.DecodeArgsInto(m.Args[:0], rest, alias)
+	if err != nil {
+		return fmt.Errorf("invoke args: %w", err)
+	}
+	m.Args = args
+	return nil
+}
+
+// ---- invoke boxes and the node's box list ----
+//
+// Message ownership on the receive path. Every decoded invoke lives in an
+// invokeBox, and boxes are recycled: the PE dispatch loop returns the box of
+// a message it dequeued and invoked inline — the generated Dispatch case or
+// the reflective table had unpacked Args into typed parameters before user
+// code ran, so nothing can still see the box — and nobody else returns one.
+// Keeping the pointer or one of its slices (a when-buffer, a pending list, a
+// run queue, a threaded method, a re-send, a copy for a broadcast, a
+// FastDispatcher or variadic method that is handed Args itself) therefore
+// needs no action: that box is simply never returned, and the GC collects
+// it like any other message. A missed recycle costs one object; a wrong one
+// cannot happen without writing a second return.
+
 // invokeBox bundles a decoded invoke message with a small inline index
-// buffer so the hot decode path performs a single allocation for both.
+// buffer, so one object holds the message and its (typically ≤4-dim)
+// element index. m.Idx points into idx for as long as the box lives; m.Args
+// keeps whatever argument slots earlier uses of the box grew.
 type invokeBox struct {
 	m   Message
 	idx [4]int
+}
+
+func newBox() *Message {
+	b := &invokeBox{}
+	b.m.Idx = b.idx[:0]
+	return &b.m
+}
+
+const (
+	// boxChunk is how many boxes change hands at a time between a PE and a
+	// decoder: one mutex acquisition per boxChunk messages on either side.
+	boxChunk = 256
+	// boxListChunks bounds the list (16 Ki boxes, ~3 MiB): past it a PE's
+	// returns go to the GC, so a burst does not pin its peak for the job's
+	// life.
+	boxListChunks = 64
+	// boxArgSlots bounds the argument slots a box keeps between uses.
+	boxArgSlots = 16
+)
+
+// boxList is the node's free list of invoke boxes, as chunks. PEs fill
+// chunks (peState.returnBox) and decoders drain them (boxStock.take); both
+// trade a whole chunk under mu and work on it privately.
+type boxList struct {
+	mu    sync.Mutex
+	full  [][]*Message
+	empty [][]*Message // drained chunk slices for the PEs to fill again
+	nFull atomic.Int32 // len(full), so a decoder finds the list empty without mu
+}
+
+// put takes a full chunk from a PE and returns an empty one.
+func (l *boxList) put(c []*Message) []*Message {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if len(l.full) >= boxListChunks {
+		clear(c)
+		return c[:0]
+	}
+	l.full = append(l.full, c)
+	l.nFull.Add(1)
+	if n := len(l.empty); n > 0 {
+		c = l.empty[n-1]
+		l.empty = l.empty[:n-1]
+		return c
+	}
+	return make([]*Message, 0, boxChunk)
+}
+
+// swap trades a decoder's drained chunk for a full one; it returns drained
+// itself when the list has none.
+func (l *boxList) swap(drained []*Message) []*Message {
+	if l.nFull.Load() == 0 {
+		return drained
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := len(l.full)
+	if n == 0 {
+		return drained
+	}
+	c := l.full[n-1]
+	l.full[n-1] = nil
+	l.full = l.full[:n-1]
+	l.nFull.Add(-1)
+	if drained != nil {
+		l.empty = append(l.empty, drained)
+	}
+	return c
+}
+
+// boxStock is one decoder's private stock of free boxes: the chunk it is
+// draining. Not safe for concurrent use (peerIn.mu guards the per-peer
+// ones). A nil stock allocates every box.
+type boxStock struct {
+	list *boxList
+	free []*Message
+}
+
+func (s *boxStock) take() *Message {
+	if s == nil {
+		return newBox()
+	}
+	if len(s.free) == 0 {
+		s.free = s.list.swap(s.free)
+	}
+	n := len(s.free)
+	if n == 0 {
+		return newBox()
+	}
+	m := s.free[n-1]
+	s.free[n-1] = nil
+	s.free = s.free[:n-1]
+	return m
+}
+
+// giveBack returns a box whose decode failed: no half-filled box reaches
+// anybody, and none is lost to the error.
+func (s *boxStock) giveBack(m *Message) {
+	if s != nil {
+		resetBox(m)
+		s.free = append(s.free, m)
+	}
+}
+
+// resetBox empties a box for its next use: every reference it held is
+// dropped, its index and argument slots stay.
+func resetBox(m *Message) {
+	args := m.Args[:cap(m.Args)]
+	clear(args)
+	if len(args) > boxArgSlots {
+		args = nil
+	}
+	*m = Message{Idx: m.Idx[:0], Args: args[:0]}
+}
+
+// What a returned box shows under Runtime.poisonBoxes.
+const (
+	poisonMethod = "<returned box>"
+	poisonIdx    = -0x0b0cced
+)
+
+// poisonBox fills an empty box's method, index slots and argument slots with
+// the sentinels (tests): whoever still looks at the box sees them.
+func poisonBox(m *Message) {
+	m.Method = poisonMethod
+	idx := m.Idx[:cap(m.Idx)]
+	for i := range idx {
+		idx[i] = poisonIdx
+	}
+	args := m.Args[:cap(m.Args)]
+	for i := range args {
+		args[i] = poisonMethod
+	}
 }
 
 type reader struct {

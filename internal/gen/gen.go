@@ -69,10 +69,10 @@ func (k kind) typed() bool { return k != kOther }
 type generator struct {
 	pkg     *analysis.Package
 	chares  []analysis.ChareInfo
-	imports map[string]string      // import path -> local alias
-	order   []string               // import paths in first-use order
-	flats   map[*types.Named]bool  // same-package structs with flat codecs
-	flatQ   []*types.Named         // emission order
+	imports map[string]string     // import path -> local alias
+	order   []string              // import paths in first-use order
+	flats   map[*types.Named]bool // same-package structs with flat codecs
+	flatQ   []*types.Named        // emission order
 	body    bytes.Buffer
 }
 
@@ -540,9 +540,9 @@ func (g *generator) emitEncoder(tn string, fn *types.Func, ps []param) {
 
 func (g *generator) emitDecoder(tn string, fn *types.Func, ps []param) {
 	name := fmt.Sprintf("charmgogenDec%s%s", tn, fn.Name())
-	g.pf("func %s(data []byte, alias bool) ([]any, int, bool) {\n", name)
+	g.pf("func %s(dst []any, data []byte, alias bool) ([]any, int, bool) {\n", name)
 	g.pf("\td := ser.NewDec(data, alias)\n")
-	g.pf("\tif d.Count() != %d {\n\t\treturn nil, 0, false\n\t}\n", len(ps))
+	g.pf("\tif d.Count() != %d {\n\t\treturn dst, 0, false\n\t}\n", len(ps))
 	for i, p := range ps {
 		if assertable(p) && g.nameable(p.t) {
 			g.pf("\ta%d := %s\n", i, g.readExpr(p.k, p.n))
@@ -550,12 +550,16 @@ func (g *generator) emitDecoder(tn string, fn *types.Func, ps []param) {
 			g.pf("\ta%d := d.Any()\n", i)
 		}
 	}
-	g.pf("\tif !d.Ok() {\n\t\treturn nil, 0, false\n\t}\n")
+	g.pf("\tif !d.Ok() {\n\t\treturn dst, 0, false\n\t}\n")
+	if len(ps) == 0 {
+		g.pf("\treturn dst, d.Used(), true\n}\n\n")
+		return
+	}
 	var elems []string
 	for i := range ps {
 		elems = append(elems, fmt.Sprintf("a%d", i))
 	}
-	g.pf("\treturn []any{%s}, d.Used(), true\n}\n\n", strings.Join(elems, ", "))
+	g.pf("\treturn append(dst, %s), d.Used(), true\n}\n\n", strings.Join(elems, ", "))
 }
 
 // emitFlatHelpers writes append/read functions for every same-package struct
@@ -628,7 +632,7 @@ func (g *generator) emitInit() {
 			g.pf("\t\t\tcharmgogenEnc%s%s,\n", tn, fn.Name())
 		}
 		g.pf("\t\t},\n")
-		g.pf("\t\tDec: []func([]byte, bool) ([]any, int, bool){\n")
+		g.pf("\t\tDec: []func([]any, []byte, bool) ([]any, int, bool){\n")
 		for _, fn := range ci.Methods {
 			g.pf("\t\t\tcharmgogenDec%s%s,\n", tn, fn.Name())
 		}

@@ -213,6 +213,10 @@ func (t *Tracer) record(pe int, e Event) {
 // Since returns the tracer-relative timestamp for now.
 func (t *Tracer) Since() time.Duration { return time.Since(t.start) }
 
+// Epoch returns the instant event times are measured from, for a recorder
+// that keeps its own clock and converts instead of calling Since per event.
+func (t *Tracer) Epoch() time.Time { return t.start }
+
 // EM records one entry-method execution.
 func (t *Tracer) EM(pe int, chare, method string, at, dur time.Duration) {
 	t.record(pe, Event{PE: pe, Kind: EvEM, At: at, Dur: dur, Chare: chare, Method: method})

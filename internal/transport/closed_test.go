@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"charmgo/internal/testport"
 	"errors"
 	"sync"
 	"testing"
@@ -33,7 +34,7 @@ func TestMemSendAfterCloseTyped(t *testing.T) {
 // TestTCPSendAfterCloseTyped verifies the same contract for the TCP
 // transport.
 func TestTCPSendAfterCloseTyped(t *testing.T) {
-	addrs := []string{"127.0.0.1:39311", "127.0.0.1:39312"}
+	addrs := testport.Addrs(2)
 	var ts [2]*TCP
 	var wg sync.WaitGroup
 	errs := make([]error, 2)

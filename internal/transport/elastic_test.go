@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"charmgo/internal/testport"
 	"encoding/binary"
 	"sync"
 	"testing"
@@ -43,7 +44,7 @@ func waitFrames(t *testing.T, read func() [][2]int, n int) [][2]int {
 // all. Slot 2 then starts isolated, AddPeers its way in, and traffic flows
 // in both directions; finally the actives DropPeer it cleanly.
 func TestTCPElasticPartialMesh(t *testing.T) {
-	addrs := []string{"127.0.0.1:39141", "127.0.0.1:39142", "127.0.0.1:39143"}
+	addrs := testport.Addrs(3)
 	mesh := []int{0, 1}
 	ts := make([]*TCP, 3)
 	errs := make([]error, 3)
@@ -134,7 +135,7 @@ func TestTCPElasticPartialMesh(t *testing.T) {
 // its node id: the accepting side must attribute inbound frames to the
 // dialer's slot, not to the order connections arrived in.
 func TestTCPElasticJoinerHello(t *testing.T) {
-	addrs := []string{"127.0.0.1:39144", "127.0.0.1:39145", "127.0.0.1:39146"}
+	addrs := testport.Addrs(3)
 	a, err := NewTCPElastic(0, addrs, []int{0}, 10*time.Second)
 	if err != nil {
 		t.Fatalf("node 0 startup: %v", err)

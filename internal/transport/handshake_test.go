@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"charmgo/internal/testport"
 	"strings"
 	"testing"
 	"time"
@@ -10,7 +11,7 @@ import (
 // instead of idling forever waiting for node 1's hello it must fail fast
 // with a diagnostic naming the node and the phase.
 func TestHandshakeTimeoutAcceptPhase(t *testing.T) {
-	addrs := []string{"127.0.0.1:39720", "127.0.0.1:39721"}
+	addrs := testport.Addrs(2)
 	start := time.Now()
 	tp, err := NewTCPWithTimeout(0, addrs, 250*time.Millisecond)
 	if err == nil {
@@ -30,7 +31,7 @@ func TestHandshakeTimeoutAcceptPhase(t *testing.T) {
 // TestHandshakeTimeoutDialPhase: node 1 dials node 0's address where nothing
 // listens; the dial phase must also fail fast with node and peer named.
 func TestHandshakeTimeoutDialPhase(t *testing.T) {
-	addrs := []string{"127.0.0.1:39722", "127.0.0.1:39723"}
+	addrs := testport.Addrs(2)
 	start := time.Now()
 	tp, err := NewTCPWithTimeout(1, addrs, 250*time.Millisecond)
 	if err == nil {
@@ -51,7 +52,7 @@ func TestHandshakeTimeoutDialPhase(t *testing.T) {
 // multi-process jobs hang: a frame arriving between NewTCP and SetHandler
 // must be delivered once the handler is installed, not silently dropped.
 func TestFramesBeforeHandlerNotDropped(t *testing.T) {
-	addrs := []string{"127.0.0.1:39724", "127.0.0.1:39725"}
+	addrs := testport.Addrs(2)
 	errs := make([]error, 2)
 	tps := make([]*TCP, 2)
 	done := make(chan struct{})

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"charmgo/internal/testport"
 	"sync"
 	"testing"
 
@@ -35,7 +36,7 @@ func TestMemCloseNoGoroutineLeak(t *testing.T) {
 // connections in both directions.
 func TestTCPCloseNoGoroutineLeak(t *testing.T) {
 	leakcheck.Check(t)
-	addrs := []string{"127.0.0.1:39301", "127.0.0.1:39302"}
+	addrs := testport.Addrs(2)
 	var ts [2]*TCP
 	var wg sync.WaitGroup
 	errs := make([]error, 2)

@@ -16,19 +16,21 @@
 // reserved for the wire length prefix, so the transport can write the frame
 // without re-copying it, and recycle the buffer afterwards.
 //
-// Handler contract: frames delivered through the Send path are private
-// copies and stay valid indefinitely; frames delivered through the SendBuf
-// path are only valid for the duration of the handler call (the buffer is
-// recycled when the handler returns). Handlers that retain a frame must
-// copy it.
+// Handler contract, for every transport and either send path: a frame is
+// valid only for the duration of the handler call. The memory under it is a
+// pooled send buffer or a connection's reused receive buffer, and it is
+// recycled when the handler returns; a handler that retains any part of a
+// frame must copy it.
 package transport
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,7 +42,8 @@ import (
 // failure the fault-tolerance layer must act on).
 var ErrTransportClosed = errors.New("transport: closed")
 
-// Handler receives an inbound frame from another node.
+// Handler receives an inbound frame from another node. The frame is valid
+// only until the handler returns (see the package comment).
 type Handler func(from int, frame []byte)
 
 // Transport sends opaque frames between nodes of a charmgo job.
@@ -107,9 +110,7 @@ func PutBuf(b []byte) {
 // ownership of buf, which must have been obtained from GetBuf: the payload
 // is buf[PrefixLen:], and buf[:PrefixLen] is scratch space the transport may
 // fill with its length prefix. The transport writes or delivers the payload
-// without copying it and recycles the buffer with PutBuf when done. Frames
-// that reach the receiving Handler through this path are valid only for the
-// duration of the handler call.
+// without copying it and recycles the buffer with PutBuf when done.
 type BufSender interface {
 	SendBuf(node int, buf []byte) error
 }
@@ -149,9 +150,9 @@ func (nw *MemNetwork) Endpoint(i int) *MemEndpoint { return nw.eps[i] }
 
 // MemEndpoint is one node's view of a MemNetwork.
 type MemEndpoint struct {
-	nw   *MemNetwork
-	id   int
-	n    int
+	nw      *MemNetwork
+	id      int
+	n       int
 	mu      sync.Mutex
 	cond    *sync.Cond
 	q       []memFrame
@@ -549,16 +550,29 @@ func (t *TCP) acceptLoop() {
 			// A dialer that never completes its hello must not wedge the
 			// accept path: bound the read.
 			c.SetReadDeadline(time.Now().Add(t.hsTimeout))
-			frame, err := readFrame(c)
-			if err != nil || len(frame) != 4 {
+			peer, err := readHello(c)
+			if err != nil {
 				c.Close()
 				return
 			}
 			c.SetReadDeadline(time.Time{})
-			peer := int(binary.BigEndian.Uint32(frame))
 			t.addConn(peer, c)
 		}(conn)
 	}
+}
+
+// readHello reads the dialer's handshake frame (sendHello): exactly its
+// eight bytes and nothing behind them, which belongs to the read loop's
+// buffered reader.
+func readHello(c net.Conn) (peer int, err error) {
+	var hello [8]byte
+	if _, err := io.ReadFull(c, hello[:]); err != nil {
+		return 0, err
+	}
+	if n := binary.BigEndian.Uint32(hello[:4]); n != 4 {
+		return 0, fmt.Errorf("transport: hello frame of %d bytes, want 4", n)
+	}
+	return int(binary.BigEndian.Uint32(hello[4:])), nil
 }
 
 func (t *TCP) addConn(peer int, c net.Conn) {
@@ -593,8 +607,9 @@ func (t *TCP) readLoop(peer int, c net.Conn) {
 	case <-t.closed:
 		return
 	}
+	fr := frameReader{r: bufio.NewReaderSize(c, readBufSize)}
 	for {
-		frame, err := readFrame(c)
+		frame, err := fr.next()
 		if err != nil {
 			return
 		}
@@ -604,20 +619,49 @@ func (t *TCP) readLoop(peer int, c net.Conn) {
 	}
 }
 
-func readFrame(c net.Conn) ([]byte, error) {
+const (
+	// readBufSize is each connection's bufio.Reader: a batch frame's length
+	// prefix and payload, and usually several frames, arrive in one read.
+	readBufSize = 64 << 10
+	// maxFrame is the largest frame a peer may announce.
+	maxFrame = 1 << 30
+	// frameStep bounds how far the frame buffer grows ahead of the bytes that
+	// have actually arrived, and the size of buffer a connection keeps
+	// between frames: a length prefix is a peer's claim, not yet memory.
+	frameStep = 1 << 20
+)
+
+// frameReader reads one connection's length-prefixed frames into a buffer it
+// reuses, so the frame next returns is valid only until the following call.
+type frameReader struct {
+	r   *bufio.Reader
+	buf []byte
+}
+
+func (fr *frameReader) next() ([]byte, error) {
+	if cap(fr.buf) > frameStep {
+		fr.buf = nil // an outsized frame's buffer is not kept for the connection's life
+	}
 	var lenBuf [4]byte
-	if _, err := io.ReadFull(c, lenBuf[:]); err != nil {
+	if _, err := io.ReadFull(fr.r, lenBuf[:]); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(lenBuf[:])
-	if n > 1<<30 {
-		return nil, fmt.Errorf("transport: oversized frame (%d bytes)", n)
+	announced := binary.BigEndian.Uint32(lenBuf[:])
+	if announced > maxFrame {
+		return nil, fmt.Errorf("transport: oversized frame (%d bytes)", announced)
 	}
-	frame := make([]byte, n)
-	if _, err := io.ReadFull(c, frame); err != nil {
-		return nil, err
+	n := int(announced)
+	buf := fr.buf[:0]
+	for len(buf) < n {
+		have := len(buf)
+		buf = slices.Grow(buf, min(n-have, frameStep))
+		buf = buf[:min(n, cap(buf))]
+		if _, err := io.ReadFull(fr.r, buf[have:]); err != nil {
+			return nil, err
+		}
 	}
-	return frame, nil
+	fr.buf = buf
+	return buf, nil
 }
 
 // NodeID implements Transport.

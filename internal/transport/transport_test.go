@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"charmgo/internal/testport"
 	"fmt"
 	"sync"
 	"testing"
@@ -115,7 +116,7 @@ func TestBufPoolRoundtrip(t *testing.T) {
 		t.Fatalf("recycled GetBuf len = %d, want %d", len(b2), PrefixLen)
 	}
 	PutBuf(b2)
-	PutBuf(nil)              // must not panic
+	PutBuf(nil)             // must not panic
 	PutBuf(make([]byte, 1)) // under-prefix buffer is dropped, not pooled
 }
 
@@ -135,8 +136,7 @@ func TestMemInvalidNode(t *testing.T) {
 }
 
 func TestTCPMesh(t *testing.T) {
-	// pick three free ports by binding then rebinding quickly
-	addrs := []string{"127.0.0.1:39101", "127.0.0.1:39102", "127.0.0.1:39103"}
+	addrs := testport.Addrs(3)
 	var ts [3]*TCP
 	var wg sync.WaitGroup
 	errs := make([]error, 3)
@@ -178,7 +178,7 @@ func TestTCPMesh(t *testing.T) {
 }
 
 func TestTCPLargeFrames(t *testing.T) {
-	addrs := []string{"127.0.0.1:39111", "127.0.0.1:39112"}
+	addrs := testport.Addrs(2)
 	var ts [2]*TCP
 	var wg sync.WaitGroup
 	errs := make([]error, 2)
@@ -227,7 +227,7 @@ func TestTCPLargeFrames(t *testing.T) {
 // written into the buffer's reserved headroom, so the payload must arrive
 // intact and unprefixed.
 func TestTCPSendBuf(t *testing.T) {
-	addrs := []string{"127.0.0.1:39131", "127.0.0.1:39132"}
+	addrs := testport.Addrs(2)
 	var ts [2]*TCP
 	var wg sync.WaitGroup
 	errs := make([]error, 2)
@@ -268,7 +268,7 @@ func TestTCPSendBuf(t *testing.T) {
 // deadline instead of burning a fixed number of instant attempts.
 func TestDialRetryDeadline(t *testing.T) {
 	start := time.Now()
-	_, err := dialRetry("127.0.0.1:39199", 300*time.Millisecond)
+	_, err := dialRetry(testport.Addrs(1)[0], 300*time.Millisecond)
 	if err == nil {
 		t.Fatal("dial to dead address succeeded")
 	}
@@ -278,7 +278,7 @@ func TestDialRetryDeadline(t *testing.T) {
 }
 
 func TestTCPConcurrentSenders(t *testing.T) {
-	addrs := []string{"127.0.0.1:39121", "127.0.0.1:39122"}
+	addrs := testport.Addrs(2)
 	var ts [2]*TCP
 	var wg sync.WaitGroup
 	errs := make([]error, 2)
