@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check guards prof/wire lint charmvet vet-baseline race fuzz bench collectives vet profile chaos gen gencheck bench/dispatch bench/manychares introspect serve serving
+.PHONY: all build test check guards qd-soak prof/wire lint charmvet vet-baseline race fuzz bench collectives vet profile chaos gen gencheck bench/dispatch bench/manychares introspect serve serving
 
 all: build
 
@@ -77,7 +77,12 @@ check: build lint gencheck guards
 # evaluation allocates), the tests that pin the aggregator's flush rules and
 # the kvservice timeout and close-at-once tests; then, under the race
 # detector at 1, 2 and 8 scheduler threads, the two that race a parking PE or
-# a starting node and the one that poisons every returned invoke box.
+# a starting node, the one that poisons every returned invoke box (and checks
+# the run semantics: per-sender FIFO, kept messages), and the quiescence
+# tests 20 times over (qd-soak: QD_COUNT = 200 times, the gate for a change
+# to the counting sites of DESIGN.md §quiescence).
+QD_TESTS = TestQuiescence|TestQDNotEarly|TestStressMultiNode
+QD_COUNT ?= 200
 guards:
 	$(GO) test -count=1 -run 'TestStencilFineAllocGuard|TestKVRequestAllocGuard|TestRemoteInvokeAllocGuard' .
 	$(GO) test -count=1 -run 'TestMessageSizeClass|TestAppendMsgAllocs|TestDecodeArgsAllocs|TestDecodeErrorReturnsBox|TestOneClockReadPerEM' -bench 'BenchmarkWhenGuardBlock' -benchtime 100x ./internal/core
@@ -86,6 +91,12 @@ guards:
 	for p in 1 2 8; do \
 		GOMAXPROCS=$$p $(GO) test -race -count=1 -run 'TestNoStrandedSendUnderParkRace|TestRecycledBoxNeverObserved' ./internal/core && \
 		GOMAXPROCS=$$p $(GO) test -race -count=1 -run 'TestServiceCloseImmediately' ./internal/elastic || exit 1; \
+	done
+	$(MAKE) qd-soak QD_COUNT=20
+
+qd-soak:
+	for p in 1 2 8; do \
+		GOMAXPROCS=$$p $(GO) test -race -count=$(QD_COUNT) -timeout 30m -run '$(QD_TESTS)' ./internal/core || exit 1; \
 	done
 
 # prof/wire is where a wire-path issue starts: BenchmarkRemoteInvokeRate over

@@ -248,3 +248,30 @@ func (c *Cell) RecvHandbackBad(h GrantHandbackBad) {} // want "unexported field 
 func init() {
 	ser.RegisterType(GrantHandback{})
 }
+
+// ---- quiescence-detection control types (DESIGN.md §3.10) ----
+// A node answers the coordinator's probe with the sums of its per-PE sent
+// and done counters; the reply is a gob frame like any other. (The Busy
+// flag it used to carry went with the counter of running entry methods.)
+
+// QDReply mirrors a node's answer to one polling wave: exported fields
+// only, gob-registered below.
+type QDReply struct {
+	Round int64
+	Sent  int64
+	Done  int64
+}
+
+// QDReplyBad carries the coordinator's memory of the previous wave, which
+// no node could decode and none has any business sending.
+type QDReplyBad struct {
+	Round    int64
+	prevDone int64
+}
+
+func (c *Cell) RecvQDReply(r QDReply)       {}
+func (c *Cell) RecvQDReplyBad(r QDReplyBad) {} // want "unexported field \"prevDone\""
+
+func init() {
+	ser.RegisterType(QDReply{})
+}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -104,6 +105,31 @@ func (c *boxPlain) Hit(seq int, tag string, data []int64) { boxSeen.see("plain",
 func (c *boxPlain) Move(to int)                           { c.Migrate(PE(to)) }
 func (c *boxPlain) Nop() int                              { return 0 }
 
+// boxFIFO takes messages from two senders and expects each sender's in the
+// order it sent them. Element 3 is the sender on the receiver's own node.
+type boxFIFO struct {
+	Chare
+	Next [4]int // by sending PE
+}
+
+const fifoStride = 10_000_000 // a FIFO message's sequence number is sender*fifoStride + its place
+
+func (f *boxFIFO) Seq(seq int, tag string, data []int64) {
+	sender, place := seq/fifoStride, seq%fifoStride
+	if place != f.Next[sender] {
+		boxSeen.fail("fifo: message %d from PE %d arrived when its message %d was due", place, sender, f.Next[sender])
+	}
+	f.Next[sender] = place + 1
+	boxSeen.see("fifo", seq, tag, data)
+}
+
+func (f *boxFIFO) Flood(to, n int) {
+	for i := 0; i < n; i++ {
+		s, tag, data := boxArgs(int(f.MyPE())*fifoStride + i)
+		f.ThisProxy().At(to).Call("Seq", s, tag, data)
+	}
+}
+
 // boxFast is handed the runtime's own args slice and keeps every one.
 type boxFast struct {
 	Chare
@@ -165,20 +191,30 @@ func seeKept(path string, a []any) {
 // the node and back across the wire), a whole-array broadcast and a node-level
 // broadcast of an element-addressed invoke, a stealable element's run queue,
 // and a FastDispatcher and a variadic method that store what they are
-// handed. Every entry method must see exactly the arguments that were sent.
-// It runs once with default batching and work stealing and once with a frame
-// per message (the other ingress path). `make guards` runs it under -race at
-// GOMAXPROCS 1, 2 and 8.
+// handed. Every entry method must see exactly the arguments that were sent,
+// and an element flooded from the other node across many frames while a PE
+// of its own node sends to it too must see each sender's messages in order.
+// It runs once with default batching and work stealing — the messages then
+// reach their PEs as runs, and a message kept out of the middle of a run must
+// not go back with it — and once with a frame per message (the other ingress
+// path). `make guards` runs it under -race at GOMAXPROCS 1, 2 and 8.
 func TestRecycledBoxNeverObserved(t *testing.T) {
 	t.Run("batched-stealing", func(t *testing.T) {
-		recycledBoxJob(t, func(cfg *Config) { cfg.StealEnabled = true })
+		inRun, keptInRun := recycledBoxJob(t, func(cfg *Config) { cfg.StealEnabled = true })
+		if inRun == 0 || keptInRun == 0 {
+			t.Errorf("%d entry methods ran inside a multi-message run, %d of them on a message that was kept: want both > 0",
+				inRun, keptInRun)
+		}
 	})
 	t.Run("unbatched", func(t *testing.T) {
 		recycledBoxJob(t, func(cfg *Config) { cfg.BatchBytes = -1 })
 	})
 }
 
-func recycledBoxJob(t *testing.T, tweak func(*Config)) {
+// recycledBoxJob reports how many entry methods began with more of their run
+// still to come, and how many of those were the threaded Work, which keeps
+// its message past the dispatch.
+func recycledBoxJob(t *testing.T, tweak func(*Config)) (inRun, keptInRun int64) {
 	const (
 		n        = 600 // messages per path
 		group    = 8   // guarded steps are sent in descending groups of this
@@ -188,8 +224,18 @@ func recycledBoxJob(t *testing.T, tweak func(*Config)) {
 	)
 	log := &boxLog{seen: map[string]map[int]int{}}
 	boxSeen = log
+	var nInRun, nKeptInRun atomic.Int64
 	rts := runMultiNode(t, 2, 2, tweak, func(rt *Runtime) {
 		rt.poisonBoxes = true
+		rt.holdEM = func(p *peState, m *Message) {
+			if p.cnt.runLeft.Load() > 0 {
+				nInRun.Add(1)
+				if m.Method == "Work" && m == p.cur {
+					nKeptInRun.Add(1)
+				}
+			}
+		}
+		rt.Register(&boxFIFO{})
 		rt.Register(&boxGuarded{}, When("Step", "self.next == seq"), ArgNames("Step", "seq", "tag", "data"))
 		rt.Register(&boxThreaded{}, Threaded("Work"))
 		rt.Register(&boxPlain{})
@@ -205,6 +251,8 @@ func recycledBoxJob(t *testing.T, tweak func(*Config)) {
 		still := self.NewArray(&boxPlain{}, dims) // broadcast targets: an element in flight misses one
 		fast := self.NewArray(&boxFast{}, dims)
 		variadic := self.NewArray(&boxVariadic{}, dims)
+		fifo := self.NewArray(&boxFIFO{}, dims)
+		fifo.At(3).Call("Flood", 2, n) // PE 3 sends to its neighbour while this PE floods it from afar
 
 		var rets []Future
 		for base := 0; base < n; base += group {
@@ -219,6 +267,8 @@ func recycledBoxJob(t *testing.T, tweak func(*Config)) {
 				plain.At(3).Call("Hit", s, tag, data)
 				fast.At(2).Call("Hit", s, tag, data)
 				variadic.At(3).Call("Keep", []any{s, tag, data})
+				s, tag, data = boxArgs(int(self.MyPE())*fifoStride + seq)
+				fifo.At(2).Call("Seq", s, tag, data)
 				if seq%97 == 0 {
 					s, tag, data := boxArgs(bcastSeq + seq)
 					still.Call("Hit", s, tag, data)
@@ -240,7 +290,7 @@ func recycledBoxJob(t *testing.T, tweak func(*Config)) {
 				log.fail("threaded: Work(%d) returned %v to its caller, want %d", seq, got, 7*seq)
 			}
 		}
-		want := 4*n + bcasts*4 + bcasts*4 // guarded, threaded, plain x2; a broadcast reaches 4 elements or arrives from 4 PEs
+		want := 6*n + bcasts*4 + bcasts*4 // guarded, threaded, plain x2, fifo x2; a broadcast reaches 4 elements or arrives from 4 PEs
 		deadline := time.Now().Add(30 * time.Second)
 		for log.total() < want && time.Now().Before(deadline) {
 			plain.At(3).CallRet("Nop").Get() // yields this PE: it forwards and hosts elements too
@@ -259,7 +309,7 @@ func recycledBoxJob(t *testing.T, tweak func(*Config)) {
 		seqs, each int
 	}{
 		{"guarded", n, 1}, {"threaded", n, 1}, {"fast", n, 1}, {"variadic", n, 1},
-		{"plain", n + 2*bcasts, 0},
+		{"fifo", 2 * n, 1}, {"plain", n + 2*bcasts, 0},
 	} {
 		got := log.seen[c.path]
 		if len(got) != c.seqs {
@@ -280,16 +330,24 @@ func recycledBoxJob(t *testing.T, tweak func(*Config)) {
 		}
 	}
 	// The test is only worth something if boxes were in fact returned.
-	free := int(rts[1].boxes.nFull.Load()) * boxChunk
+	free := 0
+	for _, c := range rts[1].boxes.full {
+		free += len(c.ms)
+	}
 	for _, p := range rts[1].pes {
-		free += len(p.freed)
+		if p.spent != nil {
+			free += len(p.spent.ms)
+		}
 	}
 	for i := range rts[1].in {
-		free += len(rts[1].in[i].boxes.free)
+		if c := rts[1].in[i].boxes.cur; c != nil {
+			free += len(c.ms)
+		}
 	}
 	if free == 0 {
 		t.Error("node 1 returned no box at all: nothing was recycled, so nothing was tested")
 	}
+	return nInRun.Load(), nKeptInRun.Load()
 }
 
 // A frame that fails to decode gives its box back, emptied: the error neither
@@ -298,13 +356,13 @@ func TestDecodeErrorReturnsBox(t *testing.T) {
 	wt := testTables("RecvGhost")
 	good := appendMsg(nil, 9, benchInvoke(), wt)
 	box := newBox()
-	stock := &boxStock{list: &boxList{}, free: []*Message{box}}
+	stock := &boxStock{list: &boxList{}, cur: &msgRun{ms: []*Message{box}}}
 	for cut := 6; cut < len(good); cut++ {
 		if _, _, err := decodeMsgFull(good[:cut], wt, false, nil, stock); err == nil {
 			continue // a shorter argument list can still be a valid frame
 		}
-		if len(stock.free) != 1 || stock.free[0] != box {
-			t.Fatalf("cut %d: the stock holds %d boxes after the error, want the one it lent", cut, len(stock.free))
+		if len(stock.cur.ms) != 1 || stock.cur.ms[0] != box {
+			t.Fatalf("cut %d: the stock holds %d boxes after the error, want the one it lent", cut, len(stock.cur.ms))
 		}
 		if box.Method != "" || box.boxed || len(box.Args) != 0 || len(box.Idx) != 0 || cap(box.Idx) != 4 {
 			t.Fatalf("cut %d: box came back as %+v", cut, box)

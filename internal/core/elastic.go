@@ -270,7 +270,7 @@ func (rt *Runtime) ActivePEList() []PE {
 func (rt *Runtime) MailboxDepth() int {
 	n := int(rt.runqBacklog.Load()) // stealable work parked on element run queues
 	for _, p := range rt.pes {
-		n += p.mbox.len()
+		n += p.depth()
 	}
 	return n
 }

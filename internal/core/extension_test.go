@@ -7,8 +7,11 @@ package core
 import (
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"charmgo/internal/transport"
 )
 
 // RingNode passes a token around a ring a fixed number of times and then
@@ -77,6 +80,131 @@ func TestQuiescenceMultiNode(t *testing.T) {
 		if total != 18 {
 			t.Errorf("after QD: %d hops, want 18", total)
 		}
+	})
+}
+
+// qdHold parks, through Runtime.holdEM, the PE about to run the first entry
+// method its match accepts, until node 0's coordinator has finished two whole
+// probe rounds begun after the park. The message has left its mailbox (or run
+// queue) and its handler has not started: quiescence declared now is early.
+// match must not pick PE 0 or a node's first PE, which answer the probes.
+type qdHold struct {
+	match func(p *peState, m *Message) bool
+	rt0   atomic.Pointer[Runtime]
+	held  atomic.Bool   // a PE was parked
+	back  chan struct{} // closed when it goes on
+	fired atomic.Bool   // the job's WaitQD has returned
+	early atomic.Bool   // ... while the PE was still parked
+}
+
+func (h *qdHold) install(rt *Runtime) {
+	if rt.nodeID == 0 {
+		h.rt0.Store(rt)
+		h.back = make(chan struct{})
+	}
+	rt.holdEM = func(p *peState, m *Message) {
+		if !h.match(p, m) || !h.held.CompareAndSwap(false, true) {
+			return
+		}
+		defer close(h.back)
+		round := &h.rt0.Load().qd.round
+		// Round start+1 begins after this line and start+2 after that one is
+		// evaluated; start+3 is announced when both are over.
+		start := round.Load()
+		for deadline := time.Now().Add(20 * time.Second); round.Load() < start+3 && time.Now().Before(deadline); {
+			if h.fired.Load() {
+				h.early.Store(true)
+				return
+			}
+			time.Sleep(50 * time.Microsecond)
+		}
+	}
+}
+
+// check is called by the job's main chare when its WaitQD has returned.
+func (h *qdHold) check(t *testing.T) {
+	h.fired.Store(true)
+	if !h.held.Load() {
+		t.Error("no PE was ever parked before a handler: nothing was tested")
+		return
+	}
+	<-h.back // at once: either it went on long ago, or it sees fired
+	if h.early.Load() {
+		t.Error("quiescence was declared while a dequeued message's handler had not begun")
+	}
+}
+
+func ringTotal(self *Chare, g Proxy) int {
+	total := 0
+	for pe := 0; pe < 4; pe++ {
+		f := self.CreateFuture()
+		g.At(pe).Call("Count", f)
+		total += f.Get().(int)
+	}
+	return total
+}
+
+// TestQDNotEarlyWhileHandlerPending is the deterministic form of what made
+// TestQuiescenceAfterRing flaky: a message that has been dequeued but whose
+// handler has not run must keep the job out of quiescence, wherever it
+// waits — after the mailbox, after an ingress forward, after a run queue.
+// Counting a message at dequeue failed every one of these on every run.
+func TestQDNotEarlyWhileHandlerPending(t *testing.T) {
+	pass := func(pe PE) func(p *peState, m *Message) bool {
+		return func(p *peState, m *Message) bool { return m.Method == "Pass" && p.pe == pe }
+	}
+	reg := func(h *qdHold) func(rt *Runtime) {
+		return func(rt *Runtime) {
+			rt.Register(&RingNode{})
+			h.install(rt)
+		}
+	}
+	ring := func(t *testing.T, h *qdHold, hops int) func(self *Chare) {
+		return func(self *Chare) {
+			g := self.NewGroup(&RingNode{})
+			g.At(0).Call("Pass", hops-1)
+			self.WaitQD()
+			h.check(t)
+			if total := ringTotal(self, g); total != hops {
+				t.Errorf("after QD: %d hops seen, want %d", total, hops)
+			}
+		}
+	}
+	t.Run("1x4", func(t *testing.T) {
+		h := &qdHold{match: pass(3)}
+		runJob(t, Config{PEs: 4}, reg(h), ring(t, h, 26))
+	})
+	t.Run("2x2", func(t *testing.T) {
+		h := &qdHold{match: pass(3)}
+		runMultiNode(t, 2, 2, nil, reg(h), ring(t, h, 18))
+	})
+	t.Run("ingress-forward", func(t *testing.T) {
+		// A frame for PE 1 is sent to node 1, whose ingress finds the
+		// destination is not its own and forwards it back (what a stale
+		// location does); PE 1 is then parked on it.
+		h := &qdHold{match: pass(1)}
+		runMultiNode(t, 2, 2, nil, reg(h), func(self *Chare) {
+			g := self.NewGroup(&RingNode{})
+			rt := self.ctx().p.rt
+			m := &Message{Kind: mInvoke, CID: g.CID, Idx: []int{1}, MID: -1, Method: "Pass",
+				Src: self.MyPE(), Args: []any{5}}
+			rt.admit(1, m)
+			rt.xmit(rt.countWire(2, m.Src), appendMsg(transport.GetBuf(), 1, m, rt.wt))
+			self.WaitQD()
+			h.check(t)
+			if total := ringTotal(self, g); total != 6 {
+				t.Errorf("after QD: %d hops seen, want 6", total)
+			}
+		})
+	})
+	t.Run("runq", func(t *testing.T) {
+		// RingNode is stealable: its messages wait in the element's run queue
+		// for whichever PE takes the grant, and that PE is parked (p.cur is
+		// not the message when it came out of a run queue, not the mailbox).
+		h := &qdHold{match: func(p *peState, m *Message) bool {
+			return m.Method == "Pass" && p.pe != 0 && p.cur != m
+		}}
+		runJob(t, Config{PEs: 4, StealEnabled: true}, reg(h), ring(t, h, 26))
 	})
 }
 

@@ -175,6 +175,7 @@ func (s *sampler) tick() {
 	s.seq++
 	window := now.Sub(s.lastTick)
 	s.lastTick = now
+	sendsLocal, sendsWire := rt.MsgCounts()
 	snap := introspect.NodeSnapshot{
 		Node:        rt.nodeID,
 		BasePE:      int(rt.basePE),
@@ -182,8 +183,8 @@ func (s *sampler) tick() {
 		UnixNano:    now.UnixNano(),
 		WindowNanos: int64(window),
 		TotalPEs:    rt.totalPEs,
-		SendsLocal:  rt.nMsgsLocal.Load(),
-		SendsWire:   rt.nMsgsWire.Load(),
+		SendsLocal:  sendsLocal,
+		SendsWire:   sendsWire,
 		Backstops:   rt.nBackstop.Load(),
 		PEs:         make([]introspect.PESample, len(rt.pes)),
 	}
@@ -208,7 +209,7 @@ func (s *sampler) tick() {
 			EMs:          ems - s.prevEMs[i],
 			Recvs:        recvs - s.prevRecvs[i],
 			Steals:       steals - s.prevSteals[i],
-			MailboxDepth: p.mbox.len(),
+			MailboxDepth: p.depth(),
 			TotalEMs:     ems,
 			TotalRecvs:   recvs,
 			TotalSteals:  steals,

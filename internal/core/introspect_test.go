@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -141,7 +142,9 @@ func TestTriggerLBRoundMovesElements(t *testing.T) {
 
 // TestTraceGatherTimeoutPartial covers the partial-gather path: node 0 of a
 // "2-node" job whose peer never reports must give up after the configured
-// Config.TraceGatherTimeout, not the 3s default, keeping its own report.
+// Config.TraceGatherTimeout, not the 3s default, keeping its own report — and
+// say which node is missing and what is known about why: nothing came, a
+// report was turned away by the full gather queue, or it came too late.
 func TestTraceGatherTimeoutPartial(t *testing.T) {
 	tr := trace.New(1)
 	tr.EM(0, "A", "M", 0, time.Millisecond)
@@ -156,8 +159,12 @@ func TestTraceGatherTimeoutPartial(t *testing.T) {
 	rt.traceRepCh = make(chan trace.Report, 2)
 
 	start := time.Now()
-	rt.gatherTraces()
+	err := rt.gatherTraces()
 	elapsed := time.Since(start)
+	if err == nil || !strings.Contains(err.Error(), "received 1 of 2 node reports within 60ms") ||
+		!strings.Contains(err.Error(), "none from node(s) [1] (0 dropped at ingress") {
+		t.Errorf("partial gather said %q: want the count, the timeout, the missing node and that nothing came", err)
+	}
 	if elapsed < 60*time.Millisecond {
 		t.Errorf("gather returned after %v, before the 60ms timeout", elapsed)
 	}
@@ -166,6 +173,34 @@ func TestTraceGatherTimeoutPartial(t *testing.T) {
 	}
 	if reps := rt.TraceReports(); len(reps) != 1 || reps[0].Node != 0 {
 		t.Errorf("partial gather kept %d reports", len(reps))
+	}
+	err = rt.takeTraceReport(trace.Report{Node: 1, NumPEs: 1})
+	if err == nil || !strings.Contains(err.Error(), "report from node 1 arrived") ||
+		!strings.Contains(err.Error(), "after the gather had given up") {
+		t.Errorf("a report after the deadline said %q: want the node and that it was late", err)
+	}
+
+	// A report the full gather queue turns away is named when it is dropped
+	// and counted in what the gather says when it gives up.
+	rt3 := NewRuntime(Config{
+		PEs:                1,
+		Transport:          &discardTransport{n: 3},
+		Trace:              trace.New(1),
+		TraceGather:        true,
+		TraceGatherTimeout: 20 * time.Millisecond,
+	})
+	rt3.wt = buildWireTables(rt3.types)
+	rt3.traceRepCh = make(chan trace.Report, 1)
+	if err := rt3.takeTraceReport(trace.Report{Node: 1, NumPEs: 1}); err != nil {
+		t.Errorf("first report: %v", err)
+	}
+	err = rt3.takeTraceReport(trace.Report{Node: 2, NumPEs: 1})
+	if err == nil || !strings.Contains(err.Error(), "dropped the report from node 2") {
+		t.Errorf("a report for the full queue said %q: want the node and that it was dropped", err)
+	}
+	err = rt3.gatherTraces()
+	if err == nil || !strings.Contains(err.Error(), "none from node(s) [2] (1 dropped at ingress") {
+		t.Errorf("gather after a drop said %q: want node 2 missing and the drop", err)
 	}
 
 	// With the peer's report already queued, the gather completes at once.
@@ -180,7 +215,9 @@ func TestTraceGatherTimeoutPartial(t *testing.T) {
 	rt2.traceRepCh = make(chan trace.Report, 2)
 	rt2.traceRepCh <- trace.Report{Node: 1, NumPEs: 1}
 	start = time.Now()
-	rt2.gatherTraces()
+	if err := rt2.gatherTraces(); err != nil {
+		t.Errorf("complete gather: %v", err)
+	}
 	if time.Since(start) > time.Second {
 		t.Error("complete gather waited on the timeout")
 	}

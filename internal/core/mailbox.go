@@ -10,14 +10,15 @@ import "sync"
 // The queue is a growable ring buffer, so steady-state push, pushFront and
 // pop are O(1) with no per-message allocation (the old slice-based queue
 // re-allocated the whole queue on every pushFront and leaked the head
-// through re-slicing). pushAll enqueues an ingress batch under one lock
-// acquisition.
+// through re-slicing). An item is a message or a run of them (wire.go); len
+// counts messages.
 type mailbox struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	buf    []*Message // ring storage; len(buf) is the capacity (power of two not required)
-	head   int        // index of the oldest message
-	count  int        // number of queued messages
+	head   int        // index of the oldest item
+	count  int        // number of queued items
+	msgs   int64      // number of queued messages: a run weighs what it carries
 	closed bool
 }
 
@@ -27,19 +28,12 @@ func newMailbox() *mailbox {
 	return mb
 }
 
-// grow ensures capacity for at least n more messages. Caller holds mu.
-func (mb *mailbox) grow(n int) {
-	if mb.count+n <= len(mb.buf) {
+// grow ensures capacity for one more item. Caller holds mu.
+func (mb *mailbox) grow() {
+	if mb.count < len(mb.buf) {
 		return
 	}
-	newCap := len(mb.buf) * 2
-	if newCap < 16 {
-		newCap = 16
-	}
-	for newCap < mb.count+n {
-		newCap *= 2
-	}
-	nb := make([]*Message, newCap)
+	nb := make([]*Message, max(16, 2*len(mb.buf)))
 	// Unwrap the ring with at most two memmove-speed copies: head..end of the
 	// old buffer, then the wrapped prefix (empty when the ring is contiguous).
 	first := mb.count
@@ -59,30 +53,10 @@ func (mb *mailbox) push(m *Message) bool {
 		mb.mu.Unlock()
 		return false
 	}
-	mb.grow(1)
+	mb.grow()
 	mb.buf[(mb.head+mb.count)%len(mb.buf)] = m
 	mb.count++
-	mb.mu.Unlock()
-	mb.cond.Signal()
-	return true
-}
-
-// pushAll enqueues a batch of messages in order under a single lock
-// acquisition and wakeup (ingress de-batching path).
-func (mb *mailbox) pushAll(ms []*Message) bool {
-	if len(ms) == 0 {
-		return true
-	}
-	mb.mu.Lock()
-	if mb.closed {
-		mb.mu.Unlock()
-		return false
-	}
-	mb.grow(len(ms))
-	for _, m := range ms {
-		mb.buf[(mb.head+mb.count)%len(mb.buf)] = m
-		mb.count++
-	}
+	mb.msgs += msgWeight(m)
 	mb.mu.Unlock()
 	mb.cond.Signal()
 	return true
@@ -95,10 +69,11 @@ func (mb *mailbox) pushFront(m *Message) bool {
 		mb.mu.Unlock()
 		return false
 	}
-	mb.grow(1)
+	mb.grow()
 	mb.head = (mb.head - 1 + len(mb.buf)) % len(mb.buf)
 	mb.buf[mb.head] = m
 	mb.count++
+	mb.msgs += msgWeight(m)
 	mb.mu.Unlock()
 	mb.cond.Signal()
 	return true
@@ -111,6 +86,7 @@ func (mb *mailbox) popLocked() *Message {
 	mb.buf[mb.head] = nil // release for GC
 	mb.head = (mb.head + 1) % len(mb.buf)
 	mb.count--
+	mb.msgs -= msgWeight(m)
 	return m
 }
 
@@ -138,11 +114,11 @@ func (mb *mailbox) tryPop() (m *Message, ok bool) {
 	return mb.popLocked(), true
 }
 
-// len returns the current queue length.
+// len returns the number of queued messages.
 func (mb *mailbox) len() int {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
-	return mb.count
+	return int(mb.msgs)
 }
 
 // wake is a no-op: the condvar in push/pushFront already signals the

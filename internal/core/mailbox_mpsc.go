@@ -30,8 +30,9 @@ import (
 // strictly increasing (segment, slot) positions, and the consumer drains
 // positions in order, spinning (Gosched) on a claimed-but-unstored slot.
 //
-// depth counts fully-stored messages: a producer increments it after the
-// slot store, so depth > 0 guarantees the consumer finds a message at or
+// depth counts the messages of fully-stored items (a run, wire.go, weighs
+// what it carries, so one add covers it): a producer raises it after the
+// slot store, so depth > 0 guarantees the consumer finds an item at or
 // after its cursor in bounded time. The park/wake handshake is Dekker-style:
 // the consumer arms `parked` then re-checks depth; a producer increments
 // depth then CASes `parked` — seq-cst atomics make one of the two observe
@@ -74,13 +75,14 @@ func newLFMailbox() *lfMailbox {
 
 // enqueue claims a slot and stores m, without the wake handshake.
 func (mb *lfMailbox) enqueue(m *Message) {
+	w := msgWeight(m) // before the store: m is the consumer's after it
 	for {
 		s := mb.tailSeg.Load()
 		t := s.tail.Add(1) - 1
 		switch {
 		case t < lfSegSize:
 			s.slots[t].Store(m)
-			mb.depth.Add(1)
+			mb.depth.Add(w)
 			return
 		case t == lfSegSize:
 			ns := &lfSeg{}
@@ -88,7 +90,7 @@ func (mb *lfMailbox) enqueue(m *Message) {
 			ns.slots[0].Store(m)
 			s.next.Store(ns)
 			mb.tailSeg.Store(ns)
-			mb.depth.Add(1)
+			mb.depth.Add(w)
 			return
 		default:
 			// Another producer is installing the next segment; wait it out.
@@ -106,21 +108,6 @@ func (mb *lfMailbox) push(m *Message) bool {
 		return false
 	}
 	mb.enqueue(m)
-	mb.wake()
-	return true
-}
-
-// pushAll enqueues a batch in order with a single wakeup (ingress path).
-func (mb *lfMailbox) pushAll(ms []*Message) bool {
-	if len(ms) == 0 {
-		return true
-	}
-	if mb.closed.Load() {
-		return false
-	}
-	for _, m := range ms {
-		mb.enqueue(m)
-	}
 	mb.wake()
 	return true
 }
@@ -180,7 +167,7 @@ func (mb *lfMailbox) tryPop() (*Message, bool) {
 		if m := mb.headSeg.slots[mb.headIdx].Load(); m != nil {
 			mb.headSeg.slots[mb.headIdx].Store(nil) // release for GC
 			mb.headIdx++
-			mb.depth.Add(-1)
+			mb.depth.Add(-msgWeight(m))
 			return m, true
 		}
 		runtime.Gosched() // claimed but not yet stored

@@ -75,23 +75,6 @@ func TestLFMailboxConcurrentProducersPerSenderFIFO(t *testing.T) {
 	}
 }
 
-func TestLFMailboxPushAllOrder(t *testing.T) {
-	mb := newLFMailbox()
-	batch := make([]*Message, 1000)
-	for i := range batch {
-		batch[i] = msgWithSeq(0, int32(i))
-	}
-	if !mb.pushAll(batch) {
-		t.Fatal("pushAll failed")
-	}
-	for i := int32(0); i < 1000; i++ {
-		m, ok := mb.tryPop()
-		if !ok || m.MID != i {
-			t.Fatalf("pushAll order broken at %d: %v ok=%v", i, m, ok)
-		}
-	}
-}
-
 func TestLFMailboxPushFrontPriority(t *testing.T) {
 	mb := newLFMailbox()
 	mb.push(msgWithSeq(0, 1))

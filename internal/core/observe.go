@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"os"
+	"slices"
 	"time"
 
 	"charmgo/internal/metrics"
@@ -107,10 +108,9 @@ func newRTMetrics(rt *Runtime, reg *metrics.Registry) *rtMetrics {
 			"messages dequeued by the PE scheduler")
 		m.peEMs[i] = reg.Counter(fmt.Sprintf("charmgo_pe_ems_total{pe=%q}", fmt.Sprint(gpe)),
 			"entry methods executed on the PE")
-		mbox := p.mbox
 		reg.GaugeFunc(fmt.Sprintf("charmgo_mailbox_depth{pe=%q}", fmt.Sprint(gpe)),
 			"messages currently queued in the PE mailbox",
-			func() int64 { return int64(mbox.len()) })
+			func() int64 { return int64(p.depth()) })
 		if rt.cfg.Trace != nil {
 			lpe := i
 			reg.GaugeFunc(fmt.Sprintf("charmgo_trace_dropped_total{pe=%q}", fmt.Sprint(gpe)),
@@ -140,17 +140,19 @@ const defaultTraceGatherTimeout = 3 * time.Second
 
 // gatherTraces runs after the node's PEs have drained. Non-zero nodes ship
 // their report to node 0; node 0 collects reports from every peer (plus its
-// own) into rt.gathered for TraceReports.
-func (rt *Runtime) gatherTraces() {
+// own) into rt.gathered for TraceReports. A gather that gives up says which
+// nodes it misses and why, as far as it knows; a report that turns up later
+// says so itself (takeTraceReport).
+func (rt *Runtime) gatherTraces() error {
 	tr := rt.cfg.Trace
 	if tr == nil || !rt.cfg.TraceGather || rt.numNodes <= 1 || rt.cfg.Transport == nil {
-		return
+		return nil
 	}
 	if rt.nodeID != 0 {
 		m := &Message{Kind: mTraceReport, Src: -1, Ctl: &traceReportMsg{Report: tr.Report(rt.nodeID)}}
 		rt.ordSentTo(0)
 		rt.xmit(0, appendMsg(transport.GetBuf(), -1, m, rt.wt))
-		return
+		return nil
 	}
 	rt.gathered = append(rt.gathered, tr.Report(0))
 	timeout := rt.cfg.TraceGatherTimeout
@@ -162,11 +164,43 @@ func (rt *Runtime) gatherTraces() {
 		select {
 		case rep := <-rt.traceRepCh:
 			rt.gathered = append(rt.gathered, rep)
+			continue
 		case <-deadline:
-			fmt.Fprintf(os.Stderr, "charmgo: trace gather: received %d of %d node reports before timeout\n",
-				len(rt.gathered), rt.numNodes)
-			return
 		}
+		rt.gatherEnd.Store(time.Now().UnixNano())
+		var missing []int
+		for n := 1; n < rt.numNodes; n++ {
+			if !slices.ContainsFunc(rt.gathered, func(r trace.Report) bool { return r.Node == n }) {
+				missing = append(missing, n)
+			}
+		}
+		return fmt.Errorf("trace gather: received %d of %d node reports within %v; none from node(s) %v (%d dropped at ingress by the full gather queue)",
+			len(rt.gathered), rt.numNodes, timeout, missing, rt.nRepDropped.Load())
+	}
+	return nil
+}
+
+// warn prints a diagnostic nobody is in a position to handle.
+func warn(err error) { fmt.Fprintln(os.Stderr, "charmgo:", err) }
+
+// takeTraceReport is ingress's half of the gather: it queues a peer's report
+// for gatherTraces, or returns why it could not.
+func (rt *Runtime) takeTraceReport(rep trace.Report) error {
+	ch := rt.traceRepCh
+	if ch == nil {
+		return nil // not the gathering node
+	}
+	if end := rt.gatherEnd.Load(); end != 0 {
+		return fmt.Errorf("trace gather: the report from node %d arrived %v after the gather had given up",
+			rep.Node, time.Since(time.Unix(0, end)).Round(time.Microsecond))
+	}
+	select {
+	case ch <- rep:
+		return nil
+	default:
+		rt.nRepDropped.Add(1)
+		return fmt.Errorf("trace gather: dropped the report from node %d: %d reports are queued already (a duplicate?)",
+			rep.Node, cap(ch))
 	}
 }
 

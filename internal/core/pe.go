@@ -18,7 +18,6 @@ import (
 // (Config.MutexMailbox).
 type mboxQ interface {
 	push(*Message) bool
-	pushAll([]*Message) bool
 	pushFront(*Message) bool
 	pop() (*Message, bool)
 	tryPop() (*Message, bool)
@@ -45,6 +44,7 @@ type peState struct {
 	futSeq  int64
 	cidSeq  int32
 
+	lastEl  *element              // the last element a message was routed to (elemFor)
 	tomb    map[CID]map[string]PE // forwarding pointers for emigrated elements
 	homeLoc map[CID]map[string]PE // authoritative locations for elements homed here
 
@@ -84,11 +84,14 @@ type peState struct {
 	// cur is the message dispatch is handling; curSpent is set when cur was
 	// a boxed invoke that ran inline with its Args unpacked into typed
 	// parameters, which is the one case in which dispatch returns its box
-	// (wire.go). freed collects returned boxes for rt.boxes, a chunk at a
-	// time.
+	// (wire.go). A run's spent boxes go back with the run; spent collects
+	// those of messages that arrived alone, a chunk at a time.
 	cur      *Message
 	curSpent bool
-	freed    []*Message
+	spent    *msgRun
+
+	// cnt is this PE's line of message counters (quiescence.go).
+	cnt *peCounts
 
 	// stats are the cumulative counters behind live introspection sampling,
 	// written by the scheduler only when a sampler is attached and read by
@@ -203,6 +206,7 @@ func newPEState(rt *Runtime, pe PE) *peState {
 		suspended:   map[*emThread]bool{},
 		lbRoot:      map[CID]*lbRootState{},
 		now:         func() time.Duration { return time.Since(rt.t0) },
+		cnt:         &rt.cnt[pe-rt.basePE],
 	}
 	if rt.cfg.MutexMailbox {
 		p.mbox = newMailbox()
@@ -272,8 +276,55 @@ func (p *peState) loop() {
 	p.shutdownThreads()
 }
 
-// dispatch accounts for and handles one dequeued message.
+// dispatch handles one dequeued mailbox item: a message, or a run of them.
+// A message is counted done when its handler has returned (quiescence.go).
 func (p *peState) dispatch(m *Message) {
+	if m.Kind == mRun {
+		p.dispatchRun(m.Ctl.(*msgRun))
+		return
+	}
+	spent := p.deliver(m)
+	qdDone(p.cnt, m.Kind)
+	if spent {
+		p.returnBox(m)
+	}
+}
+
+// dispatchRun handles a run's messages in frame order, so per-sender FIFO
+// holds across it, and stops at the next message once the job is exiting
+// (localExit raises rt.exited before it pushes mExit to the front). The
+// mailbox counted the whole run out at the pop; cnt.runLeft is what of it is
+// still to be handled, so depth stays a count of messages. The boxes spent
+// move to the front of r.ms and go back with the run as one chunk: a message
+// somebody kept is simply not among them.
+func (p *peState) dispatchRun(r *msgRun) {
+	ms := r.ms
+	spent, done := 0, int64(0)
+	for i, m := range ms {
+		if p.rt.exited.Load() {
+			break
+		}
+		p.cnt.runLeft.Store(int64(len(ms) - i - 1))
+		if countableKind(m.Kind) {
+			done++
+		}
+		if p.deliver(m) {
+			resetBox(m, p.rt.poisonBoxes)
+			ms[spent] = m
+			spent++
+		}
+	}
+	p.cnt.runLeft.Store(0)
+	p.cnt.done.Add(done)
+	clear(ms[spent:])
+	r.ms = ms[:spent]
+	p.rt.boxes.put(r)
+}
+
+// deliver accounts for and handles one message, and reports whether its box
+// is spent: dispatch and dispatchRun are the one place a decoded invoke's box
+// is taken back (wire.go has the ownership rule).
+func (p *peState) deliver(m *Message) (spent bool) {
 	if tr := p.rt.cfg.Trace; tr != nil && m.enq != 0 {
 		now := tr.Since()
 		tr.Recv(p.lpe(), m.Method, now, now-m.enq)
@@ -284,7 +335,6 @@ func (p *peState) dispatch(m *Message) {
 	if sm := p.rt.sampler; sm != nil {
 		p.stats.recvs.Add(1)
 	}
-	p.rt.qdCountRecv(m.Kind)
 	p.cur, p.curSpent = m, false
 	p.handle(m)
 	// Zero-copy broadcast fan-out: the same *Message was queued to every
@@ -294,24 +344,25 @@ func (p *peState) dispatch(m *Message) {
 	if sh := m.shared; sh != nil && sh.refs.Add(-1) == 0 && sh.release != nil {
 		sh.release()
 	}
-	if p.curSpent {
-		p.returnBox(m)
-	}
 	p.cur = nil
+	return p.curSpent
 }
 
-// returnBox is the one place a decoded invoke's box goes back to the node's
-// box list (wire.go has the ownership rule).
+// returnBox takes back the box of a message that arrived outside a run.
 func (p *peState) returnBox(m *Message) {
-	resetBox(m)
-	if p.rt.poisonBoxes {
-		poisonBox(m)
+	resetBox(m, p.rt.poisonBoxes)
+	if p.spent == nil {
+		p.spent = p.rt.boxes.get(false)
 	}
-	p.freed = append(p.freed, m)
-	if len(p.freed) >= boxChunk {
-		p.freed = p.rt.boxes.put(p.freed)
+	p.spent.ms = append(p.spent.ms, m)
+	if len(p.spent.ms) >= boxChunk {
+		p.rt.boxes.put(p.spent)
+		p.spent = nil
 	}
 }
+
+// depth is the number of messages waiting for this PE.
+func (p *peState) depth() int { return p.mbox.len() + int(p.cnt.runLeft.Load()) }
 
 // shutdownThreads terminates suspended threads cleanly (their resume
 // channels are closed; they call runtime.Goexit).
@@ -642,41 +693,54 @@ func rootPE(rt *Runtime, cid CID) PE {
 // ---- invoke routing and location management ----
 
 func (p *peState) routeInvoke(m *Message) {
-	coll := p.colls[m.CID]
-	if coll == nil {
+	coll, el := p.elemFor(m)
+	switch {
+	case el != nil:
+		p.deliverOrBuffer(coll, el, m)
+	case coll == nil:
 		p.pendingColl[m.CID] = append(p.pendingColl[m.CID], m)
-		return
-	}
-	if m.Idx == nil { // broadcast: deliver to every local element
+	case m.Idx == nil: // broadcast: deliver to every local element
 		for _, el := range coll.elems {
 			p.deliverOrBuffer(coll, el, m.copyOf())
 		}
-		return
+	default:
+		p.forward(coll, m, idxKey(m.Idx))
+	}
+}
+
+// elemFor returns the element m is addressed to, if it is here, and its
+// collection, if that is known here. lastEl remembers the last one found, so
+// that consecutive messages to one element skip the two map lookups: it is
+// valid while not dead, which the one way an element leaves (migrateOut) marks.
+func (p *peState) elemFor(m *Message) (*localColl, *element) {
+	if el := p.lastEl; el != nil && !el.dead && el.cid == m.CID && idxEqual(el.idx, m.Idx) {
+		return el.coll, el
+	}
+	coll := p.colls[m.CID]
+	if coll == nil || m.Idx == nil {
+		return coll, nil
 	}
 	var kb [idxKeyBuf]byte
-	key := appendIdxKey(kb[:0], m.Idx)
-	if el := coll.elems[string(key)]; el != nil && !el.dead {
-		p.deliverOrBuffer(coll, el, m)
-		return
+	if el := coll.elems[string(appendIdxKey(kb[:0], m.Idx))]; el != nil && !el.dead {
+		p.lastEl = el
+		return coll, el
 	}
-	p.forward(coll, m, string(key))
+	return coll, nil
 }
 
 // routeElem locates the destination element of a non-broadcast message,
 // buffering or forwarding it when it is not here. done reports that the
 // message was consumed (buffered/forwarded) and el is nil in that case.
 func (p *peState) routeElem(m *Message) (el *element, done bool) {
-	coll := p.colls[m.CID]
-	if coll == nil {
-		p.pendingColl[m.CID] = append(p.pendingColl[m.CID], m)
-		return nil, true
-	}
-	var kb [idxKeyBuf]byte
-	key := appendIdxKey(kb[:0], m.Idx)
-	if el := coll.elems[string(key)]; el != nil && !el.dead {
+	coll, el := p.elemFor(m)
+	switch {
+	case el != nil:
 		return el, false
+	case coll == nil:
+		p.pendingColl[m.CID] = append(p.pendingColl[m.CID], m)
+	default:
+		p.forward(coll, m, idxKey(m.Idx))
 	}
-	p.forward(coll, m, string(key))
 	return nil, true
 }
 
@@ -793,12 +857,14 @@ func (p *peState) emReady(el *element, info *emInfo, m *Message) bool {
 // invokeEMInner executes one entry method (inline or threaded) without
 // triggering the post-execution recheck; callers run recheck afterwards.
 func (p *peState) invokeEMInner(el *element, info *emInfo, m *Message) {
+	if hold := p.rt.holdEM; hold != nil {
+		hold(p, m)
+	}
 	args := p.rebindArgs(el, m.Args)
 	if info.threaded {
 		p.runThreaded(el, info, m, args)
 		return
 	}
-	atomic.AddInt64(&p.rt.qd.running, 1)
 	start := p.stamp
 	if sm := p.rt.sampler; sm != nil {
 		p.stats.emStart.Store(int64(start))
@@ -813,7 +879,6 @@ func (p *peState) invokeEMInner(el *element, info *emInfo, m *Message) {
 		p.stats.busy.Add(int64(dur))
 		p.stats.ems.Add(1)
 	}
-	atomic.AddInt64(&p.rt.qd.running, -1)
 	if tr := p.rt.cfg.Trace; tr != nil {
 		tr.EM(p.lpe(), el.coll.ct.name, info.name, start+p.rt.trOff, dur)
 	}
@@ -933,7 +998,6 @@ func (p *peState) runThreaded(el *element, info *emInfo, m *Message, args []any)
 	th := &emThread{resume: make(chan struct{}), el: el}
 	el.liveThreads++
 	p.curThread = th
-	atomic.AddInt64(&p.rt.qd.running, 1)
 	th.segStart = p.stamp
 	if sm := p.rt.sampler; sm != nil {
 		p.stats.emStart.Store(int64(th.segStart))
@@ -972,7 +1036,6 @@ func (p *peState) waitYield() {
 			p.stats.ems.Add(1)
 		}
 	}
-	atomic.AddInt64(&p.rt.qd.running, -1)
 	if tr := p.rt.cfg.Trace; tr != nil {
 		// threaded entry methods are traced as run segments
 		tr.EM(p.lpe(), el.coll.ct.name, "(threaded)", y.th.segStart+p.rt.trOff, seg)
@@ -1011,7 +1074,6 @@ func (p *peState) suspendCur() {
 func (p *peState) resumeThread(th *emThread) {
 	delete(p.suspended, th)
 	p.curThread = th
-	atomic.AddInt64(&p.rt.qd.running, 1)
 	th.segStart = p.stamp
 	if sm := p.rt.sampler; sm != nil {
 		p.stats.emStart.Store(int64(th.segStart))
@@ -1115,8 +1177,8 @@ func (p *peState) migrateOut(el *element) {
 		// concurrently: forward the queued work behind the migrate message.
 		for _, m := range el.runq.takeAll() {
 			p.rt.runqBacklog.Add(-1)
-			p.rt.qdCountRecv(m.Kind) // close the runq hop; send() re-counts
-			p.rt.send(to, m)
+			p.rt.send(to, m)      // counted sent again, and only then
+			qdDone(p.cnt, m.Kind) // is the run-queue hop done
 		}
 	}
 	if p.pe == p.rt.homePE(el.cid, el.key) {

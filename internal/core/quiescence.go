@@ -2,34 +2,52 @@ package core
 
 import "sync/atomic"
 
-// Quiescence detection: the system is quiescent when no application
-// messages are in flight and no entry method is executing. Charm++ provides
-// this (CkStartQD); CharmPy exposes it as charm.waitQD(). The classic
-// double-snapshot algorithm is used:
+// Quiescence detection (Charm++: CkStartQD; CharmPy: charm.waitQD()): the
+// job is quiescent when no countable message is unfinished. DESIGN.md
+// §quiescence has the argument and the table of counting sites. The rule:
 //
-//   - every node counts application messages sent and received (atomics),
-//   - a coordinator (PE 0) repeatedly polls all nodes,
-//   - quiescence is declared when two consecutive snapshots are identical
-//     and sent == received.
+//   - a message is counted sent before anything can see it;
+//   - it is counted done when its handler has returned, so a hop that turns
+//     one message into another (ingress forward, tree relay, run-queue push,
+//     migration re-send) counts the outgoing one first;
+//   - hence sent − done, summed over the job, is the number of unfinished
+//     messages at every instant, a running entry method included: the
+//     message that started it is not done.
 //
-// Control traffic (probes, replies, exit, ...) is not counted.
+// A coordinator (PE 0) polls every node in waves. The counters only grow and
+// a wave's reads all precede the next wave's, so done read in one wave equal
+// to sent read in the next means the two were equal in between, however the
+// reads interleave with traffic. Control traffic is not counted.
+
+// peCounts is one line of message counters, private to a local PE: the one
+// named by a message's Src for sends, the one that ran its handler for done.
+// The node has one more for every other sender (decoders, external callers,
+// timers). Two cache lines, so that adjacent-line prefetch shares none.
+type peCounts struct {
+	sent, done  atomic.Int64 // countable messages
+	local, wire atomic.Int64 // MsgCounts: sends within the node / to other nodes
+	runLeft     atomic.Int64 // messages of the run in dispatch not yet handled (pe.go)
+	_           [128 - 5*8]byte
+}
+
+// counts returns the line for src: its own if it is a local PE, else the node's.
+func (rt *Runtime) counts(src PE) *peCounts {
+	if i := int(src) - int(rt.basePE); uint(i) < uint(len(rt.pes)) {
+		return &rt.cnt[i]
+	}
+	return &rt.cnt[len(rt.pes)]
+}
 
 type qdState struct {
-	sent    int64 // node-level atomic counters
-	recv    int64
-	running int64 // entry methods currently executing (not suspended)
-
-	// coordinator state (PE 0 only)
+	// coordinator state (PE 0 only; round is read by tests)
 	waiters  []Target
 	probing  bool
-	round    int64
+	round    atomic.Int64
 	gotNodes int
 	sumSent  int64
-	sumRecv  int64
-	prevSent int64
-	prevRecv int64
+	sumDone  int64
+	prevDone int64
 	havePrev bool
-	anyBusy  bool
 }
 
 type qdProbeMsg struct{ Round int64 }
@@ -37,29 +55,32 @@ type qdProbeMsg struct{ Round int64 }
 type qdReplyMsg struct {
 	Round int64
 	Sent  int64
-	Recv  int64
-	Busy  bool // an entry method was executing on this node at reply time
+	Done  int64
 }
 
 // countableKind reports whether a message kind counts as application
-// traffic for quiescence purposes.
+// traffic for quiescence purposes: the kinds whose handlers run user code
+// (mCreate runs constructors, a load-balancing round ends in ResumeFromSync).
 func countableKind(k msgKind) bool {
 	switch k {
-	case mInvoke, mFutureSet, mRedPartial, mInsert, mMigrate, mDoneInserting, mChanMsg, mRunGrant:
+	case mInvoke, mFutureSet, mRedPartial, mInsert, mMigrate, mDoneInserting, mChanMsg, mRunGrant,
+		mCreate, mLBStats, mLBMoves, mLBAck, mLBResume:
 		return true
 	}
 	return false
 }
 
-func (rt *Runtime) qdCountSend(k msgKind) {
+// qdSent counts n messages of kind k from src as sent; qdDone one as done on
+// c, the line of whoever ran its handler.
+func (rt *Runtime) qdSent(src PE, k msgKind, n int) {
 	if countableKind(k) {
-		atomic.AddInt64(&rt.qd.sent, 1)
+		rt.counts(src).sent.Add(int64(n))
 	}
 }
 
-func (rt *Runtime) qdCountRecv(k msgKind) {
+func qdDone(c *peCounts, k msgKind) {
 	if countableKind(k) {
-		atomic.AddInt64(&rt.qd.recv, 1)
+		c.done.Add(1)
 	}
 }
 
@@ -106,11 +127,10 @@ func (p *peState) qdStart(t Target) {
 
 func (p *peState) qdProbe() {
 	qd := &p.rt.qd
-	qd.round++
 	qd.gotNodes = 0
 	qd.sumSent = 0
-	qd.sumRecv = 0
-	m := &Message{Kind: mQDProbe, Src: p.pe, Ctl: &qdProbeMsg{Round: qd.round}}
+	qd.sumDone = 0
+	m := &Message{Kind: mQDProbe, Src: p.pe, Ctl: &qdProbeMsg{Round: qd.round.Add(1)}}
 	// one probe per node, handled by the node's first PE (inactive elastic
 	// slots would delegate the probe back and double-count their stand-in)
 	for n := 0; n < p.rt.numNodes; n++ {
@@ -121,42 +141,33 @@ func (p *peState) qdProbe() {
 	}
 }
 
-// qdOnProbe runs on each node's first PE: reply with the node's counters.
-// The probed PE itself is idle (it is handling the probe), but another PE
-// of the node may be mid-entry-method; Busy reports that.
+// qdOnProbe runs on each node's first PE: reply with the sums of the node's
+// counter lines (not a snapshot, and it need not be).
 func (p *peState) qdOnProbe(pm *qdProbeMsg) {
-	reply := &qdReplyMsg{
-		Round: pm.Round,
-		Sent:  atomic.LoadInt64(&p.rt.qd.sent),
-		Recv:  atomic.LoadInt64(&p.rt.qd.recv),
-		Busy:  atomic.LoadInt64(&p.rt.qd.running) > 0, // probe handling is not an EM
+	reply := &qdReplyMsg{Round: pm.Round}
+	for i := range p.rt.cnt {
+		c := &p.rt.cnt[i]
+		reply.Sent += c.sent.Load()
+		reply.Done += c.done.Load()
 	}
 	p.rt.send(0, &Message{Kind: mQDReply, Src: p.pe, Ctl: reply})
 }
 
 func (p *peState) qdOnReply(rm *qdReplyMsg) {
 	qd := &p.rt.qd
-	if rm.Round != qd.round {
+	if rm.Round != qd.round.Load() {
 		return // stale
 	}
 	qd.gotNodes++
 	qd.sumSent += rm.Sent
-	qd.sumRecv += rm.Recv
-	if rm.Busy {
-		qd.anyBusy = true
-	}
+	qd.sumDone += rm.Done
 	if qd.gotNodes < p.rt.activeNodeCount() {
 		return
 	}
-	quiet := !qd.anyBusy && qd.sumSent == qd.sumRecv &&
-		qd.havePrev && qd.sumSent == qd.prevSent && qd.sumRecv == qd.prevRecv
-	qd.anyBusy = false
-	// The coordinator PE itself is idle while handling this message, but
-	// other PEs may be mid-entry-method with messages not yet sent; the
-	// double snapshot catches that: any activity changes the counters
-	// between rounds.
-	qd.prevSent = qd.sumSent
-	qd.prevRecv = qd.sumRecv
+	// The last wave's done equal to this wave's sent is the condition; this
+	// wave's own sums then agree too (nothing has moved), checked for free.
+	quiet := qd.havePrev && qd.prevDone == qd.sumSent && qd.sumSent == qd.sumDone
+	qd.prevDone = qd.sumDone
 	qd.havePrev = true
 	if !quiet {
 		p.qdProbe()

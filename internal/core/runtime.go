@@ -199,7 +199,8 @@ type Runtime struct {
 	ftEpoch   atomic.Int64 // last committed in-memory checkpoint epoch
 	cleanExit atomic.Bool  // job ended through Exit, not Abort
 
-	qd qdState
+	qd  qdState
+	cnt []peCounts // a line per local PE and, last, the node's own (quiescence.go)
 
 	wt      *wireTables         // method-name interning, built at Start
 	agg     *aggregator         // cross-node send aggregation; nil when disabled
@@ -213,6 +214,10 @@ type Runtime struct {
 	// sentinels when the dispatch loop returns it, so a reference that
 	// outlived the return is seen.
 	poisonBoxes bool
+	// holdEM (tests) is called by the executing PE with each message whose
+	// entry method is about to run: a test parks a PE there, between the
+	// dequeue and the handler, to see what the quiescence counters say.
+	holdEM func(p *peState, m *Message)
 
 	// t0 is the origin of the PE clocks (peState.now); a PE stamp plus trOff
 	// is the same instant on cfg.Trace's clock.
@@ -226,9 +231,11 @@ type Runtime struct {
 	frags    map[fragKey]*fragAsm // in-flight fragmented broadcasts
 	ord      *bcastOrder          // causal ordering for tree broadcasts; nil when tree off
 
-	met        *rtMetrics        // nil unless Config.Metrics is set
-	traceRepCh chan trace.Report // node 0 gather channel (TraceGather)
-	gathered   []trace.Report    // node 0: all node reports after Start
+	met         *rtMetrics        // nil unless Config.Metrics is set
+	traceRepCh  chan trace.Report // node 0 gather channel (TraceGather)
+	gathered    []trace.Report    // node 0: all node reports after Start
+	gatherEnd   atomic.Int64      // node 0: when the gather gave up (Unix ns); 0 until then
+	nRepDropped atomic.Int32      // node 0: reports the full gather channel turned away
 
 	// live introspection (core/introspect.go)
 	sampler *sampler            // nil unless Config.SampleInterval > 0
@@ -249,10 +256,8 @@ type Runtime struct {
 	byeDone   bool
 	byeCh     chan struct{}
 
-	// test/diagnostic counters (atomics; the send path is hot)
-	nMsgsLocal atomic.Int64
-	nMsgsWire  atomic.Int64
-	nBackstop  atomic.Int64 // batches stranded until the aggregator's backstop
+	// test/diagnostic counters
+	nBackstop atomic.Int64 // batches stranded until the aggregator's backstop
 	// nBcastSends counts per-destination transmissions used to originate
 	// broadcasts from this node: with the spanning tree it grows by at most
 	// TreeArity per broadcast regardless of job size, with flat collectives
@@ -303,8 +308,9 @@ func NewRuntime(cfg Config) *Runtime {
 	rt.in = make([]peerIn, rt.numNodes)
 	for i := range rt.in {
 		rt.in[i].boxes.list = &rt.boxes
-		rt.in[i].perPE = make([][]*Message, cfg.PEs)
+		rt.in[i].perPE = make([]*msgRun, cfg.PEs)
 	}
+	rt.cnt = make([]peCounts, cfg.PEs+1)
 	rt.basePE = PE(rt.nodeID * cfg.PEs)
 	rt.totalPEs = rt.numNodes * cfg.PEs
 	if rt.treeEnabled() {
@@ -397,7 +403,9 @@ func (rt *Runtime) Start(entry func(self *Chare)) {
 	if rt.agg != nil {
 		rt.agg.shutdown()
 	}
-	rt.gatherTraces()
+	if err := rt.gatherTraces(); err != nil {
+		warn(err)
+	}
 	close(rt.done)
 }
 
@@ -461,7 +469,7 @@ func (rt *Runtime) send(pe PE, m *Message) {
 		rt.sendLocal(pe, m)
 		return
 	}
-	node := rt.countWire(pe)
+	node := rt.countWire(pe, m.Src)
 	if rt.agg != nil {
 		rt.agg.send(node, pe, m)
 		return
@@ -472,7 +480,7 @@ func (rt *Runtime) send(pe PE, m *Message) {
 // sendInvoke is send for an invoke that admit routed to another node. m is
 // only read, so it can live on the caller's stack (Proxy.invoke).
 func (rt *Runtime) sendInvoke(pe PE, m *Message) {
-	node := rt.countWire(pe)
+	node := rt.countWire(pe, m.Src)
 	if rt.agg != nil {
 		rt.agg.sendInvoke(node, pe, m)
 		return
@@ -489,7 +497,7 @@ func (rt *Runtime) admit(pe PE, m *Message) PE {
 	// Elastic membership: destinations on inactive slots delegate to the
 	// slot's stand-in node (stale tombs and caches self-heal by forwarding).
 	pe = rt.resolvePE(pe)
-	rt.qdCountSend(m.Kind)
+	rt.qdSent(m.Src, m.Kind, 1)
 	if tr := rt.cfg.Trace; tr != nil && m.Kind == mInvoke {
 		src := -1
 		if rt.isLocal(m.Src) {
@@ -513,7 +521,7 @@ func (rt *Runtime) sendLocal(pe PE, m *Message) {
 		rt.rebindMsg(m2)
 		m = m2
 	}
-	rt.nMsgsLocal.Add(1)
+	rt.counts(m.Src).local.Add(1)
 	if met := rt.met; met != nil {
 		met.sendsLocal.Inc()
 	}
@@ -523,9 +531,9 @@ func (rt *Runtime) sendLocal(pe PE, m *Message) {
 	rt.localPE(pe).mbox.push(m)
 }
 
-// countWire accounts for one message leaving for pe's node and returns it.
-func (rt *Runtime) countWire(pe PE) int {
-	rt.nMsgsWire.Add(1)
+// countWire accounts for one message from src leaving for pe's node, returned.
+func (rt *Runtime) countWire(pe, src PE) int {
+	rt.counts(src).wire.Add(1)
 	if met := rt.met; met != nil {
 		met.sendsWire.Inc()
 	}
@@ -621,7 +629,7 @@ func (rt *Runtime) bcastAllPEs(m *Message) {
 			rt.nBcastSends.Add(int64(rt.numNodes - 1))
 			for n := 0; n < rt.numNodes; n++ {
 				if n != rt.nodeID && rt.nodeActive(n) {
-					rt.qdCountSend(m.Kind) // the frame itself, matched at ingress
+					rt.qdSent(m.Src, m.Kind, 1) // the frame itself, done at the peer's ingress
 					if rt.agg != nil {
 						rt.agg.send(n, -1, m)
 					} else {
@@ -653,8 +661,8 @@ func (rt *Runtime) deliverAllLocalShared(m *Message, release func()) {
 		src = int(m.Src - rt.basePE)
 	}
 	if (m.Kind == mInvoke && m.Idx != nil) || m.Kind == mChanMsg {
+		rt.qdSent(m.Src, m.Kind, len(rt.pes)) // per copy; done when its PE has handled it
 		for _, p := range rt.pes {
-			rt.qdCountSend(m.Kind) // per-copy; matched when the PE dequeues it
 			cp := m.copyOf()
 			if tr != nil {
 				cp.enq = tr.Since()
@@ -675,8 +683,8 @@ func (rt *Runtime) deliverAllLocalShared(m *Message, release func()) {
 	if tr != nil {
 		m.enq = tr.Since()
 	}
+	rt.qdSent(m.Src, m.Kind, len(rt.pes)) // per delivery; done when that PE has handled it
 	for _, p := range rt.pes {
-		rt.qdCountSend(m.Kind) // per delivery; matched when the PE dequeues it
 		if tr != nil && m.Kind == mInvoke {
 			tr.Send(src, m.Method, m.enq, 0)
 		}
@@ -685,13 +693,13 @@ func (rt *Runtime) deliverAllLocalShared(m *Message, release func()) {
 }
 
 // peerIn is what the receive path keeps per sending node instead of
-// rebuilding it per frame: the per-PE tables onBatch sorts a batch into and
-// a stock of free invoke boxes. A transport calls the handler from one
-// goroutine per peer; mu is for a peer that re-dials (elastic rejoin) while
-// its previous connection's last frame is still being handled.
+// rebuilding it per frame: the runs onBatch sorts a batch into and a stock of
+// free invoke boxes. A transport calls the handler from one goroutine per
+// peer; mu is for a peer that re-dials (elastic rejoin) while its previous
+// connection's last frame is still being handled.
 type peerIn struct {
 	mu    sync.Mutex
-	perPE [][]*Message // local unicasts of the batch being split, by local PE
+	perPE []*msgRun // local unicasts of the batch being split, by local PE; nil: none yet
 	boxes boxStock
 }
 
@@ -701,7 +709,7 @@ func (rt *Runtime) peerIn(from int) *peerIn {
 	}
 	// A peer id outside the job (the transport takes it from the dialer's
 	// hello unchecked): nothing is kept for it.
-	return &peerIn{perPE: make([][]*Message, len(rt.pes)), boxes: boxStock{list: &rt.boxes}}
+	return &peerIn{perPE: make([]*msgRun, len(rt.pes)), boxes: boxStock{list: &rt.boxes}}
 }
 
 // onFrame handles an inbound frame from another node. A frame is valid only
@@ -747,9 +755,9 @@ func (rt *Runtime) onFrame(from int, frame []byte) {
 	rt.ordRelease(from)
 }
 
-// onBatch de-batches an aggregated frame. Messages bound for local PEs are
-// collected and pushed into each mailbox in bulk (one lock acquisition and
-// wakeup per PE per batch instead of per message).
+// onBatch de-batches an aggregated frame. What it holds for one local PE
+// reaches that PE as one mailbox item: a run (wire.go) in frame order, or the
+// message itself when there is only one.
 func (rt *Runtime) onBatch(from int, body []byte) {
 	in := rt.peerIn(from)
 	in.mu.Lock()
@@ -757,11 +765,15 @@ func (rt *Runtime) onBatch(from int, body []byte) {
 	perPE := in.perPE
 	pending := 0 // buffered local unicasts not yet counted for ordering
 	flush := func() {
-		for i, ms := range perPE {
-			if len(ms) > 0 {
-				rt.pes[i].mbox.pushAll(ms)
-				clear(ms) // the mailbox owns them now
-				perPE[i] = ms[:0]
+		for i, r := range perPE {
+			switch {
+			case r == nil || len(r.ms) == 0:
+			case len(r.ms) == 1:
+				rt.pes[i].mbox.push(r.ms[0])
+				r.ms[0], r.ms = nil, r.ms[:0]
+			default:
+				perPE[i] = nil // the PE's now, until it returns it as a chunk of boxes
+				rt.pes[i].mbox.push(&r.m)
 			}
 		}
 		// Count the ordering receives only now that the messages are in the
@@ -794,7 +806,10 @@ func (rt *Runtime) onBatch(from int, body []byte) {
 				m.enq = tr.Since()
 			}
 			i := int(dest - rt.basePE)
-			perPE[i] = append(perPE[i], m)
+			if perPE[i] == nil {
+				perPE[i] = rt.boxes.get(false)
+			}
+			perPE[i].ms = append(perPE[i].ms, m)
 			pending++
 		} else if m != nil && m.Kind == mExit {
 			return
@@ -841,12 +856,9 @@ func (rt *Runtime) ingress(from int, frame []byte, boxes *boxStock) (*Message, P
 	}
 	if m.Kind == mTraceReport {
 		rt.ordRecvFrom(from)
-		if ch := rt.traceRepCh; ch != nil {
-			if tm, ok := m.Ctl.(*traceReportMsg); ok {
-				select {
-				case ch <- tm.Report:
-				default: // duplicate or over-capacity report: drop
-				}
+		if tm, ok := m.Ctl.(*traceReportMsg); ok {
+			if err := rt.takeTraceReport(tm.Report); err != nil {
+				warn(err)
 			}
 		}
 		return nil, 0, false
@@ -860,16 +872,16 @@ func (rt *Runtime) ingress(from int, frame []byte, boxes *boxStock) (*Message, P
 	}
 	if dest < 0 {
 		rt.ordRecvFrom(from)
-		rt.qdCountRecv(m.Kind) // the broadcast frame; copies counted per-PE
 		rt.deliverAllLocal(m)
+		qdDone(rt.counts(-1), m.Kind) // the broadcast frame, its per-PE copies counted
 		return nil, 0, false
 	}
 	if !rt.isLocal(dest) {
-		// mis-routed (e.g. stale location): count as received here, then
-		// forward (the forward counts as a fresh send)
+		// mis-routed (e.g. stale location): forward, which counts as a fresh
+		// send, and only then count the frame done here
 		rt.ordRecvFrom(from)
-		rt.qdCountRecv(m.Kind)
 		rt.send(dest, m)
+		qdDone(rt.counts(-1), m.Kind)
 		return nil, 0, false
 	}
 	return m, dest, true
@@ -877,7 +889,11 @@ func (rt *Runtime) ingress(from int, frame []byte, boxes *boxStock) (*Message, P
 
 // MsgCounts returns (local, wire) message counts; used by tests and benches.
 func (rt *Runtime) MsgCounts() (local, wire int64) {
-	return rt.nMsgsLocal.Load(), rt.nMsgsWire.Load()
+	for i := range rt.cnt {
+		local += rt.cnt[i].local.Load()
+		wire += rt.cnt[i].wire.Load()
+	}
+	return local, wire
 }
 
 // BcastSends returns how many per-destination transmissions this node has

@@ -30,10 +30,10 @@ import (
 //     PE's private grantOvf FIFO until deque slots free up, so grants are
 //     never dropped and overflow costs no allocation.
 //
-// Quiescence counting treats the run-queue hop as one extra send/recv pair
-// (armed at runqPush, closed when the grant executes the message), and
-// mRunGrant itself is countable, so QD cannot fire while granted work is
-// parked in a deque or run queue.
+// Quiescence counting treats the run-queue hop as one more message: counted
+// sent at runqPush, before the mailbox message that brought it is done, and
+// done when the grant has executed it. mRunGrant itself is countable, so QD
+// cannot fire while granted work is parked in a deque or run queue.
 //
 // FT recovery and elastic drain/leave quiesce thieves through the
 // stealPause/stolenActive handshake (pauseStealing): new steals stop, and
@@ -191,7 +191,7 @@ func (p *peState) runqPush(el *element, m *Message) {
 		return
 	}
 	el.ensureRunq()
-	p.rt.qdCountSend(m.Kind) // re-arm QD across the runq hop
+	p.cnt.sent.Add(1) // the run-queue hop (m is an invoke or a channel message: countable)
 	p.rt.runqBacklog.Add(1)
 	el.runq.push(m)
 	if el.sched.CompareAndSwap(0, 1) {
@@ -212,8 +212,8 @@ func (p *peState) runInline(el *element, m *Message) {
 		batch := el.runq.takeAll()
 		for _, om := range batch {
 			rt.runqBacklog.Add(-1)
-			rt.qdCountRecv(om.Kind)
 			p.execGranted(el, om)
+			p.cnt.done.Add(1)
 		}
 		el.runq.recycle(batch)
 	}
@@ -400,8 +400,8 @@ func (p *peState) runGrant(el *element) {
 		batch := el.runq.takeAll()
 		for _, m := range batch {
 			rt.runqBacklog.Add(-1)
-			rt.qdCountRecv(m.Kind) // close the runq hop armed at runqPush
 			p.execGranted(el, m)
+			p.cnt.done.Add(1) // the run-queue hop counted at runqPush
 		}
 		el.runq.recycle(batch)
 		// Owner-only tail work: migration and AtSync stats need the routing

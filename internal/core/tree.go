@@ -232,8 +232,8 @@ func (rt *Runtime) deliverTreeInner(inner []byte, release func(), owned bool) {
 		panic(fmt.Sprintf("core: bad tree-broadcast payload: %v", err))
 	}
 	rt.rebindMsg(m)
-	rt.qdCountRecv(m.Kind)
 	rt.deliverAllLocalShared(m, release)
+	qdDone(rt.counts(-1), m.Kind) // the frame, its per-PE deliveries counted
 }
 
 // bcastTree transmits a broadcast originating at this node to its children
@@ -263,10 +263,9 @@ func (rt *Runtime) bcastTree(m *Message) {
 		transport.PutBuf(frame)
 		return
 	}
-	tr := rt.cfg.Trace
-	for _, c := range children {
-		rt.qdCountSend(m.Kind) // the frame itself, matched at the child's delivery
-		if tr != nil {
+	rt.qdSent(m.Src, m.Kind, len(children)) // the frames themselves, done at each child's delivery
+	if tr := rt.cfg.Trace; tr != nil {
+		for _, c := range children {
 			tr.TreeHop(c, tr.Since(), len(body))
 		}
 	}
@@ -317,9 +316,9 @@ func (rt *Runtime) relayTree(root int, frame []byte, kind msgKind) {
 	if len(children) == 0 {
 		return
 	}
+	rt.qdSent(-1, kind, len(children))
 	tr := rt.cfg.Trace
 	for _, c := range children {
-		rt.qdCountSend(kind)
 		if met := rt.met; met != nil {
 			met.collRelays.Inc()
 		}
@@ -344,8 +343,8 @@ func (rt *Runtime) bcastFragments(children []int, body []byte, kind msgKind, roo
 		if len(chunk) > fragChunk {
 			chunk = chunk[:fragChunk]
 		}
+		rt.qdSent(-1, kind, len(children))
 		for _, c := range children {
-			rt.qdCountSend(kind)
 			if met := rt.met; met != nil {
 				met.collFrags.Inc()
 			}
@@ -433,7 +432,7 @@ func (rt *Runtime) onFragment(from int, frame []byte) {
 		// counts; the completing fragment is counted at delivery instead, so
 		// the quiescence detector sees the broadcast in flight until it is
 		// actually handed to the local PEs.
-		rt.qdCountRecv(kind)
+		qdDone(rt.counts(-1), kind)
 		return
 	}
 	need, inner, err := splitTreeFrame(asm.buf, rt.numNodes, rt.nodeID)
@@ -452,9 +451,9 @@ func (rt *Runtime) relayFragment(frame []byte, kind msgKind, root, idx, chunkLen
 	if len(children) == 0 {
 		return
 	}
+	rt.qdSent(-1, kind, len(children))
 	tr := rt.cfg.Trace
 	for _, c := range children {
-		rt.qdCountSend(kind)
 		if met := rt.met; met != nil {
 			met.collFrags.Inc()
 		}

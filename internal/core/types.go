@@ -110,6 +110,11 @@ const (
 	// queued work: exactly one mRunGrant is in flight per element whose
 	// sched flag is held by a message rather than a running PE.
 	mRunGrant
+
+	// mRun is node-local too: one PE's share of a batch frame, pushed as one
+	// mailbox item whose Ctl is the *msgRun (wire.go). Not countable and not
+	// serializable: the messages it carries are.
+	mRun
 )
 
 // idxKeyBuf sizes the stack scratch for an index key: enough for 4

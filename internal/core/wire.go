@@ -302,7 +302,7 @@ func decodeInvoke(m *Message, body []byte, wt *wireTables, alias bool, rt *Runti
 	return nil
 }
 
-// ---- invoke boxes and the node's box list ----
+// ---- invoke boxes, runs and the node's box list ----
 //
 // Message ownership on the receive path. Every decoded invoke lives in an
 // invokeBox, and boxes are recycled: the PE dispatch loop returns the box of
@@ -331,65 +331,91 @@ func newBox() *Message {
 	return &b.m
 }
 
+// msgRun is the unit that crosses from a decoder to a PE and back. Going in,
+// it is the PE's share of one batch frame: ms holds the decoded unicasts in
+// frame order and m, of the node-local kind mRun, is the one mailbox item
+// that carries them (onBatch; a share of one message travels as itself). The
+// PE owns the run from that push on. Coming back, ms holds the boxes the PE
+// spent, emptied, and the run is a chunk of the node's box list: a decoder
+// drains it and fills it again, so neither is allocated per batch.
+type msgRun struct {
+	m  Message
+	ms []*Message
+}
+
+func newRun() *msgRun {
+	r := &msgRun{}
+	r.m = Message{Kind: mRun, Src: -1, Ctl: r}
+	return r
+}
+
+// msgWeight is what an item adds to its mailbox's length, which counts
+// messages: a run weighs what it carries.
+func msgWeight(m *Message) int64 {
+	if m.Kind == mRun {
+		return int64(len(m.Ctl.(*msgRun).ms))
+	}
+	return 1
+}
+
 const (
-	// boxChunk is how many boxes change hands at a time between a PE and a
-	// decoder: one mutex acquisition per boxChunk messages on either side.
+	// boxChunk is how many boxes a PE collects outside runs before it hands
+	// them over: two mutex acquisitions per boxChunk messages.
 	boxChunk = 256
-	// boxListChunks bounds the list (16 Ki boxes, ~3 MiB): past it a PE's
-	// returns go to the GC, so a burst does not pin its peak for the job's
-	// life.
+	// boxListChunks bounds the list; past it a PE's returns go to the GC, so
+	// a burst does not pin its peak for the job's life.
 	boxListChunks = 64
 	// boxArgSlots bounds the argument slots a box keeps between uses.
 	boxArgSlots = 16
 )
 
-// boxList is the node's free list of invoke boxes, as chunks. PEs fill
-// chunks (peState.returnBox) and decoders drain them (boxStock.take); both
-// trade a whole chunk under mu and work on it privately.
+// boxList is the node's free list of invoke boxes, as chunks. PEs put
+// chunks (a dispatched run, or peState.spent) and decoders drain them
+// (boxStock.take); both trade a whole chunk under mu and work on it
+// privately. Drained chunks wait in empty for whoever fills one next.
 type boxList struct {
-	mu    sync.Mutex
-	full  [][]*Message
-	empty [][]*Message // drained chunk slices for the PEs to fill again
-	nFull atomic.Int32 // len(full), so a decoder finds the list empty without mu
+	mu          sync.Mutex
+	full, empty []*msgRun
+	nFull       atomic.Int32 // len(full), so a decoder finds the list empty without mu
 }
 
-// put takes a full chunk from a PE and returns an empty one.
-func (l *boxList) put(c []*Message) []*Message {
+// put takes a chunk its owner is done with, boxes in it or not.
+func (l *boxList) put(c *msgRun) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if len(l.full) >= boxListChunks {
-		clear(c)
-		return c[:0]
+	if len(c.ms) == 0 {
+		if len(l.empty) < boxListChunks {
+			l.empty = append(l.empty, c)
+		}
+	} else if len(l.full) < boxListChunks {
+		l.full = append(l.full, c)
+		l.nFull.Store(int32(len(l.full)))
 	}
-	l.full = append(l.full, c)
-	l.nFull.Add(1)
-	if n := len(l.empty); n > 0 {
-		c = l.empty[n-1]
-		l.empty = l.empty[:n-1]
-		return c
-	}
-	return make([]*Message, 0, boxChunk)
 }
 
-// swap trades a decoder's drained chunk for a full one; it returns drained
-// itself when the list has none.
-func (l *boxList) swap(drained []*Message) []*Message {
-	if l.nFull.Load() == 0 {
-		return drained
+// get hands out a chunk with boxes in it (nil when there is none) or, to be
+// filled, a drained one (a new one when there is none).
+func (l *boxList) get(full bool) *msgRun {
+	if full && l.nFull.Load() == 0 {
+		return nil
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	n := len(l.full)
+	from := &l.empty
+	if full {
+		from = &l.full
+	}
+	n := len(*from)
 	if n == 0 {
-		return drained
+		if full {
+			return nil
+		}
+		return newRun()
 	}
-	c := l.full[n-1]
-	l.full[n-1] = nil
-	l.full = l.full[:n-1]
-	l.nFull.Add(-1)
-	if drained != nil {
-		l.empty = append(l.empty, drained)
-	}
+	c := (*from)[n-1]
+	(*from)[n-1] = nil
+	*from = (*from)[:n-1]
+	l.nFull.Store(int32(len(l.full)))
 	return c
 }
 
@@ -398,44 +424,56 @@ func (l *boxList) swap(drained []*Message) []*Message {
 // ones). A nil stock allocates every box.
 type boxStock struct {
 	list *boxList
-	free []*Message
+	cur  *msgRun
 }
 
 func (s *boxStock) take() *Message {
 	if s == nil {
 		return newBox()
 	}
-	if len(s.free) == 0 {
-		s.free = s.list.swap(s.free)
+	if s.cur == nil || len(s.cur.ms) == 0 {
+		c := s.list.get(true)
+		if c == nil {
+			return newBox()
+		}
+		if s.cur != nil {
+			s.list.put(s.cur)
+		}
+		s.cur = c
 	}
-	n := len(s.free)
-	if n == 0 {
-		return newBox()
-	}
-	m := s.free[n-1]
-	s.free[n-1] = nil
-	s.free = s.free[:n-1]
+	n := len(s.cur.ms)
+	m := s.cur.ms[n-1]
+	s.cur.ms[n-1] = nil
+	s.cur.ms = s.cur.ms[:n-1]
 	return m
 }
 
 // giveBack returns a box whose decode failed: no half-filled box reaches
 // anybody, and none is lost to the error.
 func (s *boxStock) giveBack(m *Message) {
-	if s != nil {
-		resetBox(m)
-		s.free = append(s.free, m)
+	if s == nil {
+		return
 	}
+	resetBox(m, false)
+	if s.cur == nil {
+		s.cur = s.list.get(false)
+	}
+	s.cur.ms = append(s.cur.ms, m)
 }
 
 // resetBox empties a box for its next use: every reference it held is
-// dropped, its index and argument slots stay.
-func resetBox(m *Message) {
+// dropped, its index and argument slots stay (poisoned, under
+// Runtime.poisonBoxes).
+func resetBox(m *Message, poison bool) {
 	args := m.Args[:cap(m.Args)]
 	clear(args)
 	if len(args) > boxArgSlots {
 		args = nil
 	}
 	*m = Message{Idx: m.Idx[:0], Args: args[:0]}
+	if poison {
+		poisonBox(m)
+	}
 }
 
 // What a returned box shows under Runtime.poisonBoxes.

@@ -71,18 +71,13 @@ func BenchmarkMailbox(b *testing.B) {
 			mb.tryPop()
 		}
 	})
-	b.Run("pushAll-64", func(b *testing.B) {
+	b.Run("run-64", func(b *testing.B) {
 		mb := newMailbox()
-		batch := make([]*Message, 64)
-		for i := range batch {
-			batch[i] = &Message{}
-		}
+		r := runOf(0, 64)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			mb.pushAll(batch)
-			for j := 0; j < 64; j++ {
-				mb.tryPop()
-			}
+			mb.push(&r.m)
+			mb.tryPop()
 		}
 	})
 }
