@@ -26,7 +26,7 @@ func TestRemoteInvokeAllocGuard(t *testing.T) {
 	}
 	res := testing.Benchmark(func(b *testing.B) {
 		nw := transport.NewMemNetwork(2)
-		benchRemoteRate(b, []transport.Transport{nw.Endpoint(0), nw.Endpoint(1)}, 0)
+		benchRemoteRate(b, []transport.Transport{nw.Endpoint(0), nw.Endpoint(1)})
 	})
 	if a := res.AllocsPerOp(); a > 1 {
 		t.Errorf("remote invoke with observability off = %d allocs/op, want <= 1 (the caller's args slice)", a)

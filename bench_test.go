@@ -278,16 +278,15 @@ func BenchmarkDispatchStructSerializedReflect(b *testing.B) {
 // ---- Ablation A7: remote invoke rate (wire path + TRAM aggregation) ----
 
 // benchRemoteRate floods fine-grained invokes from node 0 to a chare on
-// node 1 and reports sustained messages/second. batch is Config.BatchBytes:
-// 0 = default aggregation, negative = one transport frame per message. The
+// node 1 through the aggregator and reports sustained messages/second. The
 // target is bench.Ping, so the wire path runs the generated typed dispatch
 // and codecs (the hand-written FastDispatcher this benchmark used to carry
 // is superseded by `charmgo gen`).
-func benchRemoteRate(b *testing.B, transports []transport.Transport, batch int) {
+func benchRemoteRate(b *testing.B, transports []transport.Transport) {
 	b.Helper()
 	rts := make([]*core.Runtime, 2)
 	for i := range rts {
-		rts[i] = core.NewRuntime(core.Config{PEs: 1, Transport: transports[i], BatchBytes: batch})
+		rts[i] = core.NewRuntime(core.Config{PEs: 1, Transport: transports[i]})
 		rts[i].Register(&bench.Ping{})
 	}
 	var wg sync.WaitGroup
@@ -350,10 +349,8 @@ func BenchmarkRemoteInvokeRate(b *testing.B) {
 		}
 		return out
 	}
-	b.Run("mem-batched", func(b *testing.B) { benchRemoteRate(b, memPair(), 0) })
-	b.Run("mem-unbatched", func(b *testing.B) { benchRemoteRate(b, memPair(), -1) })
-	b.Run("tcp-batched", func(b *testing.B) { benchRemoteRate(b, tcpPair(b), 0) })
-	b.Run("tcp-unbatched", func(b *testing.B) { benchRemoteRate(b, tcpPair(b), -1) })
+	b.Run("mem-batched", func(b *testing.B) { benchRemoteRate(b, memPair()) })
+	b.Run("tcp-batched", func(b *testing.B) { benchRemoteRate(b, tcpPair(b)) })
 }
 
 // ---- Ablation A8: spanning-tree collectives (broadcast + reduction) ----

@@ -52,7 +52,7 @@ func parseKillSpec(s string) (node int, after time.Duration, err error) {
 func main() {
 	np := flag.Int("np", 2, "number of processes (nodes)")
 	pes := flag.Int("pes", 1, "PEs per process")
-	basePort := flag.Int("baseport", 42100, "first TCP port")
+	basePort := flag.Int("baseport", 17100, "first TCP port")
 	traceOut := flag.String("trace", "", "enable tracing; node 0 writes a Chrome trace-event timeline to this file at exit")
 	traceCap := flag.Int("trace-cap", 0, "per-PE trace ring-buffer capacity in events (0 = default)")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /trace and /debug/pprof per node at host:(port+node), e.g. 127.0.0.1:9100")

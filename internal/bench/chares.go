@@ -3,10 +3,10 @@ package bench
 import "charmgo/internal/core"
 
 // Ping is the dispatch-ablation chare shared by the root BenchmarkDispatch*
-// suite and cmd/dispatchbench. It lives in a real (non-test) package so
-// `charmgo gen` emits bindings for it: benchmarks that want the generated
-// path register Ping, benchmarks that want the reflective baseline register
-// a locally-declared twin with no bindings.
+// and BenchmarkRemoteInvokeRate suites and the repo benchmark. It lives in a
+// real (non-test) package so `charmgo gen` emits bindings for it: benchmarks
+// that want the generated path register Ping, benchmarks that want the
+// reflective baseline register a locally-declared twin with no bindings.
 type Ping struct {
 	core.Chare
 	N int

@@ -10,8 +10,9 @@ import (
 )
 
 const (
-	// defaultBatchBytes is the aggregation threshold (Config.BatchBytes).
-	defaultBatchBytes = 8 << 10
+	// batchBytes is the aggregation threshold: a batch that reaches it is
+	// transmitted by the sender that filled it (rule (a) below).
+	batchBytes = 8 << 10
 	// backstopDelay bounds how long a batch can sit when rules (a)-(c)
 	// below cannot see it: a PE that is awake but pinned in a long entry
 	// method, or whose threaded entry method blocks in plain Go code.
@@ -20,26 +21,29 @@ const (
 
 // Which rule transmitted a batch (EvFlush trace argument).
 const (
-	flushThreshold = "threshold" // the sender that filled it to BatchBytes
+	flushThreshold = "threshold" // the sender that filled it to batchBytes
 	flushIdle      = "idle"      // a PE scheduler about to park, or Exit
 	flushSender    = "sender"    // a sender that found every local PE parked
 	flushBackstop  = "backstop"  // the backstop timer
 )
 
 // aggregator is the TRAM analog (Charm++'s Topological Routing and
-// Aggregation Module): it coalesces small cross-node frames into per-
+// Aggregation Module). It exists on every node of a multi-node job and is
+// the one send path for messages to another node (tree broadcasts, exit and
+// control frames go as frames of their own): it coalesces them into per-
 // destination batch frames so that fine-grained workloads pay the transport
 // cost (syscall or queue handoff, length prefix, wakeup) once per batch
 // instead of once per message.
 //
 // Messages are serialized exactly once, directly into the outgoing batch
 // buffer (a pooled transport frame), so aggregation adds no copies to the
-// send path. A pending batch is transmitted by whoever can tell that nobody
-// else will: (a) the sender that fills it to the size threshold, (b) a PE
-// scheduler about to park (the idle hook in peState.loop/stealLoop), (c) a
-// sender that finds every local PE parked, because then no idle hook is
-// coming. While any local PE is awake, sends keep coalescing until that PE
-// drains its mailbox (back-pressure batching).
+// send path. A message of any size is appended. A pending batch is
+// transmitted by whoever can tell that nobody else will: (a) the sender that
+// fills it to batchBytes or past it, (b) a PE scheduler about to park (the
+// idle hook in peState.loop/stealLoop), (c) a sender that finds every local
+// PE parked, because then no idle hook is coming. While any local PE is
+// awake, sends keep coalescing until that PE drains its mailbox
+// (back-pressure batching).
 //
 // No send is stranded between (b) and (c): a PE counts itself into
 // rt.nIdle before its idle-hook flushAll, and a sender reads rt.nIdle
@@ -47,9 +51,8 @@ const (
 // mutex second sees the other: the PE's flush finds the append, or the
 // sender finds the PE parked and transmits itself (DESIGN.md §3.1).
 type aggregator struct {
-	rt        *Runtime
-	threshold int
-	nodes     []aggNode
+	rt    *Runtime
+	nodes []aggNode
 
 	// One-shot backstop, armed only by an empty->non-empty append that did
 	// not transmit, so an idle runtime makes no timer wake-ups.
@@ -69,15 +72,11 @@ type aggNode struct {
 	born time.Time // first append of a batch left pending; also pads to a cache line
 }
 
-func newAggregator(rt *Runtime, threshold int) *aggregator {
-	if threshold == 0 {
-		threshold = defaultBatchBytes
-	}
+func newAggregator(rt *Runtime) *aggregator {
 	a := &aggregator{
-		rt:        rt,
-		threshold: threshold,
-		nodes:     make([]aggNode, rt.numNodes),
-		delay:     backstopDelay,
+		rt:    rt,
+		nodes: make([]aggNode, rt.numNodes),
+		delay: backstopDelay,
 	}
 	a.backstop = time.AfterFunc(time.Hour, func() {
 		a.armed.Store(false) // before flushing: a later append re-arms
@@ -128,7 +127,7 @@ func (a *aggregator) close(node int, an *aggNode, off int, src, dest PE) {
 		tr.Comm(int(src), int(dest), size) // per-message wire size
 	}
 	switch {
-	case len(an.buf) >= a.threshold:
+	case len(an.buf) >= batchBytes:
 		a.xmitLocked(node, an, flushThreshold)
 	case a.rt.nIdle.Load() == int32(a.rt.cfg.PEs):
 		a.xmitLocked(node, an, flushSender)

@@ -138,12 +138,12 @@ func (w *aggWorker) Total(done Future) {
 }
 
 // TestAggregationFlood checks that a high-rate fine-grained workload arrives
-// completely and in order under default aggregation, and that batching
-// actually reduces transport frames versus messages sent.
+// completely through the aggregator, which every node of a multi-node job
+// has.
 func TestAggregationFlood(t *testing.T) {
 	rts := runFlood(t, 2, 2000, nil, nil)
 	if rts[0].agg == nil {
-		t.Fatal("aggregation not enabled by default on a multi-node job")
+		t.Fatal("no aggregator on a multi-node job")
 	}
 }
 
@@ -254,7 +254,7 @@ func TestSenderFlushesWhenAllPEsParked(t *testing.T) {
 					return false
 				}
 				for _, p := range rt.pes {
-					if !p.lfmb.parked.Load() || len(p.lfmb.wakeCh) != 0 || p.mbox.len() != 0 {
+					if !p.mbox.parked.Load() || len(p.mbox.wakeCh) != 0 || p.mbox.len() != 0 {
 						return false
 					}
 				}
@@ -380,55 +380,5 @@ func TestBackstopFlushesPinnedPE(t *testing.T) {
 	})
 	if n := rts[0].nBackstop.Load(); n == 0 {
 		t.Error("the pinned PE's batch left without the backstop counting it")
-	}
-}
-
-// TestAggregationInterop runs a job where node 0 batches and node 1 does not:
-// both frame shapes must interoperate on the same connection.
-func TestAggregationInterop(t *testing.T) {
-	node := 0
-	rts := runMultiNode(t, 2, 1, func(cfg *Config) {
-		if node == 1 {
-			cfg.BatchBytes = -1 // node 1 sends unbatched frames
-		}
-		node++
-	}, func(rt *Runtime) {
-		rt.Register(&NodeWorker{})
-	}, func(self *Chare) {
-		g := self.NewGroup(&NodeWorker{}, "mix")
-		for i := 0; i < 500; i++ {
-			if got := g.At(i % 2).CallRet("Describe").Get(); got != fmt.Sprintf("mix@pe%d", i%2) {
-				t.Fatalf("iteration %d: %v", i, got)
-			}
-		}
-	})
-	if rts[0].agg == nil || rts[1].agg != nil {
-		t.Fatalf("aggregator state: node0=%v node1=%v, want on/off",
-			rts[0].agg != nil, rts[1].agg != nil)
-	}
-}
-
-// TestAggregationDisabled runs the same traffic with batching off everywhere
-// (the plain per-message wire path must keep working).
-func TestAggregationDisabled(t *testing.T) {
-	rts := runMultiNode(t, 2, 2, func(cfg *Config) {
-		cfg.BatchBytes = -1
-	}, func(rt *Runtime) {
-		rt.Register(&aggWorker{})
-	}, func(self *Chare) {
-		g := self.NewGroup(&aggWorker{})
-		for i := 0; i < 500; i++ {
-			g.At(i%4).Call("Bump", 2)
-		}
-		f := self.CreateFuture()
-		g.Call("Total", f)
-		if got := f.Get(); got != 1000 {
-			t.Errorf("total = %v, want 1000", got)
-		}
-	})
-	for i, rt := range rts {
-		if rt.agg != nil {
-			t.Errorf("node %d: aggregator present with BatchBytes<0", i)
-		}
 	}
 }

@@ -13,8 +13,20 @@ import (
 // that finds them in disagreement was shown a box that had been returned
 // (poisoned) or handed to a later message.
 
+// bigEvery: every bigEvery-th message of a path carries a slice larger than
+// a whole batch (batchBytes), which the aggregator appends like any other and
+// then transmits at once: a cross-node flood mixes such frames into the
+// batches of small ones, and per-sender FIFO must not notice.
+const bigEvery = 50
+
 func boxArgs(seq int) (int, string, []int64) {
-	return seq, fmt.Sprintf("s%d", seq), []int64{int64(seq), 3 * int64(seq), -int64(seq)}
+	data := []int64{int64(seq), 3 * int64(seq), -int64(seq)}
+	if seq%bigEvery == bigEvery-1 {
+		for i := len(data); i*8 <= batchBytes; i++ {
+			data = append(data, int64(seq+i))
+		}
+	}
+	return seq, fmt.Sprintf("s%d", seq), data
 }
 
 func boxArgsAgree(seq int, tag string, data []int64) bool {
@@ -194,27 +206,32 @@ func seeKept(path string, a []any) {
 // handed. Every entry method must see exactly the arguments that were sent,
 // and an element flooded from the other node across many frames while a PE
 // of its own node sends to it too must see each sender's messages in order.
-// It runs once with default batching and work stealing — the messages then
-// reach their PEs as runs, and a message kept out of the middle of a run must
-// not go back with it — and once with a frame per message (the other ingress
-// path). `make guards` runs it under -race at GOMAXPROCS 1, 2 and 8.
+// It runs once with work stealing — the messages then reach their PEs as
+// runs, and a message kept out of the middle of a run must not go back with
+// it — and once with the default config, where the round trips at the end
+// each arrive alone in their batch and give their box back outside a run
+// (kv_closed's shape, the other ingress path). `make guards` runs it under
+// -race at GOMAXPROCS 1, 2 and 8.
 func TestRecycledBoxNeverObserved(t *testing.T) {
 	t.Run("batched-stealing", func(t *testing.T) {
-		inRun, keptInRun := recycledBoxJob(t, func(cfg *Config) { cfg.StealEnabled = true })
+		inRun, keptInRun, _ := recycledBoxJob(t, func(cfg *Config) { cfg.StealEnabled = true })
 		if inRun == 0 || keptInRun == 0 {
 			t.Errorf("%d entry methods ran inside a multi-message run, %d of them on a message that was kept: want both > 0",
 				inRun, keptInRun)
 		}
 	})
-	t.Run("unbatched", func(t *testing.T) {
-		recycledBoxJob(t, func(cfg *Config) { cfg.BatchBytes = -1 })
+	t.Run("default", func(t *testing.T) {
+		if _, _, alone := recycledBoxJob(t, nil); alone == 0 {
+			t.Error("no entry method began with a box given back outside a run: nothing arrived alone")
+		}
 	})
 }
 
 // recycledBoxJob reports how many entry methods began with more of their run
-// still to come, and how many of those were the threaded Work, which keeps
-// its message past the dispatch.
-func recycledBoxJob(t *testing.T, tweak func(*Config)) (inRun, keptInRun int64) {
+// still to come, how many of those were the threaded Work, which keeps its
+// message past the dispatch, and how many began while their PE held boxes
+// that messages arriving alone had given back (returnBox).
+func recycledBoxJob(t *testing.T, tweak func(*Config)) (inRun, keptInRun, alone int64) {
 	const (
 		n        = 600 // messages per path
 		group    = 8   // guarded steps are sent in descending groups of this
@@ -224,10 +241,13 @@ func recycledBoxJob(t *testing.T, tweak func(*Config)) (inRun, keptInRun int64) 
 	)
 	log := &boxLog{seen: map[string]map[int]int{}}
 	boxSeen = log
-	var nInRun, nKeptInRun atomic.Int64
+	var nInRun, nKeptInRun, nAlone atomic.Int64
 	rts := runMultiNode(t, 2, 2, tweak, func(rt *Runtime) {
 		rt.poisonBoxes = true
 		rt.holdEM = func(p *peState, m *Message) {
+			if p.spent != nil && len(p.spent.ms) > 0 {
+				nAlone.Add(1)
+			}
 			if p.cnt.runLeft.Load() > 0 {
 				nInRun.Add(1)
 				if m.Method == "Work" && m == p.cur {
@@ -295,6 +315,11 @@ func recycledBoxJob(t *testing.T, tweak func(*Config)) (inRun, keptInRun int64) 
 		for log.total() < want && time.Now().Before(deadline) {
 			plain.At(3).CallRet("Nop").Get() // yields this PE: it forwards and hosts elements too
 		}
+		// Round trips to node 1, each request alone in its batch: by the third
+		// at the latest, one finds the box of an earlier one given back.
+		for i := 0; i < 3; i++ {
+			plain.At(3).CallRet("Nop").Get()
+		}
 		fast.At(2).CallRet("Verify").Get()
 		variadic.At(3).CallRet("Verify").Get()
 	})
@@ -347,7 +372,7 @@ func recycledBoxJob(t *testing.T, tweak func(*Config)) (inRun, keptInRun int64) 
 	if free == 0 {
 		t.Error("node 1 returned no box at all: nothing was recycled, so nothing was tested")
 	}
-	return nInRun.Load(), nKeptInRun.Load()
+	return nInRun.Load(), nKeptInRun.Load(), nAlone.Load()
 }
 
 // A frame that fails to decode gives its box back, emptied: the error neither

@@ -9,7 +9,9 @@ import (
 )
 
 // fuzzFrameSeeds builds representative frames of each wire shape: interned
-// and non-interned invokes, a future-set, and a gob control frame.
+// and non-interned invokes, a future-set, and a gob control frame. The second
+// is the one invoke that still travels outside a batch: a collection
+// broadcast addressed to -1, as a tree broadcast embeds it.
 func fuzzFrameSeeds(wt *wireTables) [][]byte {
 	return [][]byte{
 		encodeMsg(3, &Message{
@@ -17,7 +19,7 @@ func fuzzFrameSeeds(wt *wireTables) [][]byte {
 			Method: "Step", Idx: []int{4, 5},
 			Args: []any{42, "x", []float64{1, 2.5}, []byte{9, 8}},
 		}),
-		appendMsg(nil, 0, &Message{
+		appendMsg(nil, -1, &Message{
 			Kind: mInvoke, CID: 1, Src: 0, MID: -1, Method: "Add",
 			Args: []any{int64(9), true, nil},
 		}, wt),

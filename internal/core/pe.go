@@ -13,19 +13,6 @@ import (
 	"charmgo/internal/ser"
 )
 
-// mboxQ is the mailbox contract a PE scheduler drains: the lock-free MPSC
-// queue (mailbox_mpsc.go, the default) or the legacy mutex ring
-// (Config.MutexMailbox).
-type mboxQ interface {
-	push(*Message) bool
-	pushFront(*Message) bool
-	pop() (*Message, bool)
-	tryPop() (*Message, bool)
-	len() int
-	close()
-	wake()
-}
-
 // peState is one processing element: a scheduler goroutine, its mailbox, and
 // the chares it currently hosts. All fields except the mailbox (and, under
 // work stealing, the deque/runq/idle machinery in steal.go) are owned by the
@@ -34,8 +21,7 @@ type mboxQ interface {
 type peState struct {
 	rt   *Runtime
 	pe   PE
-	mbox mboxQ
-	lfmb *lfMailbox // concrete mailbox when lock-free (nil under MutexMailbox)
+	mbox *mailbox
 
 	colls       map[CID]*localColl
 	pendingColl map[CID][]*Message // messages for collections not yet created here
@@ -65,7 +51,6 @@ type peState struct {
 	deque      *stealDeque // bounded Chase-Lev deque of stealable run grants
 	grantOvf   []*element  // deque-overflow grants, this goroutine only
 	ovfHead    int         // first live entry in grantOvf
-	grantCap   int64       // publish throttle: max outstanding deque grants
 	stealRng   *rand.Rand  // victim selection; seeded from Config.StealSeed+pe
 	lastVictim int         // last successful victim (affinity re-probe)
 	idle       atomic.Bool // parked with nothing to run (wake-idle protocol)
@@ -207,24 +192,10 @@ func newPEState(rt *Runtime, pe PE) *peState {
 		lbRoot:      map[CID]*lbRootState{},
 		now:         func() time.Duration { return time.Since(rt.t0) },
 		cnt:         &rt.cnt[pe-rt.basePE],
-	}
-	if rt.cfg.MutexMailbox {
-		p.mbox = newMailbox()
-	} else {
-		p.lfmb = newLFMailbox()
-		p.mbox = p.lfmb
+		mbox:        newMailbox(),
 	}
 	if rt.cfg.StealEnabled {
-		p.deque = newStealDeque(rt.dequeSize)
-		// Cap outstanding published grants well below the deque capacity:
-		// past this point thieves are not keeping up and further publishing
-		// only buys runq materialization and GC pressure (see runqPush).
-		p.grantCap = int64(rt.dequeSize) / 4
-		if p.grantCap > 64 {
-			p.grantCap = 64
-		} else if p.grantCap < 1 {
-			p.grantCap = 1
-		}
+		p.deque = &stealDeque{}
 		seed := rt.cfg.StealSeed
 		if seed == 0 {
 			seed = 0x5bd1e995

@@ -72,14 +72,6 @@ type Config struct {
 	// (sends, wire bytes, batch sizes, per-PE mailbox depth, ...); expose
 	// it with metrics.Serve. Nil costs one predicted branch per update.
 	Metrics *metrics.Registry
-	// BatchBytes is the TRAM-style aggregation threshold for cross-node
-	// sends: small frames destined for the same node are coalesced into one
-	// batch frame, transmitted when it reaches this size, when a PE runs out
-	// of work, or by a sender that finds every local PE parked
-	// (aggregator.go). 0 selects the default (8 KiB); a negative value
-	// disables aggregation (every message is its own transport frame, as in
-	// plain Charm++ without TRAM).
-	BatchBytes int
 	// TreeArity is the fan-out k of the k-ary spanning tree used for
 	// inter-node collectives (tree.go): a broadcast source sends at most k
 	// frames and each receiving node relays to at most k children, and
@@ -93,7 +85,7 @@ type Config struct {
 	// the reflect/gob fallback for every chare type. The wire format is
 	// unchanged (bound and unbound peers interoperate), so this is the
 	// ablation switch: the same program measured with and without typed
-	// dispatch/codecs (cmd/dispatchbench, BENCH_dispatch.json).
+	// dispatch/codecs (simcluster calibration, EXPERIMENTS.md §dispatch).
 	DisableGenerated bool
 	// SampleInterval, when > 0, turns on live introspection sampling (see
 	// internal/introspect and core/introspect.go): every node snapshots its
@@ -133,20 +125,12 @@ type Config struct {
 	// steal whole-chare run grants from sibling PEs' run queues. Chares of
 	// types with threaded or when-gated entry methods stay pinned to their
 	// owner PE; everything else becomes stealable while keeping per-sender
-	// FIFO order and one-PE-at-a-time execution (DESIGN.md §3.9). Requires
-	// the lock-free mailbox (incompatible with MutexMailbox).
+	// FIFO order and one-PE-at-a-time execution (DESIGN.md §3.9).
 	StealEnabled bool
-	// StealDequeSize bounds each PE's local deque of stealable run grants
-	// (rounded up to a power of two; overflow falls back to a self-message,
-	// preserving work). 0 selects the default (256).
-	StealDequeSize int
 	// StealSeed seeds each PE's victim-selection RNG (PE index is mixed in),
 	// making steal sequences replayable for deterministic tests. 0 keeps
 	// the default seed.
 	StealSeed int64
-	// MutexMailbox restores the legacy mutex+condvar ring mailbox in place
-	// of the default lock-free MPSC queue; an ablation/escape hatch.
-	MutexMailbox bool
 }
 
 // Runtime is one node of a charmgo job: it hosts PEs, the chare-type
@@ -189,7 +173,6 @@ type Runtime struct {
 	stealPause   atomic.Int32 // >0: thieves must hand grants back to owners
 	stolenActive atomic.Int32 // grants currently executing on non-owner PEs
 	runqBacklog  atomic.Int64 // messages parked in element run queues
-	dequeSize    int          // resolved Config.StealDequeSize (power of two)
 	exited       atomic.Bool
 	exitFn       sync.Once
 	wg           sync.WaitGroup
@@ -203,7 +186,7 @@ type Runtime struct {
 	cnt []peCounts // a line per local PE and, last, the node's own (quiescence.go)
 
 	wt      *wireTables         // method-name interning, built at Start
-	agg     *aggregator         // cross-node send aggregation; nil when disabled
+	agg     *aggregator         // cross-node send aggregation; nil on a single node
 	bufSend transport.BufSender // cfg.Transport's zero-copy send; nil if it has none
 
 	// receive path: the node's free invoke boxes and, per sending node, what
@@ -271,9 +254,6 @@ func NewRuntime(cfg Config) *Runtime {
 	if cfg.PEs <= 0 {
 		cfg.PEs = 1
 	}
-	if cfg.StealEnabled && cfg.MutexMailbox {
-		panic("core: Config.StealEnabled requires the lock-free mailbox (MutexMailbox must be false)")
-	}
 	rt := &Runtime{
 		cfg:      cfg,
 		types:    map[string]*chareType{},
@@ -284,13 +264,6 @@ func NewRuntime(cfg Config) *Runtime {
 		running:  make(chan struct{}),
 		frags:    map[fragKey]*fragAsm{},
 		t0:       time.Now(),
-	}
-	rt.dequeSize = cfg.StealDequeSize
-	if rt.dequeSize <= 0 {
-		rt.dequeSize = defaultDequeSize
-	}
-	for rt.dequeSize&(rt.dequeSize-1) != 0 {
-		rt.dequeSize++ // round up to a power of two (ring index masking)
 	}
 	rt.arity = cfg.TreeArity
 	if rt.arity == 0 {
@@ -332,8 +305,8 @@ func NewRuntime(cfg Config) *Runtime {
 	if cfg.Metrics != nil {
 		rt.met = newRTMetrics(rt, cfg.Metrics)
 	}
-	if rt.numNodes > 1 && cfg.BatchBytes >= 0 {
-		rt.agg = newAggregator(rt, cfg.BatchBytes)
+	if rt.numNodes > 1 {
+		rt.agg = newAggregator(rt)
 	}
 	rt.Register(&mainChare{}, Threaded("Run"))
 	return rt
@@ -469,23 +442,13 @@ func (rt *Runtime) send(pe PE, m *Message) {
 		rt.sendLocal(pe, m)
 		return
 	}
-	node := rt.countWire(pe, m.Src)
-	if rt.agg != nil {
-		rt.agg.send(node, pe, m)
-		return
-	}
-	rt.xmitMsg(node, pe, m.Src, appendMsg(transport.GetBuf(), pe, m, rt.wt))
+	rt.agg.send(rt.countWire(pe, m.Src), pe, m)
 }
 
 // sendInvoke is send for an invoke that admit routed to another node. m is
 // only read, so it can live on the caller's stack (Proxy.invoke).
 func (rt *Runtime) sendInvoke(pe PE, m *Message) {
-	node := rt.countWire(pe, m.Src)
-	if rt.agg != nil {
-		rt.agg.sendInvoke(node, pe, m)
-		return
-	}
-	rt.xmitMsg(node, pe, m.Src, appendInvoke(transport.GetBuf(), pe, m, rt.wt))
+	rt.agg.sendInvoke(rt.countWire(pe, m.Src), pe, m)
 }
 
 // admit checks and resolves a send's destination and counts and traces the
@@ -540,14 +503,6 @@ func (rt *Runtime) countWire(pe, src PE) int {
 	node := rt.nodeOf(pe)
 	rt.ordSentTo(node) // tree broadcasts must not overtake this message
 	return node
-}
-
-// xmitMsg transmits one message's frame unbatched (aggregation disabled).
-func (rt *Runtime) xmitMsg(node int, pe, src PE, frame []byte) {
-	if tr := rt.cfg.Trace; tr != nil {
-		tr.Comm(int(src), int(pe), len(frame)-transport.PrefixLen)
-	}
-	rt.xmit(node, frame)
 }
 
 // xmit hands a pooled frame buffer (from transport.GetBuf, payload after
@@ -630,11 +585,7 @@ func (rt *Runtime) bcastAllPEs(m *Message) {
 			for n := 0; n < rt.numNodes; n++ {
 				if n != rt.nodeID && rt.nodeActive(n) {
 					rt.qdSent(m.Src, m.Kind, 1) // the frame itself, done at the peer's ingress
-					if rt.agg != nil {
-						rt.agg.send(n, -1, m)
-					} else {
-						rt.xmit(n, appendMsg(transport.GetBuf(), -1, m, rt.wt))
-					}
+					rt.agg.send(n, -1, m)
 				}
 			}
 		}

@@ -39,7 +39,15 @@ import (
 // stealPause/stolenActive handshake (pauseStealing): new steals stop, and
 // any grant a thief already holds is handed back to its owner untouched.
 
-const defaultDequeSize = 256
+const (
+	// dequeSize is each PE's deque capacity in run grants (a power of two,
+	// for ring index masking); overflow parks in grantOvf.
+	dequeSize = 256
+	// grantCap caps a PE's outstanding published grants well below the deque
+	// capacity: past it thieves are not keeping up and further publishing
+	// only buys runq materialization and GC pressure (see runqPush).
+	grantCap = 64
+)
 
 // elemRunq is one element's FIFO of granted-but-unexecuted messages. The
 // mutex only ever contends between the owner (push, while routing) and the
@@ -97,14 +105,9 @@ func (r *elemRunq) len() int {
 // only succeed on the element it read (slot reuse requires bottom to lap the
 // capacity, which pushBottom rejects while top is that far behind).
 type stealDeque struct {
-	mask   int64
-	buf    []atomic.Pointer[element]
+	buf    [dequeSize]atomic.Pointer[element]
 	top    atomic.Int64
 	bottom atomic.Int64
-}
-
-func newStealDeque(size int) *stealDeque {
-	return &stealDeque{mask: int64(size) - 1, buf: make([]atomic.Pointer[element], size)}
 }
 
 // pushBottom publishes el at the bottom; false when the deque is full (a
@@ -112,10 +115,10 @@ func newStealDeque(size int) *stealDeque {
 func (d *stealDeque) pushBottom(el *element) bool {
 	b := d.bottom.Load()
 	t := d.top.Load()
-	if b-t >= int64(len(d.buf)) {
+	if b-t >= dequeSize {
 		return false
 	}
-	d.buf[b&d.mask].Store(el)
+	d.buf[b&(dequeSize-1)].Store(el)
 	d.bottom.Store(b + 1)
 	return true
 }
@@ -130,7 +133,7 @@ func (d *stealDeque) popBottom() (*element, bool) {
 		d.bottom.Store(b + 1)
 		return nil, false
 	}
-	el := d.buf[b&d.mask].Load()
+	el := d.buf[b&(dequeSize-1)].Load()
 	if t == b {
 		if !d.top.CompareAndSwap(t, t+1) {
 			d.bottom.Store(b + 1)
@@ -149,7 +152,7 @@ func (d *stealDeque) stealTop() (*element, bool) {
 	if t >= b {
 		return nil, false
 	}
-	el := d.buf[t&d.mask].Load()
+	el := d.buf[t&(dequeSize-1)].Load()
 	if !d.top.CompareAndSwap(t, t+1) {
 		return nil, false
 	}
@@ -185,7 +188,7 @@ func (p *peState) runqPush(el *element, m *Message) {
 	// unaffected — there the thieves drain the deque continuously, so
 	// occupancy stays below the cap and publishing resumes at once.
 	if (p.rt.nIdle.Load() == 0 ||
-		p.deque.size() >= p.grantCap || len(p.grantOvf) > p.ovfHead) &&
+		p.deque.size() >= grantCap || len(p.grantOvf) > p.ovfHead) &&
 		el.sched.CompareAndSwap(0, 1) {
 		p.runInline(el, m)
 		return
@@ -302,7 +305,7 @@ func (p *peState) stealLoop() {
 		if tr != nil {
 			idleAt = tr.Since()
 		}
-		p.lfmb.park(p.alsoFn)
+		p.mbox.park(p.alsoFn)
 		if p.idle.CompareAndSwap(true, false) {
 			p.rt.nIdle.Add(-1)
 		}

@@ -214,29 +214,6 @@ func TestStealThreadedTypeStaysPinned(t *testing.T) {
 	})
 }
 
-// TestStealConfigValidation: stealing requires the lock-free mailbox.
-func TestStealConfigValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("NewRuntime(StealEnabled+MutexMailbox) did not panic")
-		}
-	}()
-	NewRuntime(Config{PEs: 2, StealEnabled: true, MutexMailbox: true})
-}
-
-// TestMutexMailboxFallback: the legacy ring mailbox stays selectable.
-func TestMutexMailboxFallback(t *testing.T) {
-	runJob(t, Config{PEs: 2, MutexMailbox: true}, func(rt *Runtime) {
-		rt.Register(&Hello{})
-	}, func(self *Chare) {
-		p := self.NewChare(&Hello{}, PE(1))
-		p.Call("SayHi", "via mutex mailbox")
-		if got := p.CallRet("Greetings").Get(); got != 1 {
-			t.Errorf("Greetings = %v, want 1", got)
-		}
-	})
-}
-
 // TestStealMissAllocs pins the steal-miss probe (idle PE finds no victim
 // work) at zero allocations — it runs in the idle loop and must not churn.
 func TestStealMissAllocs(t *testing.T) {

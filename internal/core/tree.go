@@ -108,11 +108,11 @@ type msgShared struct {
 
 // bcastOrder keeps tree broadcasts causally behind the point-to-point
 // traffic their source sent first. sent[n] counts the messages this node
-// has addressed to node n over direct links (unicasts, batched or not, and
-// legacy -1 frames — everything the peer's ingress will count into
-// recv[self]); a broadcast snapshots the whole vector into its frame, and a
-// receiver holds delivery until recv[root] reaches the snapshot's entry for
-// itself. Relays are never held.
+// has addressed to node n in batches (every send through countWire —
+// everything the peer's ingress will count into recv[self]); a broadcast
+// snapshots the whole vector into its frame, and a receiver holds delivery
+// until recv[root] reaches the snapshot's entry for itself. Relays are never
+// held.
 type bcastOrder struct {
 	sent []atomic.Int64
 	recv []atomic.Int64

@@ -46,8 +46,10 @@ func init() {
 //
 //	[4B LE batchDest][ [4B LE len][frame] ... ]
 //
-// where batchDest is the reserved pseudo-destination -2. Both frame shapes
-// may arrive from any peer, so batched and unbatched nodes interoperate.
+// where batchDest is the reserved pseudo-destination -2. Every message from
+// one node to another travels in a batch (aggregator.go); a standard frame
+// of its own carries exit and control traffic, or sits inside a tree
+// broadcast.
 //
 // Spanning-tree collectives (tree.go) add two more reserved shapes:
 //

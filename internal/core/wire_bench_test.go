@@ -60,8 +60,8 @@ func BenchmarkMailbox(b *testing.B) {
 	b.Run("pushFront-pop", func(b *testing.B) {
 		mb := newMailbox()
 		m := &Message{}
-		// Keep a standing queue so pushFront exercises a non-empty ring (the
-		// seed implementation re-allocated the whole queue here).
+		// Keep a standing queue so each pop drains the priority side queue
+		// ahead of a non-empty main queue.
 		for i := 0; i < 1024; i++ {
 			mb.push(m)
 		}

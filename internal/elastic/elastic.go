@@ -17,7 +17,8 @@
 //     PEs migrate to the least-loaded active PE.
 //   - Service (service.go) is the kvservice serving harness: a keyed Shard
 //     array behind a request-routing front end, with node join/leave under
-//     live load. examples/kvservice and cmd/kvbench both drive it.
+//     live load. examples/kvservice and the benchmark's kv_closed workload
+//     both drive it.
 package elastic
 
 import (

@@ -34,12 +34,12 @@ type Calibration struct {
 // Default returns a deterministic calibration (used by tests, so results
 // don't depend on the build machine): a ~2 ns/cell kernel, ~0.1 ns/B copy
 // cost, and per-message overheads recalibrated against the lock-free PE
-// scheduler (DESIGN.md §3.9, EXPERIMENTS.md §manychares). The balanced
-// cells of BENCH_manychares.json put the end-to-end per-message scheduler
-// cost at ~1.8 us under the legacy mutex mailbox vs ~1.3 us lock-free, so
-// the charm paths drop 0.5 us from their paper-era values (2.0/5.0 us):
-// both static and dynamic dispatch ride the same mailbox, so the saving is
-// additive, not proportional. MPIMsgSec is unchanged — mini-MPI's
+// scheduler (DESIGN.md §3.9). The balanced cells of the overdecomposition
+// sweep (EXPERIMENTS.md §manychares, a 1-CPU record) put the end-to-end
+// per-message scheduler cost at ~1.8 us under the since-deleted mutex
+// mailbox vs ~1.3 us lock-free, so the charm paths drop 0.5 us from their
+// paper-era values (2.0/5.0 us): both static and dynamic dispatch ride the
+// same mailbox, so the saving is additive, not proportional. MPIMsgSec is unchanged — mini-MPI's
 // rendezvous path does not go through the core mailboxes.
 func Default() Calibration {
 	return Calibration{
