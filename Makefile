@@ -75,7 +75,9 @@ check: build lint gencheck guards
 # the kvservice timeout and close-at-once tests; then, under the race
 # detector at 1, 2 and 8 scheduler threads, the two that race a parking PE or
 # a starting node, the one that poisons every returned invoke box (and checks
-# the run semantics: per-sender FIFO, kept messages), and the quiescence
+# the run semantics: per-sender FIFO, kept messages), the scheduler's own
+# per-sender FIFO and one-PE-at-a-time tests (TestPerSenderFIFO,
+# TestSingleExecution, the second across migrations), and the quiescence
 # tests 20 times over (qd-soak: QD_COUNT = 200 times, the gate for a change
 # to the counting sites of DESIGN.md §quiescence).
 QD_TESTS = TestQuiescence|TestQDNotEarly|TestStressMultiNode
@@ -86,7 +88,7 @@ guards:
 	$(GO) test -count=1 -run 'TestSenderFlushesWhenAllPEsParked|TestNoStrandedSendUnderParkRace|TestFloodStillBatches|TestBackstopFlushesPinnedPE' ./internal/core
 	$(GO) test -count=1 -run 'TestServiceCloseImmediately|TestCallTimeoutStillFires' ./internal/elastic
 	for p in 1 2 8; do \
-		GOMAXPROCS=$$p $(GO) test -race -count=1 -run 'TestNoStrandedSendUnderParkRace|TestRecycledBoxNeverObserved' ./internal/core && \
+		GOMAXPROCS=$$p $(GO) test -race -count=1 -run 'TestNoStrandedSendUnderParkRace|TestRecycledBoxNeverObserved|TestPerSenderFIFO|TestSingleExecution' ./internal/core && \
 		GOMAXPROCS=$$p $(GO) test -race -count=1 -run 'TestServiceCloseImmediately' ./internal/elastic || exit 1; \
 	done
 	$(MAKE) qd-soak QD_COUNT=20

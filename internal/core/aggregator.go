@@ -40,7 +40,7 @@ const (
 // send path. A message of any size is appended. A pending batch is
 // transmitted by whoever can tell that nobody else will: (a) the sender that
 // fills it to batchBytes or past it, (b) a PE scheduler about to park (the
-// idle hook in peState.loop/stealLoop), (c) a sender that finds every local
+// idle hook in peState.loop), (c) a sender that finds every local
 // PE parked, because then no idle hook is coming. While any local PE is
 // awake, sends keep coalescing until that PE drains its mailbox
 // (back-pressure batching).

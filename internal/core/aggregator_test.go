@@ -228,62 +228,58 @@ func (r *recTransport) sent() [][]byte {
 // parked no idle hook is coming, so a send from outside the schedulers must
 // have put its frame on the transport by the time it returns.
 func TestSenderFlushesWhenAllPEsParked(t *testing.T) {
-	for _, steal := range []bool{false, true} {
-		t.Run(fmt.Sprintf("steal=%v", steal), func(t *testing.T) {
-			const pes = 2
-			rec := &recTransport{}
-			rt := NewRuntime(Config{PEs: pes, Transport: rec, StealEnabled: steal})
-			rt.Register(&aggWorker{})
-			rt.agg.delay = time.Hour // only rules (a)-(c) may transmit
-			ready := make(chan Proxy, 1)
-			go rt.Start(func(self *Chare) {
-				ready <- self.NewArray(&aggWorker{}, []int{2 * pes})
-				self.Wait("1 == 2") // park the main thread; Exit ends the job
-			})
-			arr := <-ready
-			// One round trip through each local PE drains what the boot left
-			// in the mailboxes; from then on no PE is sent anything, so a PE
-			// seen blocked in park (flag up, mailbox empty, no wake token)
-			// after nIdle counted them all stays there.
-			for pe := 0; pe < pes; pe++ {
-				ch, _ := arr.At(pe).ExtCall("Bump", 1)
-				<-ch
-			}
-			allParked := func() bool {
-				if rt.nIdle.Load() != pes {
-					return false
-				}
-				for _, p := range rt.pes {
-					if !p.mbox.parked.Load() || len(p.mbox.wakeCh) != 0 || p.mbox.len() != 0 {
-						return false
-					}
-				}
-				return true
-			}
-			for !allParked() {
-				runtime.Gosched()
-			}
-			before := len(rec.sent())
-			arr.At(2*pes-1).ExtCall("Bump", 1) // last element: hosted by node 1
-			frames := rec.sent()[before:]
-			if len(frames) != 1 {
-				t.Fatalf("ExtCall returned with %d new frames on the transport, want 1", len(frames))
-			}
-			f := frames[0]
-			if d := int32(binary.LittleEndian.Uint32(f)); d != batchDest {
-				t.Fatalf("frame dest = %d, want a batch frame", d)
-			}
-			_, m, err := decodeMsgWT(f[8:], rt.wt) // skip batch header + sub-frame length
-			if err != nil || m.Method != "Bump" {
-				t.Fatalf("batched sub-frame = %+v, %v; want the Bump invoke", m, err)
-			}
-			if n := rt.nBackstop.Load(); n != 0 {
-				t.Errorf("%d batches left by the backstop, want 0", n)
-			}
-			rt.Exit()
-			<-rt.Done()
-		})
+	const pes = 2
+	rec := &recTransport{}
+	rt := NewRuntime(Config{PEs: pes, Transport: rec})
+	rt.Register(&aggWorker{})
+	rt.agg.delay = time.Hour // only rules (a)-(c) may transmit
+	ready := make(chan Proxy, 1)
+	go rt.Start(func(self *Chare) {
+		ready <- self.NewArray(&aggWorker{}, []int{2 * pes})
+		self.Wait("1 == 2") // park the main thread; Exit ends the job
+	})
+	arr := <-ready
+	// One round trip through each local PE drains what the boot left
+	// in the mailboxes; from then on no PE is sent anything, so a PE
+	// seen blocked in park (flag up, mailbox empty, no wake token)
+	// after nIdle counted them all stays there.
+	for pe := 0; pe < pes; pe++ {
+		ch, _ := arr.At(pe).ExtCall("Bump", 1)
+		<-ch
 	}
+	allParked := func() bool {
+		if rt.nIdle.Load() != pes {
+			return false
+		}
+		for _, p := range rt.pes {
+			if !p.mbox.parked.Load() || len(p.mbox.wakeCh) != 0 || p.mbox.len() != 0 {
+				return false
+			}
+		}
+		return true
+	}
+	for !allParked() {
+		runtime.Gosched()
+	}
+	before := len(rec.sent())
+	arr.At(2*pes-1).ExtCall("Bump", 1) // last element: hosted by node 1
+	frames := rec.sent()[before:]
+	if len(frames) != 1 {
+		t.Fatalf("ExtCall returned with %d new frames on the transport, want 1", len(frames))
+	}
+	f := frames[0]
+	if d := int32(binary.LittleEndian.Uint32(f)); d != batchDest {
+		t.Fatalf("frame dest = %d, want a batch frame", d)
+	}
+	_, m, err := decodeMsgWT(f[8:], rt.wt) // skip batch header + sub-frame length
+	if err != nil || m.Method != "Bump" {
+		t.Fatalf("batched sub-frame = %+v, %v; want the Bump invoke", m, err)
+	}
+	if n := rt.nBackstop.Load(); n != 0 {
+		t.Errorf("%d batches left by the backstop, want 0", n)
+	}
+	rt.Exit()
+	<-rt.Done()
 }
 
 // TestNoStrandedSendUnderParkRace proves the park/send handshake: a PE
@@ -298,50 +294,48 @@ func TestNoStrandedSendUnderParkRace(t *testing.T) {
 	if testing.Short() {
 		calls = 5000
 	}
-	for _, steal := range []bool{false, true} {
-		for _, clients := range []int{1, 4} {
-			t.Run(fmt.Sprintf("steal=%v/clients=%d", steal, clients), func(t *testing.T) {
-				nw := transport.NewMemNetwork(2)
-				var rts [2]*Runtime
-				ready := make(chan Proxy, 1)
-				for i := range rts {
-					rts[i] = NewRuntime(Config{PEs: 1, Transport: nw.Endpoint(i), StealEnabled: steal})
-					rts[i].Register(&aggWorker{})
-					rts[i].agg.delay = time.Hour
-					go rts[i].Start(func(self *Chare) {
-						ready <- self.NewArray(&aggWorker{}, []int{2})
-						self.Wait("1 == 2")
-					})
-				}
-				remote := (<-ready).At(1) // element 1 lives on node 1
-				var wg sync.WaitGroup
-				for c := 0; c < clients; c++ {
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						for i := 0; i < calls; i++ {
-							ch, _ := remote.ExtCall("Bump", 1)
-							<-ch
-						}
-					}()
-				}
-				done := make(chan struct{})
-				go func() { wg.Wait(); close(done) }()
-				select {
-				case <-done:
-				case <-time.After(5 * time.Minute): // hang detector, not a latency bound
-					t.Fatal("a request was stranded: not every reply arrived")
-				}
-				rts[0].Exit()
-				for i, rt := range rts {
-					<-rt.Done()
-					if n := rt.nBackstop.Load(); n != 0 {
-						t.Errorf("node %d: %d batches left by the backstop, want 0", i, n)
+	for _, clients := range []int{1, 4} {
+		t.Run(fmt.Sprintf("clients=%d", clients), func(t *testing.T) {
+			nw := transport.NewMemNetwork(2)
+			var rts [2]*Runtime
+			ready := make(chan Proxy, 1)
+			for i := range rts {
+				rts[i] = NewRuntime(Config{PEs: 1, Transport: nw.Endpoint(i)})
+				rts[i].Register(&aggWorker{})
+				rts[i].agg.delay = time.Hour
+				go rts[i].Start(func(self *Chare) {
+					ready <- self.NewArray(&aggWorker{}, []int{2})
+					self.Wait("1 == 2")
+				})
+			}
+			remote := (<-ready).At(1) // element 1 lives on node 1
+			var wg sync.WaitGroup
+			for c := 0; c < clients; c++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < calls; i++ {
+						ch, _ := remote.ExtCall("Bump", 1)
+						<-ch
 					}
-					nw.Endpoint(i).Close()
+				}()
+			}
+			done := make(chan struct{})
+			go func() { wg.Wait(); close(done) }()
+			select {
+			case <-done:
+			case <-time.After(5 * time.Minute): // hang detector, not a latency bound
+				t.Fatal("a request was stranded: not every reply arrived")
+			}
+			rts[0].Exit()
+			for i, rt := range rts {
+				<-rt.Done()
+				if n := rt.nBackstop.Load(); n != 0 {
+					t.Errorf("node %d: %d batches left by the backstop, want 0", i, n)
 				}
-			})
-		}
+				nw.Endpoint(i).Close()
+			}
+		})
 	}
 }
 

@@ -107,8 +107,7 @@ func (w *boxThreaded) Work(seq int, tag string, data []int64) int {
 
 func (w *boxThreaded) Release() { w.Open = 1 }
 
-// boxPlain has neither guard nor thread, so under Config.StealEnabled its
-// messages go through the element's run queue and may run on the sibling PE.
+// boxPlain has neither guard nor thread; element 2 migrates mid-flood.
 type boxPlain struct {
 	Chare
 }
@@ -201,27 +200,24 @@ func seeKept(path string, a []any) {
 // dispatch that dequeued it: a when-guarded method delivered out of order, a
 // threaded method that yields first, invokes forwarded after a migration (on
 // the node and back across the wire), a whole-array broadcast and a node-level
-// broadcast of an element-addressed invoke, a stealable element's run queue,
-// and a FastDispatcher and a variadic method that store what they are
-// handed. Every entry method must see exactly the arguments that were sent,
-// and an element flooded from the other node across many frames while a PE
-// of its own node sends to it too must see each sender's messages in order.
-// It runs once with work stealing — the messages then reach their PEs as
-// runs, and a message kept out of the middle of a run must not go back with
-// it — and once with the default config, where the round trips at the end
+// broadcast of an element-addressed invoke, and a FastDispatcher and a
+// variadic method that store what they are handed. Every entry method must
+// see exactly the arguments that were sent, and an element flooded from the
+// other node across many frames while a PE of its own node sends to it too
+// must see each sender's messages in order. Both ingress paths must be
+// driven: the flood reaches its PEs as runs, and a message kept out of the
+// middle of a run must not go back with it, while the round trips at the end
 // each arrive alone in their batch and give their box back outside a run
-// (kv_closed's shape, the other ingress path). `make guards` runs it under
-// -race at GOMAXPROCS 1, 2 and 8.
+// (kv_closed's shape). `make guards` runs it under -race at GOMAXPROCS 1, 2
+// and 8.
 func TestRecycledBoxNeverObserved(t *testing.T) {
-	t.Run("batched-stealing", func(t *testing.T) {
-		inRun, keptInRun, _ := recycledBoxJob(t, func(cfg *Config) { cfg.StealEnabled = true })
+	t.Run("default", func(t *testing.T) {
+		inRun, keptInRun, alone := recycledBoxJob(t)
 		if inRun == 0 || keptInRun == 0 {
 			t.Errorf("%d entry methods ran inside a multi-message run, %d of them on a message that was kept: want both > 0",
 				inRun, keptInRun)
 		}
-	})
-	t.Run("default", func(t *testing.T) {
-		if _, _, alone := recycledBoxJob(t, nil); alone == 0 {
+		if alone == 0 {
 			t.Error("no entry method began with a box given back outside a run: nothing arrived alone")
 		}
 	})
@@ -231,7 +227,7 @@ func TestRecycledBoxNeverObserved(t *testing.T) {
 // still to come, how many of those were the threaded Work, which keeps its
 // message past the dispatch, and how many began while their PE held boxes
 // that messages arriving alone had given back (returnBox).
-func recycledBoxJob(t *testing.T, tweak func(*Config)) (inRun, keptInRun, alone int64) {
+func recycledBoxJob(t *testing.T) (inRun, keptInRun, alone int64) {
 	const (
 		n        = 600 // messages per path
 		group    = 8   // guarded steps are sent in descending groups of this
@@ -242,7 +238,7 @@ func recycledBoxJob(t *testing.T, tweak func(*Config)) (inRun, keptInRun, alone 
 	log := &boxLog{seen: map[string]map[int]int{}}
 	boxSeen = log
 	var nInRun, nKeptInRun, nAlone atomic.Int64
-	rts := runMultiNode(t, 2, 2, tweak, func(rt *Runtime) {
+	rts := runMultiNode(t, 2, 2, nil, func(rt *Runtime) {
 		rt.poisonBoxes = true
 		rt.holdEM = func(p *peState, m *Message) {
 			if p.spent != nil && len(p.spent.ms) > 0 {

@@ -252,11 +252,7 @@ func (c *Chare) Migrate(toPE PE) {
 func (c *Chare) AtSync() {
 	ec := c.ctx()
 	ec.el.atSync.Store(true)
-	// On a thief PE the stats scan must wait for the owner: the grant tail
-	// (steal.go runGrant) hands the grant home, and the owner runs the scan.
-	if ec.p == ec.el.owner || ec.el.owner == nil {
-		ec.p.lbMaybeSendStats(ec.coll)
-	}
+	ec.p.lbMaybeSendStats(ec.coll)
 }
 
 // Load returns the wall-clock entry-method time accumulated by this chare

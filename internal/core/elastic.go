@@ -268,7 +268,7 @@ func (rt *Runtime) ActivePEList() []PE {
 // PE mailboxes — the backlog signal admission control gates on. Safe from
 // any goroutine.
 func (rt *Runtime) MailboxDepth() int {
-	n := int(rt.runqBacklog.Load()) // stealable work parked on element run queues
+	n := 0
 	for _, p := range rt.pes {
 		n += p.depth()
 	}
@@ -1038,10 +1038,6 @@ func (rt *Runtime) ElasticLeave(timeout time.Duration) error {
 	if !rt.nodeActive(rt.nodeID) {
 		return errors.New("core: node is not an active member")
 	}
-	// Stop stealing for good on the leaver: the drain loop migrates every
-	// element away, and a thief holding a run grant would race the censused
-	// move orders. The node is being torn down, so this never resumes.
-	rt.pauseStealing()
 	return rt.elasticRequest(elOpLeave, timeout)
 }
 
@@ -1064,13 +1060,7 @@ func (rt *Runtime) ElasticSettle(timeout time.Duration) error {
 			return errors.New("core: mailboxes failed to settle")
 		}
 		time.Sleep(10 * time.Millisecond)
-		busy := rt.runqBacklog.Load() > 0
-		for _, p := range rt.pes {
-			if p.mbox.len() > 0 {
-				busy = true
-			}
-		}
-		if busy {
+		if rt.MailboxDepth() > 0 {
 			quiet = 0
 		} else {
 			quiet++

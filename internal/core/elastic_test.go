@@ -183,6 +183,25 @@ func TestElasticJoinLeave(t *testing.T) {
 	}
 }
 
+// TestElasticSettleWaitsForRun: a PE working through a batch run has already
+// popped the run, so its mailbox reads empty while messages of the run are
+// still to be handled. ElasticSettle must count those and not report the
+// node settled.
+func TestElasticSettleWaitsForRun(t *testing.T) {
+	nw := transport.NewMemNetwork(2)
+	defer nw.Endpoint(0).Close()
+	defer nw.Endpoint(1).Close()
+	rt := NewRuntime(Config{PEs: 2, Transport: nw.Endpoint(0), InitialActive: []int{0}})
+	close(rt.byeCh) // every goodbye is in
+	rt.pes[1].cnt.runLeft.Store(1)
+	if rt.pes[1].mbox.len() != 0 {
+		t.Fatal("mailbox not empty: the run must be the only work left")
+	}
+	if err := rt.ElasticSettle(200 * time.Millisecond); err == nil {
+		t.Fatal("ElasticSettle reported settled while a PE was inside a run")
+	}
+}
+
 // TestElasticJoinUnderLoad keeps requests in flight through a join and a
 // leave and asserts none are lost: every reply arrives and every written key
 // reads back.

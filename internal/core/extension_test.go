@@ -147,7 +147,7 @@ func ringTotal(self *Chare, g Proxy) int {
 // TestQDNotEarlyWhileHandlerPending is the deterministic form of what made
 // TestQuiescenceAfterRing flaky: a message that has been dequeued but whose
 // handler has not run must keep the job out of quiescence, wherever it
-// waits — after the mailbox, after an ingress forward, after a run queue.
+// waits — after the mailbox or after an ingress forward.
 // Counting a message at dequeue failed every one of these on every run.
 func TestQDNotEarlyWhileHandlerPending(t *testing.T) {
 	pass := func(pe PE) func(p *peState, m *Message) bool {
@@ -196,15 +196,6 @@ func TestQDNotEarlyWhileHandlerPending(t *testing.T) {
 				t.Errorf("after QD: %d hops seen, want 6", total)
 			}
 		})
-	})
-	t.Run("runq", func(t *testing.T) {
-		// RingNode is stealable: its messages wait in the element's run queue
-		// for whichever PE takes the grant, and that PE is parked (p.cur is
-		// not the message when it came out of a run queue, not the mailbox).
-		h := &qdHold{match: func(p *peState, m *Message) bool {
-			return m.Method == "Pass" && p.pe != 0 && p.cur != m
-		}}
-		runJob(t, Config{PEs: 4, StealEnabled: true}, reg(h), ring(t, h, 26))
 	})
 }
 

@@ -136,17 +136,11 @@ func (c *Chare) FTCheckpoint() (int64, error) {
 		return 0, fmt.Errorf("core: FTCheckpoint requires Config.FT (see internal/ft)")
 	}
 	c.WaitQD()
-	// Quiesce thieves for the snapshot window: collectBundle serializes
-	// elements on their owner PE and must not observe a chare mid-execution
-	// on a sibling. WaitQD already drained the run queues, so this settles
-	// immediately; it guards the race with a grant still unwinding.
-	rt.pauseStealing()
 	epoch := rt.ftEpoch.Add(1)
 	f := ec.p.newFuture(rt.numNodes, true)
 	rt.bcastAllPEs(&Message{Kind: mFTCollect, Src: ec.p.pe,
 		Ctl: &ftCollectMsg{Epoch: epoch, Fut: f.Ref}})
 	f.Get()
-	rt.resumeStealing()
 	return epoch, nil
 }
 
@@ -301,10 +295,6 @@ func RestartFromMemory(rt *Runtime, entry func(self *Chare, colls map[CID]Proxy,
 	var rerr error
 	rt.Start(func(self *Chare) {
 		p := self.ctx().p
-		// Hold off stealing for the whole recovery round: elements are being
-		// re-injected and re-placed, and a thief racing an install would see a
-		// half-built collection map.
-		rt.pauseStealing()
 		// (1) Every surviving node reports its holdings.
 		f1 := p.newFuture(rt.numNodes, false)
 		for n := 0; n < rt.numNodes; n++ {
@@ -403,7 +393,6 @@ func RestartFromMemory(rt *Runtime, entry func(self *Chare, colls map[CID]Proxy,
 		if tr := rt.cfg.Trace; tr != nil {
 			tr.Recovery(int(best), tr.Since(), 0)
 		}
-		rt.resumeStealing()
 		entry(self, colls, best)
 	})
 	return rerr

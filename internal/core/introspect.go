@@ -88,12 +88,10 @@ type introLBMovesMsg struct {
 // on the hot path only when a sampler is attached (one predicted branch
 // otherwise, and never an allocation).
 type peStats struct {
-	busy       atomic.Int64 // entry-method nanos, added at EM/segment completion
-	ems        atomic.Int64 // entry methods completed
-	recvs      atomic.Int64 // messages dequeued
-	emStart    atomic.Int64 // PE-clock start (peState.stamp) of the in-flight EM; 0 when idle
-	steals     atomic.Int64 // run grants stolen from sibling PEs (steal.go)
-	stealFails atomic.Int64 // steal attempts that found no victim work
+	busy    atomic.Int64 // entry-method nanos, added at EM/segment completion
+	ems     atomic.Int64 // entry methods completed
+	recvs   atomic.Int64 // messages dequeued
+	emStart atomic.Int64 // PE-clock start (peState.stamp) of the in-flight EM; 0 when idle
 }
 
 // sampler is the per-node sampling goroutine plus the round state collecting
@@ -105,14 +103,13 @@ type sampler struct {
 	stop     chan struct{}
 	done     chan struct{}
 
-	mu         sync.Mutex
-	seq        int64
-	lastTick   time.Time
-	prevBusy   []int64 // per local PE: effective busy nanos at last tick
-	prevEMs    []int64
-	prevRecvs  []int64
-	prevSteals []int64
-	cur        *sampleRound
+	mu        sync.Mutex
+	seq       int64
+	lastTick  time.Time
+	prevBusy  []int64 // per local PE: effective busy nanos at last tick
+	prevEMs   []int64
+	prevRecvs []int64
+	cur       *sampleRound
 }
 
 type sampleRound struct {
@@ -127,16 +124,15 @@ func newSampler(rt *Runtime) *sampler {
 		topK = 5
 	}
 	return &sampler{
-		rt:         rt,
-		interval:   rt.cfg.SampleInterval,
-		topK:       topK,
-		stop:       make(chan struct{}),
-		done:       make(chan struct{}),
-		lastTick:   time.Now(),
-		prevBusy:   make([]int64, rt.cfg.PEs),
-		prevEMs:    make([]int64, rt.cfg.PEs),
-		prevRecvs:  make([]int64, rt.cfg.PEs),
-		prevSteals: make([]int64, rt.cfg.PEs),
+		rt:        rt,
+		interval:  rt.cfg.SampleInterval,
+		topK:      topK,
+		stop:      make(chan struct{}),
+		done:      make(chan struct{}),
+		lastTick:  time.Now(),
+		prevBusy:  make([]int64, rt.cfg.PEs),
+		prevEMs:   make([]int64, rt.cfg.PEs),
+		prevRecvs: make([]int64, rt.cfg.PEs),
 	}
 }
 
@@ -202,21 +198,17 @@ func (s *sampler) tick() {
 		s.prevBusy[i] = busy
 		ems := p.stats.ems.Load()
 		recvs := p.stats.recvs.Load()
-		steals := p.stats.steals.Load()
 		ps := introspect.PESample{
 			PE:           int(rt.basePE) + i,
 			BusyNanos:    dBusy,
 			EMs:          ems - s.prevEMs[i],
 			Recvs:        recvs - s.prevRecvs[i],
-			Steals:       steals - s.prevSteals[i],
 			MailboxDepth: p.depth(),
 			TotalEMs:     ems,
 			TotalRecvs:   recvs,
-			TotalSteals:  steals,
 		}
 		s.prevEMs[i] = ems
 		s.prevRecvs[i] = recvs
-		s.prevSteals[i] = steals
 		if window > 0 {
 			ps.Util = float64(dBusy) / float64(window)
 			if ps.Util > 1 {
@@ -583,17 +575,6 @@ func (p *peState) introLBMoves(lm *introLBMovesMsg) {
 		moving = append(moving, el)
 	}
 	for _, el := range moving {
-		if el.stealable {
-			el.ensureRunq()
-			// Stealable element: the move must hold the run grant (a thief may
-			// be executing it). If another PE holds the grant, its release
-			// re-check observes the migrateTo stored above and finishes the
-			// move by routing the grant back here.
-			if p.grabGrant(el) {
-				p.runGrant(el)
-			}
-			continue
-		}
 		if el.liveThreads == 0 {
 			p.migrateOut(el)
 		}

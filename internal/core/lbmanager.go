@@ -104,17 +104,6 @@ func (p *peState) lbApplyMoves(lm *lbMovesMsg) {
 		}
 	}
 	for _, el := range moving {
-		if el.stealable {
-			// Stealable element: acquire the run grant before migrating (the
-			// element may be executing on a sibling PE right now). If another
-			// PE holds it, its release re-check observes the migrateTo we just
-			// stored and routes the grant back here to finish the move.
-			el.ensureRunq()
-			if p.grabGrant(el) {
-				p.runGrant(el)
-			}
-			continue
-		}
 		p.migrateOut(el)
 	}
 }
@@ -149,12 +138,6 @@ func (p *peState) lbResume(cid CID) {
 			continue
 		}
 		m := &Message{Kind: mInvoke, CID: cid, Idx: el.idx, MID: info.id, Method: "ResumeFromSync", Src: p.pe}
-		if el.stealable {
-			// Stealable element: ResumeFromSync rides the run-grant path like
-			// any other invoke (it may be executing on a sibling right now).
-			p.runqPush(el, m)
-			continue
-		}
 		p.invokeEMInner(el, info, m)
 		p.recheck(el)
 	}

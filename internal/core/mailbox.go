@@ -187,15 +187,14 @@ func (mb *mailbox) pop() (*Message, bool) {
 		if mb.closed.Load() && mb.depth.Load() == 0 && mb.prioN.Load() == 0 {
 			return nil, false
 		}
-		mb.park(nil)
+		mb.park()
 	}
 }
 
-// park blocks until a wake token arrives, unless mailbox work (or external
-// work reported by also — the steal loop's deque scan) is already pending.
-func (mb *mailbox) park(also func() bool) {
+// park blocks until a wake token arrives, unless work is already pending.
+func (mb *mailbox) park() {
 	mb.parked.Store(true)
-	if mb.depth.Load() > 0 || mb.prioN.Load() > 0 || mb.closed.Load() || (also != nil && also()) {
+	if mb.depth.Load() > 0 || mb.prioN.Load() > 0 || mb.closed.Load() {
 		mb.parked.Store(false)
 		return
 	}

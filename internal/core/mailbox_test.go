@@ -278,19 +278,21 @@ func TestLFMailboxParkWake(t *testing.T) {
 	}
 }
 
-func TestLFMailboxParkAlso(t *testing.T) {
+func TestLFMailboxParkSeesQueuedWork(t *testing.T) {
 	mb := newMailbox()
-	// park must return immediately when the external-work probe fires, even
-	// with an empty queue and no wake token.
+	// A push before the consumer armed sends no wake token (nobody was
+	// parked), so park must find the queued message in its re-check and
+	// return at once instead of sleeping through it.
+	mb.enqueue(msgWithSeq(0, 1))
 	ret := make(chan struct{})
 	go func() {
-		mb.park(func() bool { return true })
+		mb.park()
 		close(ret)
 	}()
 	select {
 	case <-ret:
 	case <-time.After(5 * time.Second):
-		t.Fatal("park ignored the also() probe")
+		t.Fatal("park slept through a queued message")
 	}
 }
 

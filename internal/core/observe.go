@@ -54,9 +54,6 @@ type rtMetrics struct {
 	collRelays   *metrics.Counter // tree-broadcast frames relayed to children
 	collFrags    *metrics.Counter // broadcast fragments sent or relayed
 	collPartials *metrics.Counter // reduction partials merged by tree combiners
-
-	steals       *metrics.Counter // run grants stolen from sibling PEs
-	stealsFailed *metrics.Counter // steal attempts that found no work
 }
 
 // newRTMetrics registers the runtime's instruments in reg. Must run after
@@ -95,10 +92,6 @@ func newRTMetrics(rt *Runtime, reg *metrics.Registry) *rtMetrics {
 			"broadcast fragments sent or relayed down the tree"),
 		collPartials: reg.Counter("charmgo_collective_partials_total",
 			"reduction partials merged by this node's tree combiners"),
-		steals: reg.Counter("charmgo_steals_total",
-			"run grants stolen from sibling PEs' deques"),
-		stealsFailed: reg.Counter("charmgo_steal_failed_total",
-			"steal attempts that probed every victim and found no work"),
 	}
 	m.peRecvs = make([]*metrics.Counter, len(rt.pes))
 	m.peEMs = make([]*metrics.Counter, len(rt.pes))

@@ -2,10 +2,8 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 	"reflect"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -14,10 +12,9 @@ import (
 )
 
 // peState is one processing element: a scheduler goroutine, its mailbox, and
-// the chares it currently hosts. All fields except the mailbox (and, under
-// work stealing, the deque/runq/idle machinery in steal.go) are owned by the
-// scheduler (or by the single entry-method thread currently holding the PE
-// token), so no further locking is needed.
+// the chares it currently hosts. All fields except the mailbox are owned by
+// the scheduler (or by the single entry-method thread currently holding the
+// PE token), so no further locking is needed.
 type peState struct {
 	rt   *Runtime
 	pe   PE
@@ -46,15 +43,6 @@ type peState struct {
 	introLBSeq int64
 
 	ftG map[int64]*ftGatherState // in-flight ft checkpoint gathers (node-first PE)
-
-	// work stealing (steal.go); nil/zero unless Config.StealEnabled
-	deque      *stealDeque // bounded Chase-Lev deque of stealable run grants
-	grantOvf   []*element  // deque-overflow grants, this goroutine only
-	ovfHead    int         // first live entry in grantOvf
-	stealRng   *rand.Rand  // victim selection; seeded from Config.StealSeed+pe
-	lastVictim int         // last successful victim (affinity re-probe)
-	idle       atomic.Bool // parked with nothing to run (wake-idle protocol)
-	alsoFn     func() bool // cached park re-check closure (no per-park alloc)
 
 	// The PE clock: stamp is the time, since rt.t0, at which the last entry
 	// method (or threaded segment) on this PE ended, which is when the next
@@ -99,12 +87,6 @@ type localColl struct {
 	insCount    int                    // local insert count (sparse)
 	lbStatsSent bool
 
-	// nLive mirrors len(elems) as an atomic so reduction completion checks
-	// work from thief PEs too (steal.go); redMu serializes contribute/flush
-	// against concurrent grant execution on sibling PEs.
-	nLive atomic.Int32
-	redMu sync.Mutex
-
 	// treeExpect caches the number of contributions this node's reduction
 	// combiner must merge before forwarding up the tree: the elements
 	// initially placed on any node of this node's subtree (static under
@@ -113,10 +95,7 @@ type localColl struct {
 	treeExpectOK bool
 }
 
-// element is one chare instance hosted on this PE. Plain fields are owned by
-// the scheduler (or, for stealable elements, by whichever PE currently holds
-// the element's run grant — the sched flag guarantees one holder at a time);
-// the atomic fields are the ones read or written across that boundary.
+// element is one chare instance hosted on this PE, owned by its scheduler.
 type element struct {
 	obj         reflect.Value // pointer to the user struct
 	iface       any
@@ -137,17 +116,6 @@ type element struct {
 	liveThreads int
 	inRecheck   bool
 	dead        bool
-
-	// work stealing (steal.go); stealable is set iff the element's type is
-	// stealable and Config.StealEnabled is on. The runq itself materializes
-	// lazily, on the first grant that is published rather than run inline —
-	// at 1M-element overdecomposition the per-element queue would otherwise
-	// dominate heap scan time. Always allocated before the grant becomes
-	// visible to other PEs (deque publication orders the write).
-	stealable bool
-	runq      *elemRunq    // per-element FIFO of granted-but-unexecuted messages
-	sched     atomic.Int32 // 1 while a PE (or an in-flight mRunGrant) holds the grant
-	owner     *peState     // the hosting PE (routing/migration authority)
 }
 
 // loadDur returns the element's accumulated entry-method time.
@@ -179,7 +147,7 @@ type thYield struct {
 func (p *peState) lpe() int { return int(p.pe - p.rt.basePE) }
 
 func newPEState(rt *Runtime, pe PE) *peState {
-	p := &peState{
+	return &peState{
 		rt:          rt,
 		pe:          pe,
 		colls:       map[CID]*localColl{},
@@ -194,27 +162,11 @@ func newPEState(rt *Runtime, pe PE) *peState {
 		cnt:         &rt.cnt[pe-rt.basePE],
 		mbox:        newMailbox(),
 	}
-	if rt.cfg.StealEnabled {
-		p.deque = &stealDeque{}
-		seed := rt.cfg.StealSeed
-		if seed == 0 {
-			seed = 0x5bd1e995
-		}
-		p.stealRng = rand.New(rand.NewSource(seed + int64(pe)*0x9e3779b9))
-		p.lastVictim = -1
-		p.alsoFn = p.parkCheck
-	}
-	return p
 }
 
 // loop is the PE scheduler: Charm++-style message-driven execution, one
-// entry method at a time. With Config.StealEnabled it runs the work-stealing
-// variant instead (steal.go).
+// entry method at a time.
 func (p *peState) loop() {
-	if p.rt.cfg.StealEnabled {
-		p.stealLoop()
-		return
-	}
 	tr := p.rt.cfg.Trace
 	lpe := p.lpe()
 	p.stamp = p.now()
@@ -447,26 +399,11 @@ func (p *peState) handle(m *Message) {
 		p.rt.byeFrom(m.Ctl.(*elasticByeMsg).From)
 	case mChanMsg:
 		if el, done := p.routeElem(m); !done {
-			if el.stealable {
-				p.runqPush(el, m)
-				break
-			}
 			cm := m.Ctl.(*chanMsg)
 			if needsRebind(cm.Val) {
 				cm.Val = rebindPure(cm.Val, p.rt, p, 0)
 			}
 			p.chanDeliver(el, cm)
-		}
-	case mRunGrant:
-		gm := m.Ctl.(*runGrantMsg)
-		coll := p.colls[gm.CID]
-		if coll == nil {
-			break // shutdown teardown; the grant dies with the job
-		}
-		if el := coll.elems[gm.Key]; el != nil && !el.dead {
-			// The message carried the element's run grant (sched stayed 1 the
-			// whole flight): run it here.
-			p.runGrant(el)
 		}
 	default:
 		panic(fmt.Sprintf("core: PE %d: unknown message kind %d", p.pe, m.Kind))
@@ -566,10 +503,8 @@ func (p *peState) newElement(coll *localColl, cid CID, idx []int, args []any) *e
 		key:   idxKey(idx),
 		cid:   cid,
 		coll:  coll,
-		owner: p,
 	}
 	el.migrateTo.Store(-1)
-	el.stealable = p.rt.cfg.StealEnabled && coll.ct.stealable
 	if coll.ct.fast {
 		el.fast = el.iface.(FastDispatcher)
 	}
@@ -578,10 +513,7 @@ func (p *peState) newElement(coll *localColl, cid CID, idx []int, args []any) *e
 	base.ec = &elemCtx{p: p, el: el, coll: coll}
 	el.base = base
 	coll.elems[el.key] = el
-	coll.nLive.Add(1)
 	if info, ok := coll.ct.byName["Init"]; ok {
-		// Inline even for stealable elements: no run grant can exist yet
-		// (routing to the element happens only on this goroutine, after this).
 		p.invokeEMInner(el, info, &Message{Kind: mInvoke, CID: cid, Idx: idx, MID: info.id, Method: "Init", Args: args, Src: p.pe})
 		p.recheck(el)
 	}
@@ -784,12 +716,6 @@ func (p *peState) setHomeLoc(cid CID, key string, at PE) {
 // ---- entry-method delivery ----
 
 func (p *peState) deliverOrBuffer(coll *localColl, el *element, m *Message) {
-	if el.stealable {
-		// Stealable element: park the message in the element's run queue and
-		// make sure some PE holds (or will receive) the run grant (steal.go).
-		p.runqPush(el, m)
-		return
-	}
 	info := p.resolveEM(coll, m)
 	if !p.emReady(el, info, m) {
 		el.buf = append(el.buf, m)
@@ -1126,7 +1052,6 @@ func (p *peState) migrateOut(el *element) {
 		el.lbMove = false
 	}
 	delete(el.coll.elems, el.key)
-	el.coll.nLive.Add(-1)
 	el.dead = true
 	tm := p.tomb[el.cid]
 	if tm == nil {
@@ -1143,15 +1068,6 @@ func (p *peState) migrateOut(el *element) {
 		p.rt.send(to, m)
 	}
 	el.buf = nil
-	if el.runq != nil {
-		// The caller holds the element's run grant, so nothing pushes
-		// concurrently: forward the queued work behind the migrate message.
-		for _, m := range el.runq.takeAll() {
-			p.rt.runqBacklog.Add(-1)
-			p.rt.send(to, m)      // counted sent again, and only then
-			qdDone(p.cnt, m.Kind) // is the run-queue hop done
-		}
-	}
 	if p.pe == p.rt.homePE(el.cid, el.key) {
 		p.setHomeLoc(el.cid, el.key, to)
 	}
@@ -1181,12 +1097,10 @@ func (p *peState) migrateIn(mm *migrateMsg) {
 		key:   idxKey(mm.Idx),
 		cid:   mm.CID,
 		coll:  coll,
-		owner: p,
 	}
 	el.redNo.Store(mm.RedNo)
 	el.setLoad(time.Duration(mm.Load * float64(time.Second)))
 	el.migrateTo.Store(-1)
-	el.stealable = p.rt.cfg.StealEnabled && coll.ct.stealable
 	if coll.ct.fast {
 		el.fast = v.(FastDispatcher)
 	}
@@ -1198,7 +1112,6 @@ func (p *peState) migrateIn(mm *migrateMsg) {
 	// We are no longer a stale forwarding target if it boomeranged back.
 	delete(p.tomb[mm.CID], el.key)
 	coll.elems[el.key] = el
-	coll.nLive.Add(1)
 	home := p.rt.homePE(mm.CID, el.key)
 	if home != p.pe {
 		p.rt.send(home, &Message{Kind: mLocUpdate, Src: p.pe, Ctl: &locUpdateMsg{CID: mm.CID, Idx: mm.Idx, At: p.pe}})

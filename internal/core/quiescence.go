@@ -8,8 +8,8 @@ import "sync/atomic"
 //
 //   - a message is counted sent before anything can see it;
 //   - it is counted done when its handler has returned, so a hop that turns
-//     one message into another (ingress forward, tree relay, run-queue push,
-//     migration re-send) counts the outgoing one first;
+//     one message into another (ingress forward, tree relay, migration
+//     re-send) counts the outgoing one first;
 //   - hence sent − done, summed over the job, is the number of unfinished
 //     messages at every instant, a running entry method included: the
 //     message that started it is not done.
@@ -63,7 +63,7 @@ type qdReplyMsg struct {
 // (mCreate runs constructors, a load-balancing round ends in ResumeFromSync).
 func countableKind(k msgKind) bool {
 	switch k {
-	case mInvoke, mFutureSet, mRedPartial, mInsert, mMigrate, mDoneInserting, mChanMsg, mRunGrant,
+	case mInvoke, mFutureSet, mRedPartial, mInsert, mMigrate, mDoneInserting, mChanMsg,
 		mCreate, mLBStats, mLBMoves, mLBAck, mLBResume:
 		return true
 	}

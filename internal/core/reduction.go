@@ -70,15 +70,11 @@ func isListReducer(rt *Runtime, name string) bool {
 	return true // custom reducer
 }
 
-// contribute records one element's contribution (Chare.Contribute). It may
-// run on a thief PE under the element's run grant (steal.go), so the
-// collection's local-combine state is guarded by redMu — the only reduction
-// structure shared across PEs; rootRed/nodeRed stay owner-scheduler-only.
+// contribute records one element's contribution (Chare.Contribute) on the
+// element's PE.
 func (p *peState) contribute(el *element, data any, reducer Reducer, target Target) {
 	coll := el.coll
 	seq := el.redNo.Add(1)
-	coll.redMu.Lock()
-	defer coll.redMu.Unlock()
 	slot := coll.localRed[seq]
 	if slot == nil {
 		slot = &localRedSlot{reducer: reducer.Name}
@@ -134,7 +130,7 @@ func (p *peState) contribute(el *element, data any, reducer Reducer, target Targ
 	// PE. Sparse collections flush every contribution immediately: elements
 	// may still be being inserted (membership is not stable until
 	// DoneInserting), so a local count-based batch could stall forever.
-	if coll.cm.Kind == ckSparse || slot.count == int(coll.nLive.Load()) {
+	if coll.cm.Kind == ckSparse || slot.count == len(coll.elems) {
 		delete(coll.localRed, seq)
 		p.flushLocalRed(coll, seq, slot)
 	}

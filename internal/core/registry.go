@@ -61,7 +61,6 @@ type chareType struct {
 	byName    map[string]*emInfo
 	fast      bool        // implements FastDispatcher
 	hasResume bool        // has a ResumeFromSync entry method
-	stealable bool        // no threaded/when-gated methods: grants may move PEs
 	gen       *GenBinding // generated dispatch/codec bindings, if any
 	waits     sync.Map    // Wait condition string -> expr.Guard bound to rtype
 }
@@ -188,17 +187,6 @@ func (rt *Runtime) Register(proto Chareable, opts ...RegOpt) string {
 		ct.byName[mn] = info
 		if mn == "ResumeFromSync" {
 			ct.hasResume = true
-		}
-	}
-	// Stealable types may have their run grants executed on sibling PEs
-	// (steal.go). Threaded methods suspend on a PE-bound goroutine and
-	// when-conditions are gated by owner-held recheck state, so either
-	// disqualifies the whole type.
-	ct.stealable = true
-	for _, info := range ct.methods {
-		if info.threaded || info.when != nil {
-			ct.stealable = false
-			break
 		}
 	}
 	// Attach generated bindings (charmgo_gen.go) if the package registered

@@ -121,16 +121,6 @@ type Config struct {
 	// coordinator) and be identical on every node. Nil (the default) keeps
 	// the classic fixed-membership behaviour at zero cost.
 	InitialActive []int
-	// StealEnabled turns on within-node work stealing (steal.go): idle PEs
-	// steal whole-chare run grants from sibling PEs' run queues. Chares of
-	// types with threaded or when-gated entry methods stay pinned to their
-	// owner PE; everything else becomes stealable while keeping per-sender
-	// FIFO order and one-PE-at-a-time execution (DESIGN.md §3.9).
-	StealEnabled bool
-	// StealSeed seeds each PE's victim-selection RNG (PE index is mixed in),
-	// making steal sequences replayable for deterministic tests. 0 keeps
-	// the default seed.
-	StealSeed int64
 }
 
 // Runtime is one node of a charmgo job: it hosts PEs, the chare-type
@@ -164,19 +154,14 @@ type Runtime struct {
 	started atomic.Bool
 
 	// nIdle counts the PEs parked (or about to park: counted before the
-	// idle-hook flush) with nothing to run. Both schedulers keep it; the
-	// aggregator's sender-side flush rule and the steal publish throttle
-	// read it.
+	// idle-hook flush) with nothing to run. The aggregator's sender-side
+	// flush rule reads it.
 	nIdle atomic.Int32
 
-	// work stealing (steal.go); all zero when Config.StealEnabled is off
-	stealPause   atomic.Int32 // >0: thieves must hand grants back to owners
-	stolenActive atomic.Int32 // grants currently executing on non-owner PEs
-	runqBacklog  atomic.Int64 // messages parked in element run queues
-	exited       atomic.Bool
-	exitFn       sync.Once
-	wg           sync.WaitGroup
-	done         chan struct{}
+	exited atomic.Bool
+	exitFn sync.Once
+	wg     sync.WaitGroup
+	done   chan struct{}
 
 	// fault tolerance (ft.go)
 	ftEpoch   atomic.Int64 // last committed in-memory checkpoint epoch

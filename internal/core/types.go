@@ -105,13 +105,7 @@ const (
 	mElasticRehome // node-local: PE rescans element homes after a view change
 	mElasticAck    // raw completion of an external future (protocol acks/replies)
 
-	// work stealing (steal.go). mRunGrant is node-local (stealing never
-	// crosses nodes) and carries the exclusive right to run one element's
-	// queued work: exactly one mRunGrant is in flight per element whose
-	// sched flag is held by a message rather than a running PE.
-	mRunGrant
-
-	// mRun is node-local too: one PE's share of a batch frame, pushed as one
+	// mRun is node-local: one PE's share of a batch frame, pushed as one
 	// mailbox item whose Ctl is the *msgRun (wire.go). Not countable and not
 	// serializable: the messages it carries are.
 	mRun
@@ -334,13 +328,6 @@ type migrateMsg struct {
 	RedNo int64
 	Load  float64
 	ASeq  int64 // atSync epoch counter carried across migration
-}
-
-// runGrantMsg transfers an element's run grant between PEs of one node
-// (deque overflow to self, thief→owner tail handback, steal-pause handback).
-type runGrantMsg struct {
-	CID CID
-	Key string
 }
 
 type locUpdateMsg struct {

@@ -312,7 +312,7 @@ func decodeInvoke(m *Message, body []byte, wt *wireTables, alias bool, rt *Runti
 // the reflective table had unpacked Args into typed parameters before user
 // code ran, so nothing can still see the box — and nobody else returns one.
 // Keeping the pointer or one of its slices (a when-buffer, a pending list, a
-// run queue, a threaded method, a re-send, a copy for a broadcast, a
+// threaded method, a re-send, a copy for a broadcast, a
 // FastDispatcher or variadic method that is handed Args itself) therefore
 // needs no action: that box is simply never returned, and the GC collects
 // it like any other message. A missed recycle costs one object; a wrong one

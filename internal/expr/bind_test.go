@@ -86,7 +86,7 @@ func TestBindAgreesOnRepoConditions(t *testing.T) {
 		{"self.iter == iter", []string{"iter", "dir", "face"}, typesOf(0, 0, []float64(nil)), true}, // stencil, wave2d, core tests
 		{"self.step == step", []string{"step", "forces"}, typesOf(0, []float64(nil)), true},         // leanmd
 		{"self.n >= 0", nil, nil, true},                                            // simcluster
-		{"self.flag != 0", nil, nil, true},                                         // Wait in core's steal test
+		{"self.flag != 0", nil, nil, true},                                         // an int field against a literal
 		{"1 == 2", nil, nil, true},                                                 // Wait: park until Exit
 		{"True", nil, nil, true},                                                   // core edge test
 		{"len(self.vals) == 3", nil, nil, false},                                   // Wait in core tests: a call

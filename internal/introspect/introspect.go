@@ -30,14 +30,12 @@ type PESample struct {
 	BusyNanos int64   `json:"busyNanos"` // entry-method execution time in the window
 	EMs       int64   `json:"ems"`       // entry methods executed in the window
 	Recvs     int64   `json:"recvs"`     // messages dequeued in the window
-	Steals    int64   `json:"steals"`    // run grants stolen from siblings in the window
 	Util      float64 `json:"util"`      // BusyNanos / window length, clamped to [0,1]
 	// Instantaneous state at sample time.
 	MailboxDepth int `json:"mailboxDepth"`
 	// Cumulative totals since job start.
-	TotalEMs    int64 `json:"totalEMs"`
-	TotalRecvs  int64 `json:"totalRecvs"`
-	TotalSteals int64 `json:"totalSteals,omitempty"`
+	TotalEMs   int64 `json:"totalEMs"`
+	TotalRecvs int64 `json:"totalRecvs"`
 }
 
 // HotElem is one of the top-K hottest elements of a collection, ranked by
@@ -72,19 +70,19 @@ type AdmissionSample struct {
 // NodeSnapshot is one node's introspection sample, shipped to node 0 over
 // the wire (gob; exported fields only).
 type NodeSnapshot struct {
-	Node        int           `json:"node"`
-	BasePE      int           `json:"basePE"`
-	Seq         int64         `json:"seq"`         // sample round number on the node
-	UnixNano    int64         `json:"unixNano"`    // capture time on the node's clock
-	WindowNanos int64         `json:"windowNanos"` // measured length of the sample window
-	PEs         []PESample    `json:"pes"`
-	Colls       []CollSample  `json:"colls,omitempty"`
-	SendsLocal  int64         `json:"sendsLocal"` // cumulative in-node deliveries
-	SendsWire   int64         `json:"sendsWire"`  // cumulative cross-node sends
+	Node        int          `json:"node"`
+	BasePE      int          `json:"basePE"`
+	Seq         int64        `json:"seq"`         // sample round number on the node
+	UnixNano    int64        `json:"unixNano"`    // capture time on the node's clock
+	WindowNanos int64        `json:"windowNanos"` // measured length of the sample window
+	PEs         []PESample   `json:"pes"`
+	Colls       []CollSample `json:"colls,omitempty"`
+	SendsLocal  int64        `json:"sendsLocal"` // cumulative in-node deliveries
+	SendsWire   int64        `json:"sendsWire"`  // cumulative cross-node sends
 	// Backstops counts aggregator batches that sat until the backstop timer
 	// (cumulative): sends no flush rule saw. Expected to stay 0.
-	Backstops   int64         `json:"backstopFlushes"`
-	TraceDrops  []uint64      `json:"traceDrops,omitempty"` // per local PE ring-buffer losses
+	Backstops  int64    `json:"backstopFlushes"`
+	TraceDrops []uint64 `json:"traceDrops,omitempty"` // per local PE ring-buffer losses
 	// CommBytes holds this node's rows of the PE×PE wire-byte matrix
 	// (len(PEs) × TotalPEs row-major, source rows only), when tracing is on.
 	CommBytes []int64 `json:"commBytes,omitempty"`

@@ -59,8 +59,8 @@ func Render(s ClusterSnapshot, opt RenderOptions) string {
 			continue
 		}
 		for _, pe := range nv.PEs {
-			fmt.Fprintf(&b, "  PE %-3d %s %5.1f%%  mbox %-5d ems %-8d steals %d\n",
-				pe.PE, bar(pe.Util, opt.BarWidth), pe.Util*100, pe.MailboxDepth, pe.TotalEMs, pe.TotalSteals)
+			fmt.Fprintf(&b, "  PE %-3d %s %5.1f%%  mbox %-5d ems %d\n",
+				pe.PE, bar(pe.Util, opt.BarWidth), pe.Util*100, pe.MailboxDepth, pe.TotalEMs)
 		}
 		for _, cs := range nv.Colls {
 			for _, h := range cs.Hot {

@@ -16,7 +16,7 @@ func renderSnap() ClusterSnapshot {
 				Node: 0, BasePE: 0, Seq: 3, TotalPEs: 4,
 				SendsLocal: 100, SendsWire: 40,
 				PEs: []PESample{
-					{PE: 0, Util: 1.0, MailboxDepth: 2, TotalEMs: 500, TotalSteals: 7},
+					{PE: 0, Util: 1.0, MailboxDepth: 2, TotalEMs: 500},
 					{PE: 1, Util: 0.0, TotalEMs: 10},
 				},
 				Colls: []CollSample{{
@@ -54,7 +54,7 @@ func TestRenderBasics(t *testing.T) {
 		"top wire flows (cumulative):",
 		"PE 0 → PE 2: 2.0KiB",
 		"PE 1 → PE 3: 1.0MiB",
-		"steals 7",
+		"mbox 2     ems 500",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render output missing %q:\n%s", want, out)

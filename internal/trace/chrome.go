@@ -125,10 +125,6 @@ func WriteChrome(w io.Writer, reports ...Report) error {
 				ce.Ph, ce.Cat, ce.S = "i", "coll", "p"
 				ce.Name = fmt.Sprintf("frag%d→node%d", e.N, e.Dest)
 				ce.Args = map[string]any{"bytes": e.Bytes}
-			case EvSteal:
-				ce.Ph, ce.Cat, ce.S = "i", "steal", "t"
-				ce.Name = fmt.Sprintf("steal←PE%d", e.Dest)
-				ce.Args = map[string]any{"victim_pe": e.Dest}
 			default:
 				ce.Ph, ce.Cat, ce.S = "i", e.Kind.String(), "t"
 				ce.Name = e.Kind.String()

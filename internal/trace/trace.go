@@ -76,9 +76,6 @@ const (
 	// EvFrag is one broadcast fragment sent or relayed down the tree
 	// (Dest = child node, Bytes = chunk size, N = fragment index).
 	EvFrag
-	// EvSteal is one run grant stolen by an idle PE from a sibling's deque
-	// (PE = thief, Dest = victim PE).
-	EvSteal
 
 	numKinds
 )
@@ -86,7 +83,7 @@ const (
 var kindNames = [numKinds]string{
 	"em", "send", "recv", "idle", "reduction", "future", "qd",
 	"migrate-out", "migrate-in", "lb", "flush", "frame-out", "frame-in",
-	"hb-miss", "node-death", "recovery", "tree-hop", "frag", "steal",
+	"hb-miss", "node-death", "recovery", "tree-hop", "frag",
 }
 
 // String returns a short stable name for the kind.
@@ -261,12 +258,6 @@ func (t *Tracer) QD(pe int, at time.Duration) {
 // MigrateOut records one element leaving this PE for dest (a global PE).
 func (t *Tracer) MigrateOut(pe, dest int, chare string, at time.Duration) {
 	t.record(pe, Event{PE: pe, Kind: EvMigrateOut, At: at, Chare: chare, Dest: dest})
-}
-
-// Steal records one run grant stolen by the thief PE from a victim PE's
-// deque (both node-local PE indices; victim is recorded in Dest).
-func (t *Tracer) Steal(pe, victim int, at time.Duration) {
-	t.record(pe, Event{PE: pe, Kind: EvSteal, At: at, Dest: victim})
 }
 
 // MigrateIn records one element arriving on this PE.
