@@ -69,7 +69,8 @@ type aggNode struct {
 	mu   sync.Mutex
 	buf  []byte    // nil when empty; pooled frame starting with the batch header
 	n    int       // messages coalesced into buf (trace/metrics only)
-	born time.Time // first append of a batch left pending; also pads to a cache line
+	born time.Time // first append of a batch left pending
+	last invokeHdr // of the invoke buf ends with, for a repeat (wire.go); else n == 0
 }
 
 func newAggregator(rt *Runtime) *aggregator {
@@ -90,16 +91,25 @@ func newAggregator(rt *Runtime) *aggregator {
 // transmits it under rule (a) or (c).
 func (a *aggregator) send(node int, dest PE, m *Message) {
 	an, off := a.open(node)
+	an.last.n = 0
 	an.buf = appendMsg(an.buf, dest, m, a.rt.wt)
-	a.close(node, an, off, m.Src, dest)
+	a.close(node, an, off, 0, m.Src, dest)
 }
 
 // sendInvoke is send for an mInvoke: appendInvoke only reads m, so the
-// caller's Message does not escape to the heap through here.
+// caller's Message does not escape to the heap through here. An invoke with
+// the header of the one before it in the batch goes as a repeat: its
+// arguments alone.
 func (a *aggregator) sendInvoke(node int, dest PE, m *Message) {
 	an, off := a.open(node)
+	if an.last.matches(dest, m) {
+		an.buf = appendInvokeArgs(an.buf, m)
+		a.close(node, an, off, repeatFlag, m.Src, dest)
+		return
+	}
 	an.buf = appendInvoke(an.buf, dest, m, a.rt.wt)
-	a.close(node, an, off, m.Src, dest)
+	an.last.set(dest, m)
+	a.close(node, an, off, 0, m.Src, dest)
 }
 
 // open locks node's batch, starts it if it is empty and reserves the next
@@ -117,11 +127,11 @@ func (a *aggregator) open(node int) (*aggNode, int) {
 	return an, off
 }
 
-// close patches the length of the sub-frame appended since open, applies the
-// flush rules and unlocks the batch.
-func (a *aggregator) close(node int, an *aggNode, off int, src, dest PE) {
+// close patches the length word of the sub-frame appended since open (with
+// flag: 0 or repeatFlag), applies the flush rules and unlocks the batch.
+func (a *aggregator) close(node int, an *aggNode, off int, flag uint32, src, dest PE) {
 	size := len(an.buf) - off - 4
-	binary.LittleEndian.PutUint32(an.buf[off:], uint32(size))
+	binary.LittleEndian.PutUint32(an.buf[off:], uint32(size)|flag)
 	an.n++
 	if tr := a.rt.cfg.Trace; tr != nil {
 		tr.Comm(int(src), int(dest), size) // per-message wire size
@@ -163,6 +173,7 @@ func (a *aggregator) xmitLocked(node int, an *aggNode, by string) {
 	msgs := an.n
 	an.buf = nil
 	an.n = 0
+	an.last.n = 0 // a repeat never opens a batch
 	size := len(buf) - transport.PrefixLen
 	// The timer also catches batches that were about to leave anyway; only
 	// one that waited out the whole delay was stranded.

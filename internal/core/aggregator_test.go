@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -189,8 +190,11 @@ func TestFloodStillBatches(t *testing.T) {
 	})
 	flushes := reg.Counter("charmgo_batch_flushes_total", "").Value()
 	msgs := reg.Histogram("charmgo_batch_msgs", "").Sum()
-	if flushes == 0 || msgs/flushes < 100 {
-		t.Errorf("flood coalesced %d messages into %d batches, want >= 100 per batch", msgs, flushes)
+	// Every message after the first of a batch repeats the header before it
+	// (wire.go), so an 8 KiB batch holds about 1 000 of them; with the full
+	// header each it held under 400.
+	if flushes == 0 || msgs/flushes < 800 {
+		t.Errorf("flood coalesced %d messages into %d batches, want >= 800 per batch", msgs, flushes)
 	}
 	for i, rt := range rts {
 		if n := rt.nBackstop.Load(); n != 0 {
@@ -374,5 +378,233 @@ func TestBackstopFlushesPinnedPE(t *testing.T) {
 	})
 	if n := rts[0].nBackstop.Load(); n == 0 {
 		t.Error("the pinned PE's batch left without the backstop counting it")
+	}
+}
+
+// The repeat test's message streams. A message's first argument is
+// stream*repStride + its place in the stream, which says where it must go and
+// with which header (repIntent).
+const (
+	repFlood = iota // phase 1: main -> element 2, Hit only
+	repTo2          // main -> element 2: Hit, Other every 7th, a slice past batchBytes every 50th
+	repTo3          // main -> element 3: Hit, two future-carrying Rets in every 13
+	repAnon         // main through a proxy of no PE (Src -1) -> element 2, Hit
+	repBcast        // main -> the whole array, Hit
+	repStreams
+
+	repStride = 1_000_000
+)
+
+// repIntent is the element (-1: the whole array), method, sender and
+// future-carrying-ness of the message whose first argument is seq.
+func repIntent(seq int) (elem int, method string, src PE, fut bool) {
+	place := seq % repStride
+	switch seq / repStride {
+	case repFlood:
+		return 2, "Hit", 0, false
+	case repTo2:
+		if place%7 == 6 {
+			return 2, "Other", 0, false
+		}
+		return 2, "Hit", 0, false
+	case repTo3:
+		if place%13 >= 11 { // the second differs from the first in its future alone
+			return 3, "Ret", 0, true
+		}
+		return 3, "Hit", 0, false
+	case repAnon:
+		return 2, "Hit", -1, false
+	}
+	return -1, "Hit", 0, false
+}
+
+// repData is the slice that travels with seq: larger than a whole batch for
+// every 50th message of repTo2.
+func repData(seq int) []int64 {
+	data := []int64{int64(seq), -3 * int64(seq)}
+	if seq/repStride == repTo2 && seq%repStride%50 == 49 {
+		for len(data)*8 <= batchBytes {
+			data = append(data, int64(len(data)))
+		}
+	}
+	return data
+}
+
+// repWorker checks every message it is handed against repIntent, and each
+// stream's order.
+type repWorker struct {
+	Chare
+	Next [repStreams]int
+	Seen int
+}
+
+func (w *repWorker) see(method string, seq int, data []int64) {
+	elem, want, _, _ := repIntent(seq)
+	stream, place := seq/repStride, seq%repStride
+	switch {
+	case method != want || (elem >= 0 && elem != w.ThisIndex[0]):
+		boxSeen.fail("element %d: %s(%d), want %s at element %d", w.ThisIndex[0], method, seq, want, elem)
+	case !slices.Equal(data, repData(seq)):
+		boxSeen.fail("element %d: %s(%d) came with %d values that do not belong to it", w.ThisIndex[0], method, seq, len(data))
+	case place != w.Next[stream]:
+		boxSeen.fail("element %d: stream %d delivered message %d when %d was due", w.ThisIndex[0], stream, place, w.Next[stream])
+	}
+	w.Next[stream] = place + 1
+	w.Seen++
+}
+
+func (w *repWorker) Hit(seq int, data []int64)     { w.see("Hit", seq, data) }
+func (w *repWorker) Other(seq int, data []int64)   { w.see("Other", seq, data) }
+func (w *repWorker) Ret(seq int, data []int64) int { w.see("Ret", seq, data); return seq }
+func (w *repWorker) Count() int                    { return w.Seen }
+
+// TestBatchRepeatHeaders floods two elements on the other node and checks
+// both ends of repeat sub-frames (wire.go): every message reaches the right
+// element with its own arguments and in its sender's order, and in the frames
+// node 0 sent, a single-target flood is at least 99 % repeats while every
+// change of index, method, future or sender starts a full header. The runs to
+// each element are interleaved with future-carrying calls, broadcasts (tree
+// frames; with the tree off, batch sub-frames of their own) and messages past
+// batchBytes. Under dynamic dispatch Hit and Other differ in nothing but the
+// method name. `make guards` runs it under -race at GOMAXPROCS 1, 2 and 8.
+func TestBatchRepeatHeaders(t *testing.T) {
+	t.Run("tree", func(t *testing.T) { batchRepeatJob(t, Config{}) })
+	t.Run("flat-dynamic", func(t *testing.T) { batchRepeatJob(t, Config{TreeArity: -1, Dispatch: DynamicDispatch}) })
+}
+
+// tapTransport passes every frame on and keeps a copy of those to node 1.
+type tapTransport struct {
+	transport.Transport
+	rec recTransport
+}
+
+func (t *tapTransport) Send(node int, frame []byte) error {
+	if node == 1 {
+		_ = t.rec.Send(node, frame) // only records
+	}
+	return t.Transport.Send(node, frame)
+}
+
+func batchRepeatJob(t *testing.T, mode Config) {
+	const (
+		flood = 4000 // repFlood messages
+		n     = 1500 // repTo2 and repTo3 messages each
+	)
+	boxSeen = &boxLog{seen: map[string]map[int]int{}}
+	tap := &tapTransport{}
+	node := 0
+	rts := runMultiNode(t, 2, 1, func(cfg *Config) {
+		cfg.TreeArity, cfg.Dispatch = mode.TreeArity, mode.Dispatch
+		if node == 0 {
+			tap.Transport = cfg.Transport
+			cfg.Transport = tap
+		}
+		node++
+	}, func(rt *Runtime) {
+		rt.Register(&repWorker{})
+		rt.agg.delay = time.Hour // batches leave by threshold or when the PE idles
+	}, func(self *Chare) {
+		arr := self.NewArray(&repWorker{}, []int{4}) // elements 2 and 3 live on node 1
+		anon := arr.At(2)
+		anon.p = nil // sends as no PE: Src -1
+		rets := map[int]Future{}
+		send := func(stream, place int) {
+			seq := stream*repStride + place
+			elem, method, src, fut := repIntent(seq)
+			p := arr
+			switch {
+			case src < 0:
+				p = anon
+			case elem >= 0:
+				p = arr.At(elem)
+			}
+			if fut {
+				rets[seq] = p.CallRet(method, seq, repData(seq))
+			} else {
+				p.Call(method, seq, repData(seq))
+			}
+		}
+		for i := 0; i < flood; i++ {
+			send(repFlood, i)
+		}
+		bcasts := 0
+		for i := 0; i < n; i += 10 { // runs of 10 to each element
+			for j := i; j < i+10; j++ {
+				send(repTo2, j)
+				switch {
+				case j%5 == 2:
+					send(repAnon, j/5)
+				case j%100 == 4: // between two Hits to element 2
+					send(repBcast, bcasts)
+					bcasts++
+				}
+			}
+			for j := i; j < i+10; j++ {
+				send(repTo3, j)
+			}
+		}
+		for seq, f := range rets {
+			if got := f.Get(); got != seq {
+				t.Errorf("Ret(%d) returned %v", seq, got)
+			}
+		}
+		want := []int{bcasts, bcasts, flood + n + n/5 + bcasts, n + bcasts}
+		for e, w := range want {
+			if got := arr.At(e).CallRet("Count").Get(); got != w {
+				t.Errorf("element %d handled %v messages, want %d", e, got, w)
+			}
+		}
+	})
+	for _, b := range boxSeen.bad {
+		t.Error(b)
+	}
+
+	var floodN, floodRepeats, repeats int
+	for _, f := range tap.rec.sent() {
+		if int32(binary.LittleEndian.Uint32(f)) != batchDest {
+			continue
+		}
+		b := batchReader{body: f[4:], wt: rts[0].wt}
+		for {
+			dest, m, err := b.next()
+			if err != nil {
+				t.Fatalf("captured batch does not decode: %v", err)
+			}
+			if m == nil {
+				break
+			}
+			if m.Kind != mInvoke || len(m.Args) != 2 {
+				continue // Count
+			}
+			seq := m.Args[0].(int)
+			elem, method, src, fut := repIntent(seq)
+			wantIdx := []int{elem}
+			if elem < 0 {
+				wantIdx = nil
+			}
+			if !idxEqual(m.Idx, wantIdx) || (m.Idx == nil) != (wantIdx == nil) || m.Method != method ||
+				m.Src != src || (m.Fut != FutureRef{}) != fut || (dest < 0) != (elem < 0) {
+				t.Fatalf("sub-frame of message %d (repeat %v) decodes as %v to %d, fut %v", seq, b.repeat, m, dest, m.Fut)
+			}
+			if b.repeat {
+				repeats++
+				if fut {
+					t.Errorf("future-carrying message %d went as a repeat", seq)
+				}
+			}
+			if seq/repStride == repFlood {
+				floodN++
+				if b.repeat {
+					floodRepeats++
+				}
+			}
+		}
+	}
+	if floodN != flood || floodRepeats*100 < floodN*99 {
+		t.Errorf("single-target flood: %d of %d sub-frames were repeats, want all %d messages and >= 99 %% repeats",
+			floodRepeats, floodN, flood)
+	}
+	if repeats-floodRepeats == 0 {
+		t.Error("no repeat sub-frame in the interleaved phase")
 	}
 }

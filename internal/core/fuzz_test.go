@@ -1,9 +1,11 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"testing"
 )
@@ -82,27 +84,95 @@ func FuzzDecodeFrame(f *testing.F) {
 	})
 }
 
-// TestGenerateFrameCorpus writes the seed frames as committed corpus files.
-// Run with CHARMGO_GEN_CORPUS=1 after changing the wire format; otherwise it
-// verifies the committed corpus is present and well-formed.
-func TestGenerateFrameCorpus(t *testing.T) {
-	dir := filepath.Join("testdata", "fuzz", "FuzzDecodeFrame")
-	seeds := fuzzFrameSeeds(fuzzWireTables())
-	if os.Getenv("CHARMGO_GEN_CORPUS") != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			t.Fatal(err)
+// fuzzBatchSeeds builds batch frame bodies (what follows the batchDest word):
+// a full invoke and two repeats of it, a repeat first, a repeat after a
+// control sub-frame, and a repeat flag on a length that runs past the end.
+func fuzzBatchSeeds(wt *wireTables) [][]byte {
+	sub := func(b []byte, flag uint32, body []byte) []byte {
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(body))|flag)
+		return append(b, body...)
+	}
+	full := appendMsg(nil, 3, &Message{Kind: mInvoke, CID: 7, Src: 1, MID: 1,
+		Fut: FutureRef{PE: 1, ID: 5}, Method: "Step", Idx: []int{4, 5}, Args: []any{42, "x"}}, wt)
+	args := appendInvokeArgs(nil, &Message{Args: []any{43, "y"}})
+	ctl := encodeMsg(0, &Message{Kind: mPing, Src: 0})
+	return [][]byte{
+		sub(sub(sub(nil, 0, full), repeatFlag, args), repeatFlag, args),
+		sub(sub(nil, repeatFlag, args), 0, full),
+		sub(sub(sub(nil, 0, full), 0, ctl), repeatFlag, args),
+		append(sub(nil, 0, full), 9, 0, 0, 0x80, 43),
+	}
+}
+
+// FuzzDecodeBatch hardens the batch decoder (batchReader) the same way: no
+// input may panic or read past its sub-frame (the batch is clipped to its
+// length, as each sub-frame is to its own), and every repeat it accepts
+// decodes to the header of the full invoke right before it.
+func FuzzDecodeBatch(f *testing.F) {
+	wt := fuzzWireTables()
+	for _, seed := range fuzzBatchSeeds(wt) {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		if len(body) > 1<<16 {
+			t.Skip()
 		}
-		for i, seed := range seeds {
-			name := filepath.Join(dir, fmt.Sprintf("seed-%02d", i))
-			body := "go test fuzz v1\n[]byte(" + strconv.Quote(string(seed)) + ")\n"
-			if err := os.WriteFile(name, []byte(body), 0o644); err != nil {
-				t.Fatal(err)
+		stock := &boxStock{list: &boxList{}}
+		b := batchReader{body: slices.Clip(body), wt: wt, boxes: stock}
+		var last *Message // the last full invoke, if the sub-frame before was one or a repeat
+		var lastDest PE
+		for {
+			dest, m, err := b.next()
+			if err != nil || m == nil {
+				return
+			}
+			switch {
+			case b.repeat:
+				if last == nil {
+					t.Fatalf("a repeat decoded with no full invoke before it (batch %x)", body)
+				}
+				if dest != lastDest || m.Kind != mInvoke || m.CID != last.CID || m.Src != last.Src ||
+					m.MID != last.MID || m.Fut != last.Fut || m.Method != last.Method || !idxEqual(m.Idx, last.Idx) {
+					t.Fatalf("repeat decoded as %d %v, the invoke before it was %d %v", dest, m, lastDest, last)
+				}
+				stock.giveBack(m)
+			case m.Kind == mInvoke:
+				last, lastDest = m.copyOf(), dest
+				last.Idx = slices.Clone(m.Idx) // the box's slots go back with it
+				stock.giveBack(m)
+			default:
+				last = nil
 			}
 		}
-		return
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil || len(entries) < len(seeds) {
-		t.Fatalf("committed fuzz corpus missing in %s (regenerate with CHARMGO_GEN_CORPUS=1): %v", dir, err)
+	})
+}
+
+// TestGenerateFrameCorpus writes the seed frames and batches as committed
+// corpus files. Run with CHARMGO_GEN_CORPUS=1 after changing the wire format;
+// otherwise it verifies the committed corpora are present and well-formed.
+func TestGenerateFrameCorpus(t *testing.T) {
+	wt := fuzzWireTables()
+	for target, seeds := range map[string][][]byte{
+		"FuzzDecodeFrame": fuzzFrameSeeds(wt),
+		"FuzzDecodeBatch": fuzzBatchSeeds(wt),
+	} {
+		dir := filepath.Join("testdata", "fuzz", target)
+		if os.Getenv("CHARMGO_GEN_CORPUS") != "" {
+			if err := os.MkdirAll(dir, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			for i, seed := range seeds {
+				name := filepath.Join(dir, fmt.Sprintf("seed-%02d", i))
+				body := "go test fuzz v1\n[]byte(" + strconv.Quote(string(seed)) + ")\n"
+				if err := os.WriteFile(name, []byte(body), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			continue
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil || len(entries) < len(seeds) {
+			t.Fatalf("committed fuzz corpus missing in %s (regenerate with CHARMGO_GEN_CORPUS=1): %v", dir, err)
+		}
 	}
 }

@@ -674,7 +674,11 @@ func (rt *Runtime) onFrame(from int, frame []byte) {
 	}
 	in := rt.peerIn(from)
 	in.mu.Lock()
-	m, dest, local := rt.ingress(from, frame, &in.boxes)
+	dest, m, err := rt.decodeFrame(frame, false, &in.boxes)
+	if err != nil {
+		panic(fmt.Sprintf("core: bad frame from node %d: %v", from, err))
+	}
+	m, dest, local := rt.route(from, dest, m)
 	in.mu.Unlock()
 	if local {
 		if tr := rt.cfg.Trace; tr != nil {
@@ -718,25 +722,21 @@ func (rt *Runtime) onBatch(from int, body []byte) {
 		rt.ordRecvN(from, pending)
 		pending = 0
 	}
-	for len(body) > 0 {
-		if len(body) < 4 {
-			panic(fmt.Sprintf("core: truncated batch frame from node %d", from))
+	b := batchReader{body: body, wt: rt.wt, rt: rt, boxes: &in.boxes}
+	for {
+		dest, m, err := b.next()
+		if err != nil {
+			panic(fmt.Sprintf("core: bad batch frame from node %d: %v", from, err))
 		}
-		n := binary.LittleEndian.Uint32(body)
-		body = body[4:]
-		if uint64(n) > uint64(len(body)) {
-			panic(fmt.Sprintf("core: bad sub-frame length %d from node %d", n, from))
+		if m == nil {
+			break
 		}
-		sub := body[:n]
-		body = body[n:]
-		// A sub-frame that ingress delivers itself (broadcast, forward, exit)
+		// A message that route delivers itself (broadcast, forward, exit)
 		// must not overtake the unicasts batched before it: flush first.
-		if n >= 4 {
-			if d := int32(binary.LittleEndian.Uint32(sub)); d < 0 || !rt.isLocal(PE(d)) {
-				flush()
-			}
+		if dest < 0 || !rt.isLocal(dest) {
+			flush()
 		}
-		m, dest, local := rt.ingress(from, sub, &in.boxes)
+		m, dest, local := rt.route(from, dest, m)
 		if local {
 			if tr := rt.cfg.Trace; tr != nil {
 				m.enq = tr.Since()
@@ -755,14 +755,11 @@ func (rt *Runtime) onBatch(from int, body []byte) {
 	rt.ordRelease(from)
 }
 
-// ingress decodes and routes one inbound frame. It returns (m, dest, true)
-// when the message is a unicast for a local PE (the caller enqueues it), and
-// handles every other case itself.
-func (rt *Runtime) ingress(from int, frame []byte, boxes *boxStock) (*Message, PE, bool) {
-	dest, m, err := rt.decodeFrame(frame, false, boxes)
-	if err != nil {
-		panic(fmt.Sprintf("core: bad frame from node %d: %v", from, err))
-	}
+// route takes one message decoded from a frame of node from, or from a batch
+// sub-frame, addressed to dest. It returns (m, dest, true) when the message is
+// a unicast for a local PE (the caller enqueues it), and handles every other
+// case itself.
+func (rt *Runtime) route(from int, dest PE, m *Message) (*Message, PE, bool) {
 	if met := rt.met; met != nil {
 		if m.Kind == mInvoke || m.Kind == mFutureSet {
 			met.decodeHot.Inc()
@@ -773,7 +770,7 @@ func (rt *Runtime) ingress(from int, frame []byte, boxes *boxStock) (*Message, P
 	rt.rebindMsg(m)
 	// Causal-ordering receive counts (tree.go): a tree broadcast from this
 	// sender is held until every direct message it had already sent us has
-	// been ingressed AND is visible locally. The branches ingress handles
+	// been ingressed AND is visible locally. The branches route handles
 	// itself count here; the returned-unicast case is counted by the caller
 	// after the mailbox push.
 	if m.Kind == mElasticBye {

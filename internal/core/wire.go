@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -49,7 +51,11 @@ func init() {
 // where batchDest is the reserved pseudo-destination -2. Every message from
 // one node to another travels in a batch (aggregator.go); a standard frame
 // of its own carries exit and control traffic, or sits inside a tree
-// broadcast.
+// broadcast. A length word with its top bit set (repeatFlag; no sub-frame is
+// that long) marks a repeat, [4B LE len|repeatFlag][argument list]: an
+// mInvoke whose header (invokeHdr: dest, CID, Src, MID, Fut, method, an index
+// of 1 to 4 ints) is that of the invoke sub-frame right before it, full or a
+// repeat itself. A repeat never opens a batch nor follows another kind.
 //
 // Spanning-tree collectives (tree.go) add two more reserved shapes:
 //
@@ -80,6 +86,9 @@ func init() {
 
 // batchDest is the reserved pseudo-destination marking a batch frame.
 const batchDest = int32(-2)
+
+// repeatFlag marks a repeat sub-frame in its length word.
+const repeatFlag = 1 << 31
 
 // wireTables is the deterministic method-name interning table. It is built
 // once at Runtime.Start from the registered chare types and read-only
@@ -162,8 +171,14 @@ func appendInvoke(dst []byte, dest PE, m *Message, wt *wireTables) []byte {
 	dst = binary.AppendVarint(dst, m.Fut.ID)
 	dst = appendMethod(dst, m.Method, wt)
 	dst = appendIdx(dst, m.Idx)
-	// Generated typed encoder when the send path resolved one; it is
-	// byte-identical with ser.AppendArgs, so receivers decode either way.
+	return appendInvokeArgs(dst, m)
+}
+
+// appendInvokeArgs is appendInvoke's argument half, and the whole body of a
+// repeat sub-frame. It uses the generated typed encoder when the send path
+// resolved one; that is byte-identical with ser.AppendArgs, so receivers
+// decode either way.
+func appendInvokeArgs(dst []byte, m *Message) []byte {
 	if m.gen != nil && m.MID >= 0 && int(m.MID) < len(m.gen.Enc) {
 		if enc := m.gen.Enc[m.MID]; enc != nil {
 			if out, ok := enc(dst, m.Args); ok {
@@ -281,27 +296,113 @@ func decodeInvoke(m *Message, body []byte, wt *wireTables, alias bool, rt *Runti
 		return r.err // m.Idx keeps its slots for giveBack
 	}
 	m.Idx = idx
-	rest := r.rest()
-	// Typed generated decoder for bound chare types (byte-identical
-	// format). A decline — signature drift, hand-built frame — falls
-	// through to the generic decoder, which also reports any real error.
 	if rt != nil && m.MID >= 0 {
-		if meta := rt.collMeta(m.CID); meta != nil && meta.ct != nil && meta.ct.gen != nil {
-			g := meta.ct.gen
-			if int(m.MID) < len(g.Dec) && g.Dec[m.MID] != nil {
-				if args, _, ok := g.Dec[m.MID](m.Args[:0], rest, alias); ok {
-					m.Args = args
-					return nil
-				}
-			}
+		if meta := rt.collMeta(m.CID); meta != nil && meta.ct != nil {
+			m.gen = meta.ct.gen // bound chare types decode through it
 		}
 	}
-	args, _, err := ser.DecodeArgsInto(m.Args[:0], rest, alias)
+	return decodeInvokeArgs(m, r.rest(), alias)
+}
+
+// decodeInvokeArgs is decodeInvoke's argument half, and the whole decoder of
+// a repeat sub-frame's body. m.gen's typed decoder goes first (byte-identical
+// format); a decline — signature drift, hand-built frame — falls through to
+// the generic decoder, which also reports any real error.
+func decodeInvokeArgs(m *Message, data []byte, alias bool) error {
+	if g := m.gen; g != nil && m.MID >= 0 && int(m.MID) < len(g.Dec) && g.Dec[m.MID] != nil {
+		if args, _, ok := g.Dec[m.MID](m.Args[:0], data, alias); ok {
+			m.Args = args
+			return nil
+		}
+	}
+	args, _, err := ser.DecodeArgsInto(m.Args[:0], data, alias)
 	if err != nil {
 		return fmt.Errorf("invoke args: %w", err)
 	}
 	m.Args = args
 	return nil
+}
+
+// invokeHdr is the header a repeat sub-frame carries over: everything
+// appendInvoke writes before the arguments, and the generated binding that
+// encodes them (sender) or decodes them (receiver). Only an index of 1 to 4
+// ints is carried over; n == 0 means there is no header to carry.
+type invokeHdr struct {
+	dest, src PE
+	mid       int32
+	cid       CID
+	fut       FutureRef
+	method    string
+	gen       *GenBinding
+	n         int // len(idx) in use
+	idx       [4]int
+}
+
+// set makes the header of m, an invoke to dest, the one to carry over.
+func (h *invokeHdr) set(dest PE, m *Message) {
+	h.dest, h.src, h.mid, h.cid, h.fut, h.method, h.gen = dest, m.Src, m.MID, m.CID, m.Fut, m.Method, m.gen
+	if h.n = copy(h.idx[:], m.Idx); h.n < len(m.Idx) {
+		h.n = 0
+	}
+}
+
+// matches reports whether an invoke of m to dest has header h.
+func (h *invokeHdr) matches(dest PE, m *Message) bool {
+	return h.n != 0 && dest == h.dest && m.Src == h.src && m.MID == h.mid && m.CID == h.cid &&
+		m.Fut == h.fut && m.gen == h.gen && m.Method == h.method && slices.Equal(m.Idx, h.idx[:h.n])
+}
+
+// batchReader decodes a batch frame's sub-frames one by one, carrying each
+// full invoke's header over to the repeats behind it. It is onBatch's
+// decoder, apart from the runtime so that hostile batches can be fuzzed.
+type batchReader struct {
+	body   []byte // the sub-frames not yet read
+	wt     *wireTables
+	rt     *Runtime // resolves generated decoders; nil decodes generically
+	boxes  *boxStock
+	last   invokeHdr // the header a repeat carries over
+	repeat bool      // the sub-frame next returned last was a repeat
+}
+
+// next decodes the next sub-frame into a message, nil at the end of the
+// batch. A truncated length word, a length past the end of the batch, a
+// repeat with no invoke right before it and a sub-frame that does not decode
+// are errors.
+func (b *batchReader) next() (PE, *Message, error) {
+	if len(b.body) == 0 {
+		return 0, nil, nil
+	}
+	if len(b.body) < 4 {
+		return 0, nil, errors.New("truncated batch frame")
+	}
+	n := binary.LittleEndian.Uint32(b.body)
+	b.repeat = n&repeatFlag != 0
+	n &^= repeatFlag
+	if uint64(n) > uint64(len(b.body)-4) {
+		return 0, nil, fmt.Errorf("bad sub-frame length %d", n)
+	}
+	sub := b.body[4 : 4+n : 4+n]
+	b.body = b.body[4+n:]
+	if !b.repeat {
+		b.last.n = 0
+		dest, m, err := decodeMsgFull(sub, b.wt, false, b.rt, b.boxes)
+		if err == nil && m.Kind == mInvoke {
+			b.last.set(dest, m)
+		}
+		return dest, m, err
+	}
+	if b.last.n == 0 {
+		return 0, nil, errors.New("repeat sub-frame with no invoke header before it")
+	}
+	m, h := b.boxes.take(), &b.last // filled as decodeInvoke would have
+	m.Kind, m.boxed, m.gen = mInvoke, true, h.gen
+	m.Src, m.MID, m.CID, m.Fut, m.Method = h.src, h.mid, h.cid, h.fut, h.method
+	m.Idx = append(m.Idx[:0], h.idx[:h.n]...)
+	if err := decodeInvokeArgs(m, sub, false); err != nil {
+		b.boxes.giveBack(m)
+		return 0, nil, err
+	}
+	return b.last.dest, m, nil
 }
 
 // ---- invoke boxes, runs and the node's box list ----

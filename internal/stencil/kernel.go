@@ -137,53 +137,48 @@ func (bd *Grid) faceBuf(d, n int) []float64 {
 	return make([]float64, n)
 }
 
+// faceAt locates the face of direction d — the interior's boundary layer on
+// that side, or with ghost the ghost layer beyond it: rows of cols cells, the
+// first at off, rows rs apart and a row's cells cs apart. x and y faces are
+// contiguous z-rows (cs == 1), copied row by row; a z face is walked with the
+// z-row stride. packFace and unpackGhost share the order, so a face unpacks
+// where its mirror was packed.
+func (bd *Grid) faceAt(d int, ghost bool) (off, rows, cols, rs, cs int) {
+	sy2, sz2 := bd.SY+2, bd.SZ+2
+	lo, hi := 1, [...]int{bd.SX, bd.SY, bd.SZ}[d/2]
+	if ghost {
+		lo, hi = lo-1, hi+1
+	}
+	k := lo
+	if d&1 == 1 { // Hi directions are odd, see opposite
+		k = hi
+	}
+	switch d {
+	case dirXLo, dirXHi:
+		return (k*sy2+1)*sz2 + 1, bd.SY, bd.SZ, sz2, 1
+	case dirYLo, dirYHi:
+		return (sy2+k)*sz2 + 1, bd.SX, bd.SZ, sy2 * sz2, 1
+	default:
+		return (sy2+1)*sz2 + k, bd.SX, bd.SY, sy2 * sz2, sz2
+	}
+}
+
 // packFace copies the interior boundary face for direction d into a buffer
 // whose ownership passes to the caller (and on to whoever it is sent to).
 func (bd *Grid) packFace(d int) []float64 {
-	switch d {
-	case dirXLo, dirXHi:
-		x := 1
-		if d == dirXHi {
-			x = bd.SX
+	off, rows, cols, rs, cs := bd.faceAt(d, false)
+	out := bd.faceBuf(d, rows*cols)
+	for r, i := 0, 0; r < rows; r, i = r+1, i+cols {
+		row := bd.A[off+r*rs:]
+		if cs == 1 {
+			copy(out[i:i+cols], row[:cols])
+			continue
 		}
-		out := bd.faceBuf(d, bd.SY*bd.SZ)
-		i := 0
-		for y := 1; y <= bd.SY; y++ {
-			for z := 1; z <= bd.SZ; z++ {
-				out[i] = bd.A[bd.at(x, y, z)]
-				i++
-			}
+		for c, j := i, 0; c < i+cols; c, j = c+1, j+cs {
+			out[c] = row[j]
 		}
-		return out
-	case dirYLo, dirYHi:
-		y := 1
-		if d == dirYHi {
-			y = bd.SY
-		}
-		out := bd.faceBuf(d, bd.SX*bd.SZ)
-		i := 0
-		for x := 1; x <= bd.SX; x++ {
-			for z := 1; z <= bd.SZ; z++ {
-				out[i] = bd.A[bd.at(x, y, z)]
-				i++
-			}
-		}
-		return out
-	default:
-		z := 1
-		if d == dirZHi {
-			z = bd.SZ
-		}
-		out := bd.faceBuf(d, bd.SX*bd.SY)
-		i := 0
-		for x := 1; x <= bd.SX; x++ {
-			for y := 1; y <= bd.SY; y++ {
-				out[i] = bd.A[bd.at(x, y, z)]
-				i++
-			}
-		}
-		return out
 	}
+	return out
 }
 
 // unpackGhost stores a face received from direction d into the ghost layer
@@ -196,42 +191,15 @@ func (bd *Grid) packFace(d int) []float64 {
 // allocating after the first step.
 func (bd *Grid) unpackGhost(d int, data []float64) {
 	bd.spare[d] = data
-	switch d {
-	case dirXLo, dirXHi:
-		x := 0
-		if d == dirXHi {
-			x = bd.SX + 1
+	off, rows, cols, rs, cs := bd.faceAt(d, true)
+	for r, i := 0, 0; r < rows; r, i = r+1, i+cols {
+		row := bd.A[off+r*rs:]
+		if cs == 1 {
+			copy(row[:cols], data[i:i+cols])
+			continue
 		}
-		i := 0
-		for y := 1; y <= bd.SY; y++ {
-			for z := 1; z <= bd.SZ; z++ {
-				bd.A[bd.at(x, y, z)] = data[i]
-				i++
-			}
-		}
-	case dirYLo, dirYHi:
-		y := 0
-		if d == dirYHi {
-			y = bd.SY + 1
-		}
-		i := 0
-		for x := 1; x <= bd.SX; x++ {
-			for z := 1; z <= bd.SZ; z++ {
-				bd.A[bd.at(x, y, z)] = data[i]
-				i++
-			}
-		}
-	default:
-		z := 0
-		if d == dirZHi {
-			z = bd.SZ + 1
-		}
-		i := 0
-		for x := 1; x <= bd.SX; x++ {
-			for y := 1; y <= bd.SY; y++ {
-				bd.A[bd.at(x, y, z)] = data[i]
-				i++
-			}
+		for c, j := i, 0; c < i+cols; c, j = c+1, j+cs {
+			row[j] = data[c]
 		}
 	}
 }
