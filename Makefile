@@ -130,7 +130,11 @@ bench:
 # loc prints the non-test Go lines of every top-level directory (one line per
 # directory under internal/, cmd/ and examples/; "." is the root package),
 # internal/core first, then the total: the number a deletion is gated on.
-# Test files and testdata fixtures are not counted.
+# Test files and testdata fixtures are not counted. Two more gates follow: the
+# number of core.Config fields, and the reads of an observer sink (the tracer,
+# the metrics bundle, the sampler) in non-test internal/core — event sites go
+# through the observer (DESIGN.md §3.2), so what is left builds it, runs the
+# sampler or gathers traces.
 loc:
 	@git ls-files -co --exclude-standard '*.go' | grep -v -e '_test\.go$$' -e '/testdata/' | xargs wc -l | \
 	awk '$$2 != "total" { n = split($$2, p, "/"); k = n == 1 ? "." : p[1]; \
@@ -139,6 +143,11 @@ loc:
 	END { printf "%7d internal/core\n", s["internal/core"]; delete s["internal/core"]; \
 		for (k in s) printf "%7d %s\n", s[k], k | "sort -k2"; close("sort -k2"); \
 		printf "%7d total\n", t }'
+	@awk '/^type Config struct/ { c = 1; next } c && /^}/ { c = 0 } c && /^\t[A-Z]/ { n++ } \
+		END { printf "%7d Config fields\n", n }' internal/core/runtime.go
+	@git ls-files -co --exclude-standard 'internal/core/*.go' | grep -v '_test\.go$$' | \
+		xargs grep -oE 'cfg\.Trace\b|\.met\b|\.sampler\b' | wc -l | \
+		awk '{ printf "%7d observer-sink reads in internal/core\n", $$1 }'
 
 # profile runs a traced 2-process stencil3d job under charmrun and validates
 # that the exported timeline is well-formed Chrome trace-event JSON.

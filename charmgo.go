@@ -81,8 +81,6 @@ type (
 	LBObject = core.LBObject
 	// LBStrategy computes new object placements from measured loads.
 	LBStrategy = core.LBStrategy
-	// FastDispatcher lets a chare type bypass reflection in static mode.
-	FastDispatcher = core.FastDispatcher
 	// CID identifies a chare collection (used by checkpoint restart).
 	CID = core.CID
 	// Channel is a direct-style ordered pairwise stream between two chares,
@@ -232,8 +230,7 @@ func Run(cfg Config, reg func(*Runtime), entry func(self *Chare)) {
 //     sampling and serves /introspect, /introspect/trace and /introspect/lb
 //     (on CHARMGO_METRICS_ADDR when that is also set, else on this address,
 //     again shifted by nodeID). `charmgo top` reads node 0's endpoint.
-//   - CHARMGO_SAMPLE_INTERVAL / CHARMGO_SAMPLE_TOPK tune the sampler
-//     (defaults 250ms / 5).
+//   - CHARMGO_SAMPLE_INTERVAL sets the sampling period (default 250ms).
 func RunFromEnv(cfg Config, reg func(*Runtime), entry func(self *Chare)) error {
 	var list []string
 	nodeID := 0
@@ -254,9 +251,6 @@ func RunFromEnv(cfg Config, reg func(*Runtime), entry func(self *Chare)) error {
 	}
 	if cfg.PEs < 1 {
 		cfg.PEs = 1 // match NewRuntime's default so the tracer is sized right
-	}
-	if err := applyTreeArityEnv(&cfg); err != nil {
-		return err
 	}
 	finish, err := setupObservability(&cfg, nodeID, len(list) > 1)
 	if err != nil {
@@ -314,9 +308,6 @@ type FTJob struct {
 // survivors. Without CHARMGO_ADDRS the job runs single-node: checkpoints
 // commit locally (self-buddy) and recovery is never needed.
 func RunFT(cfg Config, job FTJob) error {
-	if err := applyTreeArityEnv(&cfg); err != nil {
-		return err
-	}
 	addrs := os.Getenv("CHARMGO_ADDRS")
 	if addrs == "" {
 		cfg.FT = ft.NewManager()
@@ -426,23 +417,6 @@ func RunFT(cfg Config, job FTJob) error {
 	return runErr
 }
 
-// applyTreeArityEnv reads CHARMGO_TREE_ARITY (charmrun's -tree-arity flag)
-// into Config.TreeArity: the fan-out of the k-ary spanning tree used for
-// inter-node collectives. Negative disables the tree (flat collectives);
-// unset or 0 keeps the default.
-func applyTreeArityEnv(cfg *Config) error {
-	s := os.Getenv("CHARMGO_TREE_ARITY")
-	if s == "" {
-		return nil
-	}
-	k, err := strconv.Atoi(s)
-	if err != nil {
-		return fmt.Errorf("charmgo: bad CHARMGO_TREE_ARITY %q", s)
-	}
-	cfg.TreeArity = k
-	return nil
-}
-
 // ftEnvDuration parses an optional duration environment variable.
 func ftEnvDuration(name string, def time.Duration) (time.Duration, error) {
 	s := os.Getenv(name)
@@ -457,10 +431,10 @@ func ftEnvDuration(name string, def time.Duration) (time.Duration, error) {
 }
 
 // setupObservability reads CHARMGO_TRACE / CHARMGO_TRACE_CAP /
-// CHARMGO_METRICS_ADDR / CHARMGO_CCS_ADDR / CHARMGO_SAMPLE_INTERVAL /
-// CHARMGO_SAMPLE_TOPK and mutates cfg accordingly. The returned function
-// (nil when no observability is requested) must run after the job exits:
-// it stops the debug server and, on node 0, exports the timeline.
+// CHARMGO_METRICS_ADDR / CHARMGO_CCS_ADDR / CHARMGO_SAMPLE_INTERVAL and
+// mutates cfg accordingly. The returned function (nil when no observability
+// is requested) must run after the job exits: it stops the debug server and,
+// on node 0, exports the timeline.
 func setupObservability(cfg *Config, nodeID int, multiNode bool) (func(*Runtime), error) {
 	tracePath := os.Getenv("CHARMGO_TRACE")
 	metricsAddr := os.Getenv("CHARMGO_METRICS_ADDR")
@@ -497,13 +471,6 @@ func setupObservability(cfg *Config, nodeID int, multiNode bool) (func(*Runtime)
 				return nil, fmt.Errorf("charmgo: bad CHARMGO_SAMPLE_INTERVAL %q", s)
 			}
 			cfg.SampleInterval = d
-		}
-		if s := os.Getenv("CHARMGO_SAMPLE_TOPK"); s != "" {
-			k, err := strconv.Atoi(s)
-			if err != nil || k < 1 {
-				return nil, fmt.Errorf("charmgo: bad CHARMGO_SAMPLE_TOPK %q", s)
-			}
-			cfg.SampleTopK = k
 		}
 		intro = NewIntrospectCluster()
 		cfg.Introspect = intro

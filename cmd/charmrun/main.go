@@ -58,7 +58,6 @@ func main() {
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /trace and /debug/pprof per node at host:(port+node), e.g. 127.0.0.1:9100")
 	ccsAddr := flag.String("ccs-addr", "", "enable live introspection sampling and serve /introspect per node at host:(port+node); `charmgo top` reads node 0's endpoint")
 	sampleInterval := flag.Duration("sample-interval", 0, "introspection sample period (0 = default 250ms; needs -ccs-addr)")
-	treeArity := flag.Int("tree-arity", 0, "fan-out k of the spanning tree used for inter-node collectives (0 = default 4, negative = flat collectives)")
 	killNode := flag.String("kill-node", "", "SIGKILL node N after a duration, as N@DUR (e.g. 1@2s); requires a charmgo.RunFT program to survive")
 	dropRate := flag.Float64("drop-rate", 0, "fraction [0,1) of failure-detector frames dropped by the chaos layer (RunFT programs)")
 	ftSeed := flag.Int64("ft-seed", 1, "chaos RNG seed (RunFT programs)")
@@ -120,9 +119,6 @@ func main() {
 			}
 			if *sampleInterval > 0 {
 				cmd.Env = append(cmd.Env, fmt.Sprintf("CHARMGO_SAMPLE_INTERVAL=%s", *sampleInterval))
-			}
-			if *treeArity != 0 {
-				cmd.Env = append(cmd.Env, fmt.Sprintf("CHARMGO_TREE_ARITY=%d", *treeArity))
 			}
 			if *dropRate > 0 {
 				cmd.Env = append(cmd.Env,

@@ -46,9 +46,9 @@ func embedsChare(named *types.Named, seen map[*types.Named]bool) bool {
 
 // baseMethodNames mirrors core/registry.go's baseMethods: method names the
 // registry never treats as entry methods — the embedded Chare's own API
-// plus the serialization/dispatch/migration hooks.
+// plus the serialization/migration hooks.
 var baseMethodNames = map[string]bool{
-	"GobEncode": true, "GobDecode": true, "DispatchEM": true,
+	"GobEncode": true, "GobDecode": true,
 	"Migrated": true, "String": true,
 }
 

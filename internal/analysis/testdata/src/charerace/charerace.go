@@ -98,12 +98,6 @@ type StealWorker struct {
 	Bins []int64
 }
 
-// DispatchEM marks the type as a fast-dispatch (and thus steal-eligible)
-// worker; the analyzer treats it like any other method.
-func (w *StealWorker) DispatchEM(id int, args []any) {
-	w.Bump(args[0].(core.Future))
-}
-
 func (w *StealWorker) Bump(done core.Future) {
 	w.Hits++
 	done.Send(w.Hits)

@@ -7,22 +7,34 @@ import (
 	"charmgo/internal/trace"
 )
 
-// rtMetrics mirrors core's optional instrument bundle: nil when metrics are
-// off (the analyzer keys on the bundle type's name).
-type rtMetrics struct {
+// observer mirrors core's instrumentation seam: nil when every observer is
+// off (the analyzer keys on the type's name). Its instruments come from a
+// registry and are never nil; its tracer may be.
+type observer struct {
 	sends *metrics.Counter
-	depth *metrics.Gauge
+	tr    *trace.Tracer
+}
+
+func (o *observer) sent() { o.sends.Inc() }
+
+// An observer method's calls on its own receiver need no guard.
+func (o *observer) qd(pe int) {
+	o.sent()
+	o.tr.QD(pe, 0) // want "not behind a nil guard"
+	if tr := o.tr; tr != nil {
+		tr.QD(pe, 0)
+	}
 }
 
 type runtime struct {
 	tr  *trace.Tracer
-	met *rtMetrics
+	obs *observer
 }
 
 func (rt *runtime) unguarded(pe int) {
-	rt.tr.QD(pe, 0)     // want "not behind a nil guard"
-	rt.met.sends.Inc()  // want "not behind a nil guard"
-	rt.met.depth.Set(1) // want "not behind a nil guard"
+	rt.tr.QD(pe, 0) // want "not behind a nil guard"
+	rt.obs.qd(pe)   // want "not behind a nil guard"
+	rt.obs.sent()   // want "not behind a nil guard"
 }
 
 func (rt *runtime) guarded(pe int) {
@@ -32,8 +44,8 @@ func (rt *runtime) guarded(pe int) {
 	if rt.tr != nil && pe >= 0 {
 		rt.tr.QD(pe, 0)
 	}
-	if met := rt.met; met != nil {
-		met.sends.Inc()
+	if o := rt.obs; o != nil {
+		o.qd(pe)
 	}
 }
 
@@ -54,7 +66,7 @@ func (rt *runtime) elseBranch(pe int) {
 }
 
 func (rt *runtime) wrongGuard(pe int) {
-	if rt.met != nil {
+	if rt.obs != nil {
 		rt.tr.QD(pe, 0) // want "not behind a nil guard"
 	}
 }

@@ -6,19 +6,21 @@ import (
 	"go/types"
 )
 
-// TraceHook checks that every trace/metrics call on a possibly-nil
-// instrumentation handle is behind a nil guard. The runtime's contract
-// (pinned by alloc_guard_test.go) is that the instrumentation-off hot path
-// costs one predicted branch and zero allocations per event site: the
-// tracer lives in Config.Trace and the metrics bundle in Runtime.met, both
-// nil by default, and every use must follow the
+// TraceHook checks that every call on a possibly-nil instrumentation handle
+// is behind a nil guard. The runtime's contract (pinned by
+// alloc_guard_test.go) is that the instrumentation-off hot path costs one
+// predicted branch and zero allocations per event site: the runtime's one
+// seam is its observer (Runtime.obs), nil unless some observer is on, and
+// the tracer it fans out to may be nil on its own, so every use must follow
+// the
 //
-//	if tr := p.rt.cfg.Trace; tr != nil { tr.Event(...) }
-//	if met := rt.met; met != nil { met.counter.Inc() }
+//	if o := rt.obs; o != nil { o.event(...) }
+//	if tr := o.tr; tr != nil { tr.Event(...) }
 //
 // idiom. An unguarded call site is a nil-pointer panic the moment someone
 // runs without tracing — the common case — and a guard hoisted incorrectly
-// (e.g. checking a different variable) is invisible in review.
+// (e.g. checking a different variable) is invisible in review. Metrics
+// instruments are taken from a registry and so never nil.
 //
 // Recognized guards: an enclosing `if x != nil` (including && chains, or
 // the else branch of `if x == nil`), or a preceding `if x == nil { return }`
@@ -78,11 +80,9 @@ func runTraceHook(pass *Pass) {
 	}
 }
 
-// guardExpr returns the expression whose nilness the guard must test: for a
-// *trace.Tracer receiver, the receiver itself; for a metrics instrument
-// (Counter/Gauge/Histogram), the selector prefix that is the rtMetrics
-// bundle — instruments taken straight from a Registry are non-nil by
-// construction, so only bundle-reached ones count.
+// guardExpr returns the expression whose nilness the guard must test: the
+// receiver itself, when it is a *trace.Tracer or an observer (the analyzer
+// keys on the seam type's name, so fixtures can mirror it).
 func guardExpr(pass *Pass, recv ast.Expr) (ast.Expr, bool) {
 	t := pass.Info.TypeOf(recv)
 	if t == nil {
@@ -91,28 +91,15 @@ func guardExpr(pass *Pass, recv ast.Expr) (ast.Expr, bool) {
 	if isNamedType(t, "charmgo/internal/trace", "Tracer") {
 		return recv, true
 	}
-	if isNamedType(t, "charmgo/internal/metrics", "Counter") ||
-		isNamedType(t, "charmgo/internal/metrics", "Gauge") ||
-		isNamedType(t, "charmgo/internal/metrics", "Histogram") {
-		e := recv
-		for {
-			sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
-			if !ok {
-				return nil, false
-			}
-			e = sel.X
-			if pt := pass.Info.TypeOf(e); pt != nil {
-				if n := namedOf(pt); n != nil && n.Obj().Name() == "rtMetrics" {
-					return e, true
-				}
-			}
-		}
+	if n := namedOf(t); n != nil && n.Obj().Name() == "observer" {
+		return recv, true
 	}
 	return nil, false
 }
 
 // exemptHandle reports whether the handle is known non-nil without a guard:
-// a local whose definition is a direct constructor call.
+// the enclosing method's own receiver, or a local whose definition is a
+// direct constructor call.
 func exemptHandle(pass *Pass, handle ast.Expr, stack []ast.Node) bool {
 	id, ok := ast.Unparen(handle).(*ast.Ident)
 	if !ok {
@@ -121,6 +108,17 @@ func exemptHandle(pass *Pass, handle ast.Expr, stack []ast.Node) bool {
 	obj := pass.Info.Uses[id]
 	if obj == nil {
 		return false
+	}
+	for _, n := range stack {
+		if fd, ok := n.(*ast.FuncDecl); ok && fd.Recv != nil {
+			for _, f := range fd.Recv.List {
+				for _, name := range f.Names {
+					if pass.Info.Defs[name] == obj {
+						return true
+					}
+				}
+			}
+		}
 	}
 	fn := enclosingFuncBody(stack)
 	if fn == nil {

@@ -133,8 +133,8 @@ func (a *aggregator) close(node int, an *aggNode, off int, flag uint32, src, des
 	size := len(an.buf) - off - 4
 	binary.LittleEndian.PutUint32(an.buf[off:], uint32(size)|flag)
 	an.n++
-	if tr := a.rt.cfg.Trace; tr != nil {
-		tr.Comm(int(src), int(dest), size) // per-message wire size
+	if o := a.rt.obs; o != nil {
+		o.batched(src, dest, size)
 	}
 	switch {
 	case len(an.buf) >= batchBytes:
@@ -177,20 +177,11 @@ func (a *aggregator) xmitLocked(node int, an *aggNode, by string) {
 	size := len(buf) - transport.PrefixLen
 	// The timer also catches batches that were about to leave anyway; only
 	// one that waited out the whole delay was stranded.
-	stranded := by == flushBackstop && time.Since(an.born) >= a.delay
-	if stranded {
+	if by == flushBackstop && time.Since(an.born) >= a.delay {
 		a.rt.nBackstop.Add(1)
 	}
-	if tr := a.rt.cfg.Trace; tr != nil {
-		tr.Flush(node, tr.Since(), size, msgs, by)
-	}
-	if met := a.rt.met; met != nil {
-		met.batchFlushes.Inc()
-		met.batchBytes.Observe(int64(size))
-		met.batchMsgs.Observe(int64(msgs))
-		if stranded {
-			met.batchBackstops.Inc()
-		}
+	if o := a.rt.obs; o != nil {
+		o.flush(node, size, msgs, by)
 	}
 	a.rt.xmit(node, buf)
 }

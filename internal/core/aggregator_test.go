@@ -464,12 +464,12 @@ func (w *repWorker) Count() int                    { return w.Seen }
 // node 0 sent, a single-target flood is at least 99 % repeats while every
 // change of index, method, future or sender starts a full header. The runs to
 // each element are interleaved with future-carrying calls, broadcasts (tree
-// frames; with the tree off, batch sub-frames of their own) and messages past
-// batchBytes. Under dynamic dispatch Hit and Other differ in nothing but the
-// method name. `make guards` runs it under -race at GOMAXPROCS 1, 2 and 8.
+// frames) and messages past batchBytes. Under dynamic dispatch Hit and Other
+// differ in nothing but the method name. `make guards` runs it under -race at
+// GOMAXPROCS 1, 2 and 8.
 func TestBatchRepeatHeaders(t *testing.T) {
 	t.Run("tree", func(t *testing.T) { batchRepeatJob(t, Config{}) })
-	t.Run("flat-dynamic", func(t *testing.T) { batchRepeatJob(t, Config{TreeArity: -1, Dispatch: DynamicDispatch}) })
+	t.Run("dynamic", func(t *testing.T) { batchRepeatJob(t, Config{Dispatch: DynamicDispatch}) })
 }
 
 // tapTransport passes every frame on and keeps a copy of those to node 1.
@@ -494,7 +494,7 @@ func batchRepeatJob(t *testing.T, mode Config) {
 	tap := &tapTransport{}
 	node := 0
 	rts := runMultiNode(t, 2, 1, func(cfg *Config) {
-		cfg.TreeArity, cfg.Dispatch = mode.TreeArity, mode.Dispatch
+		cfg.Dispatch = mode.Dispatch
 		if node == 0 {
 			tap.Transport = cfg.Transport
 			cfg.Transport = tap

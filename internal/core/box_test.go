@@ -141,25 +141,6 @@ func (f *boxFIFO) Flood(to, n int) {
 	}
 }
 
-// boxFast is handed the runtime's own args slice and keeps every one.
-type boxFast struct {
-	Chare
-	kept [][]any
-}
-
-func (f *boxFast) Hit(seq int, tag string, data []int64) {}
-func (f *boxFast) Verify() int                           { return 0 }
-
-func (f *boxFast) DispatchEM(id int, args []any) {
-	if id == 0 { // Hit
-		f.kept = append(f.kept, args)
-		return
-	}
-	for _, a := range f.kept {
-		seeKept("fast", a)
-	}
-}
-
 // boxVariadic keeps the slice reflect builds around its arguments.
 type boxVariadic struct {
 	Chare
@@ -200,16 +181,15 @@ func seeKept(path string, a []any) {
 // dispatch that dequeued it: a when-guarded method delivered out of order, a
 // threaded method that yields first, invokes forwarded after a migration (on
 // the node and back across the wire), a whole-array broadcast and a node-level
-// broadcast of an element-addressed invoke, and a FastDispatcher and a
-// variadic method that store what they are handed. Every entry method must
-// see exactly the arguments that were sent, and an element flooded from the
-// other node across many frames while a PE of its own node sends to it too
-// must see each sender's messages in order. Both ingress paths must be
-// driven: the flood reaches its PEs as runs, and a message kept out of the
-// middle of a run must not go back with it, while the round trips at the end
-// each arrive alone in their batch and give their box back outside a run
-// (kv_closed's shape). `make guards` runs it under -race at GOMAXPROCS 1, 2
-// and 8.
+// broadcast of an element-addressed invoke, and a variadic method that stores
+// what it is handed. Every entry method must see exactly the arguments that
+// were sent, and an element flooded from the other node across many frames
+// while a PE of its own node sends to it too must see each sender's messages
+// in order. Both ingress paths must be driven: the flood reaches its PEs as
+// runs, and a message kept out of the middle of a run must not go back with
+// it, while the round trips at the end each arrive alone in their batch and
+// give their box back outside a run (kv_closed's shape). `make guards` runs it
+// under -race at GOMAXPROCS 1, 2 and 8.
 func TestRecycledBoxNeverObserved(t *testing.T) {
 	t.Run("default", func(t *testing.T) {
 		inRun, keptInRun, alone := recycledBoxJob(t)
@@ -255,7 +235,6 @@ func recycledBoxJob(t *testing.T) (inRun, keptInRun, alone int64) {
 		rt.Register(&boxGuarded{}, When("Step", "self.next == seq"), ArgNames("Step", "seq", "tag", "data"))
 		rt.Register(&boxThreaded{}, Threaded("Work"))
 		rt.Register(&boxPlain{})
-		rt.Register(&boxFast{})
 		rt.Register(&boxVariadic{})
 	}, func(self *Chare) {
 		// Four elements each: element i starts on PE i, so 2 and 3 are on the
@@ -265,7 +244,6 @@ func recycledBoxJob(t *testing.T) (inRun, keptInRun, alone int64) {
 		threaded := self.NewArray(&boxThreaded{}, dims)
 		plain := self.NewArray(&boxPlain{}, dims)
 		still := self.NewArray(&boxPlain{}, dims) // broadcast targets: an element in flight misses one
-		fast := self.NewArray(&boxFast{}, dims)
 		variadic := self.NewArray(&boxVariadic{}, dims)
 		fifo := self.NewArray(&boxFIFO{}, dims)
 		fifo.At(3).Call("Flood", 2, n) // PE 3 sends to its neighbour while this PE floods it from afar
@@ -281,7 +259,6 @@ func recycledBoxJob(t *testing.T) (inRun, keptInRun, alone int64) {
 				rets = append(rets, threaded.At(3).CallRet("Work", s, tag, data))
 				plain.At(2).Call("Hit", s, tag, data) // element 2 moves twice below
 				plain.At(3).Call("Hit", s, tag, data)
-				fast.At(2).Call("Hit", s, tag, data)
 				variadic.At(3).Call("Keep", []any{s, tag, data})
 				s, tag, data = boxArgs(int(self.MyPE())*fifoStride + seq)
 				fifo.At(2).Call("Seq", s, tag, data)
@@ -316,7 +293,6 @@ func recycledBoxJob(t *testing.T) (inRun, keptInRun, alone int64) {
 		for i := 0; i < 3; i++ {
 			plain.At(3).CallRet("Nop").Get()
 		}
-		fast.At(2).CallRet("Verify").Get()
 		variadic.At(3).CallRet("Verify").Get()
 	})
 
@@ -329,7 +305,7 @@ func recycledBoxJob(t *testing.T) (inRun, keptInRun, alone int64) {
 		path       string
 		seqs, each int
 	}{
-		{"guarded", n, 1}, {"threaded", n, 1}, {"fast", n, 1}, {"variadic", n, 1},
+		{"guarded", n, 1}, {"threaded", n, 1}, {"variadic", n, 1},
 		{"fifo", 2 * n, 1}, {"plain", n + 2*bcasts, 0},
 	} {
 		got := log.seen[c.path]

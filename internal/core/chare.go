@@ -242,7 +242,7 @@ func (c *Chare) Migrate(toPE PE) {
 	if ec.el.liveThreads > 1 || (ec.el.liveThreads == 1 && ec.p.curThread == nil) {
 		panic("core: cannot migrate a chare with suspended threaded entry methods")
 	}
-	ec.el.migrateTo.Store(int32(toPE))
+	ec.el.migrateTo = toPE
 }
 
 // AtSync tells the runtime this chare has reached a load-balancing
@@ -251,12 +251,12 @@ func (c *Chare) Migrate(toPE PE) {
 // ResumeFromSync entry method (if defined) is invoked.
 func (c *Chare) AtSync() {
 	ec := c.ctx()
-	ec.el.atSync.Store(true)
+	ec.el.atSync = true
 	ec.p.lbMaybeSendStats(ec.coll)
 }
 
 // Load returns the wall-clock entry-method time accumulated by this chare
 // since the last load-balancing round (exposed for tests and examples).
 func (c *Chare) Load() float64 {
-	return c.ctx().el.loadDur().Seconds()
+	return c.ctx().el.load.Seconds()
 }

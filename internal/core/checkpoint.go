@@ -69,7 +69,7 @@ func (p *peState) collectBundle() ckptBundle {
 			if err != nil {
 				panic(fmt.Sprintf("core: cannot checkpoint chare %s[%v]: %v", coll.ct.name, el.idx, err))
 			}
-			b.Elems = append(b.Elems, ckptElem{CID: cid, Idx: el.idx, Blob: blob, RedNo: el.redNo.Load()})
+			b.Elems = append(b.Elems, ckptElem{CID: cid, Idx: el.idx, Blob: blob, RedNo: el.redNo})
 		}
 	}
 	return b

@@ -209,9 +209,6 @@ func TestAccessors(t *testing.T) {
 		if b := pr.Broadcast(); b.Elem != nil {
 			t.Error("Broadcast did not clear element")
 		}
-		if id := self.Runtime().MethodID("Hello", "SayHi"); id < 0 {
-			t.Errorf("MethodID = %d", id)
-		}
 	})
 	if rt.NumPEs() != 3 || rt.NodeID() != 0 {
 		t.Errorf("runtime accessors: %d PEs node %d", rt.NumPEs(), rt.NodeID())

@@ -304,7 +304,7 @@ func (rt *Runtime) SetAdmission(f func(node int) error) { rt.admitHook = f }
 func (rt *Runtime) viewChildren(dst []int, root int) []int {
 	v := rt.view.Load()
 	if v == nil || v.full {
-		return appendTreeChildren(dst, rt.nodeID, root, rt.numNodes, rt.arity)
+		return appendTreeChildren(dst, rt.nodeID, root, rt.numNodes, treeArity)
 	}
 	selfR, rootR := v.rank(rt.nodeID), v.rank(root)
 	if selfR < 0 || rootR < 0 {
@@ -312,7 +312,7 @@ func (rt *Runtime) viewChildren(dst []int, root int) []int {
 	}
 	n := len(v.nodes)
 	rel := ((selfR-rootR)%n + n) % n
-	for c := rel*rt.arity + 1; c <= rel*rt.arity+rt.arity && c < n; c++ {
+	for c := rel*treeArity + 1; c <= rel*treeArity+treeArity && c < n; c++ {
 		dst = append(dst, v.nodes[(c+rootR)%n])
 	}
 	return dst
@@ -324,18 +324,16 @@ func (rt *Runtime) viewChildren(dst []int, root int) []int {
 func (rt *Runtime) viewParent(root int) int {
 	v := rt.view.Load()
 	if v == nil || v.full {
-		return treeParent(rt.nodeID, root, rt.numNodes, rt.arity)
+		return treeParent(rt.nodeID, root, rt.numNodes, treeArity)
 	}
 	selfR, rootR := v.rank(rt.nodeID), v.rank(root)
 	if selfR < 0 || rootR < 0 {
 		return 0
 	}
-	n := len(v.nodes)
-	rel := ((selfR-rootR)%n + n) % n
-	if rel == 0 {
-		return -1
+	if pr := treeParent(selfR, rootR, len(v.nodes), treeArity); pr >= 0 {
+		return v.nodes[pr]
 	}
-	return v.nodes[((rel-1)/rt.arity+rootR)%n]
+	return -1
 }
 
 // ---- external futures ----
@@ -589,7 +587,7 @@ func (p *peState) elasticCensus(cm *elasticCensusMsg) {
 			}
 			rep.Elems = append(rep.Elems, elasticElemInfo{
 				CID: cid, Key: key,
-				Busy: el.liveThreads > 0 || el.atSync.Load() || el.migrateTo.Load() >= 0,
+				Busy: el.liveThreads > 0 || el.atSync || el.migrateTo >= 0,
 			})
 		}
 	}

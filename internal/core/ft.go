@@ -188,9 +188,8 @@ func (p *peState) ftShip(epoch int64, g *ftGatherState) {
 	}
 	blob := buf.Bytes()
 	rt.cfg.FT.StoreSnapshot(epoch, rt.nodeID, rt.numNodes, blob, true)
-	if met := rt.met; met != nil {
-		met.ftSnapshots.Inc()
-		met.ftSnapshotBytes.Add(int64(len(blob)))
+	if o := rt.obs; o != nil {
+		o.ftSnapshot(len(blob))
 	}
 	if rt.numNodes == 1 {
 		rt.sendFutureSet(g.fut, nil) // no buddy: self-commit
@@ -390,8 +389,8 @@ func RestartFromMemory(rt *Runtime, entry func(self *Chare, colls map[CID]Proxy,
 		// Seed the epoch counter so the next FTCheckpoint commits best+1:
 		// epochs stay monotonic across any series of recoveries.
 		rt.ftEpoch.Store(best)
-		if tr := rt.cfg.Trace; tr != nil {
-			tr.Recovery(int(best), tr.Since(), 0)
+		if o := rt.obs; o != nil {
+			o.recovery(best)
 		}
 		entry(self, colls, best)
 	})

@@ -54,8 +54,8 @@ func (p *peState) futureSet(ref FutureRef, v any) {
 	if fs.got < fs.need {
 		return
 	}
-	if tr := p.rt.cfg.Trace; tr != nil {
-		tr.FutureSet(p.lpe(), tr.Since())
+	if o := p.rt.obs; o != nil {
+		o.futureSet(p)
 	}
 	fs.ready = true
 	ws := fs.waiters

@@ -3,9 +3,8 @@ package core
 // CCS-style live introspection (DESIGN.md §3.6). When Config.SampleInterval
 // is set, each node runs one sampler goroutine that periodically
 //
-//  1. reads every local PE's cumulative busy/EM/recv atomics (maintained on
-//     the hot path behind a single rt.sampler nil check, like the trace and
-//     metrics off-paths) plus mailbox depth, and
+//  1. reads every local PE's cumulative busy/EM/recv atomics (the peStats
+//     the observer keeps, observe.go) plus mailbox depth, and
 //  2. asks every local PE — by pushing an mIntroSample control message into
 //     its mailbox — for a profile of the collections it hosts: element
 //     counts and the top-K hottest elements by the same element.load
@@ -35,7 +34,6 @@ import (
 	"io"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"charmgo/internal/introspect"
@@ -84,24 +82,12 @@ type introLBMovesMsg struct {
 	Moves map[string]PE
 }
 
-// peStats are the per-PE cumulative counters behind live sampling, updated
-// on the hot path only when a sampler is attached (one predicted branch
-// otherwise, and never an allocation).
-type peStats struct {
-	busy    atomic.Int64 // entry-method nanos, added at EM/segment completion
-	ems     atomic.Int64 // entry methods completed
-	recvs   atomic.Int64 // messages dequeued
-	emStart atomic.Int64 // PE-clock start (peState.stamp) of the in-flight EM; 0 when idle
-}
-
 // sampler is the per-node sampling goroutine plus the round state collecting
 // the PEs' message-driven collection profiles.
 type sampler struct {
-	rt       *Runtime
-	interval time.Duration
-	topK     int
-	stop     chan struct{}
-	done     chan struct{}
+	rt   *Runtime
+	stop chan struct{}
+	done chan struct{}
 
 	mu        sync.Mutex
 	seq       int64
@@ -118,15 +104,13 @@ type sampleRound struct {
 	replies int
 }
 
+// sampleTopK bounds the hottest-elements list each collection reports per
+// sample.
+const sampleTopK = 5
+
 func newSampler(rt *Runtime) *sampler {
-	topK := rt.cfg.SampleTopK
-	if topK <= 0 {
-		topK = 5
-	}
 	return &sampler{
 		rt:        rt,
-		interval:  rt.cfg.SampleInterval,
-		topK:      topK,
 		stop:      make(chan struct{}),
 		done:      make(chan struct{}),
 		lastTick:  time.Now(),
@@ -138,7 +122,7 @@ func newSampler(rt *Runtime) *sampler {
 
 func (s *sampler) loop() {
 	defer close(s.done)
-	t := time.NewTicker(s.interval)
+	t := time.NewTicker(s.rt.cfg.SampleInterval)
 	defer t.Stop()
 	for {
 		select {
@@ -160,14 +144,28 @@ func (s *sampler) shutdown() {
 // replies (a PE stuck in a long entry method) is shipped as-is first —
 // sampling never waits on a PE.
 func (s *sampler) tick() {
-	rt := s.rt
-	now := time.Now()
 	s.mu.Lock()
 	var stale introspect.NodeSnapshot
 	shipStale := false
 	if s.cur != nil {
 		stale, shipStale = s.finishLocked()
 	}
+	s.cur = &sampleRound{snap: s.sampleLocked(time.Now())}
+	s.mu.Unlock()
+	if shipStale {
+		s.dispatch(stale)
+	}
+	// Ask each PE for its collection profile; a closed mailbox (shutdown in
+	// progress) just means no reply, which the next tick ships around.
+	for _, p := range s.rt.pes {
+		p.mbox.push(&Message{Kind: mIntroSample, Src: -1, Ctl: &introSampleMsg{Seq: s.seq}})
+	}
+}
+
+// sampleLocked opens sample s.seq+1: the node's counters now and the PE-level
+// stats over the window since the last one. Caller holds s.mu.
+func (s *sampler) sampleLocked(now time.Time) introspect.NodeSnapshot {
+	rt := s.rt
 	s.seq++
 	window := now.Sub(s.lastTick)
 	s.lastTick = now
@@ -217,7 +215,7 @@ func (s *sampler) tick() {
 		}
 		snap.PEs[i] = ps
 	}
-	if tr := rt.cfg.Trace; tr != nil {
+	if tr := rt.obs.tr; tr != nil {
 		snap.TraceDrops = make([]uint64, len(rt.pes))
 		for i := range rt.pes {
 			snap.TraceDrops[i] = tr.DroppedByPE(i)
@@ -227,16 +225,7 @@ func (s *sampler) tick() {
 	if reg := rt.cfg.Metrics; reg != nil {
 		snap.Admission = admissionSample(reg)
 	}
-	s.cur = &sampleRound{snap: snap}
-	s.mu.Unlock()
-	if shipStale {
-		s.dispatch(stale)
-	}
-	// Ask each PE for its collection profile; a closed mailbox (shutdown in
-	// progress) just means no reply, which the next tick ships around.
-	for _, p := range rt.pes {
-		p.mbox.push(&Message{Kind: mIntroSample, Src: -1, Ctl: &introSampleMsg{Seq: s.seq}})
-	}
+	return snap
 }
 
 // admissionSample reads the admission-control instruments out of the node's
@@ -310,8 +299,8 @@ func (s *sampler) finishLocked() (introspect.NodeSnapshot, bool) {
 	for _, cid := range order {
 		cs := byCID[cid]
 		sort.Slice(cs.Hot, func(i, j int) bool { return cs.Hot[i].LoadMillis > cs.Hot[j].LoadMillis })
-		if len(cs.Hot) > s.topK {
-			cs.Hot = cs.Hot[:s.topK]
+		if len(cs.Hot) > sampleTopK {
+			cs.Hot = cs.Hot[:sampleTopK]
 		}
 		r.snap.Colls = append(r.snap.Colls, *cs)
 	}
@@ -335,15 +324,9 @@ func (s *sampler) dispatch(snap introspect.NodeSnapshot) {
 }
 
 // introShipUp transmits a report frame one hop toward node 0: to this
-// node's spanning-tree parent, or directly to node 0 in flat mode.
+// node's spanning-tree parent.
 func (rt *Runtime) introShipUp(rm *introReportMsg) {
-	parent := 0
-	if rt.treeEnabled() {
-		parent = rt.viewParent(0)
-		if parent < 0 {
-			parent = 0
-		}
-	}
+	parent := max(rt.viewParent(0), 0)
 	m := &Message{Kind: mIntroReport, Src: -1, Ctl: rm}
 	rt.ordSentTo(parent)
 	rt.xmit(parent, appendMsg(transport.GetBuf(), -1, m, rt.wt))
@@ -404,8 +387,8 @@ func (rt *Runtime) Introspect() *introspect.Cluster { return rt.intro }
 // element.load and the collection maps are scheduler-owned, which is exactly
 // why this runs as a message instead of a cross-goroutine read.
 func (p *peState) introSample(seq int64) {
-	sm := p.rt.sampler
-	if sm == nil {
+	s := p.rt.sampler
+	if s == nil {
 		return
 	}
 	var out []introspect.CollSample
@@ -420,7 +403,7 @@ func (p *peState) introSample(seq int64) {
 			Elems: len(coll.elems),
 		}
 		for _, el := range coll.elems {
-			load := el.loadDur()
+			load := el.load
 			if el.dead || load <= 0 {
 				continue
 			}
@@ -431,12 +414,12 @@ func (p *peState) introSample(seq int64) {
 			})
 		}
 		sort.Slice(cs.Hot, func(i, j int) bool { return cs.Hot[i].LoadMillis > cs.Hot[j].LoadMillis })
-		if len(cs.Hot) > sm.topK {
-			cs.Hot = cs.Hot[:sm.topK]
+		if len(cs.Hot) > sampleTopK {
+			cs.Hot = cs.Hot[:sampleTopK]
 		}
 		out = append(out, cs)
 	}
-	sm.collReply(seq, out)
+	s.collReply(seq, out)
 }
 
 func collKindName(k uint8) string {
@@ -516,7 +499,7 @@ func (p *peState) introLBPoll(pm *introLBPollMsg) {
 			if el.dead {
 				continue
 			}
-			objs = append(objs, LBObject{Key: el.key, PE: p.pe, Load: el.loadDur().Seconds()})
+			objs = append(objs, LBObject{Key: el.key, PE: p.pe, Load: el.load.Seconds()})
 		}
 	}
 	p.rt.send(rootPE(p.rt, pm.CID), &Message{Kind: mIntroLBStats, CID: pm.CID, Src: p.pe,
@@ -545,8 +528,8 @@ func (p *peState) introLBStats(sm *introLBStatsMsg) {
 			}
 		}
 	}
-	if tr := p.rt.cfg.Trace; tr != nil {
-		tr.LB(p.lpe(), tr.Since(), len(moves))
+	if o := p.rt.obs; o != nil {
+		o.lbDecision(p, len(moves))
 	}
 	if len(moves) == 0 {
 		return
@@ -568,10 +551,10 @@ func (p *peState) introLBMoves(lm *introLBMovesMsg) {
 	var moving []*element
 	for key, dest := range lm.Moves {
 		el, ok := coll.elems[key]
-		if !ok || el.dead || el.atSync.Load() || el.migrateTo.Load() >= 0 || dest == p.pe {
+		if !ok || el.dead || el.atSync || el.migrateTo >= 0 || dest == p.pe {
 			continue
 		}
-		el.migrateTo.Store(int32(dest))
+		el.migrateTo = dest
 		moving = append(moving, el)
 	}
 	for _, el := range moving {

@@ -141,20 +141,20 @@ func TestTriggerLBRoundMovesElements(t *testing.T) {
 }
 
 // TestTraceGatherTimeoutPartial covers the partial-gather path: node 0 of a
-// "2-node" job whose peer never reports must give up after the configured
-// Config.TraceGatherTimeout, not the 3s default, keeping its own report — and
+// "2-node" job whose peer never reports must give up after its gather
+// timeout, here shortened from the 3s constant, keeping its own report — and
 // say which node is missing and what is known about why: nothing came, a
 // report was turned away by the full gather queue, or it came too late.
 func TestTraceGatherTimeoutPartial(t *testing.T) {
 	tr := trace.New(1)
 	tr.EM(0, "A", "M", 0, time.Millisecond)
 	rt := NewRuntime(Config{
-		PEs:                1,
-		Transport:          &discardTransport{n: 2},
-		Trace:              tr,
-		TraceGather:        true,
-		TraceGatherTimeout: 60 * time.Millisecond,
+		PEs:         1,
+		Transport:   &discardTransport{n: 2},
+		Trace:       tr,
+		TraceGather: true,
 	})
+	rt.gatherTimeout = 60 * time.Millisecond
 	rt.wt = buildWireTables(rt.types)
 	rt.traceRepCh = make(chan trace.Report, 2)
 
@@ -183,12 +183,12 @@ func TestTraceGatherTimeoutPartial(t *testing.T) {
 	// A report the full gather queue turns away is named when it is dropped
 	// and counted in what the gather says when it gives up.
 	rt3 := NewRuntime(Config{
-		PEs:                1,
-		Transport:          &discardTransport{n: 3},
-		Trace:              trace.New(1),
-		TraceGather:        true,
-		TraceGatherTimeout: 20 * time.Millisecond,
+		PEs:         1,
+		Transport:   &discardTransport{n: 3},
+		Trace:       trace.New(1),
+		TraceGather: true,
 	})
+	rt3.gatherTimeout = 20 * time.Millisecond
 	rt3.wt = buildWireTables(rt3.types)
 	rt3.traceRepCh = make(chan trace.Report, 1)
 	if err := rt3.takeTraceReport(trace.Report{Node: 1, NumPEs: 1}); err != nil {
@@ -205,12 +205,12 @@ func TestTraceGatherTimeoutPartial(t *testing.T) {
 
 	// With the peer's report already queued, the gather completes at once.
 	rt2 := NewRuntime(Config{
-		PEs:                1,
-		Transport:          &discardTransport{n: 2},
-		Trace:              trace.New(1),
-		TraceGather:        true,
-		TraceGatherTimeout: 5 * time.Second,
+		PEs:         1,
+		Transport:   &discardTransport{n: 2},
+		Trace:       trace.New(1),
+		TraceGather: true,
 	})
+	rt2.gatherTimeout = 5 * time.Second
 	rt2.wt = buildWireTables(rt2.types)
 	rt2.traceRepCh = make(chan trace.Report, 2)
 	rt2.traceRepCh <- trace.Report{Node: 1, NumPEs: 1}
@@ -233,11 +233,12 @@ type AllocTick struct {
 
 func (a *AllocTick) Tick() {}
 
-// TestInvokeAllocsSamplingHooks guards the sampler's hot-path cost: the
-// per-message and per-EM accounting sites in the PE scheduler are behind a
-// single nil check, so with sampling off (the default) they add zero
-// allocations — and even with a sampler attached the accounting is
-// atomics-only, so the counts must be identical.
+// TestInvokeAllocsSamplingHooks guards the observer's hot-path cost: the
+// per-message and per-EM event sites in the PE scheduler are behind a single
+// nil check, so with every observer off (the default) they add zero
+// allocations — and with an observer that neither traces nor exports metrics
+// (sampling only) its events are atomics-only, so the counts must be
+// identical.
 func TestInvokeAllocsSamplingHooks(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-mode instrumentation perturbs allocation counts")
@@ -254,16 +255,16 @@ func TestInvokeAllocsSamplingHooks(t *testing.T) {
 	m := &Message{Kind: mInvoke, CID: 9, MID: -1, Method: "Tick", Src: 0, Idx: []int{0}}
 	p.handle(m) // warm dispatch caches
 
-	if rt.sampler != nil {
-		t.Fatal("sampler unexpectedly enabled by default")
+	if rt.obs != nil {
+		t.Fatal("observer unexpectedly enabled by default")
 	}
 	off := testing.AllocsPerRun(500, func() { p.handle(m) })
 
-	rt.sampler = &sampler{rt: rt} // hooks only read the pointer and atomics
+	rt.obs = newObserver(rt)
 	on := testing.AllocsPerRun(500, func() { p.handle(m) })
-	rt.sampler = nil
+	rt.obs = nil
 
 	if on != off {
-		t.Errorf("invoke allocs with sampler = %.1f, without = %.1f: accounting is not allocation-free", on, off)
+		t.Errorf("invoke allocs with observer = %.1f, without = %.1f: accounting is not allocation-free", on, off)
 	}
 }

@@ -38,13 +38,13 @@ func (p *peState) lbMaybeSendStats(coll *localColl) {
 		return
 	}
 	for _, el := range coll.elems {
-		if !el.atSync.Load() {
+		if !el.atSync {
 			return
 		}
 	}
 	objs := make([]LBObject, 0, len(coll.elems))
 	for _, el := range coll.elems {
-		objs = append(objs, LBObject{Key: el.key, PE: p.pe, Load: el.loadDur().Seconds()})
+		objs = append(objs, LBObject{Key: el.key, PE: p.pe, Load: el.load.Seconds()})
 	}
 	coll.lbStatsSent = true
 	p.rt.send(rootPE(p.rt, collCID(coll)), &Message{
@@ -78,8 +78,8 @@ func (p *peState) lbRootStats(m *Message) {
 			}
 		}
 	}
-	if tr := p.rt.cfg.Trace; tr != nil {
-		tr.LB(p.lpe(), tr.Since(), len(moves))
+	if o := p.rt.obs; o != nil {
+		o.lbDecision(p, len(moves))
 	}
 	if len(moves) == 0 {
 		p.rt.bcastAllPEs(&Message{Kind: mLBResume, CID: m.CID, Src: p.pe, Ctl: &lbResumeMsg{CID: m.CID}})
@@ -99,7 +99,7 @@ func (p *peState) lbApplyMoves(lm *lbMovesMsg) {
 	for key, dest := range lm.Moves {
 		if el, ok := coll.elems[key]; ok && !el.dead && dest != p.pe {
 			el.lbMove = true
-			el.migrateTo.Store(int32(dest))
+			el.migrateTo = dest
 			moving = append(moving, el)
 		}
 	}
@@ -125,8 +125,8 @@ func (p *peState) lbResume(cid CID) {
 	coll.lbStatsSent = false
 	els := make([]*element, 0, len(coll.elems))
 	for _, el := range coll.elems {
-		el.atSync.Store(false)
-		el.setLoad(0)
+		el.atSync = false
+		el.load = 0
 		els = append(els, el)
 	}
 	if !coll.ct.hasResume {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
-	"sync/atomic"
 	"time"
 
 	"charmgo/internal/expr"
@@ -49,8 +48,8 @@ type peState struct {
 	// one is taken to start — so a dispatched message costs one clock read,
 	// at its end, and the dequeue and routing in between count toward the
 	// method they lead to. A scheduler that parked re-reads it on waking.
-	// addLoad, the sampler and the tracer's EM spans all use these stamps.
-	// now is time.Since(rt.t0) unless a test counts the reads.
+	// Element loads, the sampler and the tracer's EM spans all use these
+	// stamps. now is time.Since(rt.t0) unless a test counts the reads.
 	now   func() time.Duration
 	stamp time.Duration
 
@@ -66,9 +65,8 @@ type peState struct {
 	// cnt is this PE's line of message counters (quiescence.go).
 	cnt *peCounts
 
-	// stats are the cumulative counters behind live introspection sampling,
-	// written by the scheduler only when a sampler is attached and read by
-	// the sampler goroutine (hence atomics).
+	// stats are the cumulative counters the observer keeps for the sampler
+	// and the per-PE metrics (observe.go).
 	stats peStats
 
 	exiting bool
@@ -95,11 +93,12 @@ type localColl struct {
 	treeExpectOK bool
 }
 
-// element is one chare instance hosted on this PE, owned by its scheduler.
+// element is one chare instance hosted on this PE, owned by its scheduler:
+// only the PE touches it, or the threaded entry method the PE has handed
+// itself to, and the waitYield channel handoff orders those accesses.
 type element struct {
 	obj         reflect.Value // pointer to the user struct
 	iface       any
-	fast        FastDispatcher
 	base        *Chare
 	idx         []int
 	key         string
@@ -108,21 +107,15 @@ type element struct {
 	buf         []*Message // when-buffered messages
 	waiters     []*waiter
 	chans       map[string]*chanStream // channel receive streams
-	redNo       atomic.Int64
-	load        atomic.Int64 // cumulative entry-method wall time, nanoseconds
-	atSync      atomic.Bool
-	migrateTo   atomic.Int32 // requested destination PE; -1 when none
+	redNo       int64
+	load        time.Duration // cumulative entry-method wall time
+	atSync      bool
+	migrateTo   PE // requested destination PE; -1 when none
 	lbMove      bool
 	liveThreads int
 	inRecheck   bool
 	dead        bool
 }
-
-// loadDur returns the element's accumulated entry-method time.
-func (el *element) loadDur() time.Duration { return time.Duration(el.load.Load()) }
-
-func (el *element) addLoad(d time.Duration) { el.load.Add(int64(d)) }
-func (el *element) setLoad(d time.Duration) { el.load.Store(int64(d)) }
 
 type waiter struct {
 	cond  string
@@ -143,7 +136,7 @@ type thYield struct {
 	panicVal any
 }
 
-// lpe returns the node-local index of this PE (trace/metrics attribution).
+// lpe returns the node-local index of this PE (trace attribution).
 func (p *peState) lpe() int { return int(p.pe - p.rt.basePE) }
 
 func newPEState(rt *Runtime, pe PE) *peState {
@@ -167,8 +160,6 @@ func newPEState(rt *Runtime, pe PE) *peState {
 // loop is the PE scheduler: Charm++-style message-driven execution, one
 // entry method at a time.
 func (p *peState) loop() {
-	tr := p.rt.cfg.Trace
-	lpe := p.lpe()
 	p.stamp = p.now()
 	for !p.exiting {
 		m, ok := p.mbox.tryPop()
@@ -181,10 +172,8 @@ func (p *peState) loop() {
 			if p.rt.agg != nil {
 				p.rt.agg.flushAll(flushIdle)
 			}
-			if tr != nil {
-				idleAt := tr.Since()
-				m, ok = p.mbox.pop()
-				tr.Idle(lpe, idleAt, tr.Since()-idleAt)
+			if o := p.rt.obs; o != nil {
+				m, ok = o.park(p)
 			} else {
 				m, ok = p.mbox.pop()
 			}
@@ -248,15 +237,8 @@ func (p *peState) dispatchRun(r *msgRun) {
 // is spent: dispatch and dispatchRun are the one place a decoded invoke's box
 // is taken back (wire.go has the ownership rule).
 func (p *peState) deliver(m *Message) (spent bool) {
-	if tr := p.rt.cfg.Trace; tr != nil && m.enq != 0 {
-		now := tr.Since()
-		tr.Recv(p.lpe(), m.Method, now, now-m.enq)
-	}
-	if met := p.rt.met; met != nil {
-		met.peRecvs[p.lpe()].Inc()
-	}
-	if sm := p.rt.sampler; sm != nil {
-		p.stats.recvs.Add(1)
+	if o := p.rt.obs; o != nil {
+		o.recv(p, m)
 	}
 	p.cur, p.curSpent = m, false
 	p.handle(m)
@@ -503,10 +485,8 @@ func (p *peState) newElement(coll *localColl, cid CID, idx []int, args []any) *e
 		key:   idxKey(idx),
 		cid:   cid,
 		coll:  coll,
-	}
-	el.migrateTo.Store(-1)
-	if coll.ct.fast {
-		el.fast = el.iface.(FastDispatcher)
+
+		migrateTo: -1,
 	}
 	base := el.iface.(Chareable).chareBase()
 	base.ThisIndex = el.idx
@@ -763,24 +743,16 @@ func (p *peState) invokeEMInner(el *element, info *emInfo, m *Message) {
 		return
 	}
 	start := p.stamp
-	if sm := p.rt.sampler; sm != nil {
-		p.stats.emStart.Store(int64(start))
+	if o := p.rt.obs; o != nil {
+		o.emBegin(p, start)
 	}
 	ret, unpacked := p.callEM(el, info, args)
 	end := p.now()
 	p.stamp = end
 	dur := end - start
-	el.addLoad(dur)
-	if sm := p.rt.sampler; sm != nil {
-		p.stats.emStart.Store(0)
-		p.stats.busy.Add(int64(dur))
-		p.stats.ems.Add(1)
-	}
-	if tr := p.rt.cfg.Trace; tr != nil {
-		tr.EM(p.lpe(), el.coll.ct.name, info.name, start+p.rt.trOff, dur)
-	}
-	if met := p.rt.met; met != nil {
-		met.peEMs[p.lpe()].Inc()
+	el.load += dur
+	if o := p.rt.obs; o != nil {
+		o.emEnd(p, el, info.name, start, dur, true)
 	}
 	if m.Fut.valid() {
 		p.rt.sendFutureSet(m.Fut, ret)
@@ -793,20 +765,19 @@ func (p *peState) invokeEMInner(el *element, info *emInfo, m *Message) {
 // callEM performs the actual call. Chare types with generated bindings
 // (charmgo_gen.go) dispatch through a typed switch with zero reflection in
 // either mode — the paper's generated-stub upgrade path. Otherwise, in
-// StaticDispatch mode the call goes through a FastDispatcher or the
-// precomputed method table; in DynamicDispatch mode it performs a per-call
-// reflective name lookup with permissive argument coercion, modelling
-// interpreted dispatch (DESIGN.md).
+// StaticDispatch mode the call goes through the precomputed method table; in
+// DynamicDispatch mode it performs a per-call reflective name lookup with
+// permissive argument coercion, modelling interpreted dispatch (DESIGN.md).
 //
 // unpacked reports that the method received its arguments as typed
 // parameters copied out of args, so that args itself is free again when the
-// call returns. A FastDispatcher is handed args, and a variadic method a
-// slice reflect builds around them: both may keep what they got.
+// call returns. A variadic method is handed a slice reflect builds around
+// them, which it may keep.
 func (p *peState) callEM(el *element, info *emInfo, args []any) (ret any, unpacked bool) {
 	if g := el.coll.ct.gen; g != nil {
 		if ret, ok := g.Dispatch(el.iface, int(info.id), args); ok {
-			if met := p.rt.met; met != nil {
-				met.dispatchGenerated.Inc()
+			if o := p.rt.obs; o != nil {
+				o.dispatched(dispGenerated)
 			}
 			return ret, true
 		}
@@ -814,14 +785,10 @@ func (p *peState) callEM(el *element, info *emInfo, args []any) (ret any, unpack
 		// an int where the method takes float64). Fall through to reflection.
 	}
 	unpacked = !info.variadic
+	if o := p.rt.obs; o != nil {
+		o.dispatched(int(p.rt.cfg.Dispatch))
+	}
 	if p.rt.cfg.Dispatch == StaticDispatch {
-		if met := p.rt.met; met != nil {
-			met.dispatchStatic.Inc()
-		}
-		if el.fast != nil {
-			el.fast.DispatchEM(int(info.id), args)
-			return nil, false
-		}
 		in := make([]reflect.Value, 1+len(info.argTypes))
 		in[0] = el.obj
 		for i, t := range info.argTypes {
@@ -838,9 +805,6 @@ func (p *peState) callEM(el *element, info *emInfo, args []any) (ret any, unpack
 		return nil, unpacked
 	}
 	// Dynamic dispatch: name lookup per invocation.
-	if met := p.rt.met; met != nil {
-		met.dispatchDynamic.Inc()
-	}
 	mv := el.obj.MethodByName(info.name)
 	if !mv.IsValid() {
 		panic(fmt.Sprintf("core: %s has no method %s", el.coll.ct.name, info.name))
@@ -896,8 +860,8 @@ func (p *peState) runThreaded(el *element, info *emInfo, m *Message, args []any)
 	el.liveThreads++
 	p.curThread = th
 	th.segStart = p.stamp
-	if sm := p.rt.sampler; sm != nil {
-		p.stats.emStart.Store(int64(th.segStart))
+	if o := p.rt.obs; o != nil {
+		o.emBegin(p, th.segStart)
 	}
 	go func() {
 		var pv any
@@ -924,23 +888,12 @@ func (p *peState) waitYield() {
 	end := p.now() // this goroutine was blocked while the thread ran
 	p.stamp = end
 	seg := end - y.th.segStart
-	el.addLoad(seg)
+	el.load += seg
 	p.curThread = nil
-	if sm := p.rt.sampler; sm != nil {
-		p.stats.emStart.Store(0)
-		p.stats.busy.Add(int64(seg))
-		if y.done {
-			p.stats.ems.Add(1)
-		}
-	}
-	if tr := p.rt.cfg.Trace; tr != nil {
-		// threaded entry methods are traced as run segments
-		tr.EM(p.lpe(), el.coll.ct.name, "(threaded)", y.th.segStart+p.rt.trOff, seg)
+	if o := p.rt.obs; o != nil {
+		o.emEnd(p, el, "(threaded)", y.th.segStart, seg, y.done) // traced as run segments
 	}
 	if y.done {
-		if met := p.rt.met; met != nil {
-			met.peEMs[p.lpe()].Inc()
-		}
 		el.liveThreads--
 		if y.panicVal != nil {
 			panic(y.panicVal)
@@ -972,8 +925,8 @@ func (p *peState) resumeThread(th *emThread) {
 	delete(p.suspended, th)
 	p.curThread = th
 	th.segStart = p.stamp
-	if sm := p.rt.sampler; sm != nil {
-		p.stats.emStart.Store(int64(th.segStart))
+	if o := p.rt.obs; o != nil {
+		o.emBegin(p, th.segStart)
 	}
 	th.resume <- struct{}{}
 	p.waitYield()
@@ -1020,10 +973,10 @@ func (p *peState) recheck(el *element) {
 		}
 	}
 	el.inRecheck = false
-	if !el.dead && el.migrateTo.Load() >= 0 && el.liveThreads == 0 {
+	if !el.dead && el.migrateTo >= 0 && el.liveThreads == 0 {
 		p.migrateOut(el)
 	}
-	if !el.dead && el.atSync.Load() {
+	if !el.dead && el.atSync {
 		p.lbMaybeSendStats(el.coll)
 	}
 }
@@ -1031,8 +984,8 @@ func (p *peState) recheck(el *element) {
 // ---- migration (paper section II-I) ----
 
 func (p *peState) migrateOut(el *element) {
-	to := PE(el.migrateTo.Load())
-	el.migrateTo.Store(-1)
+	to := el.migrateTo
+	el.migrateTo = -1
 	if to == p.pe {
 		return
 	}
@@ -1044,8 +997,8 @@ func (p *peState) migrateOut(el *element) {
 		CID:   el.cid,
 		Idx:   el.idx,
 		Blob:  blob,
-		RedNo: el.redNo.Load(),
-		Load:  el.loadDur().Seconds(),
+		RedNo: el.redNo,
+		Load:  el.load.Seconds(),
 	}
 	if el.lbMove {
 		mm.ASeq = 1 // LB-ordered move: receiver acknowledges to the root
@@ -1059,8 +1012,8 @@ func (p *peState) migrateOut(el *element) {
 		p.tomb[el.cid] = tm
 	}
 	tm[el.key] = to
-	if tr := p.rt.cfg.Trace; tr != nil {
-		tr.MigrateOut(p.lpe(), int(to), el.coll.ct.name, tr.Since())
+	if o := p.rt.obs; o != nil {
+		o.migrateOut(p, to, el.coll.ct.name)
 	}
 	p.rt.send(to, &Message{Kind: mMigrate, CID: el.cid, Src: p.pe, Ctl: mm})
 	// Forward buffered messages to the new location.
@@ -1097,12 +1050,10 @@ func (p *peState) migrateIn(mm *migrateMsg) {
 		key:   idxKey(mm.Idx),
 		cid:   mm.CID,
 		coll:  coll,
-	}
-	el.redNo.Store(mm.RedNo)
-	el.setLoad(time.Duration(mm.Load * float64(time.Second)))
-	el.migrateTo.Store(-1)
-	if coll.ct.fast {
-		el.fast = v.(FastDispatcher)
+
+		redNo:     mm.RedNo,
+		load:      time.Duration(mm.Load * float64(time.Second)),
+		migrateTo: -1,
 	}
 	base := v.(Chareable).chareBase()
 	base.ThisIndex = el.idx
@@ -1119,8 +1070,8 @@ func (p *peState) migrateIn(mm *migrateMsg) {
 		p.setHomeLoc(mm.CID, el.key, p.pe)
 	}
 	p.rt.cacheLoc(mm.CID, el.key, p.pe)
-	if tr := p.rt.cfg.Trace; tr != nil {
-		tr.MigrateIn(p.lpe(), coll.ct.name, tr.Since())
+	if o := p.rt.obs; o != nil {
+		o.migrateIn(p, coll.ct.name)
 	}
 	if hook, ok := v.(Migrated); ok {
 		hook.Migrated()

@@ -173,8 +173,8 @@ func (p *peState) qdOnReply(rm *qdReplyMsg) {
 		p.qdProbe()
 		return
 	}
-	if tr := p.rt.cfg.Trace; tr != nil {
-		tr.QD(p.lpe(), tr.Since())
+	if o := p.rt.obs; o != nil {
+		o.quiescence(p)
 	}
 	qd.probing = false
 	qd.havePrev = false

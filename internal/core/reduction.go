@@ -17,14 +17,13 @@ import (
 // combiner PE merges the partials of its own PEs with the already-merged
 // partials of its child subtrees, and forwards exactly one partial to its
 // parent's combiner — so no node (the root included) merges more than
-// O(PEs + TreeArity) partials per reduction. Contributions are routed by
+// O(PEs + treeArity) partials per reduction. Contributions are routed by
 // each element's *initial* placement node, which every node can compute
 // from the collection metadata alone: the per-subtree expected counts stay
 // static under migration (a migrated element's host sends its share back to
 // the combiner of the element's initial node). Sparse collections keep the
 // flat direct-to-root path — membership isn't known until DoneInserting, so
-// subtree counts cannot be precomputed. TreeArity < 0 restores the flat
-// two-level combine everywhere.
+// subtree counts cannot be precomputed; so does a single-node job.
 
 type localRedSlot struct {
 	count      int
@@ -74,7 +73,8 @@ func isListReducer(rt *Runtime, name string) bool {
 // element's PE.
 func (p *peState) contribute(el *element, data any, reducer Reducer, target Target) {
 	coll := el.coll
-	seq := el.redNo.Add(1)
+	el.redNo++
+	seq := el.redNo
 	slot := coll.localRed[seq]
 	if slot == nil {
 		slot = &localRedSlot{reducer: reducer.Name}
@@ -143,8 +143,8 @@ func sameTarget(a, b Target) bool {
 
 func (p *peState) flushLocalRed(coll *localColl, seq int64, slot *localRedSlot) {
 	cid := collCID(coll)
-	// This node's own share goes to its combiner (the root PE directly in
-	// flat mode or for sparse collections); migrated-in elements' shares go
+	// This node's own share goes to its combiner (the root PE directly on a
+	// single node or for sparse collections); migrated-in elements' shares go
 	// back to their initial nodes' combiners, keeping every combiner's
 	// expected count static.
 	if own := slot.count - slot.foreignN; own > 0 {
@@ -182,8 +182,8 @@ func (p *peState) redPartial(cid CID, seq int64, slot *localRedSlot, count int, 
 	return rm
 }
 
-// redPartialDest returns where this PE's own partial goes: the job root in
-// flat mode, for sparse collections, or under elastic membership (the tree
+// redPartialDest returns where this PE's own partial goes: the job root on a
+// single node, for sparse collections, or under elastic membership (the tree
 // combiners' expected counts are static per-initial-node arithmetic, which
 // delegation invalidates — elastic reductions combine flat at the root),
 // this node's tree combiner otherwise.
@@ -278,8 +278,8 @@ func (p *peState) redCombinerRecv(m *Message) {
 		return
 	}
 	rm := m.Ctl.(*redPartialMsg)
-	if met := p.rt.met; met != nil {
-		met.collPartials.Inc()
+	if o := p.rt.obs; o != nil {
+		o.partial()
 	}
 	slot := coll.nodeRed[rm.Seq]
 	if slot == nil {
@@ -297,9 +297,9 @@ func (p *peState) redCombinerRecv(m *Message) {
 	}
 	delete(coll.nodeRed, rm.Seq)
 	rt := p.rt
-	parent := treeParent(rt.nodeID, rt.redRootNode(m.CID), rt.numNodes, rt.arity)
-	if tr := rt.cfg.Trace; tr != nil {
-		tr.TreeHop(parent, tr.Since(), slot.count)
+	parent := treeParent(rt.nodeID, rt.redRootNode(m.CID), rt.numNodes, treeArity)
+	if o := rt.obs; o != nil {
+		o.hops([]int{parent}, slot.count)
 	}
 	out := p.redPartial(m.CID, rm.Seq, &localRedSlot{
 		reducer: slot.reducer, target: slot.target,
@@ -323,7 +323,7 @@ func (p *peState) redTreeExpect(coll *localColl) int {
 			nd := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			n += rt.initialElemsOnNode(coll.cm, nd)
-			stack = append(stack, appendTreeChildren(cbuf[:0], nd, root, rt.numNodes, rt.arity)...)
+			stack = append(stack, appendTreeChildren(cbuf[:0], nd, root, rt.numNodes, treeArity)...)
 		}
 		coll.treeExpect = n
 		coll.treeExpectOK = true
@@ -366,8 +366,8 @@ func (p *peState) redCheckComplete(coll *localColl, seq int64, slot *rootRedSlot
 			seq, collCID(coll), slot.count, coll.total))
 	}
 	delete(coll.rootRed, seq)
-	if tr := p.rt.cfg.Trace; tr != nil {
-		tr.Reduction(p.lpe(), tr.Since(), slot.count)
+	if o := p.rt.obs; o != nil {
+		o.reduction(p, slot.count)
 	}
 	var result any
 	switch {

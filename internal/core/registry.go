@@ -19,21 +19,12 @@ type DispatchMode uint8
 
 const (
 	// StaticDispatch resolves entry methods to table indices at send time and
-	// invokes them through a precomputed dispatch table (or the chare's
-	// FastDispatcher if implemented). Models Charm++.
+	// invokes them through a precomputed dispatch table. Models Charm++.
 	StaticDispatch DispatchMode = iota
 	// DynamicDispatch ships method names and resolves them per invocation via
 	// reflection with permissive argument coercion. Models CharmPy/Python.
 	DynamicDispatch
 )
-
-// FastDispatcher may be implemented by a chare type to bypass reflection
-// entirely in StaticDispatch mode, the way generated C++ dispatch code does
-// in Charm++. Method ids are the alphabetical rank of the entry method name;
-// use Runtime.MethodID to look them up at startup.
-type FastDispatcher interface {
-	DispatchEM(methodID int, args []any)
-}
 
 // Chareable is implemented by any struct that embeds Chare.
 type Chareable interface {
@@ -59,7 +50,6 @@ type chareType struct {
 	rtype     reflect.Type // the struct type (not pointer)
 	methods   []*emInfo    // sorted by name; index == method id
 	byName    map[string]*emInfo
-	fast      bool        // implements FastDispatcher
 	hasResume bool        // has a ResumeFromSync entry method
 	gen       *GenBinding // generated dispatch/codec bindings, if any
 	waits     sync.Map    // Wait condition string -> expr.Guard bound to rtype
@@ -119,7 +109,7 @@ func bindCond(cond string, self reflect.Type, argNames []string, argTypes []refl
 // base (and migration hooks); they are not entry methods.
 var baseMethods = func() map[string]bool {
 	set := map[string]bool{
-		"GobEncode": true, "GobDecode": true, "DispatchEM": true,
+		"GobEncode": true, "GobDecode": true,
 		"Migrated": true, "String": true,
 	}
 	t := reflect.TypeOf(&Chare{})
@@ -159,7 +149,6 @@ func (rt *Runtime) Register(proto Chareable, opts ...RegOpt) string {
 		rtype:  st,
 		byName: map[string]*emInfo{},
 	}
-	_, ct.fast = proto.(FastDispatcher)
 	var names []string
 	for i := 0; i < pt.NumMethod(); i++ {
 		m := pt.Method(i)
@@ -228,22 +217,6 @@ func (rt *Runtime) Register(proto Chareable, opts ...RegOpt) string {
 	// of this type can cross nodes.
 	ser.RegisterType(reflect.New(st).Interface())
 	return name
-}
-
-// MethodID returns the dispatch-table id of an entry method of a registered
-// chare type, for use by FastDispatcher implementations.
-func (rt *Runtime) MethodID(typeName, method string) int {
-	rt.mu.Lock()
-	ct := rt.types[typeName]
-	rt.mu.Unlock()
-	if ct == nil {
-		panic(fmt.Sprintf("core: unknown chare type %q", typeName))
-	}
-	info, ok := ct.byName[method]
-	if !ok {
-		panic(fmt.Sprintf("core: unknown method %s.%s", typeName, method))
-	}
-	return int(info.id)
 }
 
 // ArrayMap computes the initial placement of array elements, mirroring the

@@ -62,7 +62,8 @@ type Config struct {
 	// entry methods, sends/receives (queue-wait), idle spans, reductions,
 	// futures, quiescence, migrations, LB decisions, aggregator flushes and
 	// transport frames (Projections-style performance tracing;
-	// internal/trace). Nil costs one predicted branch per event site.
+	// internal/trace). With Trace, Metrics and SampleInterval all off, an
+	// event site costs one predicted branch (observe.go).
 	Trace *trace.Tracer
 	// TraceGather makes node 0 collect every node's trace report after the
 	// job exits (over the regular frame path), so Runtime.TraceReports on
@@ -70,17 +71,8 @@ type Config struct {
 	TraceGather bool
 	// Metrics, when non-nil, receives the runtime's counters/gauges
 	// (sends, wire bytes, batch sizes, per-PE mailbox depth, ...); expose
-	// it with metrics.Serve. Nil costs one predicted branch per update.
+	// it with metrics.Serve.
 	Metrics *metrics.Registry
-	// TreeArity is the fan-out k of the k-ary spanning tree used for
-	// inter-node collectives (tree.go): a broadcast source sends at most k
-	// frames and each receiving node relays to at most k children, and
-	// reduction partials are merged at each interior node on the way up,
-	// bounding any node's collective work to O(k) instead of the flat
-	// scheme's O(N) at the root. 0 selects the default (4); a negative
-	// value disables the tree (flat collectives, every peer messaged
-	// directly from the source/root).
-	TreeArity int
 	// DisableGenerated ignores `charmgo gen` bindings at Register, forcing
 	// the reflect/gob fallback for every chare type. The wire format is
 	// unchanged (bound and unbound peers interoperate), so this is the
@@ -90,23 +82,14 @@ type Config struct {
 	// SampleInterval, when > 0, turns on live introspection sampling (see
 	// internal/introspect and core/introspect.go): every node snapshots its
 	// PEs and collections at this period and node 0 assembles the cluster
-	// view served at /introspect. 0 (the default) disables sampling — the
-	// hot path then pays one predicted branch per event site and nothing
-	// else.
+	// view served at /introspect. 0 (the default) disables sampling.
 	SampleInterval time.Duration
-	// SampleTopK bounds the hottest-elements list each collection reports
-	// per sample. 0 selects the default (5).
-	SampleTopK int
 	// Introspect, when non-nil, is the cluster-introspection holder the
 	// runtime wires at Start (node 0 fills it with every node's snapshots).
 	// Pass the same *introspect.Cluster to metrics.Serve to expose it. Nil
 	// with SampleInterval > 0 makes the runtime create one (reachable via
 	// Runtime.Introspect).
 	Introspect *introspect.Cluster
-	// TraceGatherTimeout bounds how long node 0 waits for the other nodes'
-	// trace reports after the job exits (TraceGather); nodes that crashed
-	// mid-job never report. 0 selects the default (3s).
-	TraceGatherTimeout time.Duration
 	// FT, when non-nil, enables in-memory double checkpointing (see ft.go
 	// and internal/ft): Chare.FTCheckpoint ships each node's snapshot to its
 	// buddy through this store, and RestartFromMemory restores a failed
@@ -187,23 +170,21 @@ type Runtime struct {
 	// dequeue and the handler, to see what the quiescence counters say.
 	holdEM func(p *peState, m *Message)
 
-	// t0 is the origin of the PE clocks (peState.now); a PE stamp plus trOff
-	// is the same instant on cfg.Trace's clock.
-	t0    time.Time
-	trOff time.Duration
+	// t0 is the origin of the PE clocks (peState.now).
+	t0 time.Time
 
 	// spanning-tree collectives (tree.go)
-	arity    int           // resolved Config.TreeArity (<= 0 disables)
 	bcastSeq atomic.Uint64 // per-root fragment sequence numbers
 	fragMu   sync.Mutex
 	frags    map[fragKey]*fragAsm // in-flight fragmented broadcasts
-	ord      *bcastOrder          // causal ordering for tree broadcasts; nil when tree off
+	ord      *bcastOrder          // causal ordering for tree broadcasts; nil on a single node
 
-	met         *rtMetrics        // nil unless Config.Metrics is set
-	traceRepCh  chan trace.Report // node 0 gather channel (TraceGather)
-	gathered    []trace.Report    // node 0: all node reports after Start
-	gatherEnd   atomic.Int64      // node 0: when the gather gave up (Unix ns); 0 until then
-	nRepDropped atomic.Int32      // node 0: reports the full gather channel turned away
+	obs           *observer         // the one instrumentation seam; nil with every observer off (observe.go)
+	traceRepCh    chan trace.Report // node 0 gather channel (TraceGather)
+	gathered      []trace.Report    // node 0: all node reports after Start
+	gatherTimeout time.Duration     // traceGatherTimeout, unless a test shortens it
+	gatherEnd     atomic.Int64      // node 0: when the gather gave up (Unix ns); 0 until then
+	nRepDropped   atomic.Int32      // node 0: reports the full gather channel turned away
 
 	// live introspection (core/introspect.go)
 	sampler *sampler            // nil unless Config.SampleInterval > 0
@@ -227,9 +208,9 @@ type Runtime struct {
 	// test/diagnostic counters
 	nBackstop atomic.Int64 // batches stranded until the aggregator's backstop
 	// nBcastSends counts per-destination transmissions used to originate
-	// broadcasts from this node: with the spanning tree it grows by at most
-	// TreeArity per broadcast regardless of job size, with flat collectives
-	// by numNodes-1. Benchmarks assert the O(N) -> O(k) drop on it.
+	// broadcasts from this node: over the spanning tree it grows by at most
+	// treeArity per broadcast regardless of job size, where messaging every
+	// peer would take numNodes-1. Tests assert the O(N) -> O(k) drop on it.
 	nBcastSends atomic.Int64
 }
 
@@ -249,10 +230,8 @@ func NewRuntime(cfg Config) *Runtime {
 		running:  make(chan struct{}),
 		frags:    map[fragKey]*fragAsm{},
 		t0:       time.Now(),
-	}
-	rt.arity = cfg.TreeArity
-	if rt.arity == 0 {
-		rt.arity = defaultTreeArity
+
+		gatherTimeout: traceGatherTimeout,
 	}
 	empty := map[CID]*createMsg{}
 	rt.colls.Store(&empty)
@@ -287,8 +266,8 @@ func NewRuntime(cfg Config) *Runtime {
 	for i := range rt.pes {
 		rt.pes[i] = newPEState(rt, rt.basePE+PE(i))
 	}
-	if cfg.Metrics != nil {
-		rt.met = newRTMetrics(rt, cfg.Metrics)
+	if cfg.Trace != nil || cfg.Metrics != nil || cfg.SampleInterval > 0 {
+		rt.obs = newObserver(rt)
 	}
 	if rt.numNodes > 1 {
 		rt.agg = newAggregator(rt)
@@ -327,13 +306,6 @@ func (rt *Runtime) Start(entry func(self *Chare)) {
 	rt.mu.Lock()
 	rt.wt = buildWireTables(rt.types)
 	rt.mu.Unlock()
-	if tr := rt.cfg.Trace; tr != nil {
-		rt.trOff = rt.t0.Sub(tr.Epoch())
-		tr.SetTopology(rt.totalPEs, int(rt.basePE))
-		if rt.cfg.TraceGather && rt.numNodes > 1 && rt.nodeID == 0 {
-			rt.traceRepCh = make(chan trace.Report, rt.numNodes)
-		}
-	}
 	if rt.cfg.Introspect != nil || rt.cfg.SampleInterval > 0 {
 		rt.setupIntrospect()
 	}
@@ -446,12 +418,8 @@ func (rt *Runtime) admit(pe PE, m *Message) PE {
 	// slot's stand-in node (stale tombs and caches self-heal by forwarding).
 	pe = rt.resolvePE(pe)
 	rt.qdSent(m.Src, m.Kind, 1)
-	if tr := rt.cfg.Trace; tr != nil && m.Kind == mInvoke {
-		src := -1
-		if rt.isLocal(m.Src) {
-			src = int(m.Src - rt.basePE)
-		}
-		tr.SendTo(src, int(pe), m.Method, tr.Since(), 0)
+	if o := rt.obs; o != nil {
+		o.sent(m, pe)
 	}
 	return pe
 }
@@ -470,11 +438,8 @@ func (rt *Runtime) sendLocal(pe PE, m *Message) {
 		m = m2
 	}
 	rt.counts(m.Src).local.Add(1)
-	if met := rt.met; met != nil {
-		met.sendsLocal.Inc()
-	}
-	if tr := rt.cfg.Trace; tr != nil {
-		m.enq = tr.Since()
+	if o := rt.obs; o != nil {
+		o.enqueue(m)
 	}
 	rt.localPE(pe).mbox.push(m)
 }
@@ -482,9 +447,6 @@ func (rt *Runtime) sendLocal(pe PE, m *Message) {
 // countWire accounts for one message from src leaving for pe's node, returned.
 func (rt *Runtime) countWire(pe, src PE) int {
 	rt.counts(src).wire.Add(1)
-	if met := rt.met; met != nil {
-		met.sendsWire.Inc()
-	}
 	node := rt.nodeOf(pe)
 	rt.ordSentTo(node) // tree broadcasts must not overtake this message
 	return node
@@ -494,12 +456,8 @@ func (rt *Runtime) countWire(pe, src PE) int {
 // the reserved prefix) to the transport, using the zero-copy SendBuf path
 // when available. It takes ownership of buf.
 func (rt *Runtime) xmit(node int, buf []byte) {
-	if met := rt.met; met != nil {
-		met.framesOut.Inc()
-		met.wireBytesOut.Add(int64(len(buf) - transport.PrefixLen))
-	}
-	if tr := rt.cfg.Trace; tr != nil {
-		tr.Frame(true, node, tr.Since(), len(buf)-transport.PrefixLen)
+	if o := rt.obs; o != nil {
+		o.frame(true, node, len(buf)-transport.PrefixLen)
 	}
 	var err error
 	if rt.bufSend != nil {
@@ -529,13 +487,9 @@ func (rt *Runtime) xmitShared(nodes []int, buf []byte) {
 		return
 	}
 	if sb, ok := rt.cfg.Transport.(transport.SharedBufSender); ok && len(nodes) > 1 {
-		if met := rt.met; met != nil {
-			met.framesOut.Add(int64(len(nodes)))
-			met.wireBytesOut.Add(int64(len(nodes)) * int64(len(buf)-transport.PrefixLen))
-		}
-		if tr := rt.cfg.Trace; tr != nil {
+		if o := rt.obs; o != nil {
 			for _, n := range nodes {
-				tr.Frame(true, n, tr.Since(), len(buf)-transport.PrefixLen)
+				o.frame(true, n, len(buf)-transport.PrefixLen)
 			}
 		}
 		// Copy the destination list before the interface call so callers'
@@ -558,22 +512,11 @@ func (rt *Runtime) xmitShared(nodes []int, buf []byte) {
 }
 
 // bcastAllPEs delivers m to every PE in the job: over the k-ary spanning
-// tree when enabled (the source sends at most TreeArity frames and each
-// node relays to its children), or by messaging every peer node directly
-// in flat mode.
+// tree (the source sends at most treeArity frames and each node relays to its
+// children) and to this node's own PEs.
 func (rt *Runtime) bcastAllPEs(m *Message) {
-	if rt.numNodes > 1 {
-		if rt.treeEnabled() {
-			rt.bcastTree(m)
-		} else {
-			rt.nBcastSends.Add(int64(rt.numNodes - 1))
-			for n := 0; n < rt.numNodes; n++ {
-				if n != rt.nodeID && rt.nodeActive(n) {
-					rt.qdSent(m.Src, m.Kind, 1) // the frame itself, done at the peer's ingress
-					rt.agg.send(n, -1, m)
-				}
-			}
-		}
+	if rt.treeEnabled() {
+		rt.bcastTree(m)
 	}
 	rt.deliverAllLocal(m)
 }
@@ -591,22 +534,13 @@ func (rt *Runtime) deliverAllLocal(m *Message) { rt.deliverAllLocalShared(m, nil
 // after the last PE finishes handling the message (fragmented broadcasts
 // use it to recycle the pooled reassembly buffer).
 func (rt *Runtime) deliverAllLocalShared(m *Message, release func()) {
-	tr := rt.cfg.Trace
-	src := -1
-	if tr != nil && rt.isLocal(m.Src) {
-		src = int(m.Src - rt.basePE)
+	if o := rt.obs; o != nil {
+		o.fanOut(m, len(rt.pes))
 	}
 	if (m.Kind == mInvoke && m.Idx != nil) || m.Kind == mChanMsg {
 		rt.qdSent(m.Src, m.Kind, len(rt.pes)) // per copy; done when its PE has handled it
 		for _, p := range rt.pes {
-			cp := m.copyOf()
-			if tr != nil {
-				cp.enq = tr.Since()
-				if m.Kind == mInvoke {
-					tr.Send(src, m.Method, cp.enq, 0)
-				}
-			}
-			p.mbox.push(cp)
+			p.mbox.push(m.copyOf())
 		}
 		if release != nil {
 			release()
@@ -616,14 +550,8 @@ func (rt *Runtime) deliverAllLocalShared(m *Message, release func()) {
 	sh := &msgShared{release: release}
 	sh.refs.Store(int32(len(rt.pes)))
 	m.shared = sh
-	if tr != nil {
-		m.enq = tr.Since()
-	}
 	rt.qdSent(m.Src, m.Kind, len(rt.pes)) // per delivery; done when that PE has handled it
 	for _, p := range rt.pes {
-		if tr != nil && m.Kind == mInvoke {
-			tr.Send(src, m.Method, m.enq, 0)
-		}
 		p.mbox.push(m)
 	}
 }
@@ -652,12 +580,8 @@ func (rt *Runtime) peerIn(from int) *peerIn {
 // for the duration of this call, whichever transport and send path delivered
 // it (internal/transport): everything kept is decoded or copied out of it.
 func (rt *Runtime) onFrame(from int, frame []byte) {
-	if met := rt.met; met != nil {
-		met.framesIn.Inc()
-		met.wireBytesIn.Add(int64(len(frame)))
-	}
-	if tr := rt.cfg.Trace; tr != nil {
-		tr.Frame(false, from, tr.Since(), len(frame))
+	if o := rt.obs; o != nil {
+		o.frame(false, from, len(frame))
 	}
 	if len(frame) >= 4 {
 		switch d := int32(binary.LittleEndian.Uint32(frame)); {
@@ -681,8 +605,8 @@ func (rt *Runtime) onFrame(from int, frame []byte) {
 	m, dest, local := rt.route(from, dest, m)
 	in.mu.Unlock()
 	if local {
-		if tr := rt.cfg.Trace; tr != nil {
-			m.enq = tr.Since()
+		if o := rt.obs; o != nil {
+			o.enqueue(m)
 		}
 		kind := m.Kind // m is the PE's once pushed: it may be a box on its way back
 		rt.localPE(dest).mbox.push(m)
@@ -738,8 +662,8 @@ func (rt *Runtime) onBatch(from int, body []byte) {
 		}
 		m, dest, local := rt.route(from, dest, m)
 		if local {
-			if tr := rt.cfg.Trace; tr != nil {
-				m.enq = tr.Since()
+			if o := rt.obs; o != nil {
+				o.enqueue(m)
 			}
 			i := int(dest - rt.basePE)
 			if perPE[i] == nil {
@@ -760,12 +684,8 @@ func (rt *Runtime) onBatch(from int, body []byte) {
 // a unicast for a local PE (the caller enqueues it), and handles every other
 // case itself.
 func (rt *Runtime) route(from int, dest PE, m *Message) (*Message, PE, bool) {
-	if met := rt.met; met != nil {
-		if m.Kind == mInvoke || m.Kind == mFutureSet {
-			met.decodeHot.Inc()
-		} else {
-			met.decodeGob.Inc()
-		}
+	if o := rt.obs; o != nil {
+		o.decoded(m.Kind)
 	}
 	rt.rebindMsg(m)
 	// Causal-ordering receive counts (tree.go): a tree broadcast from this

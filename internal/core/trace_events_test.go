@@ -6,7 +6,9 @@ package core
 // node's report to node 0.
 
 import (
+	"fmt"
 	"testing"
+	"time"
 
 	"charmgo/internal/metrics"
 	"charmgo/internal/trace"
@@ -279,7 +281,7 @@ func TestRuntimeMetricsSingleNode(t *testing.T) {
 		f.Get()
 	})
 	// Re-registering returns the live instrument, so values are inspectable.
-	if v := reg.Counter("charmgo_sends_local_total", "").Value(); v == 0 {
+	if v := metricValue(reg, "charmgo_sends_local_total"); v <= 0 {
 		t.Error("charmgo_sends_local_total = 0 after a local job")
 	}
 	if v := reg.Counter("charmgo_dispatch_static_total", "").Value(); v == 0 {
@@ -287,11 +289,20 @@ func TestRuntimeMetricsSingleNode(t *testing.T) {
 	}
 	var recvs int64
 	for _, pe := range []string{"0", "1"} {
-		recvs += reg.Counter("charmgo_pe_recvs_total{pe=\""+pe+"\"}", "").Value()
+		recvs += metricValue(reg, "charmgo_pe_recvs_total{pe=\""+pe+"\"}")
 	}
 	if recvs == 0 {
 		t.Error("per-PE recv counters all zero")
 	}
+}
+
+// metricValue reads an instrument of any kind, or returns -1 when none is
+// registered under name.
+func metricValue(reg *metrics.Registry, name string) int64 {
+	if v, ok := reg.Lookup(name).(interface{ Value() int64 }); ok {
+		return v.Value()
+	}
+	return -1
 }
 
 func TestRuntimeMetricsWirePath(t *testing.T) {
@@ -325,5 +336,61 @@ func TestRuntimeMetricsWirePath(t *testing.T) {
 	// Aggregation is on by default: flushes must have been counted.
 	if v := regs[0].Counter("charmgo_batch_flushes_total", "").Value(); v == 0 {
 		t.Error("node 0 recorded no batch flushes")
+	}
+}
+
+// TestObserversCountOnce runs 2 nodes of 2 PEs with the tracer, the metrics
+// registry and the sampler all on, and checks that the registry exports the
+// counts the runtime and the sampler read, not copies of them: per PE,
+// charmgo_pe_{ems,recvs}_total against the sampler's TotalEMs/TotalRecvs;
+// charmgo_sends_{local,wire}_total against MsgCounts and the snapshot's
+// sends; charmgo_batch_backstop_flushes_total against the snapshot's
+// Backstops. Each is kept in one place, so they agree exactly.
+func TestObserversCountOnce(t *testing.T) {
+	const nodes, pes = 2, 2
+	regs := make([]*metrics.Registry, 0, nodes)
+	rts := runMultiNode(t, nodes, pes, func(cfg *Config) {
+		reg := metrics.NewRegistry()
+		regs = append(regs, reg)
+		cfg.Metrics = reg
+		cfg.Trace = trace.New(pes)
+		cfg.SampleInterval = 5 * time.Millisecond
+	}, func(rt *Runtime) {
+		rt.Register(&NodeWorker{})
+	}, func(self *Chare) {
+		g := self.NewGroup(&NodeWorker{}, "w")
+		for i := 0; i < 20; i++ {
+			f := self.CreateFuture()
+			g.Call("SumPE", f)
+			f.Get()
+		}
+	})
+	for n, rt := range rts {
+		reg := regs[n]
+		rt.sampler.mu.Lock()
+		snap := rt.sampler.sampleLocked(time.Now())
+		rt.sampler.mu.Unlock()
+		local, wire := rt.MsgCounts()
+		l, w := metricValue(reg, "charmgo_sends_local_total"), metricValue(reg, "charmgo_sends_wire_total")
+		if l != local || w != wire || snap.SendsLocal != local || snap.SendsWire != wire {
+			t.Errorf("node %d sends: metrics %d local + %d wire, MsgCounts %d + %d, sampler %d + %d",
+				n, l, w, local, wire, snap.SendsLocal, snap.SendsWire)
+		}
+		if local == 0 || wire == 0 {
+			t.Errorf("node %d: %d local and %d wire sends, want both > 0", n, local, wire)
+		}
+		if b := metricValue(reg, "charmgo_batch_backstop_flushes_total"); b != snap.Backstops || b != rt.nBackstop.Load() {
+			t.Errorf("node %d backstops: metric %d, sampler %d, runtime %d", n, b, snap.Backstops, rt.nBackstop.Load())
+		}
+		for _, ps := range snap.PEs {
+			pe := fmt.Sprintf("{pe=%q}", fmt.Sprint(ps.PE))
+			ems, recvs := metricValue(reg, "charmgo_pe_ems_total"+pe), metricValue(reg, "charmgo_pe_recvs_total"+pe)
+			if ems != ps.TotalEMs || recvs != ps.TotalRecvs {
+				t.Errorf("PE %d: metrics %d EMs, %d receives; sampler %d, %d", ps.PE, ems, recvs, ps.TotalEMs, ps.TotalRecvs)
+			}
+			if ems <= 0 || recvs <= 0 {
+				t.Errorf("PE %d: %d EMs, %d receives, want both > 0", ps.PE, ems, recvs)
+			}
+		}
 	}
 }

@@ -14,9 +14,10 @@ import (
 // instead of the source looping over every peer: the source sends at most k
 // frames, each child relays the still-encoded frame to its own children,
 // and reduction partials are merged at every interior node on the way up.
-// That bounds any single node's collective work to O(k) while the flat
-// scheme serialized O(N) sends at the root — the root bottleneck the
-// Charm4Py evaluation shows dominating collective latency at scale.
+// That bounds any single node's collective work to O(k) where messaging
+// every peer serializes O(N) sends at the root — the root bottleneck the
+// Charm4Py evaluation shows dominating collective latency at scale. A k-ary
+// tree with k >= N-1 is that flat scheme, so no switch selects it.
 //
 // The tree needs no membership protocol: parent/child relations are pure
 // arithmetic on node ranks, re-rooted at the broadcast source so every node
@@ -32,8 +33,8 @@ import (
 // (bcastOrder below). Relaying is never delayed — children make their own
 // decision — so fragment pipelining is unaffected.
 
-// defaultTreeArity is the tree fan-out used when Config.TreeArity is 0.
-const defaultTreeArity = 4
+// treeArity is the fan-out k of the spanning tree.
+const treeArity = 4
 
 // Wire destination space (see the frame layout in wire.go): dest >= 0 is a
 // PE unicast, -1 a node-local broadcast, -2 a batch frame; -3 and -4 are
@@ -92,10 +93,9 @@ func appendTreeChildren(dst []int, node, root, n, k int) []int {
 	return dst
 }
 
-// treeEnabled reports whether collectives run over the spanning tree (a
-// negative Config.TreeArity selects the flat O(N) scheme, and single-node
-// jobs have no inter-node tree at all).
-func (rt *Runtime) treeEnabled() bool { return rt.arity > 0 && rt.numNodes > 1 }
+// treeEnabled reports whether collectives run over the spanning tree: every
+// multi-node job's do, and a single node has no inter-node tree.
+func (rt *Runtime) treeEnabled() bool { return rt.numNodes > 1 }
 
 // msgShared is the fan-out record of a broadcast Message delivered to all
 // local PEs by pointer (zero-copy local broadcast): the last PE to finish
@@ -247,9 +247,6 @@ func (rt *Runtime) bcastTree(m *Message) {
 		return
 	}
 	rt.nBcastSends.Add(int64(len(children)))
-	if met := rt.met; met != nil {
-		met.collBcasts.Inc()
-	}
 	td := treeDest(rt.nodeID)
 	frame := transport.GetBuf()
 	frame = binary.LittleEndian.AppendUint32(frame, uint32(td))
@@ -258,17 +255,15 @@ func (rt *Runtime) bcastTree(m *Message) {
 	}
 	frame = appendMsg(frame, -1, m, rt.wt)
 	body := frame[transport.PrefixLen:]
+	if o := rt.obs; o != nil {
+		o.bcast(children, len(body))
+	}
 	if len(body) > fragThreshold {
 		rt.bcastFragments(children, body, m.Kind, rt.nodeID)
 		transport.PutBuf(frame)
 		return
 	}
 	rt.qdSent(m.Src, m.Kind, len(children)) // the frames themselves, done at each child's delivery
-	if tr := rt.cfg.Trace; tr != nil {
-		for _, c := range children {
-			tr.TreeHop(c, tr.Since(), len(body))
-		}
-	}
 	rt.xmitShared(children, frame)
 }
 
@@ -317,14 +312,8 @@ func (rt *Runtime) relayTree(root int, frame []byte, kind msgKind) {
 		return
 	}
 	rt.qdSent(-1, kind, len(children))
-	tr := rt.cfg.Trace
-	for _, c := range children {
-		if met := rt.met; met != nil {
-			met.collRelays.Inc()
-		}
-		if tr != nil {
-			tr.TreeHop(c, tr.Since(), len(frame))
-		}
+	if o := rt.obs; o != nil {
+		o.relay(children, len(frame))
 	}
 	rt.xmitShared(children, append(transport.GetBuf(), frame...))
 }
@@ -337,20 +326,14 @@ func (rt *Runtime) relayTree(root int, frame []byte, kind msgKind) {
 func (rt *Runtime) bcastFragments(children []int, body []byte, kind msgKind, root int) {
 	seq := rt.bcastSeq.Add(1)
 	total := (len(body) + fragChunk - 1) / fragChunk
-	tr := rt.cfg.Trace
 	for i := 0; i < total; i++ {
 		chunk := body[i*fragChunk:]
 		if len(chunk) > fragChunk {
 			chunk = chunk[:fragChunk]
 		}
 		rt.qdSent(-1, kind, len(children))
-		for _, c := range children {
-			if met := rt.met; met != nil {
-				met.collFrags.Inc()
-			}
-			if tr != nil {
-				tr.Frag(c, tr.Since(), len(chunk), i)
-			}
+		if o := rt.obs; o != nil {
+			o.frags(children, len(chunk), i)
 		}
 		d := fragDest
 		buf := transport.GetBuf()
@@ -452,14 +435,8 @@ func (rt *Runtime) relayFragment(frame []byte, kind msgKind, root, idx, chunkLen
 		return
 	}
 	rt.qdSent(-1, kind, len(children))
-	tr := rt.cfg.Trace
-	for _, c := range children {
-		if met := rt.met; met != nil {
-			met.collFrags.Inc()
-		}
-		if tr != nil {
-			tr.Frag(c, tr.Since(), chunkLen, idx)
-		}
+	if o := rt.obs; o != nil {
+		o.frags(children, chunkLen, idx)
 	}
 	rt.xmitShared(children, append(transport.GetBuf(), frame...))
 }

@@ -413,11 +413,10 @@ func (b *batchReader) next() (PE, *Message, error) {
 // the reflective table had unpacked Args into typed parameters before user
 // code ran, so nothing can still see the box — and nobody else returns one.
 // Keeping the pointer or one of its slices (a when-buffer, a pending list, a
-// threaded method, a re-send, a copy for a broadcast, a
-// FastDispatcher or variadic method that is handed Args itself) therefore
-// needs no action: that box is simply never returned, and the GC collects
-// it like any other message. A missed recycle costs one object; a wrong one
-// cannot happen without writing a second return.
+// threaded method, a re-send, a copy for a broadcast, a variadic method that
+// is handed Args itself) therefore needs no action: that box is simply never
+// returned, and the GC collects it like any other message. A missed recycle
+// costs one object; a wrong one cannot happen without writing a second return.
 
 // invokeBox bundles a decoded invoke message with a small inline index
 // buffer, so one object holds the message and its (typically ≤4-dim)

@@ -146,7 +146,7 @@ type instrument struct {
 type Registry struct {
 	mu   sync.Mutex
 	ins  []instrument
-	byNm map[string]any // name -> *Counter/*Gauge/*Histogram/GaugeFunc marker
+	byNm map[string]any // name -> *Counter/*Gauge/*Histogram/*funcGauge
 }
 
 // NewRegistry creates an empty registry.
@@ -201,13 +201,24 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 }
 
 // GaugeFunc registers a gauge whose value is computed at scrape time by fn
-// (e.g. current mailbox depth). Re-registering the same name keeps the
-// first function.
+// (e.g. current mailbox depth, or a count its owner keeps anyway).
+// Re-registering the same name replaces the function, so a runtime rebuilt
+// on the same registry (a fault-tolerance recovery) reports its own state,
+// not its predecessor's.
 func (r *Registry) GaugeFunc(name, help string, fn func() int64) {
-	r.register(name, help, fn, func(w io.Writer, n string) {
-		fmt.Fprintf(w, "%s %d\n", n, fn())
-	})
+	g := &funcGauge{}
+	g.fn.Store(&fn)
+	got := r.register(name, help, g, func(w io.Writer, n string) {
+		fmt.Fprintf(w, "%s %d\n", n, g.Value())
+	}).(*funcGauge)
+	got.fn.Store(&fn)
 }
+
+// funcGauge is a GaugeFunc's registration.
+type funcGauge struct{ fn atomic.Pointer[func() int64] }
+
+// Value calls the gauge's current function.
+func (g *funcGauge) Value() int64 { return (*g.fn.Load())() }
 
 // Histogram returns the histogram registered under name, creating it if
 // needed. Exposed as cumulative `_bucket{le="..."}` lines plus `_sum` and
@@ -240,9 +251,9 @@ func (r *Registry) Histogram(name, help string) *Histogram {
 }
 
 // Lookup returns the instrument registered under name (*Counter, *Gauge,
-// *Histogram, or the GaugeFunc's func() int64) without creating one — nil
-// when nothing is registered. For observers that surface a metric only if
-// some other component happens to maintain it.
+// *Histogram, or for a GaugeFunc a value with the same Value() int64 method)
+// without creating one — nil when nothing is registered. For observers that
+// surface a metric only if some other component happens to maintain it.
 func (r *Registry) Lookup(name string) any {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -54,6 +54,22 @@ func TestRegisterIdempotentByName(t *testing.T) {
 	reg.Gauge("same", "h")
 }
 
+// TestGaugeFuncReplaced: the last registration of a GaugeFunc name is the
+// one scrapes and Lookup read.
+func TestGaugeFuncReplaced(t *testing.T) {
+	reg := NewRegistry()
+	reg.GaugeFunc("live", "h", func() int64 { return 1 })
+	reg.GaugeFunc("live", "h", func() int64 { return 2 })
+	var sb strings.Builder
+	reg.WriteText(&sb)
+	if !strings.Contains(sb.String(), "live 2\n") || strings.Contains(sb.String(), "live 1\n") {
+		t.Errorf("exposition after re-registration:\n%s", sb.String())
+	}
+	if g, ok := reg.Lookup("live").(interface{ Value() int64 }); !ok || g.Value() != 2 {
+		t.Errorf("Lookup(live) = %v", reg.Lookup("live"))
+	}
+}
+
 func TestWriteTextExposition(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("charmgo_sends_total", "messages sent").Add(3)
