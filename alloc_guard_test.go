@@ -34,20 +34,20 @@ func TestRemoteInvokeAllocGuard(t *testing.T) {
 }
 
 // TestGeneratedDispatchAllocGuard pins the generated-binding hot path: with
-// bindings attached, a dynamic-mode in-node invoke is the caller's variadic
-// args slice plus the Message — no reflect.Value boxing, no MethodByName, no
-// coercion (the reflective dynamic path costs 7). A regression here means
-// reflection leaked back into the bound dispatch path.
+// bindings attached (Compiled mode), an in-node invoke is the caller's
+// variadic args slice plus the Message — no reflect.Value boxing, no
+// MethodByName, no coercion (the reflective path costs 7). A regression here
+// means reflection leaked back into the bound dispatch path.
 func TestGeneratedDispatchAllocGuard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark guard, skipped in -short")
 	}
 	res := testing.Benchmark(func(b *testing.B) {
-		benchDispatch(b, core.Config{PEs: 2, Dispatch: core.DynamicDispatch},
+		benchDispatch(b, core.Config{PEs: 2, Dispatch: core.StaticDispatch},
 			genProto, "Ping", 1)
 	})
 	if a := res.AllocsPerOp(); a > 3 {
-		t.Errorf("generated dynamic dispatch = %d allocs/op, want <= 3 (reflection leak?)", a)
+		t.Errorf("generated dispatch = %d allocs/op, want <= 3 (reflection leak?)", a)
 	}
 }
 
@@ -60,7 +60,7 @@ func TestGeneratedCodecAllocGuard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark guard, skipped in -short")
 	}
-	serialized := core.Config{PEs: 2, Dispatch: core.DynamicDispatch, ForceSerialize: true}
+	serialized := core.Config{PEs: 2, Dispatch: core.StaticDispatch, ForceSerialize: true}
 	gen := testing.Benchmark(func(b *testing.B) {
 		benchDispatch(b, serialized, genProto, "PingVec", bench.Vec3{X: 1})
 	})

@@ -172,9 +172,11 @@ func Restart(rt *Runtime, path string, entry func(self *Chare, colls map[CID]Pro
 const (
 	// AnyPE lets the runtime choose the PE for a single chare.
 	AnyPE = core.AnyPE
-	// StaticDispatch models Charm++ compiled dispatch.
+	// StaticDispatch is Compiled mode, the default: generated bindings
+	// dispatch entry methods, modelling Charm++.
 	StaticDispatch = core.StaticDispatch
-	// DynamicDispatch models CharmPy interpreted dispatch.
+	// DynamicDispatch is Interpreted mode: reflection dispatches entry
+	// methods by name, modelling CharmPy.
 	DynamicDispatch = core.DynamicDispatch
 )
 

@@ -15,10 +15,12 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 
 	"charmgo/internal/bench"
 	"charmgo/internal/core"
 	"charmgo/internal/lb"
+	"charmgo/internal/metrics"
 	"charmgo/internal/simcluster"
 	"charmgo/internal/stencil"
 
@@ -72,17 +74,25 @@ func main() {
 func runReal() {
 	fmt.Printf("=== real runtime on this host (%d hardware threads) ===\n\n", runtime.NumCPU())
 
-	p := stencil.Params{GridX: 48, GridY: 48, GridZ: 48, BX: 2, BY: 2, BZ: 2, Iters: 40}
-	st, err := stencil.RunCharm(p, core.Config{PEs: 4})
-	must(err)
-	dy, err := stencil.RunCharm(p, core.Config{PEs: 4, Dispatch: core.DynamicDispatch})
-	must(err)
+	p := stencil.Params{GridX: 48, GridY: 48, GridZ: 48, BX: 2, BY: 2, BZ: 2, Iters: 100}
+	stGap := dispatchGap("stencil3d (48^3, 8 blocks, 4 PEs)", p.Iters, func(cfg core.Config) float64 {
+		r, err := stencil.RunCharm(p, cfg)
+		must(err)
+		return r.TimePerStepMS
+	})
+	pm := lmd.DefaultParams()
+	pm.Steps = 20
+	mdGap := dispatchGap(fmt.Sprintf("LeanMD (%d cells + %d computes, 4 PEs)", pm.NumCells(), len(lmd.AllPairs(pm))),
+		pm.Steps, func(cfg core.Config) float64 {
+			r, err := lmd.RunCharm(pm, cfg)
+			must(err)
+			return r.TimePerStepMS
+		})
+	fmt.Printf("finer grain, larger gap: gap(LeanMD) %.2fx > gap(stencil3d) %.2fx is %v\n", mdGap, stGap, mdGap > stGap)
+
 	mp, err := stencil.RunMPI(p)
 	must(err)
-	fmt.Println("stencil3d (48^3, 8 blocks, 4 PEs):")
-	for _, r := range []stencil.Result{st, dy, mp} {
-		fmt.Printf("  %-14s %7.2f ms/step\n", r.Impl, r.TimePerStepMS)
-	}
+	fmt.Printf("\nstencil3d (48^3, 4 ranks): %-6s %7.2f ms/step\n", mp.Impl, mp.TimePerStepMS)
 
 	pi := stencil.Params{GridX: 32, GridY: 32, GridZ: 32, BX: 2, BY: 4, BZ: 2,
 		Iters: 90, Imbalance: true}
@@ -93,17 +103,49 @@ func runReal() {
 	must(err)
 	fmt.Printf("\nimbalanced stencil3d, final-window PE balance (max/avg):\n")
 	fmt.Printf("  %-14s %.2f\n  %-14s %.2f\n", "no LB", noLB.MaxOverAvg, "GreedyLB", withLB.MaxOverAvg)
+}
 
-	pm := lmd.DefaultParams()
-	pm.Steps = 10
-	md, err := lmd.RunCharm(pm, core.Config{PEs: 4})
-	must(err)
-	mdDyn, err := lmd.RunCharm(pm, core.Config{PEs: 4, Dispatch: core.DynamicDispatch})
-	must(err)
-	fmt.Printf("\nLeanMD (%d cells + %d computes, 4 PEs):\n", md.Cells, md.Computes)
-	fmt.Printf("  %-14s %7.2f ms/step\n", "charm-static", md.TimePerStepMS)
-	fmt.Printf("  %-14s %7.2f ms/step (%.1f%% overhead)\n", "charm-dynamic",
-		mdDyn.TimePerStepMS, (mdDyn.TimePerStepMS/md.TimePerStepMS-1)*100)
+// gapPairs is how many Compiled/Interpreted pairs dispatchGap runs.
+const gapPairs = 7
+
+// dispatchGap runs one app in Compiled and Interpreted mode on 4 PEs for
+// gapPairs pairs, alternating which mode goes first, and prints the medians,
+// the median Interpreted ÷ Compiled ratio (which it returns) and the app's
+// grain: entry methods dispatched per step per PE, counted by the runtime's
+// metrics in one more, untimed, run (metrics would slow the timed ones).
+func dispatchGap(title string, steps int, run func(core.Config) float64) float64 {
+	const pes = 4
+	reg := metrics.NewRegistry()
+	run(core.Config{PEs: pes, Metrics: reg})
+	ems := reg.Counter("charmgo_dispatch_generated_total", "").Value() +
+		reg.Counter("charmgo_dispatch_dynamic_total", "").Value()
+	var comp, interp, ratio []float64
+	for k := range gapPairs {
+		var c, i float64
+		if k%2 == 0 {
+			c = run(core.Config{PEs: pes})
+			i = run(core.Config{PEs: pes, Dispatch: core.DynamicDispatch})
+		} else {
+			i = run(core.Config{PEs: pes, Dispatch: core.DynamicDispatch})
+			c = run(core.Config{PEs: pes})
+		}
+		comp, interp, ratio = append(comp, c), append(interp, i), append(ratio, i/c)
+	}
+	fmt.Printf("%s, %d alternating pairs, grain %.0f msgs/step/PE:\n", title, gapPairs, float64(ems)/float64(steps)/pes)
+	fmt.Printf("  %-12s %7.2f ms/step (median)\n", "compiled", median(comp))
+	fmt.Printf("  %-12s %7.2f ms/step (median)\n", "interpreted", median(interp))
+	g := median(ratio)
+	fmt.Printf("  interpreted / compiled %.2fx (median; pairs %.2f-%.2fx)\n\n", g, slices.Min(ratio), slices.Max(ratio))
+	return g
+}
+
+func median(xs []float64) float64 {
+	s := slices.Clone(xs)
+	slices.Sort(s)
+	if n := len(s); n%2 == 0 {
+		return (s[n/2-1] + s[n/2]) / 2
+	}
+	return s[len(s)/2]
 }
 
 func must(err error) {

@@ -3,8 +3,8 @@ package core
 // Tests for the generated-binding registry hook using a hand-written
 // GenBinding shaped exactly like `charmgo gen` output. The generator's own
 // emission is tested in internal/gen; here we prove the runtime side:
-// attachment at Register, dispatch preference in both modes, typed codec use
-// on the wire path, coercion fallback, and stale-binding detection.
+// attachment at Register in Compiled mode only, typed codec use on the wire
+// path, coercion fallback, and stale-binding detection.
 
 import (
 	"sync/atomic"
@@ -127,36 +127,55 @@ func testGenDispatch(t *testing.T, mode DispatchMode, force bool) {
 			t.Errorf("Sum = %v, want 6", got)
 		}
 	})
-	hits := genPingHits.Load() - before
-	// Add, Note, Done, Sum go through the binding; Mixed needs int->float64
-	// coercion, declines, and retries... via reflection (not counted).
-	if mode == DynamicDispatch && hits != 4 {
-		t.Errorf("generated dispatch hits = %d, want 4", hits)
+	// Compiled: Add, Note, Done, Sum go through the binding; Mixed needs
+	// int->float64 coercion, declines, and is delivered by reflection (not
+	// counted). Interpreted: the binding is never attached.
+	want := int64(4)
+	if mode == DynamicDispatch {
+		want = 0
+	}
+	if hits := genPingHits.Load() - before; hits != want {
+		t.Errorf("generated dispatch hits = %d, want %d", hits, want)
 	}
 }
 
 func TestGenBindingDynamic(t *testing.T)    { testGenDispatch(t, DynamicDispatch, false) }
 func TestGenBindingStatic(t *testing.T)     { testGenDispatch(t, StaticDispatch, false) }
-func TestGenBindingSerialized(t *testing.T) { testGenDispatch(t, DynamicDispatch, true) }
+func TestGenBindingSerialized(t *testing.T) { testGenDispatch(t, StaticDispatch, true) }
 
-// Config.DisableGenerated is the ablation switch: same chare, same wire, no
-// binding — every call must take the reflective path and still work.
-func TestDisableGenerated(t *testing.T) {
+// Interpreted mode is the paper's CharmPy: a bound chare type over the wire
+// codec still gets no binding. Every call travels by name, dispatches by
+// reflection, and int->float64 coercion delivers.
+func TestInterpretedIgnoresBindings(t *testing.T) {
+	var byID, byName atomic.Int64
 	before := genPingHits.Load()
-	runJob(t, Config{PEs: 2, DisableGenerated: true, ForceSerialize: true}, func(rt *Runtime) {
+	runJob(t, Config{PEs: 2, Dispatch: DynamicDispatch, ForceSerialize: true}, func(rt *Runtime) {
 		rt.Register(&genPing{})
+		rt.holdEM = func(p *peState, m *Message) {
+			switch {
+			case m.Method == "Run": // the main chare
+			case m.MID >= 0 || m.gen != nil:
+				byID.Add(1)
+			default:
+				byName.Add(1)
+			}
+		}
 	}, func(self *Chare) {
 		p := self.NewChare(&genPing{}, 1)
 		p.Call("Add", 4)
+		p.Call("Mixed", 2)
 		p.Call("Note", "hi")
 		f := self.CreateFuture()
 		p.Call("Done", f)
-		if got := f.Get(); got != 4 {
-			t.Errorf("total = %v, want 4", got)
+		if got := f.Get(); got != 6 {
+			t.Errorf("total = %v, want 6", got)
 		}
 	})
 	if hits := genPingHits.Load() - before; hits != 0 {
-		t.Errorf("generated dispatch hits = %d with DisableGenerated, want 0", hits)
+		t.Errorf("generated dispatch hits = %d in Interpreted mode, want 0", hits)
+	}
+	if byID.Load() != 0 || byName.Load() != 4 {
+		t.Errorf("invokes by id = %d, by name = %d; want 0 and 4", byID.Load(), byName.Load())
 	}
 }
 

@@ -36,7 +36,7 @@ type observer struct {
 	batchFlushes          *metrics.Counter
 	batchBytes, batchMsgs *metrics.Histogram
 	decodeHot, decodeGob  *metrics.Counter    // custom-codec invoke/future frames; gob control frames
-	dispatch              [3]*metrics.Counter // by DispatchMode, then generated bindings
+	dispatch              [2]*metrics.Counter // generated bindings, reflection
 	ftSnapshots           *metrics.Counter    // in-memory checkpoint snapshots taken
 	ftSnapshotBytes       *metrics.Counter    // bytes of snapshot blobs produced
 	collBcasts            *metrics.Counter    // tree broadcasts originated by this node
@@ -45,8 +45,11 @@ type observer struct {
 	collPartials          *metrics.Counter    // reduction partials merged by tree combiners
 }
 
-// dispGenerated indexes observer.dispatch after the two DispatchModes.
-const dispGenerated = 2
+// The two dispatch paths callEM counts, indexing observer.dispatch.
+const (
+	dispGenerated = iota
+	dispReflective
+)
 
 // peStats are a PE's cumulative counters behind the sampler and the per-PE
 // metrics, kept by the observer's events and read from other goroutines
@@ -78,10 +81,9 @@ func newObserver(rt *Runtime) *observer {
 		batchMsgs:    reg.Histogram("charmgo_batch_msgs", "messages coalesced per aggregator batch"),
 		decodeHot:    c("charmgo_decode_hot_total", "inbound frames decoded by the custom codec"),
 		decodeGob:    c("charmgo_decode_gob_total", "inbound frames decoded by the gob fallback"),
-		dispatch: [3]*metrics.Counter{
-			StaticDispatch:  c("charmgo_dispatch_static_total", "entry methods dispatched via the method table"),
-			DynamicDispatch: c("charmgo_dispatch_dynamic_total", "entry methods dispatched via reflective name lookup"),
-			dispGenerated:   c("charmgo_dispatch_generated_total", "entry methods dispatched via generated typed bindings"),
+		dispatch: [2]*metrics.Counter{
+			dispGenerated:  c("charmgo_dispatch_generated_total", "entry methods dispatched via generated typed bindings"),
+			dispReflective: c("charmgo_dispatch_dynamic_total", "entry methods dispatched via reflective name lookup"),
 		},
 		ftSnapshots:     c("charmgo_ft_snapshots_total", "in-memory checkpoint snapshots taken by this node"),
 		ftSnapshotBytes: c("charmgo_ft_snapshot_bytes_total", "bytes of in-memory checkpoint blobs produced by this node"),
@@ -198,8 +200,8 @@ func (o *observer) emEnd(p *peState, el *element, method string, start, dur time
 	}
 }
 
-// dispatched counts one entry-method call by dispatch path: a DispatchMode
-// or dispGenerated.
+// dispatched counts one entry-method call by dispatch path: dispGenerated or
+// dispReflective.
 func (o *observer) dispatched(path int) { o.dispatch[path].Inc() }
 
 // decoded counts one message decoded from the wire.

@@ -762,12 +762,12 @@ func (p *peState) invokeEMInner(el *element, info *emInfo, m *Message) {
 	}
 }
 
-// callEM performs the actual call. Chare types with generated bindings
-// (charmgo_gen.go) dispatch through a typed switch with zero reflection in
-// either mode — the paper's generated-stub upgrade path. Otherwise, in
-// StaticDispatch mode the call goes through the precomputed method table; in
-// DynamicDispatch mode it performs a per-call reflective name lookup with
-// permissive argument coercion, modelling interpreted dispatch (DESIGN.md).
+// callEM performs the actual call. A type with generated bindings attached
+// (Compiled mode) dispatches through their typed switch with no reflection.
+// Every other call — Interpreted mode, an unbound type, or a binding that
+// declines because an argument needs coercion — takes the one reflective
+// path: a per-call name lookup with permissive argument coercion, modelling
+// interpreted dispatch (DESIGN.md).
 //
 // unpacked reports that the method received its arguments as typed
 // parameters copied out of args, so that args itself is free again when the
@@ -781,74 +781,42 @@ func (p *peState) callEM(el *element, info *emInfo, args []any) (ret any, unpack
 			}
 			return ret, true
 		}
-		// Declined: an argument needs coercion (e.g. a dynamic caller passed
-		// an int where the method takes float64). Fall through to reflection.
 	}
-	unpacked = !info.variadic
 	if o := p.rt.obs; o != nil {
-		o.dispatched(int(p.rt.cfg.Dispatch))
+		o.dispatched(dispReflective)
 	}
-	if p.rt.cfg.Dispatch == StaticDispatch {
-		in := make([]reflect.Value, 1+len(info.argTypes))
-		in[0] = el.obj
-		for i, t := range info.argTypes {
-			var a any
-			if i < len(args) {
-				a = args[i]
-			}
-			in[i+1] = coerceArg(a, t, false)
-		}
-		out := info.fn.Call(in)
-		if len(out) > 0 {
-			return out[0].Interface(), unpacked
-		}
-		return nil, unpacked
-	}
-	// Dynamic dispatch: name lookup per invocation.
 	mv := el.obj.MethodByName(info.name)
 	if !mv.IsValid() {
 		panic(fmt.Sprintf("core: %s has no method %s", el.coll.ct.name, info.name))
 	}
 	mt := mv.Type()
 	in := make([]reflect.Value, mt.NumIn())
-	for i := 0; i < mt.NumIn(); i++ {
+	for i := range in {
 		var a any
 		if i < len(args) {
 			a = args[i]
 		}
-		in[i] = coerceArg(a, mt.In(i), true)
+		in[i] = coerceArg(a, mt.In(i))
 	}
 	out := mv.Call(in)
 	if len(out) > 0 {
-		return out[0].Interface(), unpacked
+		return out[0].Interface(), !info.variadic
 	}
-	return nil, unpacked
+	return nil, !info.variadic
 }
 
-// coerceArg converts a received argument to the parameter type. Dynamic mode
-// allows numeric conversions (Python-style duck typing); static mode
-// requires assignability.
-func coerceArg(a any, t reflect.Type, dynamic bool) reflect.Value {
+// coerceArg converts a received argument to the parameter type, allowing
+// numeric conversions (Python-style duck typing).
+func coerceArg(a any, t reflect.Type) reflect.Value {
 	if a == nil {
 		return reflect.Zero(t)
 	}
 	v := reflect.ValueOf(a)
-	if v.Type() == t || v.Type().AssignableTo(t) {
+	if v.Type().AssignableTo(t) {
 		return v
 	}
-	if dynamic && v.Type().ConvertibleTo(t) {
+	if v.Type().ConvertibleTo(t) {
 		return v.Convert(t)
-	}
-	if t.Kind() == reflect.Interface && v.Type().Implements(t) {
-		return v
-	}
-	if !dynamic && v.Type().ConvertibleTo(t) {
-		switch t.Kind() {
-		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
-			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
-			reflect.Float32, reflect.Float64:
-			return v.Convert(t)
-		}
 	}
 	panic(fmt.Sprintf("core: cannot pass argument of type %T as %s", a, t))
 }

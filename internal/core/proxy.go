@@ -111,20 +111,18 @@ func (pr Proxy) invoke(method string, args []any, fut FutureRef) {
 		m.Src = pr.p.pe
 	}
 	// meta.ct was resolved once at collection creation; no registry lock on
-	// the per-message path. Static mode always resolves the method id at send
-	// time; dynamic mode ships the name — unless the type has generated
-	// bindings, in which case it upgrades to id-based dispatch and typed
-	// codecs (the paper's generated-stub path), keeping the reflective
-	// name-lookup fallback for unbound types.
+	// the per-message path. A type with generated bindings attached
+	// (Compiled mode) ships the method id and encodes through the typed
+	// codecs; any other ships the name, which the receiver resolves by
+	// reflection.
 	meta := rt.collMeta(pr.CID)
 	if meta != nil && meta.ct != nil {
-		if info, ok := meta.ct.byName[method]; ok {
-			if rt.cfg.Dispatch == StaticDispatch || meta.ct.gen != nil {
-				m.MID = info.id
-				m.gen = meta.ct.gen
-			}
-		} else if rt.cfg.Dispatch == StaticDispatch {
+		info, ok := meta.ct.byName[method]
+		if !ok {
 			panic(fmt.Sprintf("core: chare type %s has no entry method %q", meta.Type, method))
+		}
+		if g := meta.ct.gen; g != nil {
+			m.MID, m.gen = info.id, g
 		}
 	}
 	if pr.Elem == nil {

@@ -12,17 +12,18 @@ import (
 )
 
 // DispatchMode selects how entry methods are located and invoked. It is the
-// repo's model of the paper's CharmPy-vs-Charm++ comparison (see DESIGN.md):
-// Static models compiled C++ dispatch, Dynamic models interpreted Python
-// dispatch.
+// repo's model of the paper's CharmPy-vs-Charm++ comparison (see DESIGN.md),
+// and Register is the one place that reads it.
 type DispatchMode uint8
 
 const (
-	// StaticDispatch resolves entry methods to table indices at send time and
-	// invokes them through a precomputed dispatch table. Models Charm++.
+	// StaticDispatch is Compiled mode, the model of Charm++: Register attaches
+	// the type's generated bindings (charmgo_gen.go), so calls ship a method
+	// id and run through a typed switch and typed codecs.
 	StaticDispatch DispatchMode = iota
-	// DynamicDispatch ships method names and resolves them per invocation via
-	// reflection with permissive argument coercion. Models CharmPy/Python.
+	// DynamicDispatch is Interpreted mode, the model of CharmPy: Register
+	// attaches no bindings, so calls ship the method name and are resolved
+	// per invocation by reflection with permissive argument coercion.
 	DynamicDispatch
 )
 
@@ -35,7 +36,6 @@ type Chareable interface {
 type emInfo struct {
 	id       int32
 	name     string
-	fn       reflect.Value // func with receiver as first arg
 	argTypes []reflect.Type
 	variadic bool // reflect hands it a slice built around the arguments
 	threaded bool
@@ -51,7 +51,7 @@ type chareType struct {
 	methods   []*emInfo    // sorted by name; index == method id
 	byName    map[string]*emInfo
 	hasResume bool        // has a ResumeFromSync entry method
-	gen       *GenBinding // generated dispatch/codec bindings, if any
+	gen       *GenBinding // generated dispatch/codec bindings; nil in Interpreted mode
 	waits     sync.Map    // Wait condition string -> expr.Guard bound to rtype
 }
 
@@ -160,7 +160,7 @@ func (rt *Runtime) Register(proto Chareable, opts ...RegOpt) string {
 	sort.Strings(names)
 	for i, mn := range names {
 		m, _ := pt.MethodByName(mn)
-		info := &emInfo{id: int32(i), name: mn, fn: m.Func, variadic: m.Type.IsVariadic()}
+		info := &emInfo{id: int32(i), name: mn, variadic: m.Type.IsVariadic()}
 		nIn := m.Type.NumIn() // includes receiver
 		for a := 1; a < nIn; a++ {
 			info.argTypes = append(info.argTypes, m.Type.In(a))
@@ -178,18 +178,18 @@ func (rt *Runtime) Register(proto Chareable, opts ...RegOpt) string {
 			ct.hasResume = true
 		}
 	}
-	// Attach generated bindings (charmgo_gen.go) if the package registered
-	// any for this type. The binding's method list must match the reflected
+	// Compiled mode attaches the generated bindings (charmgo_gen.go) if the
+	// package registered any for this type; Interpreted mode never does.
+	// Either way the binding's method list must match the reflected
 	// entry-method set exactly — ids are positional — so drift between the
 	// source and a stale generated file is a startup panic, not silent
-	// misdispatch. Config.DisableGenerated skips attachment (ablation runs),
-	// but the staleness check still applies when bindings exist.
+	// misdispatch.
 	if g := genBindingFor(st.PkgPath() + "." + name); g != nil {
 		if !slices.Equal(g.Methods, names) {
 			panic(fmt.Sprintf("core: generated bindings for %s are stale (generated for %v, source has %v); run `make gen`",
 				name, g.Methods, names))
 		}
-		if !rt.cfg.DisableGenerated {
+		if rt.cfg.Dispatch == StaticDispatch {
 			ct.gen = g
 		}
 	}

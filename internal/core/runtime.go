@@ -73,12 +73,6 @@ type Config struct {
 	// (sends, wire bytes, batch sizes, per-PE mailbox depth, ...); expose
 	// it with metrics.Serve.
 	Metrics *metrics.Registry
-	// DisableGenerated ignores `charmgo gen` bindings at Register, forcing
-	// the reflect/gob fallback for every chare type. The wire format is
-	// unchanged (bound and unbound peers interoperate), so this is the
-	// ablation switch: the same program measured with and without typed
-	// dispatch/codecs (simcluster calibration, EXPERIMENTS.md §dispatch).
-	DisableGenerated bool
 	// SampleInterval, when > 0, turns on live introspection sampling (see
 	// internal/introspect and core/introspect.go): every node snapshots its
 	// PEs and collections at this period and node 0 assembles the cluster

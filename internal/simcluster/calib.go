@@ -155,12 +155,10 @@ func (pc *pingChare) Finish(done core.Future) {
 
 func measureCharmMsg(mode core.DispatchMode) float64 {
 	const msgs = 20000
-	// DisableGenerated: the calibration feeds the simulator's model of the
-	// paper's interpreted-vs-compiled dispatch gap, so both modes must be
-	// measured on the reflective paths. With charmgo gen bindings attached,
-	// dynamic dispatch collapses to (below) static cost and the simulated
-	// CharmPy personality would inherit speed the paper's CharmPy never had.
-	rt := core.NewRuntime(core.Config{PEs: 2, Dispatch: mode, DisableGenerated: true})
+	// pingChare is bound (charmgo_gen.go), so Compiled mode times the
+	// generated dispatch and Interpreted mode the reflective one: the
+	// simulator's model of the paper's interpreted-vs-compiled gap.
+	rt := core.NewRuntime(core.Config{PEs: 2, Dispatch: mode})
 	rt.Register(&pingChare{},
 		core.When("Ping", "self.n >= 0"),
 		core.ArgNames("Ping", "i"))
