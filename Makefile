@@ -75,7 +75,9 @@ check: build lint gencheck guards
 # the kvservice timeout and close-at-once tests; then, under the race
 # detector at 1, 2 and 8 scheduler threads, the two that race a parking PE or
 # a starting node, the one that poisons every returned invoke box (and checks
-# the run semantics: per-sender FIFO, kept messages), the one that checks
+# the run semantics: per-sender FIFO, kept messages), the one that sends
+# through a PE's proxy from a goroutine not its own while the PE floods through
+# it too (the PE's box stock must not be shared), the one that checks
 # repeat sub-frames at both ends of the wire, the scheduler's own
 # per-sender FIFO and one-PE-at-a-time tests (TestPerSenderFIFO,
 # TestSingleExecution, the second across migrations), and the quiescence
@@ -89,7 +91,7 @@ guards:
 	$(GO) test -count=1 -run 'TestSenderFlushesWhenAllPEsParked|TestNoStrandedSendUnderParkRace|TestFloodStillBatches|TestBackstopFlushesPinnedPE' ./internal/core
 	$(GO) test -count=1 -run 'TestServiceCloseImmediately|TestCallTimeoutStillFires' ./internal/elastic
 	for p in 1 2 8; do \
-		GOMAXPROCS=$$p $(GO) test -race -count=1 -run 'TestNoStrandedSendUnderParkRace|TestRecycledBoxNeverObserved|TestBatchRepeatHeaders|TestPerSenderFIFO|TestSingleExecution' ./internal/core && \
+		GOMAXPROCS=$$p $(GO) test -race -count=1 -run 'TestNoStrandedSendUnderParkRace|TestRecycledBoxNeverObserved|TestForeignGoroutineInvoke|TestBatchRepeatHeaders|TestPerSenderFIFO|TestSingleExecution' ./internal/core && \
 		GOMAXPROCS=$$p $(GO) test -race -count=1 -run 'TestServiceCloseImmediately' ./internal/elastic || exit 1; \
 	done
 	$(MAKE) qd-soak QD_COUNT=20

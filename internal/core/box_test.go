@@ -177,19 +177,22 @@ func seeKept(path string, a []any) {
 }
 
 // TestRecycledBoxNeverObserved drives, at once and with returned boxes
-// poisoned, every path that keeps a decoded message or its slices past the
-// dispatch that dequeued it: a when-guarded method delivered out of order, a
-// threaded method that yields first, invokes forwarded after a migration (on
-// the node and back across the wire), a whole-array broadcast and a node-level
-// broadcast of an element-addressed invoke, and a variadic method that stores
-// what it is handed. Every entry method must see exactly the arguments that
-// were sent, and an element flooded from the other node across many frames
-// while a PE of its own node sends to it too must see each sender's messages
-// in order. Both ingress paths must be driven: the flood reaches its PEs as
-// runs, and a message kept out of the middle of a run must not go back with
-// it, while the round trips at the end each arrive alone in their batch and
-// give their box back outside a run (kv_closed's shape). `make guards` runs it
-// under -race at GOMAXPROCS 1, 2 and 8.
+// poisoned, every path that keeps a decoded or same-node message or its
+// slices past the dispatch that dequeued it: a when-guarded method delivered
+// out of order (a buffered message that finally runs gives its box back from
+// recheck), a threaded method that yields first, invokes forwarded after a
+// migration (on the node and back across the wire), a whole-array broadcast
+// and a node-level broadcast of an element-addressed invoke, and a variadic
+// method that stores what it is handed. Elements 2 and 3 get that traffic
+// from the other node, elements 0 and 1 from their own, in boxes from the
+// sending PE's stock; local boxes must come back, too. Every entry method must
+// see exactly the arguments that were sent, and an element flooded from the
+// other node across many frames while a PE of its own node sends to it too
+// must see each sender's messages in order. Both ingress paths must be driven:
+// the flood reaches its PEs as runs, and a message kept out of the middle of a
+// run must not go back with it, while the round trips at the end each arrive
+// alone in their batch and give their box back outside a run (kv_closed's
+// shape). `make guards` runs it under -race at GOMAXPROCS 1, 2 and 8.
 func TestRecycledBoxNeverObserved(t *testing.T) {
 	t.Run("default", func(t *testing.T) {
 		inRun, keptInRun, alone := recycledBoxJob(t)
@@ -218,9 +221,18 @@ func recycledBoxJob(t *testing.T) (inRun, keptInRun, alone int64) {
 	log := &boxLog{seen: map[string]map[int]int{}}
 	boxSeen = log
 	var nInRun, nKeptInRun, nAlone atomic.Int64
+	// The boxes that carried a same-node invoke on node 0: Step, Work and
+	// Keep reach elements 0 and 1 from PE 0 alone.
+	var localMu sync.Mutex
+	local := map[*Message]bool{}
 	rts := runMultiNode(t, 2, 2, nil, func(rt *Runtime) {
 		rt.poisonBoxes = true
 		rt.holdEM = func(p *peState, m *Message) {
+			if p.rt.nodeID == 0 && m.boxed && (m.Method == "Step" || m.Method == "Work" || m.Method == "Keep") {
+				localMu.Lock()
+				local[m] = true
+				localMu.Unlock()
+			}
 			if p.spent != nil && len(p.spent.ms) > 0 {
 				nAlone.Add(1)
 			}
@@ -238,7 +250,8 @@ func recycledBoxJob(t *testing.T) (inRun, keptInRun, alone int64) {
 		rt.Register(&boxVariadic{})
 	}, func(self *Chare) {
 		// Four elements each: element i starts on PE i, so 2 and 3 are on the
-		// other node and everything sent to them is decoded into a box there.
+		// other node and everything sent to them is decoded into a box there,
+		// while what is sent to 0 and 1 takes a box from this PE's stock.
 		dims := []int{4}
 		guarded := self.NewArray(&boxGuarded{}, dims)
 		threaded := self.NewArray(&boxThreaded{}, dims)
@@ -248,18 +261,22 @@ func recycledBoxJob(t *testing.T) (inRun, keptInRun, alone int64) {
 		fifo := self.NewArray(&boxFIFO{}, dims)
 		fifo.At(3).Call("Flood", 2, n) // PE 3 sends to its neighbour while this PE floods it from afar
 
-		var rets []Future
+		var rets, localRets []Future
 		for base := 0; base < n; base += group {
 			for seq := base + group - 1; seq >= base; seq-- {
 				s, tag, data := boxArgs(seq)
 				guarded.At(2).Call("Step", s, tag, data)
+				guarded.At(1).Call("Step", s, tag, data)
 			}
 			for seq := base; seq < base+group; seq++ {
 				s, tag, data := boxArgs(seq)
 				rets = append(rets, threaded.At(3).CallRet("Work", s, tag, data))
-				plain.At(2).Call("Hit", s, tag, data) // element 2 moves twice below
+				localRets = append(localRets, threaded.At(1).CallRet("Work", s, tag, data))
+				plain.At(2).Call("Hit", s, tag, data) // elements 2 and 1 move twice below
 				plain.At(3).Call("Hit", s, tag, data)
+				plain.At(1).Call("Hit", s, tag, data)
 				variadic.At(3).Call("Keep", []any{s, tag, data})
+				variadic.At(1).Call("Keep", []any{s, tag, data})
 				s, tag, data = boxArgs(int(self.MyPE())*fifoStride + seq)
 				fifo.At(2).Call("Seq", s, tag, data)
 				if seq%97 == 0 {
@@ -273,17 +290,22 @@ func recycledBoxJob(t *testing.T) (inRun, keptInRun, alone int64) {
 			switch base {
 			case n / 3 / group * group:
 				plain.At(2).Call("Move", 3) // to the sibling PE: later sends are forwarded on the node
+				plain.At(1).Call("Move", 0) // likewise, from a PE of the sender's node to the sender's
 			case 2 * n / 3 / group * group:
 				plain.At(2).Call("Move", 1) // to this node: later sends come back over the wire
+				plain.At(1).Call("Move", 2) // to the other node: later sends go out over it
 			}
 		}
 		threaded.At(3).Call("Release")
-		for seq, f := range rets {
-			if got := f.Get(); got != 7*seq {
-				log.fail("threaded: Work(%d) returned %v to its caller, want %d", seq, got, 7*seq)
+		threaded.At(1).Call("Release")
+		for i, fs := range [][]Future{rets, localRets} {
+			for seq, f := range fs {
+				if got := f.Get(); got != 7*seq {
+					log.fail("threaded: Work(%d) on element %d returned %v to its caller, want %d", seq, 3-2*i, got, 7*seq)
+				}
 			}
 		}
-		want := 6*n + bcasts*4 + bcasts*4 // guarded, threaded, plain x2, fifo x2; a broadcast reaches 4 elements or arrives from 4 PEs
+		want := 9*n + bcasts*4 + bcasts*4 // guarded x2, threaded x2, plain x3, fifo x2; a broadcast reaches 4 elements or arrives from 4 PEs
 		deadline := time.Now().Add(30 * time.Second)
 		for log.total() < want && time.Now().Before(deadline) {
 			plain.At(3).CallRet("Nop").Get() // yields this PE: it forwards and hosts elements too
@@ -294,6 +316,7 @@ func recycledBoxJob(t *testing.T) (inRun, keptInRun, alone int64) {
 			plain.At(3).CallRet("Nop").Get()
 		}
 		variadic.At(3).CallRet("Verify").Get()
+		variadic.At(1).CallRet("Verify").Get()
 	})
 
 	log.mu.Lock()
@@ -305,7 +328,7 @@ func recycledBoxJob(t *testing.T) (inRun, keptInRun, alone int64) {
 		path       string
 		seqs, each int
 	}{
-		{"guarded", n, 1}, {"threaded", n, 1}, {"variadic", n, 1},
+		{"guarded", n, 2}, {"threaded", n, 2}, {"variadic", n, 2},
 		{"fifo", 2 * n, 1}, {"plain", n + 2*bcasts, 0},
 	} {
 		got := log.seen[c.path]
@@ -319,7 +342,7 @@ func recycledBoxJob(t *testing.T) (inRun, keptInRun, alone int64) {
 			case seq >= bcastSeq:
 				want = 4
 			default:
-				want = 2
+				want = 3
 			}
 			if k != want {
 				t.Errorf("%s: message %d delivered %d times, want %d", c.path, seq, k, want)
@@ -327,24 +350,91 @@ func recycledBoxJob(t *testing.T) (inRun, keptInRun, alone int64) {
 		}
 	}
 	// The test is only worth something if boxes were in fact returned.
-	free := 0
-	for _, c := range rts[1].boxes.full {
-		free += len(c.ms)
-	}
-	for _, p := range rts[1].pes {
-		if p.spent != nil {
-			free += len(p.spent.ms)
-		}
-	}
-	for i := range rts[1].in {
-		if c := rts[1].in[i].boxes.cur; c != nil {
-			free += len(c.ms)
-		}
-	}
-	if free == 0 {
+	if len(freeBoxes(rts[1])) == 0 {
 		t.Error("node 1 returned no box at all: nothing was recycled, so nothing was tested")
 	}
+	localFree := 0
+	for _, m := range freeBoxes(rts[0]) {
+		if local[m] {
+			localFree++
+		}
+	}
+	if localFree == 0 {
+		t.Errorf("none of the %d boxes that carried a same-node invoke on node 0 came back", len(local))
+	}
 	return nInRun.Load(), nKeptInRun.Load(), nAlone.Load()
+}
+
+// freeBoxes lists the boxes rt holds for reuse after its job: in its box
+// list, in its PEs' spent chunks and send stocks, and in its decoders' stocks.
+func freeBoxes(rt *Runtime) []*Message {
+	var free []*Message
+	for _, c := range rt.boxes.full {
+		free = append(free, c.ms...)
+	}
+	for _, p := range rt.pes {
+		for _, c := range []*msgRun{p.spent, p.boxes.stock.cur} {
+			if c != nil {
+				free = append(free, c.ms...)
+			}
+		}
+	}
+	for i := range rt.in {
+		if c := rt.in[i].boxes.cur; c != nil {
+			free = append(free, c.ms...)
+		}
+	}
+	return free
+}
+
+// TestForeignGoroutineInvoke: a plain goroutine calls through a proxy bound
+// to PE 0 while PE 0 floods through its own, to an element on each PE. Both
+// take boxes for their same-node sends; the goroutine must never share PE 0's
+// stock (its try-lock sends whoever finds it taken to a new box), and every
+// message must arrive exactly once with the arguments it was sent with.
+// `make guards` runs it under -race at GOMAXPROCS 1, 2 and 8.
+func TestForeignGoroutineInvoke(t *testing.T) {
+	const n = 3000 // messages per sender
+	log := &boxLog{seen: map[string]map[int]int{}}
+	boxSeen = log
+	rt := NewRuntime(Config{PEs: 2})
+	rt.poisonBoxes = true
+	rt.Register(&boxPlain{})
+	rt.Start(func(self *Chare) {
+		defer self.Exit()
+		plain := self.NewArray(&boxPlain{}, []int{2}) // element i on PE i; the proxy is PE 0's
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for seq := n; seq < 2*n; seq++ {
+				s, tag, data := boxArgs(seq)
+				plain.At(seq%2).Call("Hit", s, tag, data)
+			}
+		}()
+		for seq := 0; seq < n; seq++ {
+			s, tag, data := boxArgs(seq)
+			plain.At(seq%2).Call("Hit", s, tag, data)
+		}
+		<-done
+		deadline := time.Now().Add(30 * time.Second)
+		for log.total() < 2*n && time.Now().Before(deadline) {
+			plain.At(1).CallRet("Nop").Get() // yields PE 0 to element 0's backlog
+		}
+	})
+	log.mu.Lock()
+	defer log.mu.Unlock()
+	for _, b := range log.bad {
+		t.Error(b)
+	}
+	got := log.seen["plain"]
+	if len(got) != 2*n {
+		t.Errorf("%d distinct messages seen, want %d", len(got), 2*n)
+	}
+	for seq, k := range got {
+		if k != 1 {
+			t.Errorf("message %d delivered %d times, want once", seq, k)
+		}
+	}
 }
 
 // A frame that fails to decode gives its box back, emptied: the error neither

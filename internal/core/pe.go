@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"time"
 
 	"charmgo/internal/expr"
@@ -57,7 +58,8 @@ type peState struct {
 	// a boxed invoke that ran inline with its Args unpacked into typed
 	// parameters, which is the one case in which dispatch returns its box
 	// (wire.go). A run's spent boxes go back with the run; spent collects
-	// those of messages that arrived alone, a chunk at a time.
+	// those of messages that arrived alone, and those recheck returns, a
+	// chunk at a time.
 	cur      *Message
 	curSpent bool
 	spent    *msgRun
@@ -70,6 +72,9 @@ type peState struct {
 	stats peStats
 
 	exiting bool
+	// boxes is where a same-node invoke issued through a proxy bound to this
+	// PE takes its box (Proxy.invoke).
+	boxes sendBoxes
 }
 
 // localColl is one PE's slice of a chare collection.
@@ -154,6 +159,7 @@ func newPEState(rt *Runtime, pe PE) *peState {
 		now:         func() time.Duration { return time.Since(rt.t0) },
 		cnt:         &rt.cnt[pe-rt.basePE],
 		mbox:        newMailbox(),
+		boxes:       sendBoxes{stock: boxStock{list: &rt.boxes}},
 	}
 }
 
@@ -234,8 +240,9 @@ func (p *peState) dispatchRun(r *msgRun) {
 }
 
 // deliver accounts for and handles one message, and reports whether its box
-// is spent: dispatch and dispatchRun are the one place a decoded invoke's box
-// is taken back (wire.go has the ownership rule).
+// is spent: dispatch and dispatchRun take back the box of the message they
+// dequeued, recheck that of a when-buffered one (wire.go has the ownership
+// rule).
 func (p *peState) deliver(m *Message) (spent bool) {
 	if o := p.rt.obs; o != nil {
 		o.recv(p, m)
@@ -253,7 +260,8 @@ func (p *peState) deliver(m *Message) (spent bool) {
 	return p.curSpent
 }
 
-// returnBox takes back the box of a message that arrived outside a run.
+// returnBox takes back the box of a message that arrived outside a run, or
+// that recheck ran from a when-buffer.
 func (p *peState) returnBox(m *Message) {
 	resetBox(m, p.rt.poisonBoxes)
 	if p.spent == nil {
@@ -701,7 +709,9 @@ func (p *peState) deliverOrBuffer(coll *localColl, el *element, m *Message) {
 		el.buf = append(el.buf, m)
 		return
 	}
-	p.invokeEMInner(el, info, m)
+	if p.invokeEMInner(el, info, m) && m == p.cur {
+		p.curSpent = true
+	}
 	p.recheck(el)
 }
 
@@ -732,15 +742,17 @@ func (p *peState) emReady(el *element, info *emInfo, m *Message) bool {
 }
 
 // invokeEMInner executes one entry method (inline or threaded) without
-// triggering the post-execution recheck; callers run recheck afterwards.
-func (p *peState) invokeEMInner(el *element, info *emInfo, m *Message) {
+// triggering the post-execution recheck; callers run recheck afterwards. It
+// reports whether m is a box that ran inline with its Args unpacked into
+// typed parameters, so that nothing the method did can still see it.
+func (p *peState) invokeEMInner(el *element, info *emInfo, m *Message) (unpackedBox bool) {
 	if hold := p.rt.holdEM; hold != nil {
 		hold(p, m)
 	}
 	args := p.rebindArgs(el, m.Args)
 	if info.threaded {
 		p.runThreaded(el, info, m, args)
-		return
+		return false
 	}
 	start := p.stamp
 	if o := p.rt.obs; o != nil {
@@ -757,9 +769,7 @@ func (p *peState) invokeEMInner(el *element, info *emInfo, m *Message) {
 	if m.Fut.valid() {
 		p.rt.sendFutureSet(m.Fut, ret)
 	}
-	if unpacked && m.boxed && m == p.cur {
-		p.curSpent = true
-	}
+	return unpacked && m.boxed
 }
 
 // callEM performs the actual call. A type with generated bindings attached
@@ -930,8 +940,12 @@ func (p *peState) recheck(el *element) {
 		for i, m := range el.buf {
 			info := p.resolveEM(el.coll, m)
 			if p.emReady(el, info, m) {
-				el.buf = append(el.buf[:i], el.buf[i+1:]...)
-				p.invokeEMInner(el, info, m)
+				// el.buf held the only reference to m (wire.go), unless m is
+				// the message being dispatched, which dispatch still reads.
+				el.buf = slices.Delete(el.buf, i, i+1)
+				if p.invokeEMInner(el, info, m) && m != p.cur {
+					p.returnBox(m)
+				}
 				progressed = true
 				break
 			}

@@ -93,10 +93,10 @@ func collTotal(rt *Runtime, cm *createMsg) int {
 
 func (pr Proxy) invoke(method string, args []any, fut FutureRef) {
 	rt := pr.runtime()
-	// m stays on this stack when the destination is on another node: the
-	// aggregator serializes it straight into the batch buffer (sendInvoke).
-	// Only a same-node delivery or a broadcast needs a Message that outlives
-	// the call.
+	// m stays on this stack, and so does the caller's args slice: a
+	// same-node delivery copies both into an invoke box, a broadcast into a
+	// Message of its own, and the aggregator serializes an invoke for another
+	// node straight into the batch buffer (sendInvoke).
 	m := Message{
 		Kind:   mInvoke,
 		CID:    pr.CID,
@@ -105,7 +105,6 @@ func (pr Proxy) invoke(method string, args []any, fut FutureRef) {
 		Method: method,
 		Src:    -1,
 		Fut:    fut,
-		Args:   args,
 	}
 	if pr.p != nil {
 		m.Src = pr.p.pe
@@ -127,16 +126,46 @@ func (pr Proxy) invoke(method string, args []any, fut FutureRef) {
 	}
 	if pr.Elem == nil {
 		hm := m
+		hm.Args = cloneArgs(args)
 		rt.bcastAllPEs(&hm)
 		return
 	}
 	pe := rt.admit(rt.destPE(pr.CID, pr.Elem, meta), &m)
 	if rt.isLocal(pe) {
-		hm := m
-		rt.sendLocal(pe, &hm)
+		rt.sendLocal(pe, pr.p.boxInvoke(&m, args))
 		return
 	}
+	// The typed encoders are called indirectly, so whatever they are handed
+	// escapes: a copy of args, not args.
+	m.Args = cloneArgs(args)
 	rt.sendInvoke(pe, &m)
+}
+
+// cloneArgs copies args for a path that lets them escape, so that the
+// caller's own slice can stay on its stack (slices.Clone's growslice is slower).
+func cloneArgs(args []any) []any {
+	c := make([]any, len(args))
+	copy(c, args)
+	return c
+}
+
+// boxInvoke copies a same-node invoke (m's header and index, and args) into
+// an invoke box from the stock of p, the PE its proxy is bound to; a new box
+// if p is nil or another goroutine holding such a proxy has the stock.
+func (p *peState) boxInvoke(m *Message, args []any) *Message {
+	var b *Message
+	if p != nil && p.boxes.lock.CompareAndSwap(false, true) {
+		b = p.boxes.stock.take()
+		p.boxes.lock.Store(false)
+	} else {
+		b = newBox()
+	}
+	idx, slots := b.Idx, b.Args
+	*b = *m
+	b.Idx = append(idx[:0], m.Idx...)
+	b.Args = append(slots[:0], args...)
+	b.boxed = true
+	return b
 }
 
 // destPE picks the best-known PE for an element; meta is its collection's

@@ -228,12 +228,14 @@ type Message struct {
 	Ctl    any  // control payload for non-invoke kinds
 	hops   int8 // forwarding hop count (location management loop guard)
 
-	// boxed marks an invoke that decodeMsgFull took from the node's box list
-	// (wire.go): Idx and Args point at storage that is reused once the PE
-	// dispatch loop returns the box. Only that loop returns one, and only for
-	// the message it dequeued and invoked inline; whoever else holds the
-	// pointer or the slices keeps them, and the box is then left to the GC.
-	// Cleared by send and copyOf. Unexported: node-local, never serialized.
+	// boxed marks an invoke in a box from the node's box list (wire.go),
+	// which a decoder or a same-node Proxy.invoke took: Idx and Args point at
+	// storage that is reused once the box is returned. Only the PE dispatch
+	// loop (for the message it dequeued) and recheck (for a when-buffered one
+	// it took out of el.buf) return one, and only after invoking it inline;
+	// whoever else holds the pointer or the slices keeps them, and the box is
+	// then left to the GC. Cleared by send and copyOf. Unexported:
+	// node-local, never serialized.
 	boxed bool
 
 	// enq is the tracer-relative enqueue time, stamped at mailbox push only

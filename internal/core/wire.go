@@ -407,16 +407,22 @@ func (b *batchReader) next() (PE, *Message, error) {
 
 // ---- invoke boxes, runs and the node's box list ----
 //
-// Message ownership on the receive path. Every decoded invoke lives in an
-// invokeBox, and boxes are recycled: the PE dispatch loop returns the box of
-// a message it dequeued and invoked inline — the generated Dispatch case or
-// the reflective table had unpacked Args into typed parameters before user
-// code ran, so nothing can still see the box — and nobody else returns one.
-// Keeping the pointer or one of its slices (a when-buffer, a pending list, a
-// threaded method, a re-send, a copy for a broadcast, a variadic method that
-// is handed Args itself) therefore needs no action: that box is simply never
+// Message ownership. Every decoded invoke lives in an invokeBox, and so does
+// every same-node unicast invoke (Proxy.invoke fills a box from the issuing
+// PE's stock); boxes are recycled. A box is returned only right after its
+// entry method ran inline with Args unpacked into typed parameters (the
+// generated Dispatch case or the reflective table did that before user code
+// ran, so nothing the method did can still see it), and only by
+//   - the PE dispatch loop, for the message it dequeued;
+//   - recheck, for a when-buffered message it has just taken out of el.buf,
+//     the only reference left: deliverOrBuffer buffers the message being
+//     dispatched without marking it spent, or one from a pending list
+//     already dropped, and only recheck and migrateOut read el.buf.
+// Keeping the pointer or one of its slices (a pending list, a threaded
+// method, a re-send, a copy for a broadcast, a variadic method that is
+// handed Args itself) therefore needs no action: that box is simply never
 // returned, and the GC collects it like any other message. A missed recycle
-// costs one object; a wrong one cannot happen without writing a second return.
+// costs one object; a wrong one cannot happen without writing a third return.
 
 // invokeBox bundles a decoded invoke message with a small inline index
 // buffer, so one object holds the message and its (typically ≤4-dim)
@@ -521,12 +527,20 @@ func (l *boxList) get(full bool) *msgRun {
 	return c
 }
 
-// boxStock is one decoder's private stock of free boxes: the chunk it is
-// draining. Not safe for concurrent use (peerIn.mu guards the per-peer
-// ones). A nil stock allocates every box.
+// boxStock is one decoder's or one PE's private stock of free boxes: the
+// chunk it is draining. Not safe for concurrent use (peerIn.mu guards the
+// per-peer ones, sendBoxes.lock a PE's). A nil stock allocates every box.
 type boxStock struct {
 	list *boxList
 	cur  *msgRun
+}
+
+// sendBoxes is a PE's stock for same-node invokes through proxies bound to it,
+// and its try-lock: a goroutine that is not the PE's, holding such a proxy,
+// finds it taken and makes a new box instead of waiting.
+type sendBoxes struct {
+	lock  atomic.Bool
+	stock boxStock
 }
 
 func (s *boxStock) take() *Message {

@@ -26,6 +26,12 @@ type Block struct {
 	WindowSec float64 // work since the last LB round (balance metric)
 	Done      core.Future
 	Stats     core.Future
+
+	// nbr[d] is the index of the neighbour in direction d, nil at the
+	// grid's edge, so that a ghost send copies no index. Unexported like
+	// Grid.spare: a migrating block leaves it behind and sendGhosts rebuilds
+	// it on the new PE.
+	nbr [][]int
 }
 
 // Register registers the stencil chare types and argument metadata with a
@@ -93,10 +99,19 @@ func (b *Block) sendGhosts() {
 		b.step()
 		return
 	}
-	proxy := b.ThisProxy()
-	for d := 0; d < numDirs; d++ {
-		if n, ok := b.neighbor(d); ok {
-			proxy.At(n[0], n[1], n[2]).Call("RecvGhost", b.Iter, opposite(d), b.G.packFace(d))
+	if b.nbr == nil {
+		b.nbr = make([][]int, numDirs)
+		for d := range b.nbr {
+			if n, ok := b.neighbor(d); ok {
+				b.nbr[d] = n[:]
+			}
+		}
+	}
+	proxy := b.ThisProxy() // bound to this PE, whose box stock the sends use
+	for d, n := range b.nbr {
+		if n != nil {
+			proxy.Elem = n
+			proxy.Call("RecvGhost", b.Iter, opposite(d), b.G.packFace(d))
 		}
 	}
 }
