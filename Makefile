@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check guards qd-soak prof/wire lint charmvet vet-baseline race fuzz bench vet profile chaos gen gencheck introspect serve loc
+.PHONY: all build test check guards qd-soak prof/wire lint charmvet vet-baseline race fuzz bench vet profile chaos introspect serve loc
 
 all: build
 
@@ -31,16 +31,6 @@ vet-baseline:
 
 lint: vet charmvet
 
-# gen (re)writes charmgo_gen.go typed dispatch/codec bindings for every
-# package defining chare types — the charmxi analog (DESIGN.md §codegen).
-# gencheck verifies the committed bindings are fresh without writing; it is
-# part of `make check` so entry-method drift fails CI.
-gen:
-	$(GO) run ./cmd/charmgo gen ./...
-
-gencheck:
-	$(GO) run ./cmd/charmgo gen -check ./...
-
 # chaos runs the fault-tolerance suite (failure detection, buddy
 # checkpointing, kill-one-node recovery, chaos transport) under the race
 # detector. See DESIGN.md §3.4 and EXPERIMENTS.md.
@@ -54,13 +44,12 @@ chaos:
 serve:
 	$(GO) run ./examples/kvservice -check -seconds 6
 
-# check is the CI gate: build everything, lint (go vet + charmvet), verify
-# generated bindings are fresh, run the full test suite under the race
-# detector, then the chaos/recovery suite, the live-introspection smoke and
-# the elastic-serving smoke. The race run skips the kvservice allocation
+# check is the CI gate: build everything, lint (go vet + charmvet), run the
+# full test suite under the race detector, then the chaos/recovery suite, the
+# live-introspection smoke and the elastic-serving smoke. The race run skips the kvservice allocation
 # guard, which counts bytes and so also the race detector's own; guards runs
 # it without the detector.
-check: build lint gencheck guards
+check: build lint guards
 	$(GO) test -race -skip 'TestKVRequestAllocGuard' ./...
 	$(MAKE) chaos
 	$(MAKE) introspect

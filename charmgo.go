@@ -70,6 +70,8 @@ type (
 	Config = core.Config
 	// Runtime is one node of a job.
 	Runtime = core.Runtime
+	// EM is a typed entry-method handle; see Bind.
+	EM = core.EM
 	// DispatchMode selects static (Charm++-like) or dynamic (CharmPy-like)
 	// entry method dispatch.
 	DispatchMode = core.DispatchMode
@@ -172,8 +174,8 @@ func Restart(rt *Runtime, path string, entry func(self *Chare, colls map[CID]Pro
 const (
 	// AnyPE lets the runtime choose the PE for a single chare.
 	AnyPE = core.AnyPE
-	// StaticDispatch is Compiled mode, the default: generated bindings
-	// dispatch entry methods, modelling Charm++.
+	// StaticDispatch is Compiled mode, the default: typed entry-method
+	// handles (Bind) dispatch entry methods, modelling Charm++.
 	StaticDispatch = core.StaticDispatch
 	// DynamicDispatch is Interpreted mode: reflection dispatches entry
 	// methods by name, modelling CharmPy.
@@ -191,6 +193,27 @@ var (
 	OrReducer      = core.OrReducer
 	NopReducer     = core.NopReducer
 )
+
+// Bind declares the typed entry-method handles of chare type T, from
+// package initialization; Compiled mode dispatches and encodes through them
+// (see core.Bind):
+//
+//	func init() {
+//	    charmgo.Bind[Greeter](charmgo.EM1((*Greeter).SayHi))
+//	}
+func Bind[T any](hs ...EM) { core.Bind[T](hs...) }
+
+// EM0 to EM5 build the handle of an entry method with that many arguments,
+// and EM0R to EM2R that of one with a result, from a method expression.
+func EM0[T any](f func(*T)) EM                               { return core.EM0(f) }
+func EM1[T, A any](f func(*T, A)) EM                         { return core.EM1(f) }
+func EM2[T, A, B any](f func(*T, A, B)) EM                   { return core.EM2(f) }
+func EM3[T, A, B, C any](f func(*T, A, B, C)) EM             { return core.EM3(f) }
+func EM4[T, A, B, C, D any](f func(*T, A, B, C, D)) EM       { return core.EM4(f) }
+func EM5[T, A, B, C, D, E any](f func(*T, A, B, C, D, E)) EM { return core.EM5(f) }
+func EM0R[T, R any](f func(*T) R) EM                         { return core.EM0R(f) }
+func EM1R[T, A, R any](f func(*T, A) R) EM                   { return core.EM1R(f) }
+func EM2R[T, A, B, R any](f func(*T, A, B) R) EM             { return core.EM2R(f) }
 
 // Registration options (see core.When, core.Threaded, core.ArgNames).
 var (

@@ -1,37 +1,17 @@
 // Command charmgo is the CharmGo developer tool.
 //
-// The gen subcommand emits charmgo_gen.go binding files: typed entry-method
-// dispatch and argument codecs that replace reflection and gob on the
-// remote-invoke hot path — the role charmxi's generated stubs play for
-// Charm++.
-//
 // The top subcommand is an htop-style live view of a running job's
 // /introspect endpoint (see top.go).
 //
 // Usage:
 //
-//	charmgo gen [-check] [-v] [packages]
 //	charmgo top [-json] [-interval DUR] [-topk N] [http://host:port]
-//
-// Package patterns follow the go tool: ./... for the whole module, a
-// directory path for one package. With no arguments, ./... is assumed.
-// Packages that define no chare types are skipped (a leftover
-// charmgo_gen.go in such a package is reported as stale).
-//
-// With -check, no files are written; instead the tool exits 1 if any
-// generated file is missing, stale, or orphaned — `make check` uses this to
-// keep committed bindings fresh.
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
-
-	"charmgo/internal/analysis"
-	"charmgo/internal/gen"
 )
 
 func main() {
@@ -43,8 +23,6 @@ func main() {
 		os.Exit(2)
 	}
 	switch args[0] {
-	case "gen":
-		runGen(args[1:])
 	case "top":
 		runTop(args[1:])
 	default:
@@ -53,89 +31,10 @@ func main() {
 	}
 }
 
-func runGen(args []string) {
-	fs := flag.NewFlagSet("gen", flag.ExitOnError)
-	check := fs.Bool("check", false, "verify committed bindings are fresh; write nothing")
-	verbose := fs.Bool("v", false, "log every package visited")
-	fs.Parse(args)
-	patterns := fs.Args()
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-
-	wd, err := os.Getwd()
-	if err != nil {
-		fatal(err)
-	}
-	mod, err := analysis.LoadModule(wd)
-	if err != nil {
-		fatal(err)
-	}
-	pkgs, err := mod.Load(patterns...)
-	if err != nil {
-		fatal(err)
-	}
-
-	stale := 0
-	for _, pkg := range pkgs {
-		// The runtime package itself keeps the reflective path: its only
-		// chare-like types are internal, and generated bindings registering
-		// into their own defining package would add nothing.
-		if pkg.ImportPath == analysis.CorePkgPath {
-			continue
-		}
-		out, err := gen.Generate(pkg)
-		if err != nil {
-			fatal(fmt.Errorf("%s: %v", pkg.ImportPath, err))
-		}
-		path := filepath.Join(pkg.Dir, gen.GenFileName)
-		prev, readErr := os.ReadFile(path)
-		switch {
-		case out == nil:
-			if readErr == nil {
-				if *check {
-					fmt.Fprintf(os.Stderr, "charmgo gen: %s is orphaned (package has no chare types)\n", path)
-					stale++
-				} else {
-					if err := os.Remove(path); err != nil {
-						fatal(err)
-					}
-					fmt.Printf("removed %s (no chare types)\n", path)
-				}
-			} else if *verbose {
-				fmt.Printf("skipped %s (no chare types)\n", pkg.ImportPath)
-			}
-		case readErr == nil && bytes.Equal(prev, out):
-			if *verbose {
-				fmt.Printf("fresh   %s\n", path)
-			}
-		case *check:
-			why := "stale"
-			if readErr != nil {
-				why = "missing"
-			}
-			fmt.Fprintf(os.Stderr, "charmgo gen: %s is %s (run `make gen`)\n", path, why)
-			stale++
-		default:
-			if err := os.WriteFile(path, out, 0o644); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("wrote   %s\n", path)
-		}
-	}
-	if stale > 0 {
-		os.Exit(1)
-	}
-}
-
 func usage() {
 	fmt.Fprint(os.Stderr, `usage: charmgo <command> [flags]
 
 Commands:
-  gen [-check] [-v] [packages]
-        Generate charmgo_gen.go typed dispatch/codec bindings for every
-        package defining chare types. -check verifies freshness without
-        writing (exit 1 on stale, missing, or orphaned bindings).
   top [-json] [-interval DUR] [-topk N] [url]
         Live htop-style view of a running job's /introspect endpoint
         (default http://127.0.0.1:9300). -json prints one raw snapshot

@@ -10,10 +10,10 @@ import (
 )
 
 // TestDispatchModeReachesMiniApps holds the paper's comparison to what it
-// claims: the two mini-apps are bound (charmgo_gen.go), so Interpreted mode
-// must make no generated dispatch at all, and Compiled mode no reflective
-// one beyond the main chare's Run. When bindings leaked into Interpreted
-// mode, both modes timed the same generated path and the interpreted-vs-
+// claims: the two mini-apps bind typed entry-method handles (core.Bind), so
+// Interpreted mode must make no typed dispatch at all, and Compiled mode no
+// reflective one beyond the main chare's Run. When bindings leaked into
+// Interpreted mode, both modes timed the same typed path and the interpreted-vs-
 // compiled gap read zero. It counts dispatches; it does not time anything.
 func TestDispatchModeReachesMiniApps(t *testing.T) {
 	apps := []struct {

@@ -21,6 +21,14 @@ type Accumulator struct {
 	Total int
 }
 
+func init() {
+	charmgo.Bind[Accumulator](
+		charmgo.EM1((*Accumulator).Add),
+		charmgo.EM1((*Accumulator).Report),
+		charmgo.EM1((*Accumulator).Where),
+	)
+}
+
 // Add increases the accumulator.
 func (a *Accumulator) Add(v int) { a.Total += v }
 

@@ -19,6 +19,13 @@ type Member struct {
 	charmgo.Chare
 }
 
+func init() {
+	charmgo.Bind[Member](
+		charmgo.EM0((*Member).Hello),
+		charmgo.EM1((*Member).SumPE),
+	)
+}
+
 // Hello prints the member's location.
 func (m *Member) Hello() {
 	fmt.Printf("hello from PE %d of %d\n", m.MyPE(), m.NumPEs())

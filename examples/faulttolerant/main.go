@@ -34,6 +34,12 @@ type Worker struct {
 	Sum int
 }
 
+func init() {
+	charmgo.Bind[Worker](
+		charmgo.EM2((*Worker).Step),
+	)
+}
+
 // Step advances one deterministic iteration and contributes the element's
 // running sum to a reduction the driver uses as its iteration barrier.
 func (w *Worker) Step(it int, done charmgo.Future) {

@@ -36,6 +36,14 @@ type Shard struct {
 	Data map[string]string
 }
 
+func init() {
+	charmgo.Bind[Shard](
+		charmgo.EM1((*Shard).Count),
+		charmgo.EM1R((*Shard).Get),
+		charmgo.EM2((*Shard).Put),
+	)
+}
+
 // hotness returns the extra work factor for this shard: shard 0 is the
 // hottest, cost decays with the index (mirrors the Zipf op distribution).
 func (s *Shard) hotness() int {
@@ -75,6 +83,12 @@ func spin(n int) {
 // Driver generates client traffic from its own PE.
 type Driver struct {
 	charmgo.Chare
+}
+
+func init() {
+	charmgo.Bind[Driver](
+		charmgo.EM5((*Driver).Round),
+	)
 }
 
 // Round issues ops Zipf-skewed operations against the shard array (70%

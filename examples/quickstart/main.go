@@ -15,6 +15,12 @@ type MyChare struct {
 	charmgo.Chare
 }
 
+func init() {
+	charmgo.Bind[MyChare](
+		charmgo.EM1((*MyChare).SayHi),
+	)
+}
+
 // SayHi prints a greeting; invoked remotely through a proxy.
 func (m *MyChare) SayHi(msg string) {
 	fmt.Printf("%s (delivered on PE %d)\n", msg, m.MyPE())
@@ -23,6 +29,12 @@ func (m *MyChare) SayHi(msg string) {
 // Worker demonstrates reductions: each group member contributes its PE id.
 type Worker struct {
 	charmgo.Chare
+}
+
+func init() {
+	charmgo.Bind[Worker](
+		charmgo.EM2((*Worker).Work),
+	)
 }
 
 // Work contributes data to a sum reduction whose result lands in a future.

@@ -72,12 +72,8 @@ func runAliasEscape(pass *Pass) {
 		aliasFlow(pass, em.decl.Body, entry, receiverObj(pass.Info, em.decl))
 	}
 	// Any other function calling DecodeArgsAlias directly: the results are
-	// sources even outside entry methods (generated dispatch is trusted — it
-	// forwards the alias under the same contract it was given).
+	// sources even outside entry methods.
 	for _, f := range pass.Files {
-		if isGenFile(pass, f) {
-			continue
-		}
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil || isEntryDecl(pass, fd) {
@@ -93,11 +89,6 @@ func runAliasEscape(pass *Pass) {
 			aliasFlow(pass, fd.Body, State{}, recv)
 		}
 	}
-}
-
-func isGenFile(pass *Pass, f *ast.File) bool {
-	name := pass.Fset.Position(f.Pos()).Filename
-	return len(name) >= len(GenFileName) && name[len(name)-len(GenFileName):] == GenFileName
 }
 
 func isEntryDecl(pass *Pass, fd *ast.FuncDecl) bool {

@@ -26,7 +26,6 @@ func TestFixtures(t *testing.T) {
 		{"tracehook", []*Analyzer{TraceHook}},
 		{"sendown", []*Analyzer{SendOwn}},
 		{"sendowninter", []*Analyzer{SendOwn}},
-		{"genfresh", []*Analyzer{GenFresh}},
 		{"aliasescape", []*Analyzer{AliasEscape}},
 		{"migratesafe", []*Analyzer{MigrateSafe}},
 		{"charerace", []*Analyzer{ChareRace}},

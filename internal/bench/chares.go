@@ -3,13 +3,21 @@ package bench
 import "charmgo/internal/core"
 
 // Ping is the dispatch-ablation chare shared by the root BenchmarkDispatch*
-// and BenchmarkRemoteInvokeRate suites and the repo benchmark. It lives in a
-// real (non-test) package so `charmgo gen` emits bindings for it: benchmarks
-// that want the generated path register Ping, benchmarks that want the
-// reflective baseline register a locally-declared twin with no bindings.
+// and BenchmarkRemoteInvokeRate suites and the repo benchmark. It binds
+// typed entry-method handles: benchmarks that want the typed path register
+// Ping, benchmarks that want the reflective baseline register a
+// locally-declared twin with no handles.
 type Ping struct {
 	core.Chare
 	N int
+}
+
+func init() {
+	core.Bind[Ping](
+		core.EM1((*Ping).Count),
+		core.EM1((*Ping).Ping),
+		core.EM1((*Ping).PingVec),
+	)
 }
 
 // Ping accumulates x; the per-message work is negligible so the benchmark
@@ -20,13 +28,13 @@ func (p *Ping) Ping(x int) { p.N += x }
 // barrier after a flood of Ping messages.
 func (p *Ping) Count(done core.Future) { done.Send(p.N) }
 
-// Vec3 is the struct-argument payload: flat-codable, so the generated codec
-// carries it with three fixed-width fields where the fallback path pays a
+// Vec3 is the struct-argument payload: flat-codable, so the flat codec Bind
+// gives it carries three fixed-width fields where the fallback path pays a
 // full gob encode per message.
 type Vec3 struct {
 	X, Y, Z float64
 }
 
 // PingVec is Ping with a struct argument, isolating the codec (rather than
-// dispatch) half of the generated-binding win.
+// dispatch) half of the typed-handle win.
 func (p *Ping) PingVec(v Vec3) { p.N += int(v.X) }

@@ -1,0 +1,569 @@
+// Typed entry-method handles: Compiled mode's dispatch and codecs.
+//
+// A package declares, once, in init, one handle per entry method of each of
+// its chare types, built from a method expression:
+//
+//	func init() {
+//		core.Bind[Block](
+//			core.EM3((*Block).RecvGhost),
+//			core.EM0((*Block).ReportStats),
+//		)
+//	}
+//
+// A handle is a generic closure that asserts the receiver and the arguments
+// and calls the method directly: no reflect.Value, no name lookup, no
+// coercion. Each parameter's codec is picked once, when Bind runs, so the
+// arguments are written and read through ser's typed appenders and readers,
+// byte-identical with ser.AppendArgs. In Compiled mode Register attaches the
+// handles: calls ship the method id and take the typed path. Interpreted mode
+// attaches none; chares without handles keep the reflective (and
+// gob-fallback) paths, on the same wire format. This is the repo's model of
+// Charm++'s charmxi-generated stubs, with Go generics in place of a
+// translator, and of Charm4Py's move from interpreted method lookup to
+// generated stubs (PAPERS.md, Fink et al. 2021).
+package core
+
+import (
+	"fmt"
+	"reflect"
+	"runtime"
+	"slices"
+	"strings"
+	"sync"
+
+	"charmgo/internal/ser"
+)
+
+// EM is a typed entry-method handle. Build it with EM0 to EM5, or EM0R to
+// EM2R for a method with one result, from a method expression such as
+// (*Block).RecvGhost, and pass the handles of one chare type to Bind.
+type EM struct {
+	fn any // the method expression; Bind names the handle after it
+	// call invokes the method on obj. ok=false means the handle declined:
+	// wrong receiver, wrong argument count, or an argument that is not of
+	// the parameter's type (a caller relying on numeric coercion), and the
+	// caller must take the reflective path.
+	call func(obj any, args []any) (ret any, ok bool)
+}
+
+// argAs asserts a received argument to parameter type A. A nil argument
+// fills an interface-typed parameter with nil, as reflection would.
+func argAs[A any](a any) (A, bool) {
+	v, ok := a.(A)
+	if !ok && a == nil {
+		ok = reflect.TypeFor[A]().Kind() == reflect.Interface
+	}
+	return v, ok
+}
+
+// EM0 is the handle of an entry method without arguments.
+func EM0[T any](f func(*T)) EM {
+	return EM{fn: f, call: func(obj any, args []any) (any, bool) {
+		self, ok := obj.(*T)
+		if !ok || len(args) != 0 {
+			return nil, false
+		}
+		f(self)
+		return nil, true
+	}}
+}
+
+// EM1 is the handle of an entry method with one argument.
+func EM1[T, A any](f func(*T, A)) EM {
+	return EM{fn: f, call: func(obj any, args []any) (any, bool) {
+		self, ok := obj.(*T)
+		if !ok || len(args) != 1 {
+			return nil, false
+		}
+		a, ok := argAs[A](args[0])
+		if !ok {
+			return nil, false
+		}
+		f(self, a)
+		return nil, true
+	}}
+}
+
+// EM2 is the handle of an entry method with two arguments.
+func EM2[T, A, B any](f func(*T, A, B)) EM {
+	return EM{fn: f, call: func(obj any, args []any) (any, bool) {
+		self, ok := obj.(*T)
+		if !ok || len(args) != 2 {
+			return nil, false
+		}
+		a, ok0 := argAs[A](args[0])
+		b, ok1 := argAs[B](args[1])
+		if !ok0 || !ok1 {
+			return nil, false
+		}
+		f(self, a, b)
+		return nil, true
+	}}
+}
+
+// EM3 is the handle of an entry method with three arguments.
+func EM3[T, A, B, C any](f func(*T, A, B, C)) EM {
+	return EM{fn: f, call: func(obj any, args []any) (any, bool) {
+		self, ok := obj.(*T)
+		if !ok || len(args) != 3 {
+			return nil, false
+		}
+		a, ok0 := argAs[A](args[0])
+		b, ok1 := argAs[B](args[1])
+		c, ok2 := argAs[C](args[2])
+		if !ok0 || !ok1 || !ok2 {
+			return nil, false
+		}
+		f(self, a, b, c)
+		return nil, true
+	}}
+}
+
+// EM4 is the handle of an entry method with four arguments.
+func EM4[T, A, B, C, D any](f func(*T, A, B, C, D)) EM {
+	return EM{fn: f, call: func(obj any, args []any) (any, bool) {
+		self, ok := obj.(*T)
+		if !ok || len(args) != 4 {
+			return nil, false
+		}
+		a, ok0 := argAs[A](args[0])
+		b, ok1 := argAs[B](args[1])
+		c, ok2 := argAs[C](args[2])
+		d, ok3 := argAs[D](args[3])
+		if !ok0 || !ok1 || !ok2 || !ok3 {
+			return nil, false
+		}
+		f(self, a, b, c, d)
+		return nil, true
+	}}
+}
+
+// EM5 is the handle of an entry method with five arguments.
+func EM5[T, A, B, C, D, E any](f func(*T, A, B, C, D, E)) EM {
+	return EM{fn: f, call: func(obj any, args []any) (any, bool) {
+		self, ok := obj.(*T)
+		if !ok || len(args) != 5 {
+			return nil, false
+		}
+		a, ok0 := argAs[A](args[0])
+		b, ok1 := argAs[B](args[1])
+		c, ok2 := argAs[C](args[2])
+		d, ok3 := argAs[D](args[3])
+		e, ok4 := argAs[E](args[4])
+		if !ok0 || !ok1 || !ok2 || !ok3 || !ok4 {
+			return nil, false
+		}
+		f(self, a, b, c, d, e)
+		return nil, true
+	}}
+}
+
+// EM0R is the handle of an entry method without arguments and with one
+// result, which a CallRet future receives.
+func EM0R[T, R any](f func(*T) R) EM {
+	return EM{fn: f, call: func(obj any, args []any) (any, bool) {
+		self, ok := obj.(*T)
+		if !ok || len(args) != 0 {
+			return nil, false
+		}
+		return f(self), true
+	}}
+}
+
+// EM1R is EM0R for a method with one argument.
+func EM1R[T, A, R any](f func(*T, A) R) EM {
+	return EM{fn: f, call: func(obj any, args []any) (any, bool) {
+		self, ok := obj.(*T)
+		if !ok || len(args) != 1 {
+			return nil, false
+		}
+		a, ok := argAs[A](args[0])
+		if !ok {
+			return nil, false
+		}
+		return f(self, a), true
+	}}
+}
+
+// EM2R is EM0R for a method with two arguments.
+func EM2R[T, A, B, R any](f func(*T, A, B) R) EM {
+	return EM{fn: f, call: func(obj any, args []any) (any, bool) {
+		self, ok := obj.(*T)
+		if !ok || len(args) != 2 {
+			return nil, false
+		}
+		a, ok0 := argAs[A](args[0])
+		b, ok1 := argAs[B](args[1])
+		if !ok0 || !ok1 {
+			return nil, false
+		}
+		return f(self, a, b), true
+	}}
+}
+
+// argCodec is how one parameter crosses the wire: a typed appender and
+// reader for ser's direct-copy set, proxies and futures, or (argAny) ser's
+// generic per-argument path for every other type (interfaces, []any, maps,
+// flat and gob-encoded structs).
+type argCodec uint8
+
+const (
+	argAny argCodec = iota
+	argBool
+	argInt
+	argInt64
+	argFloat64
+	argString
+	argBytes
+	argF64s
+	argF32s
+	argI64s
+	argI32s
+	argInts
+	argProxy
+	argFuture
+)
+
+var argCodecs = map[reflect.Type]argCodec{
+	reflect.TypeFor[bool]():      argBool,
+	reflect.TypeFor[int]():       argInt,
+	reflect.TypeFor[int64]():     argInt64,
+	reflect.TypeFor[float64]():   argFloat64,
+	reflect.TypeFor[string]():    argString,
+	reflect.TypeFor[[]byte]():    argBytes,
+	reflect.TypeFor[[]float64](): argF64s,
+	reflect.TypeFor[[]float32](): argF32s,
+	reflect.TypeFor[[]int64]():   argI64s,
+	reflect.TypeFor[[]int32]():   argI32s,
+	reflect.TypeFor[[]int]():     argInts,
+	reflect.TypeFor[Proxy]():     argProxy,
+	reflect.TypeFor[Future]():    argFuture,
+}
+
+// boundEM is a handle as Bind leaves it: named, with its parameter codecs.
+type boundEM struct {
+	name   string // the method's name, or the func's full name if it is no method of *T
+	method bool   // name is a method of *T
+	call   func(obj any, args []any) (any, bool)
+	args   []argCodec
+}
+
+// binding is the handle set of one chare type, sorted by name so that a
+// handle's index is the method id Register derives by reflection.
+type binding struct {
+	ems []boundEM
+}
+
+// bindings maps a chare struct type to its binding.
+var bindings sync.Map
+
+// Bind declares the typed entry-method handles of chare type T. Call it
+// once per type, from package initialization, before any Runtime exists;
+// Register picks the handles up when T is registered, and panics if they do
+// not match T's entry methods one to one. Bind also gives every eligible
+// struct parameter a flat codec (ser.RegisterFlatStruct), in both dispatch
+// modes, so such arguments never travel by gob.
+func Bind[T any](hs ...EM) {
+	t := reflect.TypeFor[T]()
+	prefix := t.PkgPath() + ".(*" + t.Name() + ")." // how the runtime names a method of *T
+	b := &binding{ems: make([]boundEM, len(hs))}
+	for i, h := range hs {
+		ft := reflect.TypeOf(h.fn)
+		e := boundEM{call: h.call}
+		e.name = runtime.FuncForPC(reflect.ValueOf(h.fn).Pointer()).Name()
+		if m, ok := strings.CutPrefix(e.name, prefix); ok && ft.In(0).Elem() == t && !strings.Contains(m, ".") {
+			e.name, e.method = m, true
+		}
+		for a := 1; a < ft.NumIn(); a++ {
+			pt := ft.In(a)
+			c, ok := argCodecs[pt]
+			if !ok && pt.Kind() == reflect.Struct {
+				ser.RegisterFlatStruct(pt)
+			}
+			e.args = append(e.args, c)
+		}
+		b.ems[i] = e
+	}
+	slices.SortStableFunc(b.ems, func(x, y boundEM) int { return strings.Compare(x.name, y.name) })
+	if _, dup := bindings.LoadOrStore(t, b); dup {
+		panic(fmt.Sprintf("core: Bind[%s] called twice", t.Name()))
+	}
+}
+
+// bindingFor returns the handles bound to chare struct type st, or nil.
+// Register calls it in both dispatch modes, so that a handle set that does
+// not match methods, the sorted entry-method names of st, is a startup
+// panic naming the type and the method, whichever mode the job runs in.
+func bindingFor(st reflect.Type, methods []string) *binding {
+	v, ok := bindings.Load(st)
+	if !ok {
+		return nil
+	}
+	b := v.(*binding)
+	bad := func(format string, a ...any) {
+		panic(fmt.Sprintf("core: entry-method handles for %s: %s", st.Name(), fmt.Sprintf(format, a...)))
+	}
+	for i, e := range b.ems {
+		switch {
+		case !e.method:
+			bad("%s is not a method of *%s", e.name, st.Name())
+		case i > 0 && b.ems[i-1].name == e.name:
+			bad("%s.%s has two handles", st.Name(), e.name)
+		case !slices.Contains(methods, e.name):
+			bad("%s.%s is not an entry method", st.Name(), e.name)
+		}
+	}
+	for _, m := range methods {
+		if !slices.ContainsFunc(b.ems, func(e boundEM) bool { return e.name == m }) {
+			bad("no handle for %s.%s", st.Name(), m)
+		}
+	}
+	return b
+}
+
+// encodeArgs appends the argument list for method id through the handle's
+// typed codecs, byte-identical with ser.AppendArgs. ok=false (an argument
+// is not of its parameter's type) leaves dst as it came.
+func (b *binding) encodeArgs(dst []byte, id int32, args []any) ([]byte, bool) {
+	if id < 0 || int(id) >= len(b.ems) {
+		return dst, false
+	}
+	codecs := b.ems[id].args
+	if len(args) != len(codecs) {
+		return dst, false
+	}
+	start := len(dst)
+	dst = ser.AppendCount(dst, len(codecs))
+	for i, c := range codecs {
+		a, ok := args[i], true
+		switch c {
+		case argBool:
+			var v bool
+			if v, ok = a.(bool); ok {
+				dst = ser.AppendBool(dst, v)
+			}
+		case argInt:
+			var v int
+			if v, ok = a.(int); ok {
+				dst = ser.AppendInt(dst, v)
+			}
+		case argInt64:
+			var v int64
+			if v, ok = a.(int64); ok {
+				dst = ser.AppendInt64(dst, v)
+			}
+		case argFloat64:
+			var v float64
+			if v, ok = a.(float64); ok {
+				dst = ser.AppendFloat64(dst, v)
+			}
+		case argString:
+			var v string
+			if v, ok = a.(string); ok {
+				dst = ser.AppendString(dst, v)
+			}
+		case argBytes:
+			var v []byte
+			if v, ok = a.([]byte); ok {
+				dst = ser.AppendBytes(dst, v)
+			}
+		case argF64s:
+			var v []float64
+			if v, ok = a.([]float64); ok {
+				dst = ser.AppendF64s(dst, v)
+			}
+		case argF32s:
+			var v []float32
+			if v, ok = a.([]float32); ok {
+				dst = ser.AppendF32s(dst, v)
+			}
+		case argI64s:
+			var v []int64
+			if v, ok = a.([]int64); ok {
+				dst = ser.AppendI64s(dst, v)
+			}
+		case argI32s:
+			var v []int32
+			if v, ok = a.([]int32); ok {
+				dst = ser.AppendI32s(dst, v)
+			}
+		case argInts:
+			var v []int
+			if v, ok = a.([]int); ok {
+				dst = ser.AppendInts(dst, v)
+			}
+		case argProxy:
+			var v Proxy
+			if v, ok = a.(Proxy); ok {
+				dst = appendProxyArg(dst, v)
+			}
+		case argFuture:
+			var v Future
+			if v, ok = a.(Future); ok {
+				dst = appendFutureArg(dst, v)
+			}
+		default:
+			var err error
+			dst, err = ser.AppendAny(dst, a)
+			ok = err == nil
+		}
+		if !ok {
+			return dst[:start], false
+		}
+	}
+	return dst, true
+}
+
+// decodeArgs decodes an argument list for method id through the handle's
+// typed codecs, appending the arguments to dst (the receiver's recycled
+// slots, wire.go) and returning the bytes consumed. ok=false means fall back
+// to ser.DecodeArgsInto, which also reports any real error.
+func (b *binding) decodeArgs(dst []any, id int32, data []byte, alias bool) ([]any, int, bool) {
+	if id < 0 || int(id) >= len(b.ems) {
+		return dst, 0, false
+	}
+	codecs := b.ems[id].args
+	d := ser.NewDec(data, alias)
+	if d.Count() != len(codecs) {
+		return dst, 0, false
+	}
+	out := dst
+	for _, c := range codecs {
+		var a any
+		switch c {
+		case argBool:
+			a = d.Bool()
+		case argInt:
+			a = d.Int()
+		case argInt64:
+			a = d.Int64()
+		case argFloat64:
+			a = d.Float64()
+		case argString:
+			a = d.Str()
+		case argBytes:
+			a = d.Bytes()
+		case argF64s:
+			a = d.F64s()
+		case argF32s:
+			a = d.F32s()
+		case argI64s:
+			a = d.I64s()
+		case argI32s:
+			a = d.I32s()
+		case argInts:
+			a = d.Ints()
+		case argProxy:
+			a = readProxyArg(&d)
+		case argFuture:
+			a = readFutureArg(&d)
+		default:
+			a = d.Any()
+		}
+		out = append(out, a)
+	}
+	if !d.Ok() {
+		return dst, 0, false
+	}
+	return out, d.Used(), true
+}
+
+// Proxies and futures are the most common non-primitive entry-method
+// arguments; their flat codecs are registered here so every binary, with
+// handles or without, ships them gob-free. Wire names are fixed strings (not
+// derived from reflection) because they are part of the wire format.
+const (
+	proxyFlatName  = "core.Proxy"
+	futureFlatName = "core.Future"
+)
+
+func appendProxyFields(dst []byte, p Proxy) []byte {
+	dst = ser.AppendCount(dst, 2)
+	dst = ser.AppendInt(dst, int(p.CID))
+	// nil Elem means "whole collection"; it must not decode as empty.
+	return ser.AppendIntsOrNil(dst, p.Elem)
+}
+
+func readProxyFields(d *ser.Dec) Proxy {
+	var p Proxy
+	if d.Count() != 2 {
+		d.Abort("proxy field count")
+		return p
+	}
+	p.CID = CID(d.Int())
+	p.Elem = d.IntsOrNil()
+	return p
+}
+
+func appendFutureFields(dst []byte, f Future) []byte {
+	dst = ser.AppendCount(dst, 2)
+	dst = ser.AppendInt(dst, int(f.Ref.PE))
+	return ser.AppendInt64(dst, f.Ref.ID)
+}
+
+func readFutureFields(d *ser.Dec) Future {
+	var f Future
+	if d.Count() != 2 {
+		d.Abort("future field count")
+		return f
+	}
+	f.Ref.PE = PE(d.Int())
+	f.Ref.ID = d.Int64()
+	return f
+}
+
+// appendProxyArg appends a Proxy argument in the flat wire encoding,
+// byte-identical with the generic path.
+func appendProxyArg(dst []byte, p Proxy) []byte {
+	return appendProxyFields(ser.AppendFlatHeader(dst, proxyFlatName), p)
+}
+
+// readProxyArg reads a Proxy argument written by appendProxyArg (or the
+// generic encoder). The proxy is unbound; delivery rebinds it.
+func readProxyArg(d *ser.Dec) Proxy {
+	if !d.FlatHeader(proxyFlatName) {
+		return Proxy{}
+	}
+	return readProxyFields(d)
+}
+
+// appendFutureArg appends a Future argument in the flat wire encoding.
+func appendFutureArg(dst []byte, f Future) []byte {
+	return appendFutureFields(ser.AppendFlatHeader(dst, futureFlatName), f)
+}
+
+// readFutureArg reads a Future argument written by appendFutureArg (or the
+// generic encoder). The future is unbound; delivery rebinds it.
+func readFutureArg(d *ser.Dec) Future {
+	if !d.FlatHeader(futureFlatName) {
+		return Future{}
+	}
+	return readFutureFields(d)
+}
+
+func init() {
+	ser.RegisterFlat(proxyFlatName, Proxy{},
+		func(dst []byte, v any) ([]byte, bool) {
+			p, ok := v.(Proxy)
+			if !ok {
+				return dst, false
+			}
+			return appendProxyFields(dst, p), true
+		},
+		func(d *ser.Dec) (any, bool) {
+			p := readProxyFields(d)
+			return p, d.Ok()
+		})
+	ser.RegisterFlat(futureFlatName, Future{},
+		func(dst []byte, v any) ([]byte, bool) {
+			f, ok := v.(Future)
+			if !ok {
+				return dst, false
+			}
+			return appendFutureFields(dst, f), true
+		},
+		func(d *ser.Dec) (any, bool) {
+			f := readFutureFields(d)
+			return f, d.Ok()
+		})
+}

@@ -1,0 +1,146 @@
+package core_test
+
+import (
+	"bytes"
+	"reflect"
+	"slices"
+	"testing"
+
+	"charmgo/internal/bench"
+	"charmgo/internal/core"
+	_ "charmgo/internal/darray"
+	"charmgo/internal/dframe"
+	_ "charmgo/internal/elastic"
+	"charmgo/internal/leanmd"
+	_ "charmgo/internal/pool"
+	"charmgo/internal/ser"
+	_ "charmgo/internal/simcluster"
+	"charmgo/internal/stencil"
+	"charmgo/internal/wave2d"
+)
+
+// sampleArg builds a sample value of parameter type t: every field and
+// element set, integers past the runtime's small-value cache, nil slices
+// nowhere (top-level arguments do not keep nil-ness on the wire).
+func sampleArg(t reflect.Type) reflect.Value {
+	v := reflect.New(t).Elem()
+	switch t {
+	case reflect.TypeFor[core.Proxy]():
+		return reflect.ValueOf(core.Proxy{CID: 3, Elem: []int{1, 2}})
+	case reflect.TypeFor[core.Future]():
+		return reflect.ValueOf(core.Future{Ref: core.FutureRef{PE: 1, ID: 1 << 40}})
+	}
+	switch t.Kind() {
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(300)
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		v.SetUint(7)
+	case reflect.Float32, reflect.Float64:
+		v.SetFloat(-2.5)
+	case reflect.String:
+		v.SetString("key-0042")
+	case reflect.Interface:
+		v.Set(reflect.ValueOf("any"))
+	case reflect.Slice:
+		v = reflect.MakeSlice(t, 2, 2)
+		for i := 0; i < 2; i++ {
+			v.Index(i).Set(sampleArg(t.Elem()))
+		}
+	case reflect.Map:
+		v = reflect.MakeMap(t)
+		v.SetMapIndex(sampleArg(t.Key()), sampleArg(t.Elem()))
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if t.Field(i).IsExported() {
+				v.Field(i).Set(sampleArg(t.Field(i).Type))
+			}
+		}
+	}
+	return v
+}
+
+// TestHandleWireIdentity holds every entry-method handle bound in this
+// binary to the generic codec: for sample arguments, the handle's encoder
+// writes exactly the bytes ser.AppendArgs writes, and its decoder reads them
+// back, aliasing or copying, to what the generic decoder reads. So a node
+// with handles and one without share one wire format.
+func TestHandleWireIdentity(t *testing.T) {
+	ms := core.BoundMethods()
+	seen := map[string]bool{}
+	params := map[reflect.Type]bool{}
+	for _, bm := range ms {
+		seen[bm.Chare.PkgPath()+"."+bm.Chare.Name()] = true
+		m, ok := reflect.PointerTo(bm.Chare).MethodByName(bm.Method)
+		if !ok {
+			t.Fatalf("%s has no method %s", bm.Chare, bm.Method)
+		}
+		args := make([]any, m.Type.NumIn()-1)
+		for i := range args {
+			pt := m.Type.In(i + 1)
+			params[pt] = true
+			args[i] = sampleArg(pt).Interface()
+			ser.RegisterType(args[i]) // as the package's setup does for gob-carried types
+		}
+		name := bm.Chare.Name() + "." + bm.Method
+		want, err := ser.AppendArgs(nil, args)
+		if err != nil {
+			t.Fatalf("%s: ser.AppendArgs: %v", name, err)
+		}
+		got, ok := bm.Enc([]byte{0xAA}, args)
+		if !ok || !bytes.Equal(got[1:], want) || got[0] != 0xAA {
+			t.Errorf("%s: handle encoder wrote %x (ok %v), ser.AppendArgs %x", name, got, ok, want)
+			continue
+		}
+		for _, alias := range []bool{false, true} {
+			ref, _, err := ser.DecodeArgsInto(nil, want, alias)
+			if err != nil {
+				t.Fatalf("%s: generic decode: %v", name, err)
+			}
+			dec, used, ok := bm.Dec([]any{"kept"}, want, alias)
+			if !ok || used != len(want) || dec[0] != "kept" {
+				t.Errorf("%s alias=%v: handle decoder ok %v, used %d of %d", name, alias, ok, used, len(want))
+				continue
+			}
+			if !reflect.DeepEqual(dec[1:], ref) || !reflect.DeepEqual(dec[1:], args) {
+				t.Errorf("%s alias=%v: handle decoded %#v, generic %#v, sent %#v", name, alias, dec[1:], ref, args)
+			}
+		}
+	}
+	// The shipped chare types linked into this binary (the examples are
+	// main packages; their parameter types are all among those below).
+	for _, typ := range []string{
+		"charmgo/internal/bench.Ping", "charmgo/internal/darray.Chunk",
+		"charmgo/internal/dframe.Part", "charmgo/internal/elastic.Shard",
+		"charmgo/internal/leanmd.Cell", "charmgo/internal/leanmd.Compute",
+		"charmgo/internal/pool.MapManager", "charmgo/internal/pool.Worker",
+		"charmgo/internal/simcluster.pingChare", "charmgo/internal/stencil.Block",
+		"charmgo/internal/stencil.ChanBlock", "charmgo/internal/wave2d.Block",
+	} {
+		if !seen[typ] {
+			t.Errorf("no handles bound for %s", typ)
+		}
+	}
+	for _, pt := range []reflect.Type{
+		reflect.TypeFor[stencil.Params](), reflect.TypeFor[leanmd.Params](),
+		reflect.TypeFor[wave2d.Params](), reflect.TypeFor[bench.Vec3](),
+		reflect.TypeFor[core.Proxy](), reflect.TypeFor[core.Future](),
+		reflect.TypeFor[[]any](), reflect.TypeFor[any](),
+		reflect.TypeFor[map[string][]float64](), reflect.TypeFor[dframe.Schema](),
+		reflect.TypeFor[bool](), reflect.TypeFor[[]float64](),
+	} {
+		if !params[pt] {
+			t.Errorf("no bound handle takes a %v", pt)
+		}
+	}
+	// The four flat structs travel flat, not by gob, in both dispatch modes.
+	for _, v := range []any{stencil.Params{}, leanmd.Params{}, wave2d.Params{}, bench.Vec3{}} {
+		if !ser.HasFlat(v) {
+			t.Errorf("%T has no flat codec", v)
+		}
+	}
+	if len(ms) == 0 || !slices.ContainsFunc(ms, func(bm core.BoundMethod) bool { return bm.Method == "RecvGhost" }) {
+		t.Error("stencil.Block.RecvGhost has no handle")
+	}
+}

@@ -36,7 +36,7 @@ type observer struct {
 	batchFlushes          *metrics.Counter
 	batchBytes, batchMsgs *metrics.Histogram
 	decodeHot, decodeGob  *metrics.Counter    // custom-codec invoke/future frames; gob control frames
-	dispatch              [2]*metrics.Counter // generated bindings, reflection
+	dispatch              [2]*metrics.Counter // typed entry-method handles, reflection
 	ftSnapshots           *metrics.Counter    // in-memory checkpoint snapshots taken
 	ftSnapshotBytes       *metrics.Counter    // bytes of snapshot blobs produced
 	collBcasts            *metrics.Counter    // tree broadcasts originated by this node
@@ -47,7 +47,7 @@ type observer struct {
 
 // The two dispatch paths callEM counts, indexing observer.dispatch.
 const (
-	dispGenerated = iota
+	dispTyped = iota
 	dispReflective
 )
 
@@ -82,7 +82,7 @@ func newObserver(rt *Runtime) *observer {
 		decodeHot:    c("charmgo_decode_hot_total", "inbound frames decoded by the custom codec"),
 		decodeGob:    c("charmgo_decode_gob_total", "inbound frames decoded by the gob fallback"),
 		dispatch: [2]*metrics.Counter{
-			dispGenerated:  c("charmgo_dispatch_generated_total", "entry methods dispatched via generated typed bindings"),
+			dispTyped:      c("charmgo_dispatch_generated_total", "entry methods dispatched via typed entry-method handles"),
 			dispReflective: c("charmgo_dispatch_dynamic_total", "entry methods dispatched via reflective name lookup"),
 		},
 		ftSnapshots:     c("charmgo_ft_snapshots_total", "in-memory checkpoint snapshots taken by this node"),
@@ -200,7 +200,7 @@ func (o *observer) emEnd(p *peState, el *element, method string, start, dur time
 	}
 }
 
-// dispatched counts one entry-method call by dispatch path: dispGenerated or
+// dispatched counts one entry-method call by dispatch path: dispTyped or
 // dispReflective.
 func (o *observer) dispatched(path int) { o.dispatch[path].Inc() }
 

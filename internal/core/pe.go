@@ -772,22 +772,22 @@ func (p *peState) invokeEMInner(el *element, info *emInfo, m *Message) (unpacked
 	return unpacked && m.boxed
 }
 
-// callEM performs the actual call. A type with generated bindings attached
-// (Compiled mode) dispatches through their typed switch with no reflection.
-// Every other call — Interpreted mode, an unbound type, or a binding that
-// declines because an argument needs coercion — takes the one reflective
-// path: a per-call name lookup with permissive argument coercion, modelling
-// interpreted dispatch (DESIGN.md).
+// callEM performs the actual call. A type with entry-method handles attached
+// (Compiled mode) dispatches through the method's typed handle with no
+// reflection. Every other call — Interpreted mode, a type without handles,
+// or a handle that declines because an argument needs coercion — takes the
+// one reflective path: a per-call name lookup with permissive argument
+// coercion, modelling interpreted dispatch (DESIGN.md).
 //
 // unpacked reports that the method received its arguments as typed
 // parameters copied out of args, so that args itself is free again when the
 // call returns. A variadic method is handed a slice reflect builds around
 // them, which it may keep.
 func (p *peState) callEM(el *element, info *emInfo, args []any) (ret any, unpacked bool) {
-	if g := el.coll.ct.gen; g != nil {
-		if ret, ok := g.Dispatch(el.iface, int(info.id), args); ok {
+	if b := el.coll.ct.typed; b != nil {
+		if ret, ok := b.ems[info.id].call(el.iface, args); ok {
 			if o := p.rt.obs; o != nil {
-				o.dispatched(dispGenerated)
+				o.dispatched(dispTyped)
 			}
 			return ret, true
 		}

@@ -110,7 +110,7 @@ func (pr Proxy) invoke(method string, args []any, fut FutureRef) {
 		m.Src = pr.p.pe
 	}
 	// meta.ct was resolved once at collection creation; no registry lock on
-	// the per-message path. A type with generated bindings attached
+	// the per-message path. A type with entry-method handles attached
 	// (Compiled mode) ships the method id and encodes through the typed
 	// codecs; any other ships the name, which the receiver resolves by
 	// reflection.
@@ -120,8 +120,8 @@ func (pr Proxy) invoke(method string, args []any, fut FutureRef) {
 		if !ok {
 			panic(fmt.Sprintf("core: chare type %s has no entry method %q", meta.Type, method))
 		}
-		if g := meta.ct.gen; g != nil {
-			m.MID, m.gen = info.id, g
+		if b := meta.ct.typed; b != nil {
+			m.MID, m.typed = info.id, b
 		}
 	}
 	if pr.Elem == nil {

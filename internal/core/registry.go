@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"reflect"
-	"slices"
 	"sort"
 	"sync"
 
@@ -18,11 +17,11 @@ type DispatchMode uint8
 
 const (
 	// StaticDispatch is Compiled mode, the model of Charm++: Register attaches
-	// the type's generated bindings (charmgo_gen.go), so calls ship a method
-	// id and run through a typed switch and typed codecs.
+	// the type's typed entry-method handles (Bind), so calls ship a method id
+	// and run through a typed closure and typed codecs.
 	StaticDispatch DispatchMode = iota
 	// DynamicDispatch is Interpreted mode, the model of CharmPy: Register
-	// attaches no bindings, so calls ship the method name and are resolved
+	// attaches no handles, so calls ship the method name and are resolved
 	// per invocation by reflection with permissive argument coercion.
 	DynamicDispatch
 )
@@ -50,9 +49,9 @@ type chareType struct {
 	rtype     reflect.Type // the struct type (not pointer)
 	methods   []*emInfo    // sorted by name; index == method id
 	byName    map[string]*emInfo
-	hasResume bool        // has a ResumeFromSync entry method
-	gen       *GenBinding // generated dispatch/codec bindings; nil in Interpreted mode
-	waits     sync.Map    // Wait condition string -> expr.Guard bound to rtype
+	hasResume bool     // has a ResumeFromSync entry method
+	typed     *binding // typed entry-method handles (Bind); nil in Interpreted mode
+	waits     sync.Map // Wait condition string -> expr.Guard bound to rtype
 }
 
 // RegOpt configures chare type registration.
@@ -178,20 +177,13 @@ func (rt *Runtime) Register(proto Chareable, opts ...RegOpt) string {
 			ct.hasResume = true
 		}
 	}
-	// Compiled mode attaches the generated bindings (charmgo_gen.go) if the
-	// package registered any for this type; Interpreted mode never does.
-	// Either way the binding's method list must match the reflected
-	// entry-method set exactly — ids are positional — so drift between the
-	// source and a stale generated file is a startup panic, not silent
-	// misdispatch.
-	if g := genBindingFor(st.PkgPath() + "." + name); g != nil {
-		if !slices.Equal(g.Methods, names) {
-			panic(fmt.Sprintf("core: generated bindings for %s are stale (generated for %v, source has %v); run `make gen`",
-				name, g.Methods, names))
-		}
-		if rt.cfg.Dispatch == StaticDispatch {
-			ct.gen = g
-		}
+	// Compiled mode attaches the type's entry-method handles if its package
+	// bound any (Bind); Interpreted mode never does. Either way the handles
+	// must match the reflected entry-method set one to one — ids are
+	// positional — so a method added, removed or renamed without its handle
+	// is a startup panic, not silent misdispatch.
+	if b := bindingFor(st, names); b != nil && rt.cfg.Dispatch == StaticDispatch {
+		ct.typed = b
 	}
 	for mn := range o.whens {
 		if _, ok := ct.byName[mn]; !ok {

@@ -284,7 +284,7 @@ func TestRuntimeMetricsSingleNode(t *testing.T) {
 	if v := metricValue(reg, "charmgo_sends_local_total"); v <= 0 {
 		t.Error("charmgo_sends_local_total = 0 after a local job")
 	}
-	// NodeWorker has no generated bindings, so even in Compiled mode every
+	// NodeWorker has no entry-method handles, so even in Compiled mode every
 	// call, the main chare's Run included, is dispatched by reflection.
 	if v := reg.Counter("charmgo_dispatch_dynamic_total", "").Value(); v == 0 {
 		t.Error("charmgo_dispatch_dynamic_total = 0 after a job of unbound chares")

@@ -250,11 +250,11 @@ type Message struct {
 	// serialized.
 	shared *msgShared
 
-	// gen carries the destination chare type's generated bindings, resolved
-	// once at send time (proxy.invoke) so appendMsg can encode Args through
-	// the typed generated encoder instead of the reflective generic one.
+	// typed carries the destination chare type's entry-method handles,
+	// resolved once at send time (proxy.invoke) so appendMsg can encode Args
+	// through the typed encoder instead of the reflective generic one.
 	// Unexported: node-local, never serialized.
-	gen *GenBinding
+	typed *binding
 }
 
 // copyOf returns a private copy of m for one more receiver of a broadcast.

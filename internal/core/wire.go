@@ -175,15 +175,13 @@ func appendInvoke(dst []byte, dest PE, m *Message, wt *wireTables) []byte {
 }
 
 // appendInvokeArgs is appendInvoke's argument half, and the whole body of a
-// repeat sub-frame. It uses the generated typed encoder when the send path
+// repeat sub-frame. It uses the handle's typed encoder when the send path
 // resolved one; that is byte-identical with ser.AppendArgs, so receivers
 // decode either way.
 func appendInvokeArgs(dst []byte, m *Message) []byte {
-	if m.gen != nil && m.MID >= 0 && int(m.MID) < len(m.gen.Enc) {
-		if enc := m.gen.Enc[m.MID]; enc != nil {
-			if out, ok := enc(dst, m.Args); ok {
-				return out
-			}
+	if m.typed != nil {
+		if out, ok := m.typed.encodeArgs(dst, m.MID, m.Args); ok {
+			return out
 		}
 	}
 	dst, err := ser.AppendArgs(dst, m.Args)
@@ -228,8 +226,8 @@ func decodeMsgWT(frame []byte, wt *wireTables) (PE, *Message, error) {
 }
 
 // decodeFrame is the runtime's ingress decoder: it additionally resolves
-// generated bindings for invoke frames, so argument lists of bound chare
-// types decode through typed generated readers instead of the reflective
+// entry-method handles for invoke frames, so argument lists of bound chare
+// types decode through their typed readers instead of the reflective
 // generic decoder, and it takes invoke boxes from the caller's stock (nil:
 // a new box per invoke).
 //
@@ -298,19 +296,19 @@ func decodeInvoke(m *Message, body []byte, wt *wireTables, alias bool, rt *Runti
 	m.Idx = idx
 	if rt != nil && m.MID >= 0 {
 		if meta := rt.collMeta(m.CID); meta != nil && meta.ct != nil {
-			m.gen = meta.ct.gen // bound chare types decode through it
+			m.typed = meta.ct.typed // chare types with handles decode through them
 		}
 	}
 	return decodeInvokeArgs(m, r.rest(), alias)
 }
 
 // decodeInvokeArgs is decodeInvoke's argument half, and the whole decoder of
-// a repeat sub-frame's body. m.gen's typed decoder goes first (byte-identical
+// a repeat sub-frame's body. m.typed's decoder goes first (byte-identical
 // format); a decline — signature drift, hand-built frame — falls through to
 // the generic decoder, which also reports any real error.
 func decodeInvokeArgs(m *Message, data []byte, alias bool) error {
-	if g := m.gen; g != nil && m.MID >= 0 && int(m.MID) < len(g.Dec) && g.Dec[m.MID] != nil {
-		if args, _, ok := g.Dec[m.MID](m.Args[:0], data, alias); ok {
+	if b := m.typed; b != nil {
+		if args, _, ok := b.decodeArgs(m.Args[:0], m.MID, data, alias); ok {
 			m.Args = args
 			return nil
 		}
@@ -324,8 +322,8 @@ func decodeInvokeArgs(m *Message, data []byte, alias bool) error {
 }
 
 // invokeHdr is the header a repeat sub-frame carries over: everything
-// appendInvoke writes before the arguments, and the generated binding that
-// encodes them (sender) or decodes them (receiver). Only an index of 1 to 4
+// appendInvoke writes before the arguments, and the entry-method handles that
+// encode them (sender) or decodes them (receiver). Only an index of 1 to 4
 // ints is carried over; n == 0 means there is no header to carry.
 type invokeHdr struct {
 	dest, src PE
@@ -333,14 +331,14 @@ type invokeHdr struct {
 	cid       CID
 	fut       FutureRef
 	method    string
-	gen       *GenBinding
+	typed     *binding
 	n         int // len(idx) in use
 	idx       [4]int
 }
 
 // set makes the header of m, an invoke to dest, the one to carry over.
 func (h *invokeHdr) set(dest PE, m *Message) {
-	h.dest, h.src, h.mid, h.cid, h.fut, h.method, h.gen = dest, m.Src, m.MID, m.CID, m.Fut, m.Method, m.gen
+	h.dest, h.src, h.mid, h.cid, h.fut, h.method, h.typed = dest, m.Src, m.MID, m.CID, m.Fut, m.Method, m.typed
 	if h.n = copy(h.idx[:], m.Idx); h.n < len(m.Idx) {
 		h.n = 0
 	}
@@ -349,7 +347,7 @@ func (h *invokeHdr) set(dest PE, m *Message) {
 // matches reports whether an invoke of m to dest has header h.
 func (h *invokeHdr) matches(dest PE, m *Message) bool {
 	return h.n != 0 && dest == h.dest && m.Src == h.src && m.MID == h.mid && m.CID == h.cid &&
-		m.Fut == h.fut && m.gen == h.gen && m.Method == h.method && slices.Equal(m.Idx, h.idx[:h.n])
+		m.Fut == h.fut && m.typed == h.typed && m.Method == h.method && slices.Equal(m.Idx, h.idx[:h.n])
 }
 
 // batchReader decodes a batch frame's sub-frames one by one, carrying each
@@ -358,7 +356,7 @@ func (h *invokeHdr) matches(dest PE, m *Message) bool {
 type batchReader struct {
 	body   []byte // the sub-frames not yet read
 	wt     *wireTables
-	rt     *Runtime // resolves generated decoders; nil decodes generically
+	rt     *Runtime // resolves typed decoders; nil decodes generically
 	boxes  *boxStock
 	last   invokeHdr // the header a repeat carries over
 	repeat bool      // the sub-frame next returned last was a repeat
@@ -395,7 +393,7 @@ func (b *batchReader) next() (PE, *Message, error) {
 		return 0, nil, errors.New("repeat sub-frame with no invoke header before it")
 	}
 	m, h := b.boxes.take(), &b.last // filled as decodeInvoke would have
-	m.Kind, m.boxed, m.gen = mInvoke, true, h.gen
+	m.Kind, m.boxed, m.typed = mInvoke, true, h.typed
 	m.Src, m.MID, m.CID, m.Fut, m.Method = h.src, h.mid, h.cid, h.fut, h.method
 	m.Idx = append(m.Idx[:0], h.idx[:h.n]...)
 	if err := decodeInvokeArgs(m, sub, false); err != nil {
@@ -411,7 +409,7 @@ func (b *batchReader) next() (PE, *Message, error) {
 // every same-node unicast invoke (Proxy.invoke fills a box from the issuing
 // PE's stock); boxes are recycled. A box is returned only right after its
 // entry method ran inline with Args unpacked into typed parameters (the
-// generated Dispatch case or the reflective table did that before user code
+// typed handle or the reflective path did that before user code
 // ran, so nothing the method did can still see it), and only by
 //   - the PE dispatch loop, for the message it dequeued;
 //   - recheck, for a when-buffered message it has just taken out of el.buf,

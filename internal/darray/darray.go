@@ -82,6 +82,27 @@ type Chunk struct {
 	Pend      pendingStencil
 }
 
+func init() {
+	core.Bind[Chunk](
+		core.EM1((*Chunk).CollectInto),
+		core.EM2((*Chunk).Fill),
+		core.EM2((*Chunk).FillIndex),
+		core.EM2((*Chunk).GetAt),
+		core.EM2((*Chunk).Init),
+		core.EM2((*Chunk).Map),
+		core.EM1((*Chunk).PartialDotSelf),
+		core.EM1((*Chunk).PartialSum),
+		core.EM3((*Chunk).RecvAssign),
+		core.EM3((*Chunk).RecvAxpy),
+		core.EM3((*Chunk).RecvDot),
+		core.EM2((*Chunk).RecvHalo),
+		core.EM2((*Chunk).Scale),
+		core.EM4((*Chunk).SendTo),
+		core.EM3((*Chunk).SetAt),
+		core.EM5((*Chunk).StencilStart),
+	)
+}
+
 type pendingStencil struct {
 	Active  bool
 	A, B, C float64

@@ -96,6 +96,20 @@ type Part struct {
 	Rows    int
 }
 
+func init() {
+	core.Bind[Part](
+		core.EM1((*Part).Count),
+		core.EM5((*Part).FilterInto),
+		core.EM3((*Part).GroupSum),
+		core.EM2((*Part).HeadRows),
+		core.EM1((*Part).Init),
+		core.EM4((*Part).MapCol),
+		core.EM2((*Part).MinMaxCol),
+		core.EM3((*Part).RecvBatch),
+		core.EM2((*Part).SumCol),
+	)
+}
+
 // Init sets up the part's schema.
 func (p *Part) Init(schema Schema) {
 	p.Schema = schema

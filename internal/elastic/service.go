@@ -22,6 +22,15 @@ type Shard struct {
 	Data map[string]string
 }
 
+func init() {
+	core.Bind[Shard](
+		core.EM1R((*Shard).Get),
+		core.EM0((*Shard).Init),
+		core.EM0R((*Shard).Len),
+		core.EM2R((*Shard).Put),
+	)
+}
+
 // Init makes the bucket ready before the first request.
 func (s *Shard) Init() { s.Data = map[string]string{} }
 

@@ -26,6 +26,17 @@ type Cell struct {
 	Done     core.Future
 }
 
+func init() {
+	core.Bind[Cell](
+		core.EM1((*Cell).Init),
+		core.EM3((*Cell).RecvAtoms),
+		core.EM2((*Cell).RecvForces),
+		core.EM0((*Cell).ReportSummary),
+		core.EM0((*Cell).ResumeFromSync),
+		core.EM2((*Cell).Start),
+	)
+}
+
 // Compute calculates Lennard-Jones forces for one pair of adjacent cells
 // (sparse 6D chare array element). A compute whose two halves are the same
 // cell handles intra-cell interactions.
@@ -39,9 +50,16 @@ type Compute struct {
 	XB    []float64
 }
 
+func init() {
+	core.Bind[Compute](
+		core.EM2((*Compute).Init),
+		core.EM3((*Compute).RecvCoords),
+	)
+}
+
 // Register registers LeanMD chare types with a runtime. Typed dispatch and
-// argument codecs come from the generated bindings (charmgo_gen.go), which
-// replaced the hand-written FastDispatcher switches.
+// argument codecs come from the entry-method handles bound in init
+// (core.Bind).
 func Register(rt *core.Runtime) {
 	ser.RegisterType(Params{})
 	rt.Register(&Cell{},

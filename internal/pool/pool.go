@@ -63,6 +63,13 @@ type Worker struct {
 	Master   core.Proxy
 }
 
+func init() {
+	core.Bind[Worker](
+		core.EM1((*Worker).Apply),
+		core.EM5((*Worker).Start),
+	)
+}
+
 // Start begins a new job on this worker: it records the job and requests the
 // first task from the master.
 func (w *Worker) Start(jobID int, funcName string, tasks []any, chunked bool, master core.Proxy) {
@@ -115,6 +122,15 @@ type MapManager struct {
 	FreeProcs map[int]bool
 	NextJobID int
 	Jobs      map[int]*Job
+}
+
+func init() {
+	core.Bind[MapManager](
+		core.EM4((*MapManager).GetTask),
+		core.EM0((*MapManager).Init),
+		core.EM4((*MapManager).MapAsync),
+		core.EM5((*MapManager).MapAsyncChunked),
+	)
 }
 
 // Init creates a Worker on every PE and marks PEs 1..N-1 free (PE 0 runs the

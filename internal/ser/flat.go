@@ -1,22 +1,22 @@
-// Flat struct codecs: the generated, reflection-free alternative to the gob
-// fallback. `charmgo gen` emits a pair of encode/decode functions for each
-// struct that appears in an entry-method signature and registers them here.
-// Once registered, the *generic* path (AppendArgs/DecodeArgs) also routes
-// values of that type through the flat codec instead of gob, so generated and
-// generic encoders stay byte-identical on the wire — a node running generated
-// bindings interoperates with one that only has the generic path, and the
-// differential fuzzer can assert equality directly.
+// Flat struct codecs: the reflection-light, gob-free encoding of plain
+// struct values. RegisterFlatStruct builds one per eligible struct type
+// (every field exported and of a direct-copy type), core's entry-method
+// handles ask for one for each struct parameter, and core registers
+// hand-written ones for Proxy and Future. Once registered, the generic path
+// (AppendArgs/DecodeArgs) routes values of that type through the flat codec
+// instead of gob, so typed and generic encoders stay byte-identical on the
+// wire and a node with entry-method handles interoperates with one without.
 //
 // Wire format of a flat value:
 //
-//	tagFlat, uvarint(len(name)), name, then the struct's exported fields
-//	encoded as an ordinary argument list (uvarint field count + tagged
-//	values). Slice-typed fields preserve nil-ness with an explicit tagNil,
-//	matching gob's behavior for struct fields.
+//	tagFlat, uvarint(len(name)), name, then the struct's fields encoded as an
+//	ordinary argument list (uvarint field count + tagged values). Slice-typed
+//	fields preserve nil-ness with an explicit tagNil, matching gob's behavior
+//	for struct fields.
 //
 // The type name travels on the wire (like gob's registered names) so decode
-// needs no out-of-band id agreement; names are the generator's package import
-// path plus the type name, unique within a binary.
+// needs no out-of-band id agreement; names are the package import path plus
+// the type name, unique within a binary.
 package ser
 
 import (
@@ -25,6 +25,7 @@ import (
 	"math"
 	"reflect"
 	"sync"
+	"sync/atomic"
 )
 
 // tagFlat continues the tag sequence in ser.go (tagGob is 13).
@@ -49,40 +50,179 @@ type flatCodec struct {
 	dec  FlatDecoder
 }
 
+// flatCodecs is the registry, copied on write: codecs are registered during
+// package initialization and read on every flat value, and a plain map
+// lets the decoder look a wire name up without allocating a string for it.
+type flatCodecs struct {
+	byType map[reflect.Type]*flatCodec
+	byName map[string]*flatCodec
+}
+
 var (
-	flatByType sync.Map // reflect.Type -> *flatCodec
-	flatByName sync.Map // string -> *flatCodec
+	flatMu  sync.Mutex
+	flatReg atomic.Pointer[flatCodecs]
 )
 
-// RegisterFlat installs a generated flat codec for the concrete type of
-// sample under the given wire name. Duplicate registration of the same name
-// panics: each generated package registers exactly once from init(), so a
-// duplicate means two packages chose colliding names.
+func init() { flatReg.Store(&flatCodecs{}) }
+
+// RegisterFlat installs a flat codec for the concrete type of sample under
+// the given wire name. Duplicate registration of the same name panics: two
+// types colliding on one name could not be told apart on the wire.
 func RegisterFlat(name string, sample any, enc FlatEncoder, dec FlatDecoder) {
-	c := &flatCodec{name: name, enc: enc, dec: dec}
-	rt := reflect.TypeOf(sample)
-	if _, dup := flatByName.LoadOrStore(name, c); dup {
+	flatMu.Lock()
+	defer flatMu.Unlock()
+	old := flatReg.Load()
+	if _, dup := old.byName[name]; dup {
 		panic(fmt.Sprintf("ser: duplicate flat codec name %q", name))
 	}
-	flatByType.Store(rt, c)
+	c := &flatCodec{name: name, enc: enc, dec: dec}
+	next := &flatCodecs{
+		byType: make(map[reflect.Type]*flatCodec, len(old.byType)+1),
+		byName: make(map[string]*flatCodec, len(old.byName)+1),
+	}
+	for k, v := range old.byType {
+		next.byType[k] = v
+	}
+	for k, v := range old.byName {
+		next.byName[k] = v
+	}
+	next.byType[reflect.TypeOf(sample)] = c
+	next.byName[name] = c
+	flatReg.Store(next)
 }
 
 // HasFlat reports whether a flat codec is registered for the concrete type
 // of v. Exposed for tests and the differential fuzzer.
 func HasFlat(v any) bool {
-	_, ok := flatByType.Load(reflect.TypeOf(v))
+	_, ok := flatReg.Load().byType[reflect.TypeOf(v)]
 	return ok
+}
+
+// flatFieldTypes is the direct-copy set a struct field must come from for
+// RegisterFlatStruct: the scalars and flat slices with their own tags.
+var flatFieldTypes = map[reflect.Type]bool{
+	reflect.TypeFor[bool](): true, reflect.TypeFor[int](): true,
+	reflect.TypeFor[int64](): true, reflect.TypeFor[float64](): true,
+	reflect.TypeFor[string](): true, reflect.TypeFor[[]byte](): true,
+	reflect.TypeFor[[]float64](): true, reflect.TypeFor[[]float32](): true,
+	reflect.TypeFor[[]int64](): true, reflect.TypeFor[[]int32](): true,
+	reflect.TypeFor[[]int](): true,
+}
+
+// RegisterFlatStruct gives the named struct type t a reflective flat codec
+// under the wire name PkgPath.Name, if every field is exported and its type
+// is in the direct-copy set (bool, int, int64, float64, string, and slices
+// of byte, float64, float32, int64, int32 and int). Fields travel in
+// declaration order; slices keep their nil-ness. It reports whether t has a
+// flat codec afterwards; any other struct goes through gob.
+func RegisterFlatStruct(t reflect.Type) bool {
+	if _, ok := flatReg.Load().byType[t]; ok {
+		return true
+	}
+	if t.Kind() != reflect.Struct || t.Name() == "" {
+		return false
+	}
+	n := t.NumField()
+	for i := 0; i < n; i++ {
+		if f := t.Field(i); !f.IsExported() || !flatFieldTypes[f.Type] {
+			return false
+		}
+	}
+	RegisterFlat(t.PkgPath()+"."+t.Name(), reflect.Zero(t).Interface(),
+		func(dst []byte, v any) ([]byte, bool) {
+			rv := reflect.ValueOf(v)
+			if rv.Type() != t {
+				return dst, false
+			}
+			dst = AppendCount(dst, n)
+			for i := 0; i < n; i++ {
+				dst = appendFlatField(dst, rv.Field(i))
+			}
+			return dst, true
+		},
+		func(d *Dec) (any, bool) {
+			if d.Count() != n {
+				d.Abort(t.Name() + " field count")
+				return nil, false
+			}
+			rv := reflect.New(t).Elem()
+			for i := 0; i < n; i++ {
+				readFlatField(d, rv.Field(i))
+			}
+			return rv.Interface(), d.Ok()
+		})
+	return true
+}
+
+func appendFlatField(dst []byte, f reflect.Value) []byte {
+	switch f.Kind() {
+	case reflect.Bool:
+		return AppendBool(dst, f.Bool())
+	case reflect.Int:
+		return AppendInt(dst, int(f.Int()))
+	case reflect.Int64:
+		return AppendInt64(dst, f.Int())
+	case reflect.Float64:
+		return AppendFloat64(dst, f.Float())
+	case reflect.String:
+		return AppendString(dst, f.String())
+	}
+	switch s := f.Interface().(type) {
+	case []byte:
+		return AppendBytesOrNil(dst, s)
+	case []float64:
+		return AppendF64sOrNil(dst, s)
+	case []float32:
+		return AppendF32sOrNil(dst, s)
+	case []int64:
+		return AppendI64sOrNil(dst, s)
+	case []int32:
+		return AppendI32sOrNil(dst, s)
+	default:
+		return AppendIntsOrNil(dst, s.([]int))
+	}
+}
+
+func readFlatField(d *Dec, f reflect.Value) {
+	switch f.Kind() {
+	case reflect.Bool:
+		f.SetBool(d.Bool())
+	case reflect.Int:
+		f.SetInt(int64(d.Int()))
+	case reflect.Int64:
+		f.SetInt(d.Int64())
+	case reflect.Float64:
+		f.SetFloat(d.Float64())
+	case reflect.String:
+		f.SetString(d.Str())
+	default:
+		var s any
+		switch f.Type().Elem().Kind() {
+		case reflect.Uint8:
+			s = d.BytesOrNil()
+		case reflect.Float64:
+			s = d.F64sOrNil()
+		case reflect.Float32:
+			s = d.F32sOrNil()
+		case reflect.Int64:
+			s = d.I64sOrNil()
+		case reflect.Int32:
+			s = d.I32sOrNil()
+		default:
+			s = d.IntsOrNil()
+		}
+		f.Set(reflect.ValueOf(s))
+	}
 }
 
 // appendFlat encodes v through its registered flat codec, header included.
 // ok=false (no codec, or codec declined) leaves dst unmodified so the caller
 // can fall back to gob.
 func appendFlat(dst []byte, v any) ([]byte, bool) {
-	ci, ok := flatByType.Load(reflect.TypeOf(v))
+	c, ok := flatReg.Load().byType[reflect.TypeOf(v)]
 	if !ok {
 		return dst, false
 	}
-	c := ci.(*flatCodec)
 	mark := len(dst)
 	dst = append(dst, tagFlat)
 	dst = binary.AppendUvarint(dst, uint64(len(c.name)))
@@ -104,14 +244,14 @@ func decodeFlat(data []byte, alias bool, depth int) (any, int, error) {
 	if n <= 0 || l > uint64(len(data)-n) {
 		return nil, 0, fmt.Errorf("bad flat type name length")
 	}
-	name := string(data[n : n+int(l)])
+	name := data[n : n+int(l)]
 	pos := n + int(l)
-	ci, ok := flatByName.Load(name)
+	c, ok := flatReg.Load().byName[string(name)]
 	if !ok {
 		return nil, 0, fmt.Errorf("no flat codec registered for %q", name)
 	}
 	d := Dec{data: data[pos:], alias: alias, depth: depth}
-	v, ok := ci.(*flatCodec).dec(&d)
+	v, ok := c.dec(&d)
 	if !ok {
 		if d.err == nil {
 			d.err = fmt.Errorf("flat decode of %q failed", name)
@@ -123,7 +263,7 @@ func decodeFlat(data []byte, alias bool, depth int) (any, int, error) {
 
 // ---------------------------------------------------------------------------
 // Typed appenders. Each writes exactly the bytes appendOne writes for the
-// same value, so generated per-signature encoders are byte-identical with the
+// same value, so core's typed entry-method encoders are byte-identical with the
 // generic AppendArgs path. AppendCount writes the leading argument/field
 // count.
 // ---------------------------------------------------------------------------
@@ -228,12 +368,12 @@ func AppendInts(dst []byte, v []int) []byte {
 }
 
 // AppendAny appends an arbitrary value through the full generic encoder
-// (flat registry, then gob). Generated encoders use it for parameter types
+// (flat registry, then gob). Typed encoders use it for parameter types
 // without a specialized appender.
 func AppendAny(dst []byte, v any) ([]byte, error) { return appendOne(dst, v) }
 
 // AppendFlatHeader appends the tagFlat marker and type name that precede a
-// flat value's field list. Generated code writes flat values of statically
+// flat value's field list. Typed encoders write flat values of statically
 // known types with it directly, skipping the registry's reflect.TypeOf
 // lookup; the bytes are identical to the generic path's.
 func AppendFlatHeader(dst []byte, name string) []byte {
@@ -295,7 +435,7 @@ func AppendIntsOrNil(dst []byte, v []int) []byte {
 }
 
 // ---------------------------------------------------------------------------
-// Dec: a typed sequential reader over the argument wire format, for generated
+// Dec: a typed sequential reader over the argument wire format, for typed
 // decoders. On any malformed or type-mismatched input the reader goes sticky-
 // bad; the caller checks Ok() once at the end and falls back to the generic
 // reflect/gob decoder, which either succeeds (pure type mismatch) or produces
@@ -645,7 +785,7 @@ func (d *Dec) IntsOrNil() []int {
 }
 
 // FlatHeader consumes a flat value's tagFlat marker and type name,
-// verifying the name matches. Generated decoders of statically known flat
+// verifying the name matches. Typed decoders of statically known flat
 // types use it in place of the registry's name lookup.
 func (d *Dec) FlatHeader(name string) bool {
 	if !d.tag(tagFlat) {
@@ -664,13 +804,13 @@ func (d *Dec) FlatHeader(name string) bool {
 	return true
 }
 
-// Abort marks the reader failed. Generated decoders use it for structural
+// Abort marks the reader failed. Typed decoders use it for structural
 // mismatches the typed readers cannot express, such as an unexpected field
 // count.
 func (d *Dec) Abort(msg string) { d.fail("%s", msg) }
 
 // Any reads one argument of arbitrary type through the full generic decoder
-// (including gob and nested flat values). Generated decoders use it for
+// (including gob and nested flat values). Typed decoders use it for
 // parameter types without a specialized reader.
 func (d *Dec) Any() any {
 	if d.err != nil {

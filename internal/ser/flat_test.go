@@ -6,20 +6,21 @@ import (
 	"testing"
 )
 
-// flatPoint mirrors what `charmgo gen` emits for a flat struct: hand-written
-// field appenders/readers registered under a wire name. The tests below pin
-// the invariant the whole codegen scheme rests on — the generic appendOne
-// path (which consults the flat registry) and direct generated-style
-// encoding produce identical bytes, and both decoders agree.
+// flatPoint is an eligible struct for the reflective flat codec
+// (RegisterFlatStruct). appendFlatPointFields and readFlatPointFields spell
+// out, field by field, the bytes that codec must write and read: they are the
+// oracle the tests below hold it to. Its generic path (AppendArgs, which
+// consults the flat registry) and the hand-written encoding must produce
+// identical bytes, and both decoders must agree.
 type flatPoint struct {
 	N     int
 	Scale float64
 	Name  string
 	Grid  []int
-	raw   []byte
+	Raw   []byte
 }
 
-const flatPointName = "ser_test.flatPoint"
+const flatPointName = "charmgo/internal/ser.flatPoint"
 
 func appendFlatPointFields(dst []byte, v flatPoint) []byte {
 	dst = AppendCount(dst, 5)
@@ -27,7 +28,7 @@ func appendFlatPointFields(dst []byte, v flatPoint) []byte {
 	dst = AppendFloat64(dst, v.Scale)
 	dst = AppendString(dst, v.Name)
 	dst = AppendIntsOrNil(dst, v.Grid)
-	dst = AppendBytesOrNil(dst, v.raw)
+	dst = AppendBytesOrNil(dst, v.Raw)
 	return dst
 }
 
@@ -41,39 +42,45 @@ func readFlatPointFields(d *Dec) flatPoint {
 	v.Scale = d.Float64()
 	v.Name = d.Str()
 	v.Grid = d.IntsOrNil()
-	v.raw = d.BytesOrNil()
+	v.Raw = d.BytesOrNil()
 	return v
 }
 
-// appendFlatPoint is the generated-style argument encoder (header + fields).
+// appendFlatPoint is the hand-written argument encoder (header + fields).
 func appendFlatPoint(dst []byte, v flatPoint) []byte {
 	return appendFlatPointFields(AppendFlatHeader(dst, flatPointName), v)
 }
 
 func registerFlatPoint() {
-	if HasFlat(flatPoint{}) {
-		return
+	if !RegisterFlatStruct(reflect.TypeOf(flatPoint{})) {
+		panic("flatPoint is not eligible for a flat codec")
 	}
-	RegisterFlat(flatPointName, flatPoint{},
-		func(dst []byte, v any) ([]byte, bool) {
-			x, ok := v.(flatPoint)
-			if !ok {
-				return dst, false
-			}
-			return appendFlatPointFields(dst, x), true
-		},
-		func(d *Dec) (any, bool) {
-			v := readFlatPointFields(d)
-			return v, d.Ok()
-		})
 }
+
+// A struct with an unexported field, or a field outside the direct-copy set,
+// gets no flat codec: it goes through gob.
+func TestFlatStructEligibility(t *testing.T) {
+	type hidden struct {
+		N int
+		n int
+	}
+	type nested struct{ P flatPoint }
+	type named struct{ M myInt }
+	for _, v := range []any{hidden{}, nested{}, named{}, 3, []int{}} {
+		if RegisterFlatStruct(reflect.TypeOf(v)) {
+			t.Errorf("%T got a flat codec", v)
+		}
+	}
+}
+
+type myInt int
 
 func TestFlatRoundTrip(t *testing.T) {
 	registerFlatPoint()
 	cases := []flatPoint{
 		{},
-		{N: -3, Scale: 2.5, Name: "hello", Grid: []int{1, 2, 3}, raw: []byte{9}},
-		{Grid: []int{}, raw: []byte{}}, // empty non-nil slices
+		{N: -3, Scale: 2.5, Name: "hello", Grid: []int{1, 2, 3}, Raw: []byte{9}},
+		{Grid: []int{}, Raw: []byte{}}, // empty non-nil slices
 	}
 	for _, v := range cases {
 		enc, err := AppendArgs(nil, []any{v})
@@ -88,10 +95,10 @@ func TestFlatRoundTrip(t *testing.T) {
 		// Field-level nil/empty is preserved by the OrNil convention except
 		// that empty and nil both carry length info; check semantic equality.
 		if dec.N != v.N || dec.Scale != v.Scale || dec.Name != v.Name ||
-			!reflect.DeepEqual(dec.Grid, v.Grid) || !bytes.Equal(dec.raw, v.raw) {
+			!reflect.DeepEqual(dec.Grid, v.Grid) || !bytes.Equal(dec.Raw, v.Raw) {
 			t.Errorf("roundtrip mismatch: got %+v want %+v", dec, v)
 		}
-		if (dec.Grid == nil) != (v.Grid == nil) || (dec.raw == nil) != (v.raw == nil) {
+		if (dec.Grid == nil) != (v.Grid == nil) || (dec.Raw == nil) != (v.Raw == nil) {
 			t.Errorf("nil-ness not preserved: got %+v want %+v", dec, v)
 		}
 	}
@@ -109,7 +116,7 @@ func TestFlatGenericAndGeneratedBytesIdentical(t *testing.T) {
 	gen = AppendInt(gen, 42)
 	gen = AppendString(gen, "tail")
 	if !bytes.Equal(generic, gen) {
-		t.Fatalf("generic and generated encodings differ:\n  generic %x\n  generated %x", generic, gen)
+		t.Fatalf("reflective and hand-written encodings differ:\n  reflective  %x\n  hand-written %x", generic, gen)
 	}
 	// And the typed reader agrees with the generic decoder.
 	d := NewDec(gen, false)
@@ -172,9 +179,9 @@ func TestFlatDecodeHostileInputs(t *testing.T) {
 	}
 }
 
-// FuzzFlatDifferential is the codegen contract as a fuzz target: for
-// arbitrary field values, the generic registry path and the generated-style
-// typed path must (1) produce byte-identical encodings, (2) decode each
+// FuzzFlatDifferential is the flat codec's contract as a fuzz target: for
+// arbitrary field values, the reflective codec (through the generic registry
+// path) and the hand-written typed path must (1) produce byte-identical encodings, (2) decode each
 // other's output, and (3) agree on the decoded value. This is what lets
 // bound and unbound peers interoperate on one wire format.
 func FuzzFlatDifferential(f *testing.F) {
@@ -190,7 +197,7 @@ func FuzzFlatDifferential(f *testing.F) {
 			}
 		}
 		if !nilRaw {
-			v.raw = append([]byte{}, gridRaw...)
+			v.Raw = append([]byte{}, gridRaw...)
 		}
 
 		generic, err := AppendArgs(nil, []any{v})
@@ -199,12 +206,12 @@ func FuzzFlatDifferential(f *testing.F) {
 		}
 		gen := appendFlatPoint(AppendCount(nil, 1), v)
 		if !bytes.Equal(generic, gen) {
-			t.Fatalf("encodings differ:\n  generic   %x\n  generated %x", generic, gen)
+			t.Fatalf("encodings differ:\n  reflective   %x\n  hand-written %x", generic, gen)
 		}
 
 		args, used, err := DecodeArgs(gen)
 		if err != nil || used != len(gen) || len(args) != 1 {
-			t.Fatalf("generic decode of generated bytes: %v (used %d/%d)", err, used, len(gen))
+			t.Fatalf("generic decode of hand-written bytes: %v (used %d/%d)", err, used, len(gen))
 		}
 		d := NewDec(generic, false)
 		if d.Count() != 1 {

@@ -150,23 +150,27 @@ func appendOne(dst []byte, a any) ([]byte, error) {
 			dst = binary.LittleEndian.AppendUint64(dst, uint64(x))
 		}
 	default:
-		// A registered flat codec (generated by `charmgo gen`) beats gob.
+		// A registered flat codec beats gob.
 		if out, ok := appendFlat(dst, v); ok {
 			return out, nil
 		}
-		// gob fallback (pickle analog). Encode via the type-switch variable,
-		// not &a: taking the parameter's address would make every appendOne
-		// call heap-allocate its argument, including the scalar fast paths.
-		dst = append(dst, tagGob)
-		var gb bytes.Buffer
-		enc := gob.NewEncoder(&gb)
-		if err := enc.Encode(&v); err != nil {
-			return dst, fmt.Errorf("gob encode %T: %w", v, err)
-		}
-		dst = binary.AppendUvarint(dst, uint64(gb.Len()))
-		dst = append(dst, gb.Bytes()...)
+		return appendGob(dst, v)
 	}
 	return dst, nil
+}
+
+// appendGob is the gob fallback (pickle analog). It is a function of its own
+// because gob needs the value's address: taken in appendOne, it would make
+// every call heap-allocate its argument, the flat and scalar paths included.
+func appendGob(dst []byte, v any) ([]byte, error) {
+	dst = append(dst, tagGob)
+	var gb bytes.Buffer
+	enc := gob.NewEncoder(&gb)
+	if err := enc.Encode(&v); err != nil {
+		return dst, fmt.Errorf("gob encode %T: %w", v, err)
+	}
+	dst = binary.AppendUvarint(dst, uint64(gb.Len()))
+	return append(dst, gb.Bytes()...), nil
 }
 
 // DecodeArgs decodes an argument list produced by AppendArgs/EncodeArgs and

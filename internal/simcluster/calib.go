@@ -143,6 +143,13 @@ type pingChare struct {
 	Done core.Future
 }
 
+func init() {
+	core.Bind[pingChare](
+		core.EM1((*pingChare).Finish),
+		core.EM1((*pingChare).Ping),
+	)
+}
+
 // Ping counts messages.
 func (pc *pingChare) Ping(i int) {
 	pc.N++
@@ -155,8 +162,8 @@ func (pc *pingChare) Finish(done core.Future) {
 
 func measureCharmMsg(mode core.DispatchMode) float64 {
 	const msgs = 20000
-	// pingChare is bound (charmgo_gen.go), so Compiled mode times the
-	// generated dispatch and Interpreted mode the reflective one: the
+	// pingChare has entry-method handles (core.Bind), so Compiled mode times
+	// the typed dispatch and Interpreted mode the reflective one: the
 	// simulator's model of the paper's interpreted-vs-compiled gap.
 	rt := core.NewRuntime(core.Config{PEs: 2, Dispatch: mode})
 	rt.Register(&pingChare{},

@@ -19,6 +19,13 @@ type ChanBlock struct {
 	Done core.Future
 }
 
+func init() {
+	core.Bind[ChanBlock](
+		core.EM1((*ChanBlock).Init),
+		core.EM1((*ChanBlock).Run),
+	)
+}
+
 // RegisterChannels registers the channel-style block with a runtime.
 func RegisterChannels(rt *core.Runtime) {
 	rt.Register(&ChanBlock{}, core.Threaded("Run"))

@@ -34,11 +34,19 @@ type Block struct {
 	nbr [][]int
 }
 
+func init() {
+	core.Bind[Block](
+		core.EM3((*Block).Init),
+		core.EM3((*Block).RecvGhost),
+		core.EM0((*Block).ReportStats),
+		core.EM0((*Block).ResumeFromSync),
+	)
+}
+
 // Register registers the stencil chare types and argument metadata with a
 // runtime. Call on every node before Start. Typed dispatch and argument
-// codecs come from the generated bindings (charmgo_gen.go), the analog of
-// Charm++'s charmxi-generated dispatch code; they replaced the hand-written
-// FastDispatcher switch this package used to carry.
+// codecs come from the entry-method handles bound in init (core.Bind), the
+// analog of Charm++'s charmxi-generated dispatch code.
 func Register(rt *core.Runtime) {
 	ser.RegisterType(Params{})
 	rt.Register(&Block{},
@@ -108,10 +116,13 @@ func (b *Block) sendGhosts() {
 		}
 	}
 	proxy := b.ThisProxy() // bound to this PE, whose box stock the sends use
+	// One boxed iteration for all the ghosts: past 255 each boxing of the
+	// int would be a malloc of its own.
+	iter := any(b.Iter)
 	for d, n := range b.nbr {
 		if n != nil {
 			proxy.Elem = n
-			proxy.Call("RecvGhost", b.Iter, opposite(d), b.G.packFace(d))
+			proxy.Call("RecvGhost", iter, opposite(d), b.G.packFace(d))
 		}
 	}
 }

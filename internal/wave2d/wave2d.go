@@ -155,6 +155,14 @@ type Block struct {
 	Done     core.Future
 }
 
+func init() {
+	core.Bind[Block](
+		core.EM1((*Block).CollectField),
+		core.EM2((*Block).Init),
+		core.EM3((*Block).RecvEdge),
+	)
+}
+
 var regOnce sync.Once
 
 // Register registers the wave2d chare type with a runtime.
