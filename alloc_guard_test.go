@@ -14,23 +14,46 @@ import (
 )
 
 // TestRemoteInvokeAllocGuard pins the remote-invoke hot path, sender and
-// receiver together, at one allocation: the copy of p.Call("Ping", 1)'s args
-// that the sender hands the typed encoder, which keeps the caller's own slice
-// on its stack (the 1 itself is in the runtime's small-value cache). The
-// sender encodes from a Message on its stack, the receiver decodes into a
-// recycled box. It was 4 — that slice, the sender's Message, the receiver's
-// box and its argument list. A regression means one of them, or
-// instrumentation, is back on the path.
+// receiver together, over a MemNetwork pair. Ping(1) allocates nothing: the
+// sender encodes from a Message and the caller's args slice on its stack
+// (the aggregator is handed args beside the Message, not in it, so escape
+// analysis keeps both there), the receiver keeps the argument bytes in a
+// recycled box and the typed handle reads them straight into its int
+// parameter, and the 1 is in the runtime's small-value cache. With
+// arguments of 256 to 1000, as stream_tcp sends, what is left is the
+// caller's own interface box of the int: 1 allocation, 8 B. The flood waits
+// for the running total every remoteCredit messages, as stream_tcp does, so
+// that the backlog and the boxes it holds stay bounded and the figures are
+// per message (the byte bound holds without the race detector, whose
+// runtime allocates too). It was 4 — the args slice, the sender's Message, the
+// receiver's box and its argument list — then 1, the copy of args the sender
+// made for the typed encoder. A regression means one of them, the decoded
+// argument list, or instrumentation is back on the path.
 func TestRemoteInvokeAllocGuard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark guard, skipped in -short")
 	}
-	res := testing.Benchmark(func(b *testing.B) {
-		nw := transport.NewMemNetwork(2)
-		benchRemoteRate(b, []transport.Transport{nw.Endpoint(0), nw.Endpoint(1)})
-	})
-	if a := res.AllocsPerOp(); a > 1 {
-		t.Errorf("remote invoke with observability off = %d allocs/op, want <= 1 (the caller's args slice)", a)
+	const remoteCredit = 16384
+	for _, c := range []struct {
+		name          string
+		arg           func(i int) int
+		allocs, bytes int64
+	}{
+		{"Ping(1)", func(int) int { return 1 }, 0, -1},
+		{"Ping(256..1000)", func(i int) int { return 256 + i%745 }, 1, 10},
+	} {
+		res := testing.Benchmark(func(b *testing.B) {
+			nw := transport.NewMemNetwork(2)
+			benchRemoteRate(b, []transport.Transport{nw.Endpoint(0), nw.Endpoint(1)}, c.arg, remoteCredit)
+		})
+		a, n := res.AllocsPerOp(), res.AllocedBytesPerOp()
+		t.Logf("%s: %d allocs/op, %d B/op over %d invokes", c.name, a, n, res.N)
+		if a > c.allocs {
+			t.Errorf("%s with observability off = %d allocs/op, want <= %d", c.name, a, c.allocs)
+		}
+		if c.bytes >= 0 && !raceEnabled && n > c.bytes {
+			t.Errorf("%s with observability off = %d B/op, want <= %d (the caller's interface box)", c.name, n, c.bytes)
+		}
 	}
 }
 
@@ -59,7 +82,11 @@ func TestGeneratedDispatchAllocGuard(t *testing.T) {
 // flat codec Bind gave bench.Vec3 writes three fixed-width fields where the
 // fallback runs a full gob encoder/decoder pair per message (~200 allocs).
 // The bound proves gob is off the typed wire path; the differential proves
-// the baseline still exercises gob (i.e. the guard itself is live).
+// the baseline still exercises gob (i.e. the guard itself is live). The 4
+// left are the new box the ForceSerialize round trip decodes into, its
+// argument slot, and the decoded Vec3, which reflection fills in one
+// allocation and copies into its interface in a second. It read 5 while
+// every flat value decoded also allocated a reader.
 func TestGeneratedCodecAllocGuard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark guard, skipped in -short")
@@ -71,8 +98,9 @@ func TestGeneratedCodecAllocGuard(t *testing.T) {
 	ref := testing.Benchmark(func(b *testing.B) {
 		benchDispatch(b, serialized, reflectProto, "PingVec", vecReflect{X: 1})
 	})
-	if a := gen.AllocsPerOp(); a > 8 {
-		t.Errorf("typed serialized struct invoke = %d allocs/op, want <= 8 (gob leak?)", a)
+	t.Logf("typed %d allocs/op, gob baseline %d", gen.AllocsPerOp(), ref.AllocsPerOp())
+	if a := gen.AllocsPerOp(); a > 4 {
+		t.Errorf("typed serialized struct invoke = %d allocs/op, want <= 4 (gob or a flat reader leak?)", a)
 	}
 	if g, r := gen.AllocsPerOp(), ref.AllocsPerOp(); r < 3*g {
 		t.Errorf("gob baseline = %d allocs/op vs generated %d: differential collapsed, guard no longer measures the fallback", r, g)

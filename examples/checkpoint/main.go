@@ -42,6 +42,9 @@ func (a *Accumulator) Where(done charmgo.Future) {
 	a.Contribute([]any{a.ThisIndex[0], int(a.MyPE())}, charmgo.GatherReducer, done)
 }
 
+// register registers the example's chare types.
+func register(rt *charmgo.Runtime) { rt.Register(&Accumulator{}) }
+
 func main() {
 	dir, err := os.MkdirTemp("", "charmgo-ckpt")
 	if err != nil {
@@ -53,7 +56,7 @@ func main() {
 	var cid charmgo.CID
 	fmt.Println("phase 1: 4 PEs, accumulate, checkpoint")
 	charmgo.Run(charmgo.Config{PEs: 4},
-		func(rt *charmgo.Runtime) { rt.Register(&Accumulator{}) },
+		register,
 		func(self *charmgo.Chare) {
 			defer self.Exit()
 			arr := self.NewArray(&Accumulator{}, []int{8})
@@ -72,7 +75,7 @@ func main() {
 
 	fmt.Println("phase 2: restore the same chares on 2 PEs (shrink)")
 	rt2 := charmgo.NewRuntime(charmgo.Config{PEs: 2})
-	rt2.Register(&Accumulator{})
+	register(rt2)
 	err = charmgo.Restart(rt2, path, func(self *charmgo.Chare, colls map[charmgo.CID]charmgo.Proxy) {
 		defer self.Exit()
 		arr := colls[cid]

@@ -36,9 +36,12 @@ func (m *Member) SumPE(done charmgo.Future) {
 	m.Contribute(int(m.MyPE()), charmgo.SumReducer, done)
 }
 
+// register registers the example's chare types.
+func register(rt *charmgo.Runtime) { rt.Register(&Member{}) }
+
 func main() {
 	err := charmgo.RunFromEnv(charmgo.Config{PEs: 2},
-		func(rt *charmgo.Runtime) { rt.Register(&Member{}) },
+		register,
 		func(self *charmgo.Chare) {
 			defer self.Exit()
 			g := self.NewGroup(&Member{})

@@ -70,9 +70,12 @@ func drive(self *charmgo.Chare, arr charmgo.Proxy, from int) {
 	fmt.Printf("final total after %d iterations: %d\n", iters, total)
 }
 
+// register registers the example's chare types.
+func register(rt *charmgo.Runtime) { rt.Register(&Worker{}) }
+
 func main() {
 	err := charmgo.RunFT(charmgo.Config{PEs: 2}, charmgo.FTJob{
-		Register: func(rt *charmgo.Runtime) { rt.Register(&Worker{}) },
+		Register: register,
 		Fresh: func(self *charmgo.Chare) {
 			arr := self.NewArray(&Worker{}, []int{elems})
 			drive(self, arr, 1)

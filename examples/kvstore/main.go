@@ -109,6 +109,12 @@ func (d *Driver) Round(shards charmgo.Proxy, nshards, ops int, round int64, done
 	d.Contribute(ops, charmgo.SumReducer, done)
 }
 
+// register registers the example's chare types.
+func register(rt *charmgo.Runtime) {
+	rt.Register(&Shard{})
+	rt.Register(&Driver{}, charmgo.Threaded("Round"))
+}
+
 func main() {
 	shardsN := flag.Int("shards", 32, "number of key-value shards")
 	seconds := flag.Int("seconds", 10, "how long to generate load")
@@ -118,10 +124,7 @@ func main() {
 	// GreedyLB is wired in (but never scheduled by the shards themselves) so
 	// a POST to /introspect/lb can force a migration round against the skew.
 	err := charmgo.RunFromEnv(charmgo.Config{PEs: 2, LB: lb.Greedy{}},
-		func(rt *charmgo.Runtime) {
-			rt.Register(&Shard{})
-			rt.Register(&Driver{}, charmgo.Threaded("Round"))
-		},
+		register,
 		func(self *charmgo.Chare) {
 			defer self.Exit()
 			shards := self.NewSparseArray(&Shard{}, 1)

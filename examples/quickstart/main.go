@@ -42,12 +42,14 @@ func (w *Worker) Work(mult int, done charmgo.Future) {
 	w.Contribute(mult*int(w.MyPE()), charmgo.SumReducer, done)
 }
 
+// register registers the example's chare types.
+func register(rt *charmgo.Runtime) {
+	rt.Register(&MyChare{})
+	rt.Register(&Worker{})
+}
+
 func main() {
-	charmgo.Run(charmgo.Config{PEs: 4},
-		func(rt *charmgo.Runtime) {
-			rt.Register(&MyChare{})
-			rt.Register(&Worker{})
-		},
+	charmgo.Run(charmgo.Config{PEs: 4}, register,
 		func(self *charmgo.Chare) {
 			defer self.Exit()
 

@@ -96,18 +96,18 @@ func (a *aggregator) send(node int, dest PE, m *Message) {
 	a.close(node, an, off, 0, m.Src, dest)
 }
 
-// sendInvoke is send for an mInvoke: appendInvoke only reads m, so the
-// caller's Message does not escape to the heap through here. An invoke with
-// the header of the one before it in the batch goes as a repeat: its
-// arguments alone.
-func (a *aggregator) sendInvoke(node int, dest PE, m *Message) {
+// sendInvoke is send for an mInvoke with arguments args (m.Args unused):
+// appendInvoke only reads m and args, so neither escapes to the heap through
+// here. An invoke with the header of the one before it in the batch goes as
+// a repeat: its arguments alone.
+func (a *aggregator) sendInvoke(node int, dest PE, m *Message, args []any) {
 	an, off := a.open(node)
 	if an.last.matches(dest, m) {
-		an.buf = appendInvokeArgs(an.buf, m)
+		an.buf = appendInvokeArgs(an.buf, m, args)
 		a.close(node, an, off, repeatFlag, m.Src, dest)
 		return
 	}
-	an.buf = appendInvoke(an.buf, dest, m, a.rt.wt)
+	an.buf = appendInvoke(an.buf, dest, m, args, a.rt.wt)
 	an.last.set(dest, m)
 	a.close(node, an, off, 0, m.Src, dest)
 }

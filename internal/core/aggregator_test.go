@@ -87,8 +87,8 @@ func TestAppendMsgAllocs(t *testing.T) {
 		t.Errorf("appendMsg allocates %.1f times per invoke, want 0", allocs)
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		onStack := Message{Kind: mInvoke, CID: 1, Idx: m.Idx, MID: 0, Method: "Ping", Src: 2, Args: args}
-		_ = appendInvoke(buf, 9, &onStack, wt)
+		onStack := Message{Kind: mInvoke, CID: 1, Idx: m.Idx, MID: 0, Method: "Ping", Src: 2}
+		_ = appendInvoke(buf, 9, &onStack, args, wt)
 	})
 	if allocs > 0 {
 		t.Errorf("appendInvoke makes its Message escape: %.1f allocations per invoke, want 0", allocs)

@@ -204,6 +204,200 @@ func TestRecycledBoxNeverObserved(t *testing.T) {
 			t.Error("no entry method began with a box given back outside a run: nothing arrived alone")
 		}
 	})
+	t.Run("kept-bytes", keptBytesJob)
+}
+
+// The kept-bytes chares bind handles whose parameters are all fixed-size, so
+// what another node sends them is decoded into a box that keeps the argument
+// bytes (Message.raw) for the handle's wire call. Their arguments vouch for
+// each other as boxArgs's do.
+func keptArgs(seq int) (int, int64, float64) { return seq, 3*int64(seq) + 7, float64(seq)/4 - 1 }
+
+func (l *boxLog) seeKept(path string, seq int, sq int64, f float64) {
+	if _, wantSq, wantF := keptArgs(seq); sq != wantSq || f != wantF {
+		l.fail("%s: seq %d came with %d and %v", path, seq, sq, f)
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.seen[path] == nil {
+		l.seen[path] = map[int]int{}
+	}
+	l.seen[path][seq]++
+	l.n++
+}
+
+// keptPlain reads its parameters at the call; element 2 migrates mid-flood.
+type keptPlain struct {
+	Chare
+}
+
+func (c *keptPlain) Hit(seq int, sq int64, f float64) { boxSeen.seeKept("plain", seq, sq, f) }
+func (c *keptPlain) Echo(seq int, done Future)        { done.Send(2 * seq) }
+func (c *keptPlain) Move(to int)                      { c.Migrate(PE(to)) }
+func (c *keptPlain) Nop() int                         { return 0 }
+
+// keptGuarded takes its steps in order (a when-condition needs the argument
+// list), and element 2 migrates with steps still waiting.
+type keptGuarded struct {
+	Chare
+	Next int
+}
+
+func (g *keptGuarded) Step(seq int, sq int64, f float64) {
+	if seq != g.Next {
+		boxSeen.fail("kept guarded: step %d ran when %d was due", seq, g.Next)
+	}
+	g.Next = seq + 1
+	boxSeen.seeKept("guarded", seq, sq, f)
+}
+
+func (g *keptGuarded) Move(to int) { g.Migrate(PE(to)) }
+
+// keptThreaded yields before it looks at what it was called with.
+type keptThreaded struct {
+	Chare
+	Open int
+}
+
+func (w *keptThreaded) Work(seq int, sq int64) int {
+	w.Wait("self.open == 1")
+	_, _, f := keptArgs(seq)
+	boxSeen.seeKept("threaded", seq, sq, f)
+	return 7 * seq
+}
+
+func (w *keptThreaded) Release() { w.Open = 1 }
+
+func init() {
+	Bind[keptPlain](EM3((*keptPlain).Hit), EM2((*keptPlain).Echo), EM1((*keptPlain).Move), EM0R((*keptPlain).Nop))
+	Bind[keptGuarded](EM3((*keptGuarded).Step), EM1((*keptGuarded).Move))
+	Bind[keptThreaded](EM2R((*keptThreaded).Work), EM0((*keptThreaded).Release))
+}
+
+// keptBytesJob floods, from node 0 with returned boxes poisoned, elements 2
+// and 3 on node 1, whose boxes keep the argument bytes: plain calls (which
+// come back once their wire call has run), calls with a Future parameter,
+// when-guarded steps delivered out of order (the condition has the bytes
+// decoded into the box's argument slots first), a threaded method that
+// yields before it looks at its parameters (its box is never returned), and
+// sends forwarded after a migration, on node 1 and back across the wire, of a
+// plain element and of a guarded one with steps still buffered. Every method
+// must see the arguments that were sent, and node 1 must have given boxes
+// that kept bytes back.
+func keptBytesJob(t *testing.T) {
+	const (
+		n     = 600 // messages per path
+		group = 8   // guarded steps are sent in descending groups of this
+	)
+	log := &boxLog{seen: map[string]map[int]int{}}
+	boxSeen = log
+	var nWire, nDecoded atomic.Int64
+	var keptMu sync.Mutex
+	kept := map[*Message]bool{} // node 1's boxes that reached a method with their bytes kept
+	rts := runMultiNode(t, 2, 2, nil, func(rt *Runtime) {
+		rt.poisonBoxes = true
+		rt.holdEM = func(p *peState, m *Message) {
+			switch {
+			case p.rt.nodeID != 1 || m.typed == nil:
+			case len(m.raw) > 0:
+				nWire.Add(1)
+				if m.boxed {
+					keptMu.Lock()
+					kept[m] = true
+					keptMu.Unlock()
+				}
+			case m.Method == "Step" && len(m.Args) == 3:
+				nDecoded.Add(1) // its when-condition had the bytes decoded
+			}
+		}
+		rt.Register(&keptPlain{})
+		rt.Register(&keptGuarded{}, When("Step", "self.next == seq"), ArgNames("Step", "seq", "sq", "f"))
+		rt.Register(&keptThreaded{}, Threaded("Work"))
+	}, func(self *Chare) {
+		dims := []int{4} // element i on PE i: 2 and 3 on the other node
+		threaded := self.NewArray(&keptThreaded{}, dims)
+		guarded := self.NewArray(&keptGuarded{}, dims)
+		plain := self.NewArray(&keptPlain{}, dims)
+		// Node 1 decodes through the handles only once it knows a collection
+		// (before, generically): wait until both its PEs have created all three.
+		plain.At(2).CallRet("Nop").Get()
+		plain.At(3).CallRet("Nop").Get()
+		var rets, echoes []Future
+		for base := 0; base < n; base += group {
+			for seq := base + group - 1; seq >= base; seq-- {
+				s, sq, f := keptArgs(seq)
+				guarded.At(2).Call("Step", s, sq, f)
+			}
+			for seq := base; seq < base+group; seq++ {
+				s, sq, f := keptArgs(seq)
+				rets = append(rets, threaded.At(3).CallRet("Work", s, sq))
+				plain.At(2).Call("Hit", s, sq, f)
+				plain.At(3).Call("Hit", s, sq, f)
+				if seq%10 == 0 {
+					f := self.CreateFuture()
+					plain.At(3).Call("Echo", seq, f)
+					echoes = append(echoes, f)
+				}
+			}
+			switch base {
+			case n / 3 / group * group:
+				plain.At(2).Call("Move", 3) // on node 1: later sends are forwarded there
+				guarded.At(2).Call("Move", 3)
+			case 2 * n / 3 / group * group:
+				plain.At(2).Call("Move", 1) // to this node: later sends come back over the wire
+				guarded.At(2).Call("Move", 1)
+			}
+		}
+		threaded.At(3).Call("Release")
+		for seq, f := range rets {
+			if got := f.Get(); got != 7*seq {
+				log.fail("kept threaded: Work(%d) returned %v, want %d", seq, got, 7*seq)
+			}
+		}
+		for i, f := range echoes {
+			if got := f.Get(); got != 20*i {
+				log.fail("kept echo: Echo(%d) completed its Future parameter with %v, want %d", 10*i, got, 20*i)
+			}
+		}
+		deadline := time.Now().Add(30 * time.Second)
+		for log.total() < 4*n && time.Now().Before(deadline) {
+			plain.At(3).CallRet("Nop").Get()
+		}
+	})
+
+	log.mu.Lock()
+	defer log.mu.Unlock()
+	for _, b := range log.bad {
+		t.Error(b)
+	}
+	for _, c := range []struct {
+		path       string
+		seqs, each int
+	}{{"plain", n, 2}, {"guarded", n, 1}, {"threaded", n, 1}} {
+		got := log.seen[c.path]
+		if len(got) != c.seqs {
+			t.Errorf("kept %s: %d distinct messages seen, want %d", c.path, len(got), c.seqs)
+		}
+		for seq, k := range got {
+			if k != c.each {
+				t.Errorf("kept %s: message %d delivered %d times, want %d", c.path, seq, k, c.each)
+			}
+		}
+	}
+	if nWire.Load() == 0 || nDecoded.Load() == 0 {
+		t.Errorf("node 1 ran %d methods off kept bytes and %d guarded steps off decoded ones: want both > 0", nWire.Load(), nDecoded.Load())
+	}
+	back := 0
+	for _, m := range freeBoxes(rts[1]) {
+		if kept[m] {
+			back++
+		}
+	}
+	t.Logf("node 1: %d methods ran off kept bytes, %d guarded steps off decoded ones; %d of the %d boxes that kept bytes came back",
+		nWire.Load(), nDecoded.Load(), back, len(kept))
+	if back == 0 {
+		t.Errorf("none of the %d boxes that reached a method with their bytes kept came back", len(kept))
+	}
 }
 
 // recycledBoxJob reports how many entry methods began with more of their run

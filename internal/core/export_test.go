@@ -9,6 +9,11 @@ type BoundMethod struct {
 	Method string
 	Enc    func(dst []byte, args []any) ([]byte, bool)
 	Dec    func(dst []any, data []byte, alias bool) ([]any, int, bool)
+	// Wire runs the handle's wire call on data with a stand-in for the
+	// method that records the parameters it receives (called reports
+	// whether it ran); nil unless the handle reads its parameters off the
+	// encoded list.
+	Wire func(data []byte) (params []any, called, ok bool)
 }
 
 // BoundMethods lists every handle bound in this binary that names a method
@@ -23,7 +28,27 @@ func BoundMethods() []BoundMethod {
 				continue
 			}
 			id := int32(i)
+			var wire func([]byte) ([]any, bool, bool)
+			if e.wire != nil {
+				wire = func(data []byte) (params []any, called, ok bool) {
+					ft := reflect.TypeOf(e.fn)
+					rec := reflect.MakeFunc(ft, func(in []reflect.Value) []reflect.Value {
+						called, params = true, []any{}
+						for _, v := range in[1:] {
+							params = append(params, v.Interface())
+						}
+						out := make([]reflect.Value, ft.NumOut())
+						for i := range out {
+							out[i] = reflect.Zero(ft.Out(i))
+						}
+						return out
+					})
+					_, ok = e.wire(rec.Interface(), reflect.New(k.(reflect.Type)).Interface(), data, nil)
+					return params, called, ok
+				}
+			}
 			out = append(out, BoundMethod{
+				Wire:   wire,
 				Chare:  k.(reflect.Type),
 				Method: e.name,
 				Enc: func(dst []byte, args []any) ([]byte, bool) {

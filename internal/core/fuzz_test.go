@@ -94,7 +94,7 @@ func fuzzBatchSeeds(wt *wireTables) [][]byte {
 	}
 	full := appendMsg(nil, 3, &Message{Kind: mInvoke, CID: 7, Src: 1, MID: 1,
 		Fut: FutureRef{PE: 1, ID: 5}, Method: "Step", Idx: []int{4, 5}, Args: []any{42, "x"}}, wt)
-	args := appendInvokeArgs(nil, &Message{Args: []any{43, "y"}})
+	args := appendInvokeArgs(nil, &Message{}, []any{43, "y"})
 	ctl := encodeMsg(0, &Message{Kind: mPing, Src: 0})
 	return [][]byte{
 		sub(sub(sub(nil, 0, full), repeatFlag, args), repeatFlag, args),

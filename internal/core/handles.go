@@ -44,6 +44,10 @@ type EM struct {
 	// the parameter's type (a caller relying on numeric coercion), and the
 	// caller must take the reflective path.
 	call func(obj any, args []any) (ret any, ok bool)
+	// wire is call with the parameters read off an encoded list (a box's
+	// kept bytes), calling fn: the method, or a stand-in of its type. Handles
+	// without parameters have none: their list decodes without allocating.
+	wire func(fn, obj any, data []byte, rt *Runtime) (ret any, ok bool)
 }
 
 // argAs asserts a received argument to parameter type A. A nil argument
@@ -81,6 +85,13 @@ func EM1[T, A any](f func(*T, A)) EM {
 		}
 		f(self, a)
 		return nil, true
+	}, wire: func(fn, obj any, data []byte, rt *Runtime) (any, bool) {
+		self, in, ok := wireOpen[T](obj, data, 1)
+		a := readArg[A](&in, rt)
+		if ok = ok && in.Ok(); ok {
+			fn.(func(*T, A))(self, a)
+		}
+		return nil, ok
 	}}
 }
 
@@ -98,6 +109,13 @@ func EM2[T, A, B any](f func(*T, A, B)) EM {
 		}
 		f(self, a, b)
 		return nil, true
+	}, wire: func(fn, obj any, data []byte, rt *Runtime) (any, bool) {
+		self, in, ok := wireOpen[T](obj, data, 2)
+		a, b := readArg[A](&in, rt), readArg[B](&in, rt)
+		if ok = ok && in.Ok(); ok {
+			fn.(func(*T, A, B))(self, a, b)
+		}
+		return nil, ok
 	}}
 }
 
@@ -116,6 +134,13 @@ func EM3[T, A, B, C any](f func(*T, A, B, C)) EM {
 		}
 		f(self, a, b, c)
 		return nil, true
+	}, wire: func(fn, obj any, data []byte, rt *Runtime) (any, bool) {
+		self, in, ok := wireOpen[T](obj, data, 3)
+		a, b, c := readArg[A](&in, rt), readArg[B](&in, rt), readArg[C](&in, rt)
+		if ok = ok && in.Ok(); ok {
+			fn.(func(*T, A, B, C))(self, a, b, c)
+		}
+		return nil, ok
 	}}
 }
 
@@ -135,6 +160,13 @@ func EM4[T, A, B, C, D any](f func(*T, A, B, C, D)) EM {
 		}
 		f(self, a, b, c, d)
 		return nil, true
+	}, wire: func(fn, obj any, data []byte, rt *Runtime) (any, bool) {
+		self, in, ok := wireOpen[T](obj, data, 4)
+		a, b, c, d := readArg[A](&in, rt), readArg[B](&in, rt), readArg[C](&in, rt), readArg[D](&in, rt)
+		if ok = ok && in.Ok(); ok {
+			fn.(func(*T, A, B, C, D))(self, a, b, c, d)
+		}
+		return nil, ok
 	}}
 }
 
@@ -155,6 +187,13 @@ func EM5[T, A, B, C, D, E any](f func(*T, A, B, C, D, E)) EM {
 		}
 		f(self, a, b, c, d, e)
 		return nil, true
+	}, wire: func(fn, obj any, data []byte, rt *Runtime) (any, bool) {
+		self, in, ok := wireOpen[T](obj, data, 5)
+		a, b, c, d, e := readArg[A](&in, rt), readArg[B](&in, rt), readArg[C](&in, rt), readArg[D](&in, rt), readArg[E](&in, rt)
+		if ok = ok && in.Ok(); ok {
+			fn.(func(*T, A, B, C, D, E))(self, a, b, c, d, e)
+		}
+		return nil, ok
 	}}
 }
 
@@ -182,6 +221,13 @@ func EM1R[T, A, R any](f func(*T, A) R) EM {
 			return nil, false
 		}
 		return f(self, a), true
+	}, wire: func(fn, obj any, data []byte, rt *Runtime) (any, bool) {
+		self, in, ok := wireOpen[T](obj, data, 1)
+		a := readArg[A](&in, rt)
+		if !ok || !in.Ok() {
+			return nil, false
+		}
+		return fn.(func(*T, A) R)(self, a), true
 	}}
 }
 
@@ -198,13 +244,21 @@ func EM2R[T, A, B, R any](f func(*T, A, B) R) EM {
 			return nil, false
 		}
 		return f(self, a, b), true
+	}, wire: func(fn, obj any, data []byte, rt *Runtime) (any, bool) {
+		self, in, ok := wireOpen[T](obj, data, 2)
+		a, b := readArg[A](&in, rt), readArg[B](&in, rt)
+		if !ok || !in.Ok() {
+			return nil, false
+		}
+		return fn.(func(*T, A, B) R)(self, a, b), true
 	}}
 }
 
 // argCodec is how one parameter crosses the wire: a typed appender and
 // reader for ser's direct-copy set, proxies and futures, or (argAny) ser's
 // generic per-argument path for every other type (interfaces, []any, maps,
-// flat and gob-encoded structs).
+// flat and gob-encoded structs). The codecs up to argFuture are fixed-size:
+// a handle with those alone reads its parameters at the call (EM.wire).
 type argCodec uint8
 
 const (
@@ -213,6 +267,7 @@ const (
 	argInt
 	argInt64
 	argFloat64
+	argFuture
 	argString
 	argBytes
 	argF64s
@@ -221,7 +276,6 @@ const (
 	argI32s
 	argInts
 	argProxy
-	argFuture
 )
 
 var argCodecs = map[reflect.Type]argCodec{
@@ -244,7 +298,9 @@ var argCodecs = map[reflect.Type]argCodec{
 type boundEM struct {
 	name   string // the method's name, or the func's full name if it is no method of *T
 	method bool   // name is a method of *T
+	fn     any
 	call   func(obj any, args []any) (any, bool)
+	wire   func(fn, obj any, data []byte, rt *Runtime) (any, bool) // nil unless every codec in args is fixed-size
 	args   []argCodec
 }
 
@@ -269,7 +325,7 @@ func Bind[T any](hs ...EM) {
 	b := &binding{ems: make([]boundEM, len(hs))}
 	for i, h := range hs {
 		ft := reflect.TypeOf(h.fn)
-		e := boundEM{call: h.call}
+		e := boundEM{fn: h.fn, call: h.call, wire: h.wire}
 		e.name = runtime.FuncForPC(reflect.ValueOf(h.fn).Pointer()).Name()
 		if m, ok := strings.CutPrefix(e.name, prefix); ok && ft.In(0).Elem() == t && !strings.Contains(m, ".") {
 			e.name, e.method = m, true
@@ -279,6 +335,9 @@ func Bind[T any](hs ...EM) {
 			c, ok := argCodecs[pt]
 			if !ok && pt.Kind() == reflect.Struct {
 				ser.RegisterFlatStruct(pt)
+			}
+			if c == argAny || c > argFuture {
+				e.wire = nil
 			}
 			e.args = append(e.args, c)
 		}
@@ -319,6 +378,37 @@ func bindingFor(st reflect.Type, methods []string) *binding {
 		}
 	}
 	return b
+}
+
+// keeps reports whether a decoded invoke of method id keeps its argument bytes.
+func (b *binding) keeps(id int32) bool {
+	return id >= 0 && int(id) < len(b.ems) && b.ems[id].wire != nil
+}
+
+// wireOpen starts a wire call of n parameters on obj: ok if data lists n.
+func wireOpen[T any](obj any, data []byte, n int) (*T, ser.Dec, bool) {
+	self, ok := obj.(*T)
+	d := ser.NewDec(data, false)
+	return self, d, ok && d.Count() == n
+}
+
+// readArg reads a parameter of a fixed-size codec, a Future bound to rt as
+// delivery would bind it.
+func readArg[A any](d *ser.Dec, rt *Runtime) (v A) {
+	switch p := any(&v).(type) {
+	case *bool:
+		*p = d.Bool()
+	case *int:
+		*p = d.Int()
+	case *int64:
+		*p = d.Int64()
+	case *float64:
+		*p = d.Float64()
+	case *Future:
+		*p = readFutureArg(d)
+		p.rt = rt
+	}
+	return v
 }
 
 // encodeArgs appends the argument list for method id through the handle's

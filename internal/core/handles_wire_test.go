@@ -65,10 +65,15 @@ func sampleArg(t reflect.Type) reflect.Value {
 // binary to the generic codec: for sample arguments, the handle's encoder
 // writes exactly the bytes ser.AppendArgs writes, and its decoder reads them
 // back, aliasing or copying, to what the generic decoder reads. So a node
-// with handles and one without share one wire format.
+// with handles and one without share one wire format. A handle with
+// parameters, all fixed-size, has a wire call, which a receiver's box that
+// kept the argument bytes dispatches through: it must hand the method the
+// parameters the generic decoder reads, and call nothing for a list of
+// another length or a cut one.
 func TestHandleWireIdentity(t *testing.T) {
 	ms := core.BoundMethods()
 	seen := map[string]bool{}
+	wired := map[string]bool{}
 	params := map[reflect.Type]bool{}
 	for _, bm := range ms {
 		seen[bm.Chare.PkgPath()+"."+bm.Chare.Name()] = true
@@ -106,6 +111,51 @@ func TestHandleWireIdentity(t *testing.T) {
 			if !reflect.DeepEqual(dec[1:], ref) || !reflect.DeepEqual(dec[1:], args) {
 				t.Errorf("%s alias=%v: handle decoded %#v, generic %#v, sent %#v", name, alias, dec[1:], ref, args)
 			}
+		}
+		fixed := len(args) > 0 // a list of none decodes without allocating
+		for _, a := range args {
+			switch a.(type) {
+			case bool, int, int64, float64, core.Future:
+			default:
+				fixed = false
+			}
+		}
+		if (bm.Wire != nil) != fixed {
+			t.Errorf("%s: has a wire call %v, want one exactly when every parameter is fixed-size (%v)", name, bm.Wire != nil, fixed)
+			continue
+		}
+		if !fixed {
+			continue
+		}
+		wired[name] = true
+		ref, _, err := ser.DecodeArgs(want)
+		if err != nil {
+			t.Fatalf("%s: generic decode: %v", name, err)
+		}
+		params, called, ok := bm.Wire(want)
+		if !ok || !called || len(params) != len(ref) {
+			t.Errorf("%s: wire call ok %v, called %v, got %d parameters for %d arguments", name, ok, called, len(params), len(ref))
+			continue
+		}
+		for i := range ref {
+			if !reflect.DeepEqual(params[i], ref[i]) || !reflect.DeepEqual(params[i], args[i]) {
+				t.Errorf("%s: wire call passed parameter %d as %#v, generic %#v, sent %#v", name, i, params[i], ref[i], args[i])
+			}
+		}
+		longer, _ := ser.AppendArgs(nil, append(slices.Clone(args), 1))
+		bad := [][]byte{longer}
+		if len(want) > 1 {
+			bad = append(bad, want[:len(want)-1])
+		}
+		for _, b := range bad {
+			if _, called, ok := bm.Wire(b); ok || called {
+				t.Errorf("%s: wire call on %x: ok %v, called %v; want neither", name, b, ok, called)
+			}
+		}
+	}
+	for _, name := range []string{"Ping.Ping", "Ping.Count"} {
+		if !wired[name] {
+			t.Errorf("bench.%s has no wire call: stream_tcp's invokes decode into a list again", name)
 		}
 	}
 	// The shipped chare types linked into this binary (the examples are

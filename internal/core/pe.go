@@ -734,7 +734,7 @@ func (p *peState) emReady(el *element, info *emInfo, m *Message) bool {
 	if info.when == nil {
 		return true
 	}
-	ok, err := info.when(el.iface, m.Args)
+	ok, err := info.when(el.iface, p.argList(m))
 	if err != nil {
 		panic(fmt.Sprintf("core: when-condition %q on %s.%s: %v", info.whenSrc, el.coll.ct.name, info.name, err))
 	}
@@ -749,16 +749,15 @@ func (p *peState) invokeEMInner(el *element, info *emInfo, m *Message) (unpacked
 	if hold := p.rt.holdEM; hold != nil {
 		hold(p, m)
 	}
-	args := p.rebindArgs(el, m.Args)
 	if info.threaded {
-		p.runThreaded(el, info, m, args)
+		p.runThreaded(el, info, m)
 		return false
 	}
 	start := p.stamp
 	if o := p.rt.obs; o != nil {
 		o.emBegin(p, start)
 	}
-	ret, unpacked := p.callEM(el, info, args)
+	ret, unpacked := p.callEM(el, info, m)
 	end := p.now()
 	p.stamp = end
 	dur := end - start
@@ -772,20 +771,43 @@ func (p *peState) invokeEMInner(el *element, info *emInfo, m *Message) (unpacked
 	return unpacked && m.boxed
 }
 
-// callEM performs the actual call. A type with entry-method handles attached
-// (Compiled mode) dispatches through the method's typed handle with no
-// reflection. Every other call — Interpreted mode, a type without handles,
-// or a handle that declines because an argument needs coercion — takes the
-// one reflective path: a per-call name lookup with permissive argument
-// coercion, modelling interpreted dispatch (DESIGN.md).
+// argList returns m's argument list, decoding any bytes m kept into its box's
+// slots (new ones for a broadcast's copy) and binding them as rebindMsg would.
+func (p *peState) argList(m *Message) []any {
+	if raw := m.raw; len(raw) > 0 {
+		if m.raw = raw[:0]; !m.boxed {
+			m.Args = nil
+		}
+		if err := decodeInvokeArgs(m, raw, false, false); err != nil {
+			panic(fmt.Sprintf("core: PE %d: %s: %v", p.pe, m.Method, err))
+		}
+		p.rt.rebindMsg(m)
+	}
+	return m.Args
+}
+
+// callEM performs the actual call of m. A type with entry-method handles
+// attached (Compiled mode) dispatches through the method's typed handle with
+// no reflection, reading the argument bytes m's box kept, if it kept them,
+// straight into the parameters. Every other call — Interpreted mode, a type
+// without handles, or a handle that declines because an argument needs
+// coercion — takes the one reflective path: a per-call name lookup with
+// permissive argument coercion, modelling interpreted dispatch (DESIGN.md).
 //
 // unpacked reports that the method received its arguments as typed
-// parameters copied out of args, so that args itself is free again when the
-// call returns. A variadic method is handed a slice reflect builds around
-// them, which it may keep.
-func (p *peState) callEM(el *element, info *emInfo, args []any) (ret any, unpacked bool) {
+// parameters copied out of m, so that m's box is free again when the call
+// returns. A variadic method is handed a slice reflect builds around them,
+// which it may keep.
+func (p *peState) callEM(el *element, info *emInfo, m *Message) (ret any, unpacked bool) {
 	if b := el.coll.ct.typed; b != nil {
-		if ret, ok := b.ems[info.id].call(el.iface, args); ok {
+		e, ok := &b.ems[info.id], false
+		if len(m.raw) > 0 && e.wire != nil {
+			ret, ok = e.wire(e.fn, el.iface, m.raw, p.rt)
+		}
+		if !ok {
+			ret, ok = e.call(el.iface, p.rebindArgs(el, p.argList(m)))
+		}
+		if ok {
 			if o := p.rt.obs; o != nil {
 				o.dispatched(dispTyped)
 			}
@@ -795,6 +817,7 @@ func (p *peState) callEM(el *element, info *emInfo, args []any) (ret any, unpack
 	if o := p.rt.obs; o != nil {
 		o.dispatched(dispReflective)
 	}
+	args := p.rebindArgs(el, p.argList(m))
 	mv := el.obj.MethodByName(info.name)
 	if !mv.IsValid() {
 		panic(fmt.Sprintf("core: %s has no method %s", el.coll.ct.name, info.name))
@@ -833,7 +856,7 @@ func coerceArg(a any, t reflect.Type) reflect.Value {
 
 // ---- threaded entry methods (paper section II-H) ----
 
-func (p *peState) runThreaded(el *element, info *emInfo, m *Message, args []any) {
+func (p *peState) runThreaded(el *element, info *emInfo, m *Message) {
 	th := &emThread{resume: make(chan struct{}), el: el}
 	el.liveThreads++
 	p.curThread = th
@@ -849,7 +872,7 @@ func (p *peState) runThreaded(el *element, info *emInfo, m *Message, args []any)
 					pv = r
 				}
 			}()
-			ret, _ := p.callEM(el, info, args)
+			ret, _ := p.callEM(el, info, m)
 			if m.Fut.valid() {
 				p.rt.sendFutureSet(m.Fut, ret)
 			}

@@ -96,7 +96,9 @@ func (pr Proxy) invoke(method string, args []any, fut FutureRef) {
 	// m stays on this stack, and so does the caller's args slice: a
 	// same-node delivery copies both into an invoke box, a broadcast into a
 	// Message of its own, and the aggregator serializes an invoke for another
-	// node straight into the batch buffer (sendInvoke).
+	// node straight into the batch buffer (sendInvoke). args goes there
+	// beside m, not in it: escape analysis does not tell m's fields apart, and
+	// the batch keeps m.Method for its repeat header.
 	m := Message{
 		Kind:   mInvoke,
 		CID:    pr.CID,
@@ -135,13 +137,10 @@ func (pr Proxy) invoke(method string, args []any, fut FutureRef) {
 		rt.sendLocal(pe, pr.p.boxInvoke(&m, args))
 		return
 	}
-	// The typed encoders are called indirectly, so whatever they are handed
-	// escapes: a copy of args, not args.
-	m.Args = cloneArgs(args)
-	rt.sendInvoke(pe, &m)
+	rt.sendInvoke(pe, &m, args)
 }
 
-// cloneArgs copies args for a path that lets them escape, so that the
+// cloneArgs copies args for a broadcast, which keeps them, so that the
 // caller's own slice can stay on its stack (slices.Clone's growslice is slower).
 func cloneArgs(args []any) []any {
 	c := make([]any, len(args))

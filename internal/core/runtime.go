@@ -396,10 +396,10 @@ func (rt *Runtime) send(pe PE, m *Message) {
 	rt.agg.send(rt.countWire(pe, m.Src), pe, m)
 }
 
-// sendInvoke is send for an invoke that admit routed to another node. m is
-// only read, so it can live on the caller's stack (Proxy.invoke).
-func (rt *Runtime) sendInvoke(pe PE, m *Message) {
-	rt.agg.sendInvoke(rt.countWire(pe, m.Src), pe, m)
+// sendInvoke is send for an invoke, with arguments args, that admit routed to
+// another node: both are only read, so they stay on the caller's stack.
+func (rt *Runtime) sendInvoke(pe PE, m *Message, args []any) {
+	rt.agg.sendInvoke(rt.countWire(pe, m.Src), pe, m, args)
 }
 
 // admit checks and resolves a send's destination and counts and traces the

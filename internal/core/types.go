@@ -217,26 +217,32 @@ func (r FutureRef) valid() bool { return r.ID != 0 }
 // passed by pointer with Args by reference (the CharmPy same-process
 // optimization); across nodes it is serialized.
 type Message struct {
-	Kind   msgKind
-	CID    CID
-	Idx    []int  // destination element; nil means broadcast to collection
-	MID    int32  // static entry-method id; -1 means dispatch by Method name
-	Method string // entry-method name (dynamic dispatch, diagnostics)
-	Src    PE
-	Fut    FutureRef // completion/return future (proxy ret=true)
-	Args   []any
-	Ctl    any  // control payload for non-invoke kinds
-	hops   int8 // forwarding hop count (location management loop guard)
+	Kind msgKind
+	hops int8 // forwarding hop count (location management loop guard)
 
 	// boxed marks an invoke in a box from the node's box list (wire.go),
-	// which a decoder or a same-node Proxy.invoke took: Idx and Args point at
-	// storage that is reused once the box is returned. Only the PE dispatch
-	// loop (for the message it dequeued) and recheck (for a when-buffered one
-	// it took out of el.buf) return one, and only after invoking it inline;
-	// whoever else holds the pointer or the slices keeps them, and the box is
-	// then left to the GC. Cleared by send and copyOf. Unexported:
-	// node-local, never serialized.
+	// which a decoder or a same-node Proxy.invoke took: Idx, Args and raw
+	// point at storage that is reused once the box is returned. Only the PE
+	// dispatch loop (for the message it dequeued) and recheck (for a
+	// when-buffered one it took out of el.buf) return one, and only after
+	// invoking it inline; whoever else holds the pointer or the slices keeps
+	// them, and the box is then left to the GC. Cleared by send and copyOf.
+	// Unexported: node-local, never serialized.
 	boxed bool
+
+	CID    CID
+	Idx    []int // destination element; nil means broadcast to collection
+	MID    int32 // static entry-method id; -1 means dispatch by Method name
+	Src    PE
+	Method string    // entry-method name (dynamic dispatch, diagnostics)
+	Fut    FutureRef // completion/return future (proxy ret=true)
+	Args   []any
+	Ctl    any // control payload for non-invoke kinds
+
+	// raw is the encoded argument list a box keeps for a typed handle that
+	// reads its parameters off it (binding.keeps); Args is then empty until
+	// something needs the list (peState.argList). Node-local.
+	raw []byte
 
 	// enq is the tracer-relative enqueue time, stamped at mailbox push only
 	// when tracing is enabled; the dequeue side turns it into queue-wait

@@ -117,19 +117,13 @@ func buildWireTables(types map[string]*chareType) *wireTables {
 	return wt
 }
 
-// encodeMsg serializes a message into a fresh frame without interning.
-// Hot paths use appendMsg with a pooled buffer and the runtime's tables.
-func encodeMsg(dest PE, m *Message) []byte {
-	return appendMsg(nil, dest, m, nil)
-}
-
 // appendMsg appends the frame for m to dst and returns the extended slice.
 // With a pooled, pre-sized dst it performs no allocations outside the gob
 // fallback. wt may be nil (method names are then shipped as strings).
 func appendMsg(dst []byte, dest PE, m *Message, wt *wireTables) []byte {
 	switch m.Kind {
 	case mInvoke:
-		return appendInvoke(dst, dest, m, wt)
+		return appendInvoke(dst, dest, m, m.Args, wt)
 	case mFutureSet:
 		dst = appendFrameHdr(dst, dest, m.Kind)
 		fs := m.Ctl.(*futSetMsg)
@@ -158,11 +152,12 @@ func appendFrameHdr(dst []byte, dest PE, kind msgKind) []byte {
 	return append(dst, byte(kind))
 }
 
-// appendInvoke is appendMsg for an mInvoke, and the whole of its encoder. It
-// only reads m — handing m to gob is what makes appendMsg's argument escape —
-// so a sender that knows it has an invoke for another node (Proxy.invoke)
-// keeps the Message on its stack and calls this directly.
-func appendInvoke(dst []byte, dest PE, m *Message, wt *wireTables) []byte {
+// appendInvoke is appendMsg for an mInvoke with arguments args, and the whole
+// of its encoder. It only reads m and args — handing m to gob is what makes
+// appendMsg's argument escape — so a sender that knows it has an invoke for
+// another node (Proxy.invoke) keeps both on its stack and calls this through
+// aggregator.sendInvoke.
+func appendInvoke(dst []byte, dest PE, m *Message, args []any, wt *wireTables) []byte {
 	dst = appendFrameHdr(dst, dest, mInvoke)
 	dst = binary.AppendVarint(dst, int64(m.CID))
 	dst = binary.AppendVarint(dst, int64(m.Src))
@@ -171,20 +166,24 @@ func appendInvoke(dst []byte, dest PE, m *Message, wt *wireTables) []byte {
 	dst = binary.AppendVarint(dst, m.Fut.ID)
 	dst = appendMethod(dst, m.Method, wt)
 	dst = appendIdx(dst, m.Idx)
-	return appendInvokeArgs(dst, m)
+	return appendInvokeArgs(dst, m, args)
 }
 
 // appendInvokeArgs is appendInvoke's argument half, and the whole body of a
 // repeat sub-frame. It uses the handle's typed encoder when the send path
 // resolved one; that is byte-identical with ser.AppendArgs, so receivers
-// decode either way.
-func appendInvokeArgs(dst []byte, m *Message) []byte {
+// decode either way. A decoded invoke sent on with its bytes kept (m.raw)
+// goes as it came.
+func appendInvokeArgs(dst []byte, m *Message, args []any) []byte {
+	if len(m.raw) > 0 {
+		return append(dst, m.raw...)
+	}
 	if m.typed != nil {
-		if out, ok := m.typed.encodeArgs(dst, m.MID, m.Args); ok {
+		if out, ok := m.typed.encodeArgs(dst, m.MID, args); ok {
 			return out
 		}
 	}
-	dst, err := ser.AppendArgs(dst, m.Args)
+	dst, err := ser.AppendArgs(dst, args)
 	if err != nil {
 		panic(fmt.Sprintf("core: cannot serialize arguments of %s: %v", m.Method, err))
 	}
@@ -214,15 +213,6 @@ func appendIdx(dst []byte, idx []int) []byte {
 		dst = binary.AppendVarint(dst, int64(v))
 	}
 	return dst
-}
-
-// decodeMsg decodes a frame without interning tables (test/diagnostic use).
-func decodeMsg(frame []byte) (PE, *Message, error) {
-	return decodeMsgWT(frame, nil)
-}
-
-func decodeMsgWT(frame []byte, wt *wireTables) (PE, *Message, error) {
-	return decodeMsgFull(frame, wt, false, nil, nil)
 }
 
 // decodeFrame is the runtime's ingress decoder: it additionally resolves
@@ -299,15 +289,21 @@ func decodeInvoke(m *Message, body []byte, wt *wireTables, alias bool, rt *Runti
 			m.typed = meta.ct.typed // chare types with handles decode through them
 		}
 	}
-	return decodeInvokeArgs(m, r.rest(), alias)
+	return decodeInvokeArgs(m, r.rest(), alias, true)
 }
 
 // decodeInvokeArgs is decodeInvoke's argument half, and the whole decoder of
-// a repeat sub-frame's body. m.typed's decoder goes first (byte-identical
-// format); a decline — signature drift, hand-built frame — falls through to
-// the generic decoder, which also reports any real error.
-func decodeInvokeArgs(m *Message, data []byte, alias bool) error {
+// a repeat sub-frame's body. With keep, an invoke whose handle reads its
+// parameters off the encoded list (binding.keeps) keeps the bytes in m.raw
+// instead. Otherwise m.typed's decoder goes first (byte-identical format); a
+// decline — signature drift, hand-built frame — falls through to the generic
+// decoder, which also reports any real error.
+func decodeInvokeArgs(m *Message, data []byte, alias, keep bool) error {
 	if b := m.typed; b != nil {
+		if keep && len(data) > 0 && b.keeps(m.MID) {
+			m.raw = append(m.raw[:0], data...)
+			return nil
+		}
 		if args, _, ok := b.decodeArgs(m.Args[:0], m.MID, data, alias); ok {
 			m.Args = args
 			return nil
@@ -396,7 +392,7 @@ func (b *batchReader) next() (PE, *Message, error) {
 	m.Kind, m.boxed, m.typed = mInvoke, true, h.typed
 	m.Src, m.MID, m.CID, m.Fut, m.Method = h.src, h.mid, h.cid, h.fut, h.method
 	m.Idx = append(m.Idx[:0], h.idx[:h.n]...)
-	if err := decodeInvokeArgs(m, sub, false); err != nil {
+	if err := decodeInvokeArgs(m, sub, false, true); err != nil {
 		b.boxes.giveBack(m)
 		return 0, nil, err
 	}
@@ -407,25 +403,28 @@ func (b *batchReader) next() (PE, *Message, error) {
 //
 // Message ownership. Every decoded invoke lives in an invokeBox, and so does
 // every same-node unicast invoke (Proxy.invoke fills a box from the issuing
-// PE's stock); boxes are recycled. A box is returned only right after its
-// entry method ran inline with Args unpacked into typed parameters (the
-// typed handle or the reflective path did that before user code
-// ran, so nothing the method did can still see it), and only by
+// PE's stock); boxes are recycled. A decoded invoke for a handle whose
+// parameters are all fixed-size keeps its argument bytes (raw), not a list.
+// A box is returned only right after its entry method ran inline with its
+// arguments unpacked into typed parameters (the typed handle, its wire call
+// or the reflective path did that before user code ran, so nothing the
+// method did can still see them), and only by
 //   - the PE dispatch loop, for the message it dequeued;
 //   - recheck, for a when-buffered message it has just taken out of el.buf,
 //     the only reference left: deliverOrBuffer buffers the message being
 //     dispatched without marking it spent, or one from a pending list
 //     already dropped, and only recheck and migrateOut read el.buf.
 // Keeping the pointer or one of its slices (a pending list, a threaded
-// method, a re-send, a copy for a broadcast, a variadic method that is
-// handed Args itself) therefore needs no action: that box is simply never
+// method, a re-send, which sends kept bytes as they came, a copy for a
+// broadcast, which decodes them into slots of its own, a variadic method that
+// is handed Args itself) therefore needs no action: that box is simply never
 // returned, and the GC collects it like any other message. A missed recycle
 // costs one object; a wrong one cannot happen without writing a third return.
 
 // invokeBox bundles a decoded invoke message with a small inline index
 // buffer, so one object holds the message and its (typically ≤4-dim)
 // element index. m.Idx points into idx for as long as the box lives; m.Args
-// keeps whatever argument slots earlier uses of the box grew.
+// and m.raw keep whatever capacity earlier uses of the box grew.
 type invokeBox struct {
 	m   Message
 	idx [4]int
@@ -576,15 +575,15 @@ func (s *boxStock) giveBack(m *Message) {
 }
 
 // resetBox empties a box for its next use: every reference it held is
-// dropped, its index and argument slots stay (poisoned, under
-// Runtime.poisonBoxes).
+// dropped, its index and argument slots and byte capacity stay (poisoned,
+// under Runtime.poisonBoxes).
 func resetBox(m *Message, poison bool) {
 	args := m.Args[:cap(m.Args)]
 	clear(args)
 	if len(args) > boxArgSlots {
 		args = nil
 	}
-	*m = Message{Idx: m.Idx[:0], Args: args[:0]}
+	*m = Message{Idx: m.Idx[:0], Args: args[:0], raw: m.raw[:0]}
 	if poison {
 		poisonBox(m)
 	}
@@ -596,8 +595,8 @@ const (
 	poisonIdx    = -0x0b0cced
 )
 
-// poisonBox fills an empty box's method, index slots and argument slots with
-// the sentinels (tests): whoever still looks at the box sees them.
+// poisonBox fills an empty box's method, index, argument slots and kept
+// bytes with the sentinels (tests): whoever still looks at the box sees them.
 func poisonBox(m *Message) {
 	m.Method = poisonMethod
 	idx := m.Idx[:cap(m.Idx)]
@@ -607,6 +606,10 @@ func poisonBox(m *Message) {
 	args := m.Args[:cap(m.Args)]
 	for i := range args {
 		args[i] = poisonMethod
+	}
+	raw := m.raw[:cap(m.raw)]
+	for i := range raw {
+		raw[i] = 0xff // an argument count that never ends
 	}
 }
 
@@ -677,8 +680,6 @@ func (r *reader) method(wt *wireTables) string {
 	}
 	return wt.names[id]
 }
-
-func (r *reader) idx() []int { return r.idxInto(nil) }
 
 // idxInto decodes an index into buf when it fits, so callers with an inline
 // buffer (see invokeBox) avoid a per-message allocation.

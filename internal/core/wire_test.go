@@ -5,6 +5,21 @@ import (
 	"testing/quick"
 )
 
+// encodeMsg serializes a message into a fresh frame without interning.
+// The runtime uses appendMsg with a pooled buffer and its tables.
+func encodeMsg(dest PE, m *Message) []byte {
+	return appendMsg(nil, dest, m, nil)
+}
+
+// decodeMsg decodes a frame without interning tables.
+func decodeMsg(frame []byte) (PE, *Message, error) {
+	return decodeMsgWT(frame, nil)
+}
+
+func decodeMsgWT(frame []byte, wt *wireTables) (PE, *Message, error) {
+	return decodeMsgFull(frame, wt, false, nil, nil)
+}
+
 func roundtripMsg(t *testing.T, dest PE, m *Message) (PE, *Message) {
 	t.Helper()
 	frame := encodeMsg(dest, m)

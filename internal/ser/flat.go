@@ -47,7 +47,8 @@ type FlatDecoder func(d *Dec) (any, bool)
 type flatCodec struct {
 	name string
 	enc  FlatEncoder
-	dec  FlatDecoder
+	dec  FlatDecoder  // nil for a RegisterFlatStruct codec
+	st   reflect.Type // RegisterFlatStruct's struct type, read by readFlatStruct
 }
 
 // flatCodecs is the registry, copied on write: codecs are registered during
@@ -69,13 +70,17 @@ func init() { flatReg.Store(&flatCodecs{}) }
 // the given wire name. Duplicate registration of the same name panics: two
 // types colliding on one name could not be told apart on the wire.
 func RegisterFlat(name string, sample any, enc FlatEncoder, dec FlatDecoder) {
+	registerFlat(&flatCodec{name: name, enc: enc, dec: dec}, sample)
+}
+
+func registerFlat(c *flatCodec, sample any) {
 	flatMu.Lock()
 	defer flatMu.Unlock()
 	old := flatReg.Load()
+	name := c.name
 	if _, dup := old.byName[name]; dup {
 		panic(fmt.Sprintf("ser: duplicate flat codec name %q", name))
 	}
-	c := &flatCodec{name: name, enc: enc, dec: dec}
 	next := &flatCodecs{
 		byType: make(map[reflect.Type]*flatCodec, len(old.byType)+1),
 		byName: make(map[string]*flatCodec, len(old.byName)+1),
@@ -128,30 +133,37 @@ func RegisterFlatStruct(t reflect.Type) bool {
 			return false
 		}
 	}
-	RegisterFlat(t.PkgPath()+"."+t.Name(), reflect.Zero(t).Interface(),
-		func(dst []byte, v any) ([]byte, bool) {
-			rv := reflect.ValueOf(v)
-			if rv.Type() != t {
-				return dst, false
-			}
-			dst = AppendCount(dst, n)
-			for i := 0; i < n; i++ {
-				dst = appendFlatField(dst, rv.Field(i))
-			}
-			return dst, true
-		},
-		func(d *Dec) (any, bool) {
-			if d.Count() != n {
-				d.Abort(t.Name() + " field count")
-				return nil, false
-			}
-			rv := reflect.New(t).Elem()
-			for i := 0; i < n; i++ {
-				readFlatField(d, rv.Field(i))
-			}
-			return rv.Interface(), d.Ok()
-		})
+	enc := func(dst []byte, v any) ([]byte, bool) {
+		rv := reflect.ValueOf(v)
+		if rv.Type() != t {
+			return dst, false
+		}
+		dst = AppendCount(dst, n)
+		for i := 0; i < n; i++ {
+			dst = appendFlatField(dst, rv.Field(i))
+		}
+		return dst, true
+	}
+	registerFlat(&flatCodec{name: t.PkgPath() + "." + t.Name(), enc: enc, st: t}, reflect.Zero(t).Interface())
 	return true
+}
+
+// readFlatStruct is the decoder of RegisterFlatStruct's codec for t. It is
+// called directly, not through a func value, so that d stays on its caller's
+// stack. The value costs two allocations, reflect.New's and the interface's
+// copy of it: without unsafe, reflect can only set the fields of a value it
+// has to copy out again.
+func readFlatStruct(d *Dec, t reflect.Type) (any, bool) {
+	n := t.NumField()
+	if d.Count() != n {
+		d.Abort(t.Name() + " field count")
+		return nil, false
+	}
+	rv := reflect.New(t).Elem()
+	for i := 0; i < n; i++ {
+		readFlatField(d, rv.Field(i))
+	}
+	return rv.Interface(), d.Ok()
 }
 
 func appendFlatField(dst []byte, f reflect.Value) []byte {
@@ -251,7 +263,14 @@ func decodeFlat(data []byte, alias bool, depth int) (any, int, error) {
 		return nil, 0, fmt.Errorf("no flat codec registered for %q", name)
 	}
 	d := Dec{data: data[pos:], alias: alias, depth: depth}
-	v, ok := c.dec(&d)
+	var v any
+	if c.st != nil {
+		v, ok = readFlatStruct(&d, c.st)
+	} else {
+		hd := d // what a func value is handed escapes: only this path pays for it
+		v, ok = c.dec(&hd)
+		d = hd
+	}
 	if !ok {
 		if d.err == nil {
 			d.err = fmt.Errorf("flat decode of %q failed", name)
