@@ -61,7 +61,7 @@ check: build lint guards
 # guards, the one-clock-read-per-entry-method count, a smoke of the bound
 # when-guard benchmark (0 allocs/op, target <= 30 ns; it fails if an
 # evaluation allocates), the tests that pin the aggregator's flush rules and
-# the kvservice timeout and close-at-once tests; then, under the race
+# the kvservice timeout, boot and close-at-once tests; then, under the race
 # detector at 1, 2 and 8 scheduler threads, the two that race a parking PE or
 # a starting node, the one that poisons every returned invoke box (and checks
 # the run semantics: per-sender FIFO, kept messages), the one that sends
@@ -70,16 +70,16 @@ check: build lint guards
 # repeat sub-frames at both ends of the wire, the scheduler's own
 # per-sender FIFO and one-PE-at-a-time tests (TestPerSenderFIFO,
 # TestSingleExecution, the second across migrations), the handles' wire
-# identity (encoders, decoders and wire calls against ser), and the quiescence
+# identity (wire calls against ser), and the quiescence
 # tests 20 times over (qd-soak: QD_COUNT = 200 times, the gate for a change
 # to the counting sites of DESIGN.md §quiescence).
 QD_TESTS = TestQuiescence|TestQDNotEarly|TestStressMultiNode
 QD_COUNT ?= 200
 guards:
 	$(GO) test -count=1 -run 'TestStencilFineAllocGuard|TestKVRequestAllocGuard|TestRemoteInvokeAllocGuard' .
-	$(GO) test -count=1 -run 'TestMessageSizeClass|TestAppendMsgAllocs|TestDecodeArgsAllocs|TestDecodeErrorReturnsBox|TestOneClockReadPerEM' -bench 'BenchmarkWhenGuardBlock' -benchtime 100x ./internal/core
+	$(GO) test -count=1 -run 'TestMessageSizeClass|TestAppendMsgAllocs|TestDecodeArgsAllocs|TestDecodeFlatArgsAllocs|TestDecodeErrorReturnsBox|TestOneClockReadPerEM' -bench 'BenchmarkWhenGuardBlock' -benchtime 100x ./internal/core
 	$(GO) test -count=1 -run 'TestSenderFlushesWhenAllPEsParked|TestNoStrandedSendUnderParkRace|TestFloodStillBatches|TestBackstopFlushesPinnedPE' ./internal/core
-	$(GO) test -count=1 -run 'TestServiceCloseImmediately|TestCallTimeoutStillFires' ./internal/elastic
+	$(GO) test -count=1 -run 'TestServiceCloseImmediately|TestCallTimeoutStillFires|TestBootIgnoresRequestTimeout' ./internal/elastic
 	for p in 1 2 8; do \
 		GOMAXPROCS=$$p $(GO) test -race -count=1 -run 'TestNoStrandedSendUnderParkRace|TestRecycledBoxNeverObserved|TestForeignGoroutineInvoke|TestBatchRepeatHeaders|TestPerSenderFIFO|TestSingleExecution|TestHandleWireIdentity' ./internal/core && \
 		GOMAXPROCS=$$p $(GO) test -race -count=1 -run 'TestServiceCloseImmediately' ./internal/elastic || exit 1; \

@@ -22,18 +22,16 @@ import (
 // parameter, and the 1 is in the runtime's small-value cache. With
 // arguments of 256 to 1000, as stream_tcp sends, what is left is the
 // caller's own interface box of the int: 1 allocation, 8 B. The flood waits
-// for the running total every remoteCredit messages, as stream_tcp does, so
-// that the backlog and the boxes it holds stay bounded and the figures are
-// per message (the byte bound holds without the race detector, whose
-// runtime allocates too). It was 4 — the args slice, the sender's Message, the
-// receiver's box and its argument list — then 1, the copy of args the sender
-// made for the typed encoder. A regression means one of them, the decoded
+// for the running total every remoteCredit messages (benchRemoteRate), so
+// the figures are per message (the byte bound holds without the race
+// detector, whose runtime allocates too). It was 4 — the args slice, the
+// sender's Message, the receiver's box and its argument list — then 1, the
+// copy of args the sender made for the typed encoder. A regression means one of them, the decoded
 // argument list, or instrumentation is back on the path.
 func TestRemoteInvokeAllocGuard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark guard, skipped in -short")
 	}
-	const remoteCredit = 16384
 	for _, c := range []struct {
 		name          string
 		arg           func(i int) int
@@ -44,7 +42,7 @@ func TestRemoteInvokeAllocGuard(t *testing.T) {
 	} {
 		res := testing.Benchmark(func(b *testing.B) {
 			nw := transport.NewMemNetwork(2)
-			benchRemoteRate(b, []transport.Transport{nw.Endpoint(0), nw.Endpoint(1)}, c.arg, remoteCredit)
+			benchRemoteRate(b, []transport.Transport{nw.Endpoint(0), nw.Endpoint(1)}, c.arg)
 		})
 		a, n := res.AllocsPerOp(), res.AllocedBytesPerOp()
 		t.Logf("%s: %d allocs/op, %d B/op over %d invokes", c.name, a, n, res.N)

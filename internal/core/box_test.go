@@ -298,7 +298,7 @@ func keptBytesJob(t *testing.T) {
 		rt.poisonBoxes = true
 		rt.holdEM = func(p *peState, m *Message) {
 			switch {
-			case p.rt.nodeID != 1 || m.typed == nil:
+			case p.rt.nodeID != 1 || m.MID < 0:
 			case len(m.raw) > 0:
 				nWire.Add(1)
 				if m.boxed {

@@ -3,12 +3,10 @@ package core
 import "reflect"
 
 // BoundMethod is one entry-method handle bound in the running binary, with
-// its typed codecs, for the external wire-identity test.
+// its wire call, for the external wire-identity test.
 type BoundMethod struct {
 	Chare  reflect.Type // the chare struct type
 	Method string
-	Enc    func(dst []byte, args []any) ([]byte, bool)
-	Dec    func(dst []any, data []byte, alias bool) ([]any, int, bool)
 	// Wire runs the handle's wire call on data with a stand-in for the
 	// method that records the parameters it receives (called reports
 	// whether it ran); nil unless the handle reads its parameters off the
@@ -22,12 +20,10 @@ type BoundMethod struct {
 func BoundMethods() []BoundMethod {
 	var out []BoundMethod
 	bindings.Range(func(k, v any) bool {
-		b := v.(*binding)
-		for i, e := range b.ems {
+		for _, e := range v.(*binding).ems {
 			if !e.method {
 				continue
 			}
-			id := int32(i)
 			var wire func([]byte) ([]any, bool, bool)
 			if e.wire != nil {
 				wire = func(data []byte) (params []any, called, ok bool) {
@@ -51,12 +47,6 @@ func BoundMethods() []BoundMethod {
 				Wire:   wire,
 				Chare:  k.(reflect.Type),
 				Method: e.name,
-				Enc: func(dst []byte, args []any) ([]byte, bool) {
-					return b.encodeArgs(dst, id, args)
-				},
-				Dec: func(dst []any, data []byte, alias bool) ([]any, int, bool) {
-					return b.decodeArgs(dst, id, data, alias)
-				},
 			})
 		}
 		return true

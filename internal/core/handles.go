@@ -12,11 +12,13 @@
 //
 // A handle is a generic closure that asserts the receiver and the arguments
 // and calls the method directly: no reflect.Value, no name lookup, no
-// coercion. Each parameter's codec is picked once, when Bind runs, so the
-// arguments are written and read through ser's typed appenders and readers,
-// byte-identical with ser.AppendArgs. In Compiled mode Register attaches the
-// handles: calls ship the method id and take the typed path. Interpreted mode
-// attaches none; chares without handles keep the reflective (and
+// coercion. Arguments cross the wire through one ser codec (ser.AppendArgs,
+// ser.DecodeArgsInto); fixed-size parameters are read straight from the
+// received bytes: a handle whose parameters are all fixed-size (bool, int,
+// int64, float64, Future) has a wire call, and a box for it keeps the
+// argument bytes instead of a decoded list. In Compiled mode Register attaches
+// the handles: calls ship the method id and take the typed path. Interpreted
+// mode attaches none; chares without handles keep the reflective (and
 // gob-fallback) paths, on the same wire format. This is the repo's model of
 // Charm++'s charmxi-generated stubs, with Go generics in place of a
 // translator, and of Charm4Py's move from interpreted method lookup to
@@ -254,54 +256,23 @@ func EM2R[T, A, B, R any](f func(*T, A, B) R) EM {
 	}}
 }
 
-// argCodec is how one parameter crosses the wire: a typed appender and
-// reader for ser's direct-copy set, proxies and futures, or (argAny) ser's
-// generic per-argument path for every other type (interfaces, []any, maps,
-// flat and gob-encoded structs). The codecs up to argFuture are fixed-size:
-// a handle with those alone reads its parameters at the call (EM.wire).
-type argCodec uint8
-
-const (
-	argAny argCodec = iota
-	argBool
-	argInt
-	argInt64
-	argFloat64
-	argFuture
-	argString
-	argBytes
-	argF64s
-	argF32s
-	argI64s
-	argI32s
-	argInts
-	argProxy
-)
-
-var argCodecs = map[reflect.Type]argCodec{
-	reflect.TypeFor[bool]():      argBool,
-	reflect.TypeFor[int]():       argInt,
-	reflect.TypeFor[int64]():     argInt64,
-	reflect.TypeFor[float64]():   argFloat64,
-	reflect.TypeFor[string]():    argString,
-	reflect.TypeFor[[]byte]():    argBytes,
-	reflect.TypeFor[[]float64](): argF64s,
-	reflect.TypeFor[[]float32](): argF32s,
-	reflect.TypeFor[[]int64]():   argI64s,
-	reflect.TypeFor[[]int32]():   argI32s,
-	reflect.TypeFor[[]int]():     argInts,
-	reflect.TypeFor[Proxy]():     argProxy,
-	reflect.TypeFor[Future]():    argFuture,
+// fixedArgs are the parameter types whose values have a fixed-size
+// encoding. A handle with parameters of these alone reads them at the call
+// (EM.wire), so a box keeps its arguments' bytes rather than a list.
+var fixedArgs = map[reflect.Type]bool{
+	reflect.TypeFor[bool](): true, reflect.TypeFor[int](): true,
+	reflect.TypeFor[int64](): true, reflect.TypeFor[float64](): true,
+	reflect.TypeFor[Future](): true,
 }
 
-// boundEM is a handle as Bind leaves it: named, with its parameter codecs.
+// boundEM is a handle as Bind leaves it: named, and with a wire call only
+// if its invokes keep their argument bytes.
 type boundEM struct {
 	name   string // the method's name, or the func's full name if it is no method of *T
 	method bool   // name is a method of *T
 	fn     any
 	call   func(obj any, args []any) (any, bool)
-	wire   func(fn, obj any, data []byte, rt *Runtime) (any, bool) // nil unless every codec in args is fixed-size
-	args   []argCodec
+	wire   func(fn, obj any, data []byte, rt *Runtime) (any, bool) // nil unless every parameter is in fixedArgs
 }
 
 // binding is the handle set of one chare type, sorted by name so that a
@@ -332,14 +303,12 @@ func Bind[T any](hs ...EM) {
 		}
 		for a := 1; a < ft.NumIn(); a++ {
 			pt := ft.In(a)
-			c, ok := argCodecs[pt]
-			if !ok && pt.Kind() == reflect.Struct {
-				ser.RegisterFlatStruct(pt)
+			if pt.Kind() == reflect.Struct {
+				ser.RegisterFlatStruct(pt) // declines Proxy and Future: they have codecs of their own (below)
 			}
-			if c == argAny || c > argFuture {
+			if !fixedArgs[pt] {
 				e.wire = nil
 			}
-			e.args = append(e.args, c)
 		}
 		b.ems[i] = e
 	}
@@ -380,9 +349,10 @@ func bindingFor(st reflect.Type, methods []string) *binding {
 	return b
 }
 
-// keeps reports whether a decoded invoke of method id keeps its argument bytes.
+// keeps reports whether a decoded invoke of method id keeps its argument
+// bytes; never for a type without handles attached (b nil).
 func (b *binding) keeps(id int32) bool {
-	return id >= 0 && int(id) < len(b.ems) && b.ems[id].wire != nil
+	return b != nil && id >= 0 && int(id) < len(b.ems) && b.ems[id].wire != nil
 }
 
 // wireOpen starts a wire call of n parameters on obj: ok if data lists n.
@@ -392,7 +362,7 @@ func wireOpen[T any](obj any, data []byte, n int) (*T, ser.Dec, bool) {
 	return self, d, ok && d.Count() == n
 }
 
-// readArg reads a parameter of a fixed-size codec, a Future bound to rt as
+// readArg reads a parameter of a fixedArgs type, a Future bound to rt as
 // delivery would bind it.
 func readArg[A any](d *ser.Dec, rt *Runtime) (v A) {
 	switch p := any(&v).(type) {
@@ -405,157 +375,12 @@ func readArg[A any](d *ser.Dec, rt *Runtime) (v A) {
 	case *float64:
 		*p = d.Float64()
 	case *Future:
-		*p = readFutureArg(d)
+		if d.FlatHeader(futureFlatName) {
+			*p = readFutureFields(d)
+		}
 		p.rt = rt
 	}
 	return v
-}
-
-// encodeArgs appends the argument list for method id through the handle's
-// typed codecs, byte-identical with ser.AppendArgs. ok=false (an argument
-// is not of its parameter's type) leaves dst as it came.
-func (b *binding) encodeArgs(dst []byte, id int32, args []any) ([]byte, bool) {
-	if id < 0 || int(id) >= len(b.ems) {
-		return dst, false
-	}
-	codecs := b.ems[id].args
-	if len(args) != len(codecs) {
-		return dst, false
-	}
-	start := len(dst)
-	dst = ser.AppendCount(dst, len(codecs))
-	for i, c := range codecs {
-		a, ok := args[i], true
-		switch c {
-		case argBool:
-			var v bool
-			if v, ok = a.(bool); ok {
-				dst = ser.AppendBool(dst, v)
-			}
-		case argInt:
-			var v int
-			if v, ok = a.(int); ok {
-				dst = ser.AppendInt(dst, v)
-			}
-		case argInt64:
-			var v int64
-			if v, ok = a.(int64); ok {
-				dst = ser.AppendInt64(dst, v)
-			}
-		case argFloat64:
-			var v float64
-			if v, ok = a.(float64); ok {
-				dst = ser.AppendFloat64(dst, v)
-			}
-		case argString:
-			var v string
-			if v, ok = a.(string); ok {
-				dst = ser.AppendString(dst, v)
-			}
-		case argBytes:
-			var v []byte
-			if v, ok = a.([]byte); ok {
-				dst = ser.AppendBytes(dst, v)
-			}
-		case argF64s:
-			var v []float64
-			if v, ok = a.([]float64); ok {
-				dst = ser.AppendF64s(dst, v)
-			}
-		case argF32s:
-			var v []float32
-			if v, ok = a.([]float32); ok {
-				dst = ser.AppendF32s(dst, v)
-			}
-		case argI64s:
-			var v []int64
-			if v, ok = a.([]int64); ok {
-				dst = ser.AppendI64s(dst, v)
-			}
-		case argI32s:
-			var v []int32
-			if v, ok = a.([]int32); ok {
-				dst = ser.AppendI32s(dst, v)
-			}
-		case argInts:
-			var v []int
-			if v, ok = a.([]int); ok {
-				dst = ser.AppendInts(dst, v)
-			}
-		case argProxy:
-			var v Proxy
-			if v, ok = a.(Proxy); ok {
-				dst = appendProxyArg(dst, v)
-			}
-		case argFuture:
-			var v Future
-			if v, ok = a.(Future); ok {
-				dst = appendFutureArg(dst, v)
-			}
-		default:
-			var err error
-			dst, err = ser.AppendAny(dst, a)
-			ok = err == nil
-		}
-		if !ok {
-			return dst[:start], false
-		}
-	}
-	return dst, true
-}
-
-// decodeArgs decodes an argument list for method id through the handle's
-// typed codecs, appending the arguments to dst (the receiver's recycled
-// slots, wire.go) and returning the bytes consumed. ok=false means fall back
-// to ser.DecodeArgsInto, which also reports any real error.
-func (b *binding) decodeArgs(dst []any, id int32, data []byte, alias bool) ([]any, int, bool) {
-	if id < 0 || int(id) >= len(b.ems) {
-		return dst, 0, false
-	}
-	codecs := b.ems[id].args
-	d := ser.NewDec(data, alias)
-	if d.Count() != len(codecs) {
-		return dst, 0, false
-	}
-	out := dst
-	for _, c := range codecs {
-		var a any
-		switch c {
-		case argBool:
-			a = d.Bool()
-		case argInt:
-			a = d.Int()
-		case argInt64:
-			a = d.Int64()
-		case argFloat64:
-			a = d.Float64()
-		case argString:
-			a = d.Str()
-		case argBytes:
-			a = d.Bytes()
-		case argF64s:
-			a = d.F64s()
-		case argF32s:
-			a = d.F32s()
-		case argI64s:
-			a = d.I64s()
-		case argI32s:
-			a = d.I32s()
-		case argInts:
-			a = d.Ints()
-		case argProxy:
-			a = readProxyArg(&d)
-		case argFuture:
-			a = readFutureArg(&d)
-		default:
-			a = d.Any()
-		}
-		out = append(out, a)
-	}
-	if !d.Ok() {
-		return dst, 0, false
-	}
-	return out, d.Used(), true
 }
 
 // Proxies and futures are the most common non-primitive entry-method
@@ -602,35 +427,6 @@ func readFutureFields(d *ser.Dec) Future {
 	return f
 }
 
-// appendProxyArg appends a Proxy argument in the flat wire encoding,
-// byte-identical with the generic path.
-func appendProxyArg(dst []byte, p Proxy) []byte {
-	return appendProxyFields(ser.AppendFlatHeader(dst, proxyFlatName), p)
-}
-
-// readProxyArg reads a Proxy argument written by appendProxyArg (or the
-// generic encoder). The proxy is unbound; delivery rebinds it.
-func readProxyArg(d *ser.Dec) Proxy {
-	if !d.FlatHeader(proxyFlatName) {
-		return Proxy{}
-	}
-	return readProxyFields(d)
-}
-
-// appendFutureArg appends a Future argument in the flat wire encoding.
-func appendFutureArg(dst []byte, f Future) []byte {
-	return appendFutureFields(ser.AppendFlatHeader(dst, futureFlatName), f)
-}
-
-// readFutureArg reads a Future argument written by appendFutureArg (or the
-// generic encoder). The future is unbound; delivery rebinds it.
-func readFutureArg(d *ser.Dec) Future {
-	if !d.FlatHeader(futureFlatName) {
-		return Future{}
-	}
-	return readFutureFields(d)
-}
-
 func init() {
 	ser.RegisterFlat(proxyFlatName, Proxy{},
 		func(dst []byte, v any) ([]byte, bool) {
@@ -640,9 +436,10 @@ func init() {
 			}
 			return appendProxyFields(dst, p), true
 		},
-		func(d *ser.Dec) (any, bool) {
-			p := readProxyFields(d)
-			return p, d.Ok()
+		func(data []byte) (any, int, error) {
+			d := ser.NewDec(data, false)
+			p := readProxyFields(&d)
+			return p, d.Used(), d.Err()
 		})
 	ser.RegisterFlat(futureFlatName, Future{},
 		func(dst []byte, v any) ([]byte, bool) {
@@ -652,8 +449,9 @@ func init() {
 			}
 			return appendFutureFields(dst, f), true
 		},
-		func(d *ser.Dec) (any, bool) {
-			f := readFutureFields(d)
-			return f, d.Ok()
+		func(data []byte) (any, int, error) {
+			d := ser.NewDec(data, false)
+			f := readFutureFields(&d)
+			return f, d.Used(), d.Err()
 		})
 }

@@ -1,10 +1,10 @@
 package core
 
 // Tests for typed entry-method handles on the runtime side: attachment at
-// Register in Compiled mode only, typed codec use on the wire path, coercion
-// fallback, and the startup panic for a handle set that does not match the
-// type's entry methods. handles_wire_test.go holds every shipped handle's
-// codecs to ser.AppendArgs byte for byte.
+// Register in Compiled mode only, coercion fallback, the startup panic for a
+// handle set that does not match the type's entry methods, and the flat
+// codecs of Proxy and Future. handles_wire_test.go holds every shipped
+// handle's wire call to ser.DecodeArgs.
 
 import (
 	"strings"
@@ -82,7 +82,7 @@ func TestInterpretedIgnoresBindings(t *testing.T) {
 		rt.holdEM = func(p *peState, m *Message) {
 			switch {
 			case m.Method == "Run": // the main chare
-			case m.MID >= 0 || m.typed != nil:
+			case m.MID >= 0:
 				byID.Add(1)
 			default:
 				byName.Add(1)
@@ -189,5 +189,40 @@ func TestProxyFutureFlatCodec(t *testing.T) {
 	f := out[2].(Future)
 	if f.Ref.PE != 5 || f.Ref.ID != 42 {
 		t.Errorf("future decoded as %+v", f)
+	}
+}
+
+// TestDecodeFlatArgsAllocs bounds what the generic decoder costs for core's
+// flat values decoded into recycled argument slots, the path of every list a
+// box does not keep: a Future costs its interface box, a Proxy that and its
+// index, a string its bytes and its box. Each read one more (2, 3 and 4)
+// while ser handed the decoders registered for Proxy and Future a heap copy
+// of its reader.
+func TestDecodeFlatArgsAllocs(t *testing.T) {
+	fut := Future{Ref: FutureRef{PE: 1, ID: 1 << 40}}
+	for _, c := range []struct {
+		name string
+		args []any
+		want float64
+	}{
+		{"[Future]", []any{fut}, 1},
+		{"[Proxy]", []any{Proxy{CID: 3, Elem: []int{1, 2}}}, 2},
+		{"[key, Future]", []any{"key", fut}, 3},
+	} {
+		data, err := ser.AppendArgs(nil, c.args)
+		if err != nil {
+			t.Fatal(err)
+		}
+		slots := make([]any, 0, len(c.args))
+		got := testing.AllocsPerRun(200, func() {
+			out, used, err := ser.DecodeArgsInto(slots[:0], data, false)
+			if err != nil || used != len(data) || len(out) != len(c.args) {
+				t.Fatalf("%s: decoded %d args from %d of %d bytes: %v", c.name, len(out), used, len(data), err)
+			}
+		})
+		t.Logf("%s: %.1f allocs", c.name, got)
+		if got > c.want {
+			t.Errorf("%s into recycled slots: %.1f allocs, want <= %.0f", c.name, got, c.want)
+		}
 	}
 }

@@ -113,17 +113,16 @@ func (pr Proxy) invoke(method string, args []any, fut FutureRef) {
 	}
 	// meta.ct was resolved once at collection creation; no registry lock on
 	// the per-message path. A type with entry-method handles attached
-	// (Compiled mode) ships the method id and encodes through the typed
-	// codecs; any other ships the name, which the receiver resolves by
-	// reflection.
+	// (Compiled mode) ships the method id; any other ships the name, which
+	// the receiver resolves by reflection.
 	meta := rt.collMeta(pr.CID)
 	if meta != nil && meta.ct != nil {
 		info, ok := meta.ct.byName[method]
 		if !ok {
 			panic(fmt.Sprintf("core: chare type %s has no entry method %q", meta.Type, method))
 		}
-		if b := meta.ct.typed; b != nil {
-			m.MID, m.typed = info.id, b
+		if meta.ct.typed != nil {
+			m.MID = info.id
 		}
 	}
 	if pr.Elem == nil {

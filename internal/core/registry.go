@@ -18,7 +18,7 @@ type DispatchMode uint8
 const (
 	// StaticDispatch is Compiled mode, the model of Charm++: Register attaches
 	// the type's typed entry-method handles (Bind), so calls ship a method id
-	// and run through a typed closure and typed codecs.
+	// and run through a typed closure.
 	StaticDispatch DispatchMode = iota
 	// DynamicDispatch is Interpreted mode, the model of CharmPy: Register
 	// attaches no handles, so calls ship the method name and are resolved

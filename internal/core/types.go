@@ -255,12 +255,6 @@ type Message struct {
 	// the last PE runs the release hook. Unexported: node-local, never
 	// serialized.
 	shared *msgShared
-
-	// typed carries the destination chare type's entry-method handles,
-	// resolved once at send time (proxy.invoke) so appendMsg can encode Args
-	// through the typed encoder instead of the reflective generic one.
-	// Unexported: node-local, never serialized.
-	typed *binding
 }
 
 // copyOf returns a private copy of m for one more receiver of a broadcast.

@@ -170,18 +170,11 @@ func appendInvoke(dst []byte, dest PE, m *Message, args []any, wt *wireTables) [
 }
 
 // appendInvokeArgs is appendInvoke's argument half, and the whole body of a
-// repeat sub-frame. It uses the handle's typed encoder when the send path
-// resolved one; that is byte-identical with ser.AppendArgs, so receivers
-// decode either way. A decoded invoke sent on with its bytes kept (m.raw)
+// repeat sub-frame. A decoded invoke sent on with its bytes kept (m.raw)
 // goes as it came.
 func appendInvokeArgs(dst []byte, m *Message, args []any) []byte {
 	if len(m.raw) > 0 {
 		return append(dst, m.raw...)
-	}
-	if m.typed != nil {
-		if out, ok := m.typed.encodeArgs(dst, m.MID, args); ok {
-			return out
-		}
 	}
 	dst, err := ser.AppendArgs(dst, args)
 	if err != nil {
@@ -215,11 +208,10 @@ func appendIdx(dst []byte, idx []int) []byte {
 	return dst
 }
 
-// decodeFrame is the runtime's ingress decoder: it additionally resolves
-// entry-method handles for invoke frames, so argument lists of bound chare
-// types decode through their typed readers instead of the reflective
-// generic decoder, and it takes invoke boxes from the caller's stock (nil:
-// a new box per invoke).
+// decodeFrame is the runtime's ingress decoder: for an invoke frame it
+// additionally resolves whether the method's entry-method handle reads its
+// parameters off the argument bytes, which the box then keeps, and it takes
+// invoke boxes from the caller's stock (nil: a new box per invoke).
 //
 // owned is for a frame the caller owns outright and keeps immutable and
 // un-recycled for the lifetime of the message: []byte arguments alias the
@@ -284,30 +276,23 @@ func decodeInvoke(m *Message, body []byte, wt *wireTables, alias bool, rt *Runti
 		return r.err // m.Idx keeps its slots for giveBack
 	}
 	m.Idx = idx
+	keep := false
 	if rt != nil && m.MID >= 0 {
 		if meta := rt.collMeta(m.CID); meta != nil && meta.ct != nil {
-			m.typed = meta.ct.typed // chare types with handles decode through them
+			keep = meta.ct.typed.keeps(m.MID)
 		}
 	}
-	return decodeInvokeArgs(m, r.rest(), alias, true)
+	return decodeInvokeArgs(m, r.rest(), alias, keep)
 }
 
 // decodeInvokeArgs is decodeInvoke's argument half, and the whole decoder of
-// a repeat sub-frame's body. With keep, an invoke whose handle reads its
-// parameters off the encoded list (binding.keeps) keeps the bytes in m.raw
-// instead. Otherwise m.typed's decoder goes first (byte-identical format); a
-// decline — signature drift, hand-built frame — falls through to the generic
-// decoder, which also reports any real error.
+// a repeat sub-frame's body. With keep (the handle reads its parameters off
+// the encoded list, binding.keeps) the bytes go to m.raw; otherwise ser's
+// decoder reads them into the box's argument slots and reports any error.
 func decodeInvokeArgs(m *Message, data []byte, alias, keep bool) error {
-	if b := m.typed; b != nil {
-		if keep && len(data) > 0 && b.keeps(m.MID) {
-			m.raw = append(m.raw[:0], data...)
-			return nil
-		}
-		if args, _, ok := b.decodeArgs(m.Args[:0], m.MID, data, alias); ok {
-			m.Args = args
-			return nil
-		}
+	if keep && len(data) > 0 {
+		m.raw = append(m.raw[:0], data...)
+		return nil
 	}
 	args, _, err := ser.DecodeArgsInto(m.Args[:0], data, alias)
 	if err != nil {
@@ -318,23 +303,23 @@ func decodeInvokeArgs(m *Message, data []byte, alias, keep bool) error {
 }
 
 // invokeHdr is the header a repeat sub-frame carries over: everything
-// appendInvoke writes before the arguments, and the entry-method handles that
-// encode them (sender) or decodes them (receiver). Only an index of 1 to 4
-// ints is carried over; n == 0 means there is no header to carry.
+// appendInvoke writes before the arguments, and (receiver) whether its
+// invokes keep their argument bytes. Only an index of 1 to 4 ints is carried
+// over; n == 0 means there is no header to carry.
 type invokeHdr struct {
 	dest, src PE
 	mid       int32
 	cid       CID
 	fut       FutureRef
 	method    string
-	typed     *binding
+	keep      bool
 	n         int // len(idx) in use
 	idx       [4]int
 }
 
 // set makes the header of m, an invoke to dest, the one to carry over.
 func (h *invokeHdr) set(dest PE, m *Message) {
-	h.dest, h.src, h.mid, h.cid, h.fut, h.method, h.typed = dest, m.Src, m.MID, m.CID, m.Fut, m.Method, m.typed
+	h.dest, h.src, h.mid, h.cid, h.fut, h.method = dest, m.Src, m.MID, m.CID, m.Fut, m.Method
 	if h.n = copy(h.idx[:], m.Idx); h.n < len(m.Idx) {
 		h.n = 0
 	}
@@ -343,7 +328,7 @@ func (h *invokeHdr) set(dest PE, m *Message) {
 // matches reports whether an invoke of m to dest has header h.
 func (h *invokeHdr) matches(dest PE, m *Message) bool {
 	return h.n != 0 && dest == h.dest && m.Src == h.src && m.MID == h.mid && m.CID == h.cid &&
-		m.Fut == h.fut && m.typed == h.typed && m.Method == h.method && slices.Equal(m.Idx, h.idx[:h.n])
+		m.Fut == h.fut && m.Method == h.method && slices.Equal(m.Idx, h.idx[:h.n])
 }
 
 // batchReader decodes a batch frame's sub-frames one by one, carrying each
@@ -352,7 +337,7 @@ func (h *invokeHdr) matches(dest PE, m *Message) bool {
 type batchReader struct {
 	body   []byte // the sub-frames not yet read
 	wt     *wireTables
-	rt     *Runtime // resolves typed decoders; nil decodes generically
+	rt     *Runtime // resolves which invokes keep their argument bytes; nil: none
 	boxes  *boxStock
 	last   invokeHdr // the header a repeat carries over
 	repeat bool      // the sub-frame next returned last was a repeat
@@ -382,6 +367,7 @@ func (b *batchReader) next() (PE, *Message, error) {
 		dest, m, err := decodeMsgFull(sub, b.wt, false, b.rt, b.boxes)
 		if err == nil && m.Kind == mInvoke {
 			b.last.set(dest, m)
+			b.last.keep = len(m.raw) > 0
 		}
 		return dest, m, err
 	}
@@ -389,10 +375,10 @@ func (b *batchReader) next() (PE, *Message, error) {
 		return 0, nil, errors.New("repeat sub-frame with no invoke header before it")
 	}
 	m, h := b.boxes.take(), &b.last // filled as decodeInvoke would have
-	m.Kind, m.boxed, m.typed = mInvoke, true, h.typed
+	m.Kind, m.boxed = mInvoke, true
 	m.Src, m.MID, m.CID, m.Fut, m.Method = h.src, h.mid, h.cid, h.fut, h.method
 	m.Idx = append(m.Idx[:0], h.idx[:h.n]...)
-	if err := decodeInvokeArgs(m, sub, false, true); err != nil {
+	if err := decodeInvokeArgs(m, sub, false, h.keep); err != nil {
 		b.boxes.giveBack(m)
 		return 0, nil, err
 	}

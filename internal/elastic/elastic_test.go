@@ -279,6 +279,17 @@ func TestServiceCloseImmediately(t *testing.T) {
 	}
 }
 
+// TestBootIgnoresRequestTimeout checks that RequestTimeout bounds requests,
+// not the cluster's boot: a service whose requests may take a nanosecond
+// still comes up.
+func TestBootIgnoresRequestTimeout(t *testing.T) {
+	svc, err := NewService(ServiceConfig{Nodes: 2, PEs: 1, Shards: 2, RequestTimeout: time.Nanosecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.Close()
+}
+
 // TestCallTimeoutStillFires checks the pooled request timer against a shard
 // that never replies (its node's endpoint is closed, so the request frame is
 // dropped): the call fails with the timeout error after RequestTimeout, the

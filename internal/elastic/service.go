@@ -94,6 +94,11 @@ type Service struct {
 	closed   sync.Once
 }
 
+// bootTimeout bounds NewService's wait for the cluster's Shard array. It is
+// not RequestTimeout, which bounds requests: a service may answer within
+// milliseconds and still take longer than that to boot on a loaded machine.
+const bootTimeout = 20 * time.Second
+
 // NewService boots the cluster and blocks until the Shard array exists.
 func NewService(cfg ServiceConfig) (*Service, error) {
 	if cfg.Nodes <= 0 {
@@ -171,7 +176,7 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 	}
 	select {
 	case s.arr = <-ready:
-	case <-time.After(cfg.RequestTimeout):
+	case <-time.After(bootTimeout):
 		s.Close()
 		return nil, errors.New("elastic: service cluster did not come up")
 	}

@@ -2,10 +2,9 @@
 // struct values. RegisterFlatStruct builds one per eligible struct type
 // (every field exported and of a direct-copy type), core's entry-method
 // handles ask for one for each struct parameter, and core registers
-// hand-written ones for Proxy and Future. Once registered, the generic path
-// (AppendArgs/DecodeArgs) routes values of that type through the flat codec
-// instead of gob, so typed and generic encoders stay byte-identical on the
-// wire and a node with entry-method handles interoperates with one without.
+// hand-written ones for Proxy and Future. Once registered, the argument
+// codec (AppendArgs/DecodeArgs) routes values of that type through the flat
+// codec instead of gob.
 //
 // Wire format of a flat value:
 //
@@ -20,7 +19,9 @@
 package ser
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/gob"
 	"fmt"
 	"math"
 	"reflect"
@@ -40,9 +41,11 @@ const maxFlatDepth = 32
 // On false it must return dst unmodified.
 type FlatEncoder func(dst []byte, v any) ([]byte, bool)
 
-// FlatDecoder reads the flat field list from d and returns the decoded value.
-// On failure it returns ok=false (d records the detailed error).
-type FlatDecoder func(d *Dec) (any, bool)
+// FlatDecoder reads the flat field list at the start of data and returns the
+// decoded value and the bytes it used. It is handed bytes, not the decoder's
+// Dec: what a func value is handed escapes, and the Dec must stay on its
+// caller's stack.
+type FlatDecoder func(data []byte) (v any, used int, err error)
 
 type flatCodec struct {
 	name string
@@ -139,7 +142,7 @@ func RegisterFlatStruct(t reflect.Type) bool {
 			return dst, false
 		}
 		dst = AppendCount(dst, n)
-		for i := 0; i < n; i++ {
+		for i := range n {
 			dst = appendFlatField(dst, rv.Field(i))
 		}
 		return dst, true
@@ -153,46 +156,40 @@ func RegisterFlatStruct(t reflect.Type) bool {
 // stack. The value costs two allocations, reflect.New's and the interface's
 // copy of it: without unsafe, reflect can only set the fields of a value it
 // has to copy out again.
-func readFlatStruct(d *Dec, t reflect.Type) (any, bool) {
+func readFlatStruct(d *Dec, t reflect.Type) any {
 	n := t.NumField()
 	if d.Count() != n {
-		d.Abort(t.Name() + " field count")
-		return nil, false
+		d.fail("%s field count", t.Name())
+		return nil
 	}
 	rv := reflect.New(t).Elem()
-	for i := 0; i < n; i++ {
+	for i := range n {
 		readFlatField(d, rv.Field(i))
 	}
-	return rv.Interface(), d.Ok()
+	return rv.Interface()
 }
 
 func appendFlatField(dst []byte, f reflect.Value) []byte {
 	switch f.Kind() {
 	case reflect.Bool:
-		return AppendBool(dst, f.Bool())
+		return appendBool(dst, f.Bool())
 	case reflect.Int:
 		return AppendInt(dst, int(f.Int()))
 	case reflect.Int64:
 		return AppendInt64(dst, f.Int())
 	case reflect.Float64:
-		return AppendFloat64(dst, f.Float())
+		return appendFloat64(dst, f.Float())
 	case reflect.String:
-		return AppendString(dst, f.String())
+		return appendString(dst, f.String())
 	}
-	switch s := f.Interface().(type) {
-	case []byte:
-		return AppendBytesOrNil(dst, s)
-	case []float64:
-		return AppendF64sOrNil(dst, s)
-	case []float32:
-		return AppendF32sOrNil(dst, s)
-	case []int64:
-		return AppendI64sOrNil(dst, s)
-	case []int32:
-		return AppendI32sOrNil(dst, s)
-	default:
-		return AppendIntsOrNil(dst, s.([]int))
+	// A slice of the direct-copy set. A nil one is an explicit tagNil: gob,
+	// which flat codecs replace for struct values, tells nil from empty, where
+	// top-level arguments collapse nil to empty.
+	if f.IsNil() {
+		return append(dst, tagNil)
 	}
+	dst, _ = appendOne(dst, f.Interface()) // cannot fail: every such slice has its own tag
+	return dst
 }
 
 func readFlatField(d *Dec, f reflect.Value) {
@@ -206,24 +203,16 @@ func readFlatField(d *Dec, f reflect.Value) {
 	case reflect.Float64:
 		f.SetFloat(d.Float64())
 	case reflect.String:
-		f.SetString(d.Str())
+		f.SetString(d.str())
 	default:
-		var s any
-		switch f.Type().Elem().Kind() {
-		case reflect.Uint8:
-			s = d.BytesOrNil()
-		case reflect.Float64:
-			s = d.F64sOrNil()
-		case reflect.Float32:
-			s = d.F32sOrNil()
-		case reflect.Int64:
-			s = d.I64sOrNil()
-		case reflect.Int32:
-			s = d.I32sOrNil()
-		default:
-			s = d.IntsOrNil()
+		// A slice, or tagNil, which leaves the field nil.
+		if s := d.value(); s != nil && d.err == nil {
+			if v := reflect.ValueOf(s); v.Type() == f.Type() {
+				f.Set(v)
+			} else {
+				d.fail("flat field of type %v holds a %T", f.Type(), s)
+			}
 		}
-		f.Set(reflect.ValueOf(s))
 	}
 }
 
@@ -235,56 +224,18 @@ func appendFlat(dst []byte, v any) ([]byte, bool) {
 	if !ok {
 		return dst, false
 	}
-	mark := len(dst)
-	dst = append(dst, tagFlat)
-	dst = binary.AppendUvarint(dst, uint64(len(c.name)))
-	dst = append(dst, c.name...)
-	out, ok := c.enc(dst, v)
+	out, ok := c.enc(appendFlatHeader(dst, c.name), v)
 	if !ok {
-		return dst[:mark], false
+		return dst, false
 	}
 	return out, true
 }
 
-// decodeFlat decodes a flat value; data starts just past the tagFlat byte.
-// Returns the value and bytes consumed (excluding the tag byte).
-func decodeFlat(data []byte, alias bool, depth int) (any, int, error) {
-	if depth > maxFlatDepth {
-		return nil, 0, fmt.Errorf("flat value nested deeper than %d", maxFlatDepth)
-	}
-	l, n := binary.Uvarint(data)
-	if n <= 0 || l > uint64(len(data)-n) {
-		return nil, 0, fmt.Errorf("bad flat type name length")
-	}
-	name := data[n : n+int(l)]
-	pos := n + int(l)
-	c, ok := flatReg.Load().byName[string(name)]
-	if !ok {
-		return nil, 0, fmt.Errorf("no flat codec registered for %q", name)
-	}
-	d := Dec{data: data[pos:], alias: alias, depth: depth}
-	var v any
-	if c.st != nil {
-		v, ok = readFlatStruct(&d, c.st)
-	} else {
-		hd := d // what a func value is handed escapes: only this path pays for it
-		v, ok = c.dec(&hd)
-		d = hd
-	}
-	if !ok {
-		if d.err == nil {
-			d.err = fmt.Errorf("flat decode of %q failed", name)
-		}
-		return nil, 0, fmt.Errorf("flat %q: %w", name, d.err)
-	}
-	return v, pos + d.pos, nil
-}
-
 // ---------------------------------------------------------------------------
-// Typed appenders. Each writes exactly the bytes appendOne writes for the
-// same value, so core's typed entry-method encoders are byte-identical with the
-// generic AppendArgs path. AppendCount writes the leading argument/field
-// count.
+// Writers of the one argument codec: one per type, each writing the bytes
+// appendOne writes for a value of it. AppendCount writes the leading
+// argument (or flat field) count; it, AppendInt, AppendInt64 and
+// AppendIntsOrNil are exported for the field lists of core's flat codecs.
 // ---------------------------------------------------------------------------
 
 // AppendCount appends the uvarint argument (or flat field) count.
@@ -292,11 +243,7 @@ func AppendCount(dst []byte, n int) []byte {
 	return binary.AppendUvarint(dst, uint64(n))
 }
 
-// AppendNil appends an explicit nil argument.
-func AppendNil(dst []byte) []byte { return append(dst, tagNil) }
-
-// AppendBool appends a bool argument.
-func AppendBool(dst []byte, v bool) []byte {
+func appendBool(dst []byte, v bool) []byte {
 	if v {
 		return append(dst, tagTrue)
 	}
@@ -315,29 +262,25 @@ func AppendInt64(dst []byte, v int64) []byte {
 	return binary.AppendVarint(dst, v)
 }
 
-// AppendFloat64 appends a float64 argument.
-func AppendFloat64(dst []byte, v float64) []byte {
+func appendFloat64(dst []byte, v float64) []byte {
 	dst = append(dst, tagFloat64)
 	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
 }
 
-// AppendString appends a string argument.
-func AppendString(dst []byte, v string) []byte {
+func appendString(dst []byte, v string) []byte {
 	dst = append(dst, tagString)
 	dst = binary.AppendUvarint(dst, uint64(len(v)))
 	return append(dst, v...)
 }
 
-// AppendBytes appends a []byte argument (nil encodes as length 0, like the
-// generic path).
-func AppendBytes(dst []byte, v []byte) []byte {
+// appendBytes writes nil as length 0: a top-level nil []byte decodes empty.
+func appendBytes(dst []byte, v []byte) []byte {
 	dst = append(dst, tagBytes)
 	dst = binary.AppendUvarint(dst, uint64(len(v)))
 	return append(dst, v...)
 }
 
-// AppendF64s appends a []float64 argument.
-func AppendF64s(dst []byte, v []float64) []byte {
+func appendF64s(dst []byte, v []float64) []byte {
 	dst = append(dst, tagF64Slice)
 	dst = binary.AppendUvarint(dst, uint64(len(v)))
 	for _, f := range v {
@@ -346,8 +289,7 @@ func AppendF64s(dst []byte, v []float64) []byte {
 	return dst
 }
 
-// AppendF32s appends a []float32 argument.
-func AppendF32s(dst []byte, v []float32) []byte {
+func appendF32s(dst []byte, v []float32) []byte {
 	dst = append(dst, tagF32Slice)
 	dst = binary.AppendUvarint(dst, uint64(len(v)))
 	for _, f := range v {
@@ -356,8 +298,7 @@ func AppendF32s(dst []byte, v []float32) []byte {
 	return dst
 }
 
-// AppendI64s appends an []int64 argument.
-func AppendI64s(dst []byte, v []int64) []byte {
+func appendI64s(dst []byte, v []int64) []byte {
 	dst = append(dst, tagI64Slice)
 	dst = binary.AppendUvarint(dst, uint64(len(v)))
 	for _, x := range v {
@@ -366,8 +307,7 @@ func AppendI64s(dst []byte, v []int64) []byte {
 	return dst
 }
 
-// AppendI32s appends an []int32 argument.
-func AppendI32s(dst []byte, v []int32) []byte {
+func appendI32s(dst []byte, v []int32) []byte {
 	dst = append(dst, tagI32Slice)
 	dst = binary.AppendUvarint(dst, uint64(len(v)))
 	for _, x := range v {
@@ -376,8 +316,7 @@ func AppendI32s(dst []byte, v []int32) []byte {
 	return dst
 }
 
-// AppendInts appends an []int argument.
-func AppendInts(dst []byte, v []int) []byte {
+func appendInts(dst []byte, v []int) []byte {
 	dst = append(dst, tagIntSlice)
 	dst = binary.AppendUvarint(dst, uint64(len(v)))
 	for _, x := range v {
@@ -386,79 +325,30 @@ func AppendInts(dst []byte, v []int) []byte {
 	return dst
 }
 
-// AppendAny appends an arbitrary value through the full generic encoder
-// (flat registry, then gob). Typed encoders use it for parameter types
-// without a specialized appender.
-func AppendAny(dst []byte, v any) ([]byte, error) { return appendOne(dst, v) }
+// AppendIntsOrNil appends an []int flat field, a nil one as tagNil (see
+// appendFlatField).
+func AppendIntsOrNil(dst []byte, v []int) []byte {
+	if v == nil {
+		return append(dst, tagNil)
+	}
+	return appendInts(dst, v)
+}
 
-// AppendFlatHeader appends the tagFlat marker and type name that precede a
-// flat value's field list. Typed encoders write flat values of statically
-// known types with it directly, skipping the registry's reflect.TypeOf
-// lookup; the bytes are identical to the generic path's.
-func AppendFlatHeader(dst []byte, name string) []byte {
+// appendFlatHeader appends the tagFlat marker and type name that precede a
+// flat value's field list.
+func appendFlatHeader(dst []byte, name string) []byte {
 	dst = append(dst, tagFlat)
 	dst = binary.AppendUvarint(dst, uint64(len(name)))
 	return append(dst, name...)
 }
 
-// Nil-preserving slice variants, used for flat struct *fields* (gob, which
-// flat codecs replace for struct values, distinguishes nil from empty).
-// Top-level arguments keep the historical collapse-to-empty encoding.
-
-// AppendBytesOrNil is AppendBytes but encodes a nil slice as tagNil.
-func AppendBytesOrNil(dst []byte, v []byte) []byte {
-	if v == nil {
-		return append(dst, tagNil)
-	}
-	return AppendBytes(dst, v)
-}
-
-// AppendF64sOrNil is AppendF64s but encodes a nil slice as tagNil.
-func AppendF64sOrNil(dst []byte, v []float64) []byte {
-	if v == nil {
-		return append(dst, tagNil)
-	}
-	return AppendF64s(dst, v)
-}
-
-// AppendF32sOrNil is AppendF32s but encodes a nil slice as tagNil.
-func AppendF32sOrNil(dst []byte, v []float32) []byte {
-	if v == nil {
-		return append(dst, tagNil)
-	}
-	return AppendF32s(dst, v)
-}
-
-// AppendI64sOrNil is AppendI64s but encodes a nil slice as tagNil.
-func AppendI64sOrNil(dst []byte, v []int64) []byte {
-	if v == nil {
-		return append(dst, tagNil)
-	}
-	return AppendI64s(dst, v)
-}
-
-// AppendI32sOrNil is AppendI32s but encodes a nil slice as tagNil.
-func AppendI32sOrNil(dst []byte, v []int32) []byte {
-	if v == nil {
-		return append(dst, tagNil)
-	}
-	return AppendI32s(dst, v)
-}
-
-// AppendIntsOrNil is AppendInts but encodes a nil slice as tagNil.
-func AppendIntsOrNil(dst []byte, v []int) []byte {
-	if v == nil {
-		return append(dst, tagNil)
-	}
-	return AppendInts(dst, v)
-}
-
 // ---------------------------------------------------------------------------
-// Dec: a typed sequential reader over the argument wire format, for typed
-// decoders. On any malformed or type-mismatched input the reader goes sticky-
-// bad; the caller checks Ok() once at the end and falls back to the generic
-// reflect/gob decoder, which either succeeds (pure type mismatch) or produces
-// the authoritative error (corrupt frame).
+// Dec: the reader of the one argument codec. value is the generic decoder's
+// tag switch; the typed readers (Bool, Int, Int64, Float64, IntsOrNil) check
+// a tag and share its body reader, so each tag has one reader. Every declared
+// count and length is checked against the bytes left before it is used, by
+// division so that it cannot overflow. On any malformed or type-mismatched
+// input the reader goes sticky-bad; the caller checks Ok() once at the end.
 // ---------------------------------------------------------------------------
 
 // Dec reads an encoded argument list front to back.
@@ -466,7 +356,7 @@ type Dec struct {
 	data  []byte
 	pos   int
 	alias bool
-	depth int
+	depth int // flat values being read around the current one
 	err   error
 }
 
@@ -489,6 +379,11 @@ func (d *Dec) fail(format string, a ...any) {
 	}
 }
 
+// Abort marks the reader failed. Flat decoders use it for structural
+// mismatches the typed readers cannot express, such as an unexpected field
+// count.
+func (d *Dec) Abort(msg string) { d.fail("%s", msg) }
+
 // Count reads the leading uvarint argument/field count. Returns -1 on error.
 func (d *Dec) Count() int {
 	if d.err != nil {
@@ -501,11 +396,56 @@ func (d *Dec) Count() int {
 	}
 	// Every argument occupies at least its 1-byte tag.
 	if v > uint64(len(d.data)-d.pos-n) {
-		d.fail("argument count %d exceeds remaining bytes", v)
+		d.fail("argument count %d exceeds %d remaining bytes", v, len(d.data)-d.pos-n)
 		return -1
 	}
 	d.pos += n
 	return int(v)
+}
+
+// value reads one argument of whatever type its tag names.
+func (d *Dec) value() any {
+	if d.err != nil {
+		return nil
+	}
+	if d.pos >= len(d.data) {
+		d.fail("truncated argument")
+		return nil
+	}
+	tag := d.data[d.pos]
+	d.pos++
+	switch tag {
+	case tagNil:
+		return nil
+	case tagFalse, tagTrue:
+		return tag == tagTrue
+	case tagInt:
+		return int(d.varint())
+	case tagInt64:
+		return d.varint()
+	case tagFloat64:
+		return d.float64Body()
+	case tagString:
+		return d.strBody()
+	case tagBytes:
+		return d.bytesBody()
+	case tagF64Slice:
+		return d.f64sBody()
+	case tagF32Slice:
+		return d.f32sBody()
+	case tagI64Slice:
+		return d.i64sBody()
+	case tagI32Slice:
+		return d.i32sBody()
+	case tagIntSlice:
+		return d.intsBody()
+	case tagGob:
+		return d.gobBody()
+	case tagFlat:
+		return d.flatBody()
+	}
+	d.fail("unknown tag %d", tag)
+	return nil
 }
 
 // tag consumes and returns the next tag byte if it matches want.
@@ -525,15 +465,9 @@ func (d *Dec) tag(want byte) bool {
 	return true
 }
 
-// peekNil consumes a tagNil if present, reporting whether it did.
-func (d *Dec) peekNil() bool {
-	if d.err != nil || d.pos >= len(d.data) || d.data[d.pos] != tagNil {
-		return false
-	}
-	d.pos++
-	return true
-}
-
+// count reads a declared element count and validates it against the bytes
+// remaining, given a fixed element size: by division, which cannot
+// overflow, unlike the naive check of size*count.
 func (d *Dec) count(elemSize int) int {
 	v, n := binary.Uvarint(d.data[d.pos:])
 	if n <= 0 {
@@ -542,7 +476,7 @@ func (d *Dec) count(elemSize int) int {
 	}
 	d.pos += n
 	if v > uint64((len(d.data)-d.pos)/elemSize) {
-		d.fail("declared length %d exceeds remaining bytes", v)
+		d.fail("declared length %d exceeds %d remaining bytes", v, len(d.data)-d.pos)
 		return -1
 	}
 	return int(v)
@@ -600,6 +534,10 @@ func (d *Dec) Float64() float64 {
 	if !d.tag(tagFloat64) {
 		return 0
 	}
+	return d.float64Body()
+}
+
+func (d *Dec) float64Body() float64 {
 	if len(d.data)-d.pos < 8 {
 		d.fail("truncated payload")
 		return 0
@@ -609,11 +547,14 @@ func (d *Dec) Float64() float64 {
 	return v
 }
 
-// Str reads a string argument.
-func (d *Dec) Str() string {
+func (d *Dec) str() string {
 	if !d.tag(tagString) {
 		return ""
 	}
+	return d.strBody()
+}
+
+func (d *Dec) strBody() string {
 	l := d.count(1)
 	if l < 0 {
 		return ""
@@ -623,14 +564,7 @@ func (d *Dec) Str() string {
 	return s
 }
 
-// Bytes reads a []byte argument, aliasing the input in alias mode.
-func (d *Dec) Bytes() []byte {
-	if !d.tag(tagBytes) {
-		return nil
-	}
-	return d.bytesBody()
-}
-
+// bytesBody aliases the input in alias mode.
 func (d *Dec) bytesBody() []byte {
 	l := d.count(1)
 	if l < 0 {
@@ -647,14 +581,6 @@ func (d *Dec) bytesBody() []byte {
 	return out
 }
 
-// F64s reads a []float64 argument.
-func (d *Dec) F64s() []float64 {
-	if !d.tag(tagF64Slice) {
-		return nil
-	}
-	return d.f64sBody()
-}
-
 func (d *Dec) f64sBody() []float64 {
 	l := d.count(8)
 	if l < 0 {
@@ -666,14 +592,6 @@ func (d *Dec) f64sBody() []float64 {
 	}
 	d.pos += 8 * l
 	return out
-}
-
-// F32s reads a []float32 argument.
-func (d *Dec) F32s() []float32 {
-	if !d.tag(tagF32Slice) {
-		return nil
-	}
-	return d.f32sBody()
 }
 
 func (d *Dec) f32sBody() []float32 {
@@ -689,14 +607,6 @@ func (d *Dec) f32sBody() []float32 {
 	return out
 }
 
-// I64s reads an []int64 argument.
-func (d *Dec) I64s() []int64 {
-	if !d.tag(tagI64Slice) {
-		return nil
-	}
-	return d.i64sBody()
-}
-
 func (d *Dec) i64sBody() []int64 {
 	l := d.count(8)
 	if l < 0 {
@@ -708,14 +618,6 @@ func (d *Dec) i64sBody() []int64 {
 	}
 	d.pos += 8 * l
 	return out
-}
-
-// I32s reads an []int32 argument.
-func (d *Dec) I32s() []int32 {
-	if !d.tag(tagI32Slice) {
-		return nil
-	}
-	return d.i32sBody()
 }
 
 func (d *Dec) i32sBody() []int32 {
@@ -731,14 +633,6 @@ func (d *Dec) i32sBody() []int32 {
 	return out
 }
 
-// Ints reads an []int argument.
-func (d *Dec) Ints() []int {
-	if !d.tag(tagIntSlice) {
-		return nil
-	}
-	return d.intsBody()
-}
-
 func (d *Dec) intsBody() []int {
 	l := d.count(8)
 	if l < 0 {
@@ -752,94 +646,90 @@ func (d *Dec) intsBody() []int {
 	return out
 }
 
-// Nil-preserving slice readers, pairing the *OrNil appenders for flat struct
-// fields.
-
-// BytesOrNil reads a []byte field that may be an explicit nil.
-func (d *Dec) BytesOrNil() []byte {
-	if d.peekNil() {
-		return nil
-	}
-	return d.Bytes()
-}
-
-// F64sOrNil reads a []float64 field that may be an explicit nil.
-func (d *Dec) F64sOrNil() []float64 {
-	if d.peekNil() {
-		return nil
-	}
-	return d.F64s()
-}
-
-// F32sOrNil reads a []float32 field that may be an explicit nil.
-func (d *Dec) F32sOrNil() []float32 {
-	if d.peekNil() {
-		return nil
-	}
-	return d.F32s()
-}
-
-// I64sOrNil reads an []int64 field that may be an explicit nil.
-func (d *Dec) I64sOrNil() []int64 {
-	if d.peekNil() {
-		return nil
-	}
-	return d.I64s()
-}
-
-// I32sOrNil reads an []int32 field that may be an explicit nil.
-func (d *Dec) I32sOrNil() []int32 {
-	if d.peekNil() {
-		return nil
-	}
-	return d.I32s()
-}
-
-// IntsOrNil reads an []int field that may be an explicit nil.
-func (d *Dec) IntsOrNil() []int {
-	if d.peekNil() {
-		return nil
-	}
-	return d.Ints()
-}
-
-// FlatHeader consumes a flat value's tagFlat marker and type name,
-// verifying the name matches. Typed decoders of statically known flat
-// types use it in place of the registry's name lookup.
-func (d *Dec) FlatHeader(name string) bool {
-	if !d.tag(tagFlat) {
+// peekNil consumes a tagNil if present, reporting whether it did.
+func (d *Dec) peekNil() bool {
+	if d.err != nil || d.pos >= len(d.data) || d.data[d.pos] != tagNil {
 		return false
 	}
-	l := d.count(1)
-	if l < 0 {
-		return false
-	}
-	got := d.data[d.pos : d.pos+l]
-	d.pos += l
-	if string(got) != name {
-		d.fail("flat type mismatch: want %q, have %q", name, got)
-		return false
-	}
+	d.pos++
 	return true
 }
 
-// Abort marks the reader failed. Typed decoders use it for structural
-// mismatches the typed readers cannot express, such as an unexpected field
-// count.
-func (d *Dec) Abort(msg string) { d.fail("%s", msg) }
+// IntsOrNil reads an []int flat field that may be an explicit nil.
+func (d *Dec) IntsOrNil() []int {
+	if d.peekNil() || !d.tag(tagIntSlice) {
+		return nil
+	}
+	return d.intsBody()
+}
 
-// Any reads one argument of arbitrary type through the full generic decoder
-// (including gob and nested flat values). Typed decoders use it for
-// parameter types without a specialized reader.
-func (d *Dec) Any() any {
+// gobBody is the gob fallback's reader (pickle analog).
+func (d *Dec) gobBody() any {
+	l := d.count(1)
+	if l < 0 {
+		return nil
+	}
+	var out any
+	if err := gob.NewDecoder(bytes.NewReader(d.data[d.pos : d.pos+l])).Decode(&out); err != nil {
+		d.fail("gob decode: %w", err)
+		return nil
+	}
+	d.pos += l
+	return out
+}
+
+// flatName reads a flat value's type name, past its tagFlat.
+func (d *Dec) flatName() []byte {
+	l := d.count(1)
+	if l < 0 {
+		return nil
+	}
+	name := d.data[d.pos : d.pos+l]
+	d.pos += l
+	return name
+}
+
+// flatBody reads a flat value past its tagFlat: the type name, then the field
+// list through the codec registered under it. Flat values read around it
+// count towards maxFlatDepth.
+func (d *Dec) flatBody() any {
+	if d.depth > maxFlatDepth {
+		d.fail("flat value nested deeper than %d", maxFlatDepth)
+		return nil
+	}
+	name := d.flatName()
 	if d.err != nil {
 		return nil
 	}
-	v, used, err := decodeOneDepth(d.data[d.pos:], d.alias, d.depth+1)
+	c, ok := flatReg.Load().byName[string(name)]
+	if !ok {
+		d.fail("no flat codec registered for %q", name)
+		return nil
+	}
+	if c.st != nil {
+		d.depth++
+		v := readFlatStruct(d, c.st)
+		d.depth--
+		return v
+	}
+	v, used, err := c.dec(d.data[d.pos:])
 	if err != nil {
-		d.fail("%v", err)
+		d.fail("flat %q: %w", name, err)
 		return nil
 	}
 	d.pos += used
 	return v
+}
+
+// FlatHeader consumes a flat value's tagFlat marker and type name,
+// verifying the name matches. A reader of a statically known flat type uses
+// it in place of the registry's name lookup.
+func (d *Dec) FlatHeader(name string) bool {
+	if !d.tag(tagFlat) {
+		return false
+	}
+	if got := d.flatName(); d.err == nil && string(got) != name {
+		d.fail("flat type mismatch: want %q, have %q", name, got)
+	}
+	return d.err == nil
 }

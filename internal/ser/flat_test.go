@@ -25,10 +25,10 @@ const flatPointName = "charmgo/internal/ser.flatPoint"
 func appendFlatPointFields(dst []byte, v flatPoint) []byte {
 	dst = AppendCount(dst, 5)
 	dst = AppendInt(dst, v.N)
-	dst = AppendFloat64(dst, v.Scale)
-	dst = AppendString(dst, v.Name)
+	dst = appendFloat64(dst, v.Scale)
+	dst = appendString(dst, v.Name)
 	dst = AppendIntsOrNil(dst, v.Grid)
-	dst = AppendBytesOrNil(dst, v.Raw)
+	dst = appendBytesOrNil(dst, v.Raw)
 	return dst
 }
 
@@ -40,15 +40,30 @@ func readFlatPointFields(d *Dec) flatPoint {
 	}
 	v.N = d.Int()
 	v.Scale = d.Float64()
-	v.Name = d.Str()
+	v.Name = d.str()
 	v.Grid = d.IntsOrNil()
-	v.Raw = d.BytesOrNil()
+	v.Raw = readBytesOrNil(d)
 	return v
+}
+
+// appendBytesOrNil and readBytesOrNil spell out a nil-keeping []byte field.
+func appendBytesOrNil(dst []byte, v []byte) []byte {
+	if v == nil {
+		return append(dst, tagNil)
+	}
+	return appendBytes(dst, v)
+}
+
+func readBytesOrNil(d *Dec) []byte {
+	if d.peekNil() || !d.tag(tagBytes) {
+		return nil
+	}
+	return d.bytesBody()
 }
 
 // appendFlatPoint is the hand-written argument encoder (header + fields).
 func appendFlatPoint(dst []byte, v flatPoint) []byte {
-	return appendFlatPointFields(AppendFlatHeader(dst, flatPointName), v)
+	return appendFlatPointFields(appendFlatHeader(dst, flatPointName), v)
 }
 
 func registerFlatPoint() {
@@ -114,7 +129,7 @@ func TestFlatGenericAndGeneratedBytesIdentical(t *testing.T) {
 	gen := AppendCount(nil, 3)
 	gen = appendFlatPoint(gen, v)
 	gen = AppendInt(gen, 42)
-	gen = AppendString(gen, "tail")
+	gen = appendString(gen, "tail")
 	if !bytes.Equal(generic, gen) {
 		t.Fatalf("reflective and hand-written encodings differ:\n  reflective  %x\n  hand-written %x", generic, gen)
 	}
@@ -127,7 +142,7 @@ func TestFlatGenericAndGeneratedBytesIdentical(t *testing.T) {
 	if n := d.Int(); n != 42 {
 		t.Fatalf("Int: got %d (%v)", n, d.Err())
 	}
-	if s := d.Str(); s != "tail" {
+	if s := d.str(); s != "tail" {
 		t.Fatalf("Str: got %q (%v)", s, d.Err())
 	}
 	if !d.Ok() || d.Used() != len(gen) {
@@ -161,7 +176,7 @@ func TestFlatDecodeHostileInputs(t *testing.T) {
 	}
 	// Unknown wire name errors cleanly.
 	unknown := AppendCount(nil, 1)
-	unknown = appendFlatPointFields(AppendFlatHeader(unknown, "ser_test.noSuchType"), flatPoint{})
+	unknown = appendFlatPointFields(appendFlatHeader(unknown, "ser_test.noSuchType"), flatPoint{})
 	if _, _, err := DecodeArgs(unknown); err == nil {
 		t.Error("decoding an unregistered flat name should fail")
 	}

@@ -12,7 +12,10 @@
 //
 // The encoders are append-style (like strconv.AppendInt): they write into a
 // caller-supplied byte slice so a message can be serialized exactly once
-// into a pooled transport frame with no intermediate buffers.
+// into a pooled transport frame with no intermediate buffers. There is one
+// writer per type and one reader per tag (flat.go): the generic decoder's
+// tag switch (Dec.value) and the typed readers that core's entry-method
+// handles use on received bytes (Dec.Int, ...) share them.
 //
 // The wire format for an argument list is:
 //
@@ -24,7 +27,6 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"fmt"
-	"math"
 	"strings"
 )
 
@@ -95,68 +97,35 @@ func AppendArgs(dst []byte, args []any) ([]byte, error) {
 func appendOne(dst []byte, a any) ([]byte, error) {
 	switch v := a.(type) {
 	case nil:
-		dst = append(dst, tagNil)
+		return append(dst, tagNil), nil
 	case bool:
-		if v {
-			dst = append(dst, tagTrue)
-		} else {
-			dst = append(dst, tagFalse)
-		}
+		return appendBool(dst, v), nil
 	case int:
-		dst = append(dst, tagInt)
-		dst = binary.AppendVarint(dst, int64(v))
+		return AppendInt(dst, v), nil
 	case int64:
-		dst = append(dst, tagInt64)
-		dst = binary.AppendVarint(dst, v)
+		return AppendInt64(dst, v), nil
 	case float64:
-		dst = append(dst, tagFloat64)
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
+		return appendFloat64(dst, v), nil
 	case string:
-		dst = append(dst, tagString)
-		dst = binary.AppendUvarint(dst, uint64(len(v)))
-		dst = append(dst, v...)
+		return appendString(dst, v), nil
 	case []byte:
-		dst = append(dst, tagBytes)
-		dst = binary.AppendUvarint(dst, uint64(len(v)))
-		dst = append(dst, v...)
+		return appendBytes(dst, v), nil
 	case []float64:
-		dst = append(dst, tagF64Slice)
-		dst = binary.AppendUvarint(dst, uint64(len(v)))
-		for _, f := range v {
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(f))
-		}
+		return appendF64s(dst, v), nil
 	case []float32:
-		dst = append(dst, tagF32Slice)
-		dst = binary.AppendUvarint(dst, uint64(len(v)))
-		for _, f := range v {
-			dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(f))
-		}
+		return appendF32s(dst, v), nil
 	case []int64:
-		dst = append(dst, tagI64Slice)
-		dst = binary.AppendUvarint(dst, uint64(len(v)))
-		for _, x := range v {
-			dst = binary.LittleEndian.AppendUint64(dst, uint64(x))
-		}
+		return appendI64s(dst, v), nil
 	case []int32:
-		dst = append(dst, tagI32Slice)
-		dst = binary.AppendUvarint(dst, uint64(len(v)))
-		for _, x := range v {
-			dst = binary.LittleEndian.AppendUint32(dst, uint32(x))
-		}
+		return appendI32s(dst, v), nil
 	case []int:
-		dst = append(dst, tagIntSlice)
-		dst = binary.AppendUvarint(dst, uint64(len(v)))
-		for _, x := range v {
-			dst = binary.LittleEndian.AppendUint64(dst, uint64(x))
-		}
-	default:
-		// A registered flat codec beats gob.
-		if out, ok := appendFlat(dst, v); ok {
-			return out, nil
-		}
-		return appendGob(dst, v)
+		return appendInts(dst, v), nil
 	}
-	return dst, nil
+	// A registered flat codec beats gob.
+	if out, ok := appendFlat(dst, a); ok {
+		return out, nil
+	}
+	return appendGob(dst, a)
 }
 
 // appendGob is the gob fallback (pickle analog). It is a function of its own
@@ -175,10 +144,10 @@ func appendGob(dst []byte, v any) ([]byte, error) {
 
 // DecodeArgs decodes an argument list produced by AppendArgs/EncodeArgs and
 // returns the arguments and the number of bytes consumed. It is hardened
-// against hostile input: declared lengths are validated against the bytes
-// actually present before any allocation or multiplication, so truncated or
-// corrupt frames fail with an error rather than overflowing or exhausting
-// memory.
+// against hostile input: declared counts and lengths are validated against
+// the bytes actually present before any allocation or multiplication, so
+// truncated or corrupt frames fail with an error rather than overflowing or
+// exhausting memory (Dec holds the checks).
 func DecodeArgs(data []byte) ([]any, int, error) { return DecodeArgsInto(nil, data, false) }
 
 // DecodeArgsAlias is DecodeArgs for callers that own data outright and keep
@@ -197,162 +166,22 @@ func DecodeArgsAlias(data []byte) ([]any, int, error) { return DecodeArgsInto(ni
 // DecodeArgsAlias's contract. On error the returned slice is nil and dst's
 // spare capacity may hold the arguments decoded before the failure.
 func DecodeArgsInto(dst []any, data []byte, alias bool) ([]any, int, error) {
-	count, n := binary.Uvarint(data)
-	if n <= 0 {
-		return nil, 0, fmt.Errorf("bad argument count")
+	d := NewDec(data, alias)
+	count := d.Count()
+	if count < 0 {
+		return nil, 0, d.err
 	}
-	// Every argument occupies at least its 1-byte tag.
-	if count > uint64(len(data)-n) {
-		return nil, 0, fmt.Errorf("argument count %d exceeds %d remaining bytes", count, len(data)-n)
-	}
-	pos := n
 	if dst == nil {
 		dst = make([]any, 0, count)
 	}
-	for i := uint64(0); i < count; i++ {
-		a, used, err := decodeOneDepth(data[pos:], alias, 0)
-		if err != nil {
-			return nil, 0, fmt.Errorf("arg %d: %w", i, err)
+	for i := 0; i < count; i++ {
+		a := d.value()
+		if d.err != nil {
+			return nil, 0, fmt.Errorf("arg %d: %w", i, d.err)
 		}
-		pos += used
 		dst = append(dst, a)
 	}
-	return dst, pos, nil
-}
-
-func decodeOneDepth(data []byte, alias bool, depth int) (any, int, error) {
-	if len(data) == 0 {
-		return nil, 0, fmt.Errorf("truncated argument")
-	}
-	tag := data[0]
-	pos := 1
-	// readCount reads a declared element count and validates it against the
-	// bytes remaining, given a fixed element size. Doing the bound check by
-	// division (count > remaining/size) cannot overflow, unlike the naive
-	// need(size*count).
-	readCount := func(elemSize int) (int, error) {
-		v, n := binary.Uvarint(data[pos:])
-		if n <= 0 {
-			return 0, fmt.Errorf("bad length (tag %d)", tag)
-		}
-		pos += n
-		if v > uint64((len(data)-pos)/elemSize) {
-			return 0, fmt.Errorf("declared length %d exceeds %d remaining bytes (tag %d)",
-				v, len(data)-pos, tag)
-		}
-		return int(v), nil
-	}
-	switch tag {
-	case tagNil:
-		return nil, pos, nil
-	case tagFalse:
-		return false, pos, nil
-	case tagTrue:
-		return true, pos, nil
-	case tagInt:
-		v, n := binary.Varint(data[pos:])
-		if n <= 0 {
-			return nil, 0, fmt.Errorf("bad varint")
-		}
-		return int(v), pos + n, nil
-	case tagInt64:
-		v, n := binary.Varint(data[pos:])
-		if n <= 0 {
-			return nil, 0, fmt.Errorf("bad varint")
-		}
-		return v, pos + n, nil
-	case tagFloat64:
-		if len(data)-pos < 8 {
-			return nil, 0, fmt.Errorf("truncated payload (tag %d)", tag)
-		}
-		v := math.Float64frombits(binary.LittleEndian.Uint64(data[pos:]))
-		return v, pos + 8, nil
-	case tagString:
-		l, err := readCount(1)
-		if err != nil {
-			return nil, 0, err
-		}
-		return string(data[pos : pos+l]), pos + l, nil
-	case tagBytes:
-		l, err := readCount(1)
-		if err != nil {
-			return nil, 0, err
-		}
-		if alias {
-			return data[pos : pos+l : pos+l], pos + l, nil
-		}
-		out := make([]byte, l)
-		copy(out, data[pos:pos+l])
-		return out, pos + l, nil
-	case tagF64Slice:
-		l, err := readCount(8)
-		if err != nil {
-			return nil, 0, err
-		}
-		out := make([]float64, l)
-		for i := range out {
-			out[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[pos+8*i:]))
-		}
-		return out, pos + 8*l, nil
-	case tagF32Slice:
-		l, err := readCount(4)
-		if err != nil {
-			return nil, 0, err
-		}
-		out := make([]float32, l)
-		for i := range out {
-			out[i] = math.Float32frombits(binary.LittleEndian.Uint32(data[pos+4*i:]))
-		}
-		return out, pos + 4*l, nil
-	case tagI64Slice:
-		l, err := readCount(8)
-		if err != nil {
-			return nil, 0, err
-		}
-		out := make([]int64, l)
-		for i := range out {
-			out[i] = int64(binary.LittleEndian.Uint64(data[pos+8*i:]))
-		}
-		return out, pos + 8*l, nil
-	case tagI32Slice:
-		l, err := readCount(4)
-		if err != nil {
-			return nil, 0, err
-		}
-		out := make([]int32, l)
-		for i := range out {
-			out[i] = int32(binary.LittleEndian.Uint32(data[pos+4*i:]))
-		}
-		return out, pos + 4*l, nil
-	case tagIntSlice:
-		l, err := readCount(8)
-		if err != nil {
-			return nil, 0, err
-		}
-		out := make([]int, l)
-		for i := range out {
-			out[i] = int(int64(binary.LittleEndian.Uint64(data[pos+8*i:])))
-		}
-		return out, pos + 8*l, nil
-	case tagGob:
-		l, err := readCount(1)
-		if err != nil {
-			return nil, 0, err
-		}
-		var out any
-		dec := gob.NewDecoder(bytes.NewReader(data[pos : pos+l]))
-		if err := dec.Decode(&out); err != nil {
-			return nil, 0, fmt.Errorf("gob decode: %w", err)
-		}
-		return out, pos + l, nil
-	case tagFlat:
-		v, used, err := decodeFlat(data[pos:], alias, depth)
-		if err != nil {
-			return nil, 0, err
-		}
-		return v, pos + used, nil
-	}
-	return nil, 0, fmt.Errorf("unknown tag %d", tag)
+	return dst, d.pos, nil
 }
 
 // EncodeValue gob-encodes a single value (used for chare migration payloads,
