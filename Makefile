@@ -58,7 +58,8 @@ check: build lint guards
 # guards runs, without -short and without the race detector's own
 # allocations, the fine-grain stencil, kvservice request and remote-invoke
 # allocation guards, the Message size-class guard, the wire codec allocation
-# guards, the one-clock-read-per-entry-method count, a smoke of the bound
+# guards, the one-clock-read-per-entry-method count, the LB strategy's
+# active-PE view (TestLBSeesOnlyActivePEs), a smoke of the bound
 # when-guard benchmark (0 allocs/op, target <= 30 ns; it fails if an
 # evaluation allocates), the tests that pin the aggregator's flush rules and
 # the kvservice timeout, boot and close-at-once tests; then, under the race
@@ -70,18 +71,19 @@ check: build lint guards
 # repeat sub-frames at both ends of the wire, the scheduler's own
 # per-sender FIFO and one-PE-at-a-time tests (TestPerSenderFIFO,
 # TestSingleExecution, the second across migrations), the handles' wire
-# identity (wire calls against ser), and the quiescence
+# identity (wire calls against ser), a forced LB round against quiescence
+# detection and against an AtSync round in flight, and the quiescence
 # tests 20 times over (qd-soak: QD_COUNT = 200 times, the gate for a change
 # to the counting sites of DESIGN.md §quiescence).
 QD_TESTS = TestQuiescence|TestQDNotEarly|TestStressMultiNode
 QD_COUNT ?= 200
 guards:
 	$(GO) test -count=1 -run 'TestStencilFineAllocGuard|TestKVRequestAllocGuard|TestRemoteInvokeAllocGuard' .
-	$(GO) test -count=1 -run 'TestMessageSizeClass|TestAppendMsgAllocs|TestDecodeArgsAllocs|TestDecodeFlatArgsAllocs|TestDecodeErrorReturnsBox|TestOneClockReadPerEM' -bench 'BenchmarkWhenGuardBlock' -benchtime 100x ./internal/core
+	$(GO) test -count=1 -run 'TestMessageSizeClass|TestAppendMsgAllocs|TestDecodeArgsAllocs|TestDecodeFlatArgsAllocs|TestDecodeErrorReturnsBox|TestOneClockReadPerEM|TestLBSeesOnlyActivePEs' -bench 'BenchmarkWhenGuardBlock' -benchtime 100x ./internal/core
 	$(GO) test -count=1 -run 'TestSenderFlushesWhenAllPEsParked|TestNoStrandedSendUnderParkRace|TestFloodStillBatches|TestBackstopFlushesPinnedPE' ./internal/core
 	$(GO) test -count=1 -run 'TestServiceCloseImmediately|TestCallTimeoutStillFires|TestBootIgnoresRequestTimeout' ./internal/elastic
 	for p in 1 2 8; do \
-		GOMAXPROCS=$$p $(GO) test -race -count=1 -run 'TestNoStrandedSendUnderParkRace|TestRecycledBoxNeverObserved|TestForeignGoroutineInvoke|TestBatchRepeatHeaders|TestPerSenderFIFO|TestSingleExecution|TestHandleWireIdentity' ./internal/core && \
+		GOMAXPROCS=$$p $(GO) test -race -count=1 -run 'TestNoStrandedSendUnderParkRace|TestRecycledBoxNeverObserved|TestForeignGoroutineInvoke|TestBatchRepeatHeaders|TestPerSenderFIFO|TestSingleExecution|TestHandleWireIdentity|TestQDNotEarlyForcedLB|TestForcedLBOverlapsAtSync' ./internal/core && \
 		GOMAXPROCS=$$p $(GO) test -race -count=1 -run 'TestServiceCloseImmediately' ./internal/elastic || exit 1; \
 	done
 	$(MAKE) qd-soak QD_COUNT=20

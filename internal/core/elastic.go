@@ -25,13 +25,13 @@ package core
 // the cluster's collection metadata installed on each of its PEs, and
 // becomes active in a view commit applied by every member (coordinator
 // first, joiner last); a leaver has its elements drained out by censused
-// forced moves, becomes inactive in a commit, collects a goodbye from every
-// remaining member, lets its mailboxes settle, and departs. Each commit
-// application rescans element homes (the "rehome" pass), force-releases and
-// zeroes the broadcast order vectors of newly-INACTIVE slots (so a later
-// fresh runtime can reoccupy the slot; newly-active slots need no reset —
-// see applyView), scrubs location caches of deactivated slots, and
-// re-derives the collective spanning tree over the active set
+// move orders (lb.go), becomes inactive in a commit, collects a goodbye
+// from every remaining member, lets its mailboxes settle, and departs. Each
+// commit application rescans element homes (the "rehome" pass),
+// force-releases and zeroes the broadcast order vectors of newly-INACTIVE
+// slots (so a later fresh runtime can reoccupy the slot; newly-active slots
+// need no reset — see applyView), scrubs location caches of deactivated
+// slots, and re-derives the collective spanning tree over the active set
 // (viewChildren/viewParent).
 //
 // Constraints, by design: reductions fall back to the flat direct-to-root
@@ -235,8 +235,8 @@ func (rt *Runtime) activeNodeCount() int {
 }
 
 // activePEs returns the number of PEs hosted by active nodes — the group
-// membership count, the per-PE reply quorum of the doneInserting and
-// forced-LB protocols, and the broadcast-future need in elastic mode.
+// membership count, the per-PE reply quorum of the doneInserting count and
+// of forced LB rounds, and the broadcast-future need in elastic mode.
 func (rt *Runtime) activePEs() int { return rt.activeNodeCount() * rt.cfg.PEs }
 
 // ActiveNodes returns the active node ids of the current membership view
@@ -416,17 +416,6 @@ func (pr Proxy) ExtCall(method string, args ...any) (<-chan any, FutureRef) {
 	ref, ch := rt.NewExtFuture(1)
 	pr.invoke(method, args, ref)
 	return ch, ref
-}
-
-// ForceMove orders the element with the given index migrated to dest,
-// reusing the forced-LB move machinery (a broadcast move order applied by
-// whichever PE hosts the element; busy elements move when their threads
-// drain). Safe to call from any goroutine; the hot-element splitter is built
-// on it.
-func (rt *Runtime) ForceMove(cid CID, idx []int, dest PE) {
-	dest = rt.resolvePE(dest)
-	rt.bcastAllPEs(&Message{Kind: mIntroLBMoves, CID: cid, Src: -1,
-		Ctl: &introLBMovesMsg{CID: cid, Moves: map[string]PE{idxKey(idx): dest}}})
 }
 
 // ---- transmission ----
@@ -893,12 +882,7 @@ func (rt *Runtime) rebalanceToward(j int) string {
 			}
 		}
 	}
-	for _, cid := range cids {
-		if len(moves[cid]) > 0 {
-			rt.bcastAllPEs(&Message{Kind: mIntroLBMoves, CID: cid, Src: -1,
-				Ctl: &introLBMovesMsg{CID: cid, Moves: moves[cid]}})
-		}
-	}
+	rt.forceMoves(moves)
 	return ""
 }
 
@@ -960,15 +944,7 @@ func (rt *Runtime) elasticRetire(l int) string {
 		if n == 0 {
 			break
 		}
-		var cids []CID
-		for cid := range moves {
-			cids = append(cids, cid)
-		}
-		sort.Slice(cids, func(a, b int) bool { return cids[a] < cids[b] })
-		for _, cid := range cids {
-			rt.bcastAllPEs(&Message{Kind: mIntroLBMoves, CID: cid, Src: -1,
-				Ctl: &introLBMovesMsg{CID: cid, Moves: moves[cid]}})
-		}
+		rt.forceMoves(moves)
 		if time.Now().After(deadline) {
 			return fmt.Sprintf("node %d failed to drain (%d elements stuck)", l, n)
 		}

@@ -22,14 +22,8 @@ package core
 // peer can never wedge the pipeline — its snapshots just go stale, and the
 // FT detector's liveness view (Transport.PeerAlive) marks it dead in the
 // served JSON.
-//
-// The same file implements the forced load-balancing round behind
-// POST /introspect/lb: an AtSync-style measure→strategy→migrate cycle that
-// does not require elements to call AtSync (and therefore never touches the
-// AtSync barrier state or invokes ResumeFromSync).
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -53,33 +47,6 @@ type introSampleMsg struct {
 // introReportMsg carries one node's snapshot toward node 0.
 type introReportMsg struct {
 	Snap introspect.NodeSnapshot
-}
-
-// introLBMsg asks a collection's root PE to run a forced LB round.
-type introLBMsg struct {
-	CID CID
-}
-
-// introLBPollMsg is the root's broadcast asking every PE for load stats.
-type introLBPollMsg struct {
-	CID CID
-	Seq int64
-}
-
-// introLBStatsMsg is one PE's reply to a poll. Every PE answers (possibly
-// with zero objects), so the root counts PEs, not elements — correct even
-// for sparse collections whose totals are still unknown.
-type introLBStatsMsg struct {
-	CID  CID
-	Seq  int64
-	PE   PE
-	Objs []LBObject
-}
-
-// introLBMovesMsg broadcasts the forced round's migration orders.
-type introLBMovesMsg struct {
-	CID   CID
-	Moves map[string]PE
 }
 
 // sampler is the per-node sampling goroutine plus the round state collecting
@@ -434,132 +401,4 @@ func collKindName(k uint8) string {
 		return "sparse"
 	}
 	return fmt.Sprint(k)
-}
-
-// ---- forced load-balancing rounds (POST /introspect/lb) ----
-
-// ErrNoLBStrategy is returned by TriggerLBRound when Config.LB is nil.
-var ErrNoLBStrategy = errors.New("core: no LB strategy configured (Config.LB)")
-
-// TriggerLBRound asks the root PE of every migratable collection (arrays and
-// sparse arrays) to run a forced measurement→strategy→migration round, and
-// returns the triggered collection ids. Unlike the AtSync protocol the
-// elements need not have called AtSync: the round polls current loads,
-// applies Config.LB, and issues migrations for idle elements (busy ones
-// migrate when their threads drain). It never touches AtSync barrier state,
-// never zeroes the load database, and never invokes ResumeFromSync.
-// Safe to call from any goroutine (the HTTP handler calls it).
-func (rt *Runtime) TriggerLBRound() ([]int32, error) {
-	if rt.cfg.LB == nil {
-		return nil, ErrNoLBStrategy
-	}
-	if !rt.started.Load() || rt.exited.Load() {
-		return nil, errors.New("core: job is not running")
-	}
-	var cids []int32
-	for cid, cm := range *rt.colls.Load() {
-		if cm.Kind != ckArray && cm.Kind != ckSparse {
-			continue
-		}
-		cids = append(cids, int32(cid))
-		rt.send(rootPE(rt, cid), &Message{Kind: mIntroLB, CID: cid, Src: -1, Ctl: &introLBMsg{CID: cid}})
-	}
-	sort.Slice(cids, func(i, j int) bool { return cids[i] < cids[j] })
-	return cids, nil
-}
-
-// introLBState is the root PE's accumulator for one forced round.
-type introLBState struct {
-	seq  int64
-	objs []LBObject
-	got  int // PE replies received (every PE answers exactly once)
-}
-
-// introLBStart handles mIntroLB at the collection's root PE.
-func (p *peState) introLBStart(cid CID) {
-	if p.introLB == nil {
-		p.introLB = map[CID]*introLBState{}
-	}
-	if _, inFlight := p.introLB[cid]; inFlight {
-		return // one forced round per collection at a time
-	}
-	p.introLBSeq++
-	st := &introLBState{seq: p.introLBSeq}
-	p.introLB[cid] = st
-	p.rt.bcastAllPEs(&Message{Kind: mIntroLBPoll, CID: cid, Src: p.pe,
-		Ctl: &introLBPollMsg{CID: cid, Seq: st.seq}})
-}
-
-// introLBPoll handles the root's poll broadcast: report this PE's live
-// elements of the collection (possibly none) back to the root.
-func (p *peState) introLBPoll(pm *introLBPollMsg) {
-	var objs []LBObject
-	if coll := p.colls[pm.CID]; coll != nil {
-		for _, el := range coll.elems {
-			if el.dead {
-				continue
-			}
-			objs = append(objs, LBObject{Key: el.key, PE: p.pe, Load: el.load.Seconds()})
-		}
-	}
-	p.rt.send(rootPE(p.rt, pm.CID), &Message{Kind: mIntroLBStats, CID: pm.CID, Src: p.pe,
-		Ctl: &introLBStatsMsg{CID: pm.CID, Seq: pm.Seq, PE: p.pe, Objs: objs}})
-}
-
-// introLBStats accumulates poll replies at the root; once every PE has
-// answered, run the strategy and broadcast the move orders.
-func (p *peState) introLBStats(sm *introLBStatsMsg) {
-	st := p.introLB[sm.CID]
-	if st == nil || st.seq != sm.Seq {
-		return // a straggler from an abandoned round
-	}
-	st.objs = append(st.objs, sm.Objs...)
-	st.got++
-	if st.got < p.rt.activePEs() {
-		return
-	}
-	delete(p.introLB, sm.CID)
-	moves := map[string]PE{}
-	if strat := p.rt.cfg.LB; strat != nil {
-		assign := strat.Assign(st.objs, p.rt.totalPEs)
-		for _, o := range st.objs {
-			if dest, ok := assign[o.Key]; ok && dest != o.PE {
-				moves[o.Key] = dest
-			}
-		}
-	}
-	if o := p.rt.obs; o != nil {
-		o.lbDecision(p, len(moves))
-	}
-	if len(moves) == 0 {
-		return
-	}
-	p.rt.bcastAllPEs(&Message{Kind: mIntroLBMoves, CID: sm.CID, Src: p.pe,
-		Ctl: &introLBMovesMsg{CID: sm.CID, Moves: moves}})
-}
-
-// introLBMoves applies forced move orders to this PE's elements. Elements
-// inside a real AtSync round, already migrating, or running threads are
-// left alone or deferred (recheck migrates them once their threads drain);
-// no acks are sent and no resume follows — the forced round must not
-// disturb the AtSync machinery.
-func (p *peState) introLBMoves(lm *introLBMovesMsg) {
-	coll := p.colls[lm.CID]
-	if coll == nil {
-		return
-	}
-	var moving []*element
-	for key, dest := range lm.Moves {
-		el, ok := coll.elems[key]
-		if !ok || el.dead || el.atSync || el.migrateTo >= 0 || dest == p.pe {
-			continue
-		}
-		el.migrateTo = dest
-		moving = append(moving, el)
-	}
-	for _, el := range moving {
-		if el.liveThreads == 0 {
-			p.migrateOut(el)
-		}
-	}
 }

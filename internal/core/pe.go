@@ -35,12 +35,7 @@ type peState struct {
 	curThread *emThread
 	suspended map[*emThread]bool
 
-	lbRoot map[CID]*lbRootState
-
-	// forced-LB rounds triggered through introspection (core/introspect.go);
-	// only populated on a collection's root PE while a round is in flight.
-	introLB    map[CID]*introLBState
-	introLBSeq int64
+	insRoot map[CID]insCount // sparse-array DoneInserting counts in progress here
 
 	ftG map[int64]*ftGatherState // in-flight ft checkpoint gathers (node-first PE)
 
@@ -89,6 +84,7 @@ type localColl struct {
 	pendingElem map[string][]*Message  // sparse: messages before insertion
 	insCount    int                    // local insert count (sparse)
 	lbStatsSent bool
+	lb          lbRootState // on the collection's root PE only
 
 	// treeExpect caches the number of contributions this node's reduction
 	// combiner must merge before forwarding up the tree: the elements
@@ -155,7 +151,7 @@ func newPEState(rt *Runtime, pe PE) *peState {
 		homeLoc:     map[CID]map[string]PE{},
 		yieldCh:     make(chan thYield),
 		suspended:   map[*emThread]bool{},
-		lbRoot:      map[CID]*lbRootState{},
+		insRoot:     map[CID]insCount{},
 		now:         func() time.Duration { return time.Since(rt.t0) },
 		cnt:         &rt.cnt[pe-rt.basePE],
 		mbox:        newMailbox(),
@@ -332,11 +328,13 @@ func (p *peState) handle(m *Message) {
 	case mLBStats:
 		p.lbRootStats(m)
 	case mLBMoves:
-		p.lbApplyMoves(m.Ctl.(*lbMovesMsg))
+		p.lbApplyMoves(m)
 	case mLBAck:
 		p.lbRootAck(m.CID)
 	case mLBResume:
-		p.lbResume(m.Ctl.(*lbResumeMsg).CID)
+		p.lbResume(m.CID)
+	case mLBPoll:
+		p.lbPoll(m)
 	case mQDStart:
 		p.qdStart(m.Ctl.(*qdStartMsg).Target)
 	case mQDProbe:
@@ -363,14 +361,6 @@ func (p *peState) handle(m *Message) {
 		}
 	case mIntroSample:
 		p.introSample(m.Ctl.(*introSampleMsg).Seq)
-	case mIntroLB:
-		p.introLBStart(m.Ctl.(*introLBMsg).CID)
-	case mIntroLBPoll:
-		p.introLBPoll(m.Ctl.(*introLBPollMsg))
-	case mIntroLBStats:
-		p.introLBStats(m.Ctl.(*introLBStatsMsg))
-	case mIntroLBMoves:
-		p.introLBMoves(m.Ctl.(*introLBMovesMsg))
 	case mPing:
 		p.rt.sendFutureSet(m.Fut, nil)
 	case mElasticCtl:
@@ -555,16 +545,16 @@ func (p *peState) handleDoneInserting(dm *doneInsertingMsg) {
 			}
 		}
 	case dm.Count >= 0: // phase 2: per-PE count arriving at root
-		st := p.lbRootFor(dm.CID)
-		st.insGot++
-		st.insSum += dm.Count
-		if st.insGot == p.rt.activePEs() {
-			st.insGot = 0
-			total := st.insSum
-			st.insSum = 0
-			p.rt.bcastAllPEs(&Message{Kind: mDoneInserting, CID: dm.CID, Src: p.pe,
-				Ctl: &doneInsertingMsg{CID: dm.CID, Total: total}})
+		c := p.insRoot[dm.CID]
+		c.got++
+		c.sum += dm.Count
+		if c.got < p.rt.activePEs() {
+			p.insRoot[dm.CID] = c
+			return
 		}
+		delete(p.insRoot, dm.CID)
+		p.rt.bcastAllPEs(&Message{Kind: mDoneInserting, CID: dm.CID, Src: p.pe,
+			Ctl: &doneInsertingMsg{CID: dm.CID, Total: c.sum}})
 	default: // phase 1: count request broadcast
 		n := 0
 		if coll != nil {
@@ -575,8 +565,11 @@ func (p *peState) handleDoneInserting(dm *doneInsertingMsg) {
 	}
 }
 
-// rootPE is the deterministic root for a collection's reductions, LB
-// coordination and sparse-count protocol.
+// insCount is a sparse array's DoneInserting count: PEs reported, elements.
+type insCount struct{ got, sum int }
+
+// rootPE is the deterministic root PE of a collection: its reductions, its
+// LB rounds (localColl.lb) and its sparse-array insertion count (insRoot).
 func rootPE(rt *Runtime, cid CID) PE {
 	return rt.resolvePE(PE(idxHash([]int{int(cid)}) % uint64(rt.totalPEs)))
 }
@@ -1004,10 +997,7 @@ func (p *peState) migrateOut(el *element) {
 		Blob:  blob,
 		RedNo: el.redNo,
 		Load:  el.load.Seconds(),
-	}
-	if el.lbMove {
-		mm.ASeq = 1 // LB-ordered move: receiver acknowledges to the root
-		el.lbMove = false
+		LBAck: el.lbMove,
 	}
 	delete(el.coll.elems, el.key)
 	el.dead = true
@@ -1088,8 +1078,7 @@ func (p *peState) migrateIn(mm *migrateMsg) {
 			p.deliverOrBuffer(coll, el, m)
 		}
 	}
-	// If this migration was ordered by the LB manager, acknowledge it.
-	if mm.ASeq > 0 {
+	if mm.LBAck {
 		p.rt.send(rootPE(p.rt, mm.CID), &Message{Kind: mLBAck, CID: mm.CID, Src: p.pe})
 	}
 }

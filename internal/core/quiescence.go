@@ -60,11 +60,12 @@ type qdReplyMsg struct {
 
 // countableKind reports whether a message kind counts as application
 // traffic for quiescence purposes: the kinds whose handlers run user code
-// (mCreate runs constructors, a load-balancing round ends in ResumeFromSync).
+// (mCreate runs constructors) or lead to them: an LB round, AtSync or
+// forced, ends in migrations, and an AtSync one in ResumeFromSync.
 func countableKind(k msgKind) bool {
 	switch k {
 	case mInvoke, mFutureSet, mRedPartial, mInsert, mMigrate, mDoneInserting, mChanMsg,
-		mCreate, mLBStats, mLBMoves, mLBAck, mLBResume:
+		mCreate, mLBStats, mLBMoves, mLBAck, mLBResume, mLBPoll:
 		return true
 	}
 	return false

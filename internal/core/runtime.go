@@ -33,8 +33,8 @@ func init() {
 }
 
 // LBStrategy computes a new element-to-PE assignment from measured loads.
-// Implementations live in internal/lb; the interface is defined here so the
-// runtime's AtSync protocol can drive any strategy.
+// Implementations live in internal/lb. Assign sees the active PEs numbered
+// [0, numPEs), the objects' PE included; lbDecide maps them (lb.go).
 type LBStrategy interface {
 	Name() string
 	// Assign returns the new PE for every object key. Objects omitted from

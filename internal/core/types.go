@@ -62,10 +62,11 @@ const (
 	mLocUpdate
 	mExit
 	mStartMain
-	mLBStats
-	mLBMoves
-	mLBAck
-	mLBResume
+	mLBStats  // one PE's loads to a collection's root (lb.go)
+	mLBMoves  // the root's move order
+	mLBAck    // an AtSync move's arrival, to the root
+	mLBResume // the end of an AtSync round
+	mLBPoll   // a forced round's trigger to the root, and its poll
 	mQDStart
 	mQDProbe
 	mQDReply
@@ -85,12 +86,8 @@ const (
 	// live introspection (core/introspect.go). None of these kinds is
 	// counted by quiescence detection (countableKind): sampling is an
 	// observer and must not keep a job out of quiescence.
-	mIntroSample  // sampler asks a local PE for its collection profile
-	mIntroReport  // a node's snapshot relayed up the tree toward node 0
-	mIntroLB      // forced-LB trigger to a collection's root PE
-	mIntroLBPoll  // root's load-stats poll broadcast
-	mIntroLBStats // one PE's poll reply
-	mIntroLBMoves // root's forced move orders broadcast
+	mIntroSample // sampler asks a local PE for its collection profile
+	mIntroReport // a node's snapshot relayed up the tree toward node 0
 
 	// elastic membership (elastic.go). Planned, zero-downtime join/leave:
 	// the control traffic of the membership protocol itself. None of these
@@ -329,35 +326,13 @@ type migrateMsg struct {
 	Blob  []byte // gob-encoded chare
 	RedNo int64
 	Load  float64
-	ASeq  int64 // atSync epoch counter carried across migration
+	LBAck bool // an AtSync round's move: the receiver acks the root
 }
 
 type locUpdateMsg struct {
 	CID CID
 	Idx []int
 	At  PE
-}
-
-type lbStatsMsg struct {
-	CID  CID
-	PE   PE
-	Objs []LBObject
-}
-
-type lbMovesMsg struct {
-	CID   CID
-	Moves map[string]PE // element key -> destination PE
-}
-
-type lbResumeMsg struct {
-	CID CID
-}
-
-// LBObject describes one migratable element to a load-balancing strategy.
-type LBObject struct {
-	Key  string  // element index key
-	PE   PE      // current location
-	Load float64 // measured wall-clock seconds since last LB round
 }
 
 // Target names the receiver of a reduction result: either an entry method of

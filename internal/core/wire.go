@@ -20,13 +20,12 @@ func init() {
 	for _, v := range []any{
 		&createMsg{}, &insertMsg{}, &doneInsertingMsg{}, &futSetMsg{},
 		&redPartialMsg{}, &migrateMsg{}, &locUpdateMsg{},
-		&lbStatsMsg{}, &lbMovesMsg{}, &lbResumeMsg{},
+		&lbStatsMsg{}, &lbMovesMsg{}, &lbPollMsg{},
 		&qdStartMsg{}, &qdProbeMsg{}, &qdReplyMsg{}, &ckptCollectMsg{},
 		ckptBundle{}, &chanMsg{}, &traceReportMsg{},
 		&ftCollectMsg{}, &ftBundleMsg{}, &ftBlobMsg{}, &ftRestoreMsg{},
 		&ftInjectMsg{}, &ftSeqMsg{}, ftHoldingsMsg{}, ftInjectAck{},
-		&introReportMsg{}, &introLBMsg{}, &introLBPollMsg{},
-		&introLBStatsMsg{}, &introLBMovesMsg{},
+		&introReportMsg{},
 		&elasticCtlMsg{}, &elasticStateMsg{}, &elasticViewMsg{},
 		&elasticCensusMsg{}, &elasticCensusReply{}, &elasticByeMsg{},
 	} {

@@ -95,9 +95,9 @@ func TestWireControlGobRoundtrip(t *testing.T) {
 	if cm.Type != "Block" || cm.Dims[1] != 4 || cm.Args[1] != "x" {
 		t.Errorf("create = %+v", cm)
 	}
-	m2 := &Message{Kind: mLBMoves, CID: 5, Ctl: &lbMovesMsg{CID: 5, Moves: map[string]PE{"k": 3}}}
+	m2 := &Message{Kind: mLBMoves, CID: 5, Ctl: &lbMovesMsg{Moves: map[string]PE{"k": 3}, AtSync: true}}
 	_, out2 := roundtripMsg(t, 0, m2)
-	if out2.Ctl.(*lbMovesMsg).Moves["k"] != 3 {
+	if lm := out2.Ctl.(*lbMovesMsg); out2.CID != 5 || lm.Moves["k"] != 3 || !lm.AtSync {
 		t.Errorf("moves = %+v", out2.Ctl)
 	}
 }

@@ -12,9 +12,6 @@
 //   - Gate (gate.go) is the serving front end's admission control:
 //     mailbox-depth watermarks that shed or delay ingress before the
 //     runtime drowns, with counters and a depth histogram.
-//   - Splitter (splitter.go) turns the introspection layer's per-element
-//     load census into targeted ForceMove calls: hot elements on saturated
-//     PEs migrate to the least-loaded active PE.
 //   - Service (service.go) is the kvservice serving harness: a keyed Shard
 //     array behind a request-routing front end, with node join/leave under
 //     live load. examples/kvservice and the benchmark's kv_closed workload

@@ -195,69 +195,6 @@ func TestServiceShedsUnderBacklog(t *testing.T) {
 	}
 }
 
-// TestSplitterMovesHotElement runs the census-driven splitter against a
-// cluster with an introspection sampler and verifies a saturated PE's hot
-// element is force-moved to a cooler active PE.
-func TestSplitterMovesHotElement(t *testing.T) {
-	leakcheck.Check(t)
-	svc, err := NewService(ServiceConfig{
-		Nodes:          2,
-		PEs:            2,
-		Shards:         8,
-		SampleInterval: 30 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
-
-	// Hammer one key from several workers so its shard accumulates load and
-	// shows up in the census's hot list.
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				_ = svc.Put("hotkey", "v")
-			}
-		}()
-	}
-
-	sp := NewSplitter(svc.Runtime(0), SplitterOptions{
-		Interval:      50 * time.Millisecond,
-		UtilThreshold: 1e-6, // any measurable load splits: the test wants a move, not a policy eval
-	})
-	moved := false
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		if sp.Round() > 0 {
-			moved = true
-			break
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	close(stop)
-	wg.Wait()
-	if !moved {
-		t.Fatal("splitter never split a hot element")
-	}
-	if sp.Moves() == 0 {
-		t.Fatal("move counter not incremented")
-	}
-	// The moved shard must still serve.
-	if v, err := svc.Get("hotkey"); err != nil || v != "v" {
-		t.Fatalf("hot key after split = %q, %v", v, err)
-	}
-	sp.Stop()
-}
-
 // TestServiceCloseImmediately boots, serves one request and closes, many
 // times over. Close calls Exit on every node, and a node the request never
 // touched may not have entered Start yet: Exit must find that node's PEs

@@ -69,8 +69,6 @@ type ServiceConfig struct {
 	// (defaults 20ms / 1s).
 	HeartbeatInterval time.Duration
 	SuspicionTimeout  time.Duration
-	// SampleInterval enables the introspection census (for Splitter).
-	SampleInterval time.Duration
 	// RequestTimeout bounds each Put/Get (default 20s).
 	RequestTimeout time.Duration
 }
@@ -143,9 +141,7 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 			s.dets[i] = d
 			rc.Transport = d
 		}
-		// Every node samples (the census must see remote shards); only
-		// node 0 carries the metrics registry and the assembled cluster view.
-		rc.SampleInterval = cfg.SampleInterval
+		// Only node 0 carries the metrics registry.
 		if i == 0 {
 			rc.Metrics = cfg.Metrics
 		}
@@ -280,7 +276,7 @@ func (s *Service) Shards() int { return s.cfg.Shards }
 // Gate returns the front end's admission gate.
 func (s *Service) Gate() *Gate { return s.gate }
 
-// Runtime returns node i's runtime (tests and the splitter need node 0's).
+// Runtime returns node i's runtime.
 func (s *Service) Runtime(i int) *core.Runtime { return s.rts[i] }
 
 // FalsePositives reports how many times a failure detector declared a peer
