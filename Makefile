@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check guards qd-soak prof/wire lint charmvet vet-baseline race fuzz bench vet profile chaos introspect serve loc
+.PHONY: all build test tier1 check guards qd-soak prof/wire lint charmvet vet-baseline race fuzz bench vet profile chaos introspect serve loc
 
 all: build
 
@@ -9,6 +9,13 @@ build:
 
 test: build
 	$(GO) test ./...
+
+# tier1 is the whole test suite at 1, 2 and 8 scheduler threads, without
+# the race detector: the allocation guards' byte bounds hold only without it.
+tier1:
+	for p in 1 2 8; do \
+		GOMAXPROCS=$$p $(GO) test -count=1 ./... || exit 1; \
+	done
 
 vet:
 	$(GO) vet ./...
@@ -58,14 +65,17 @@ check: build lint guards
 # guards runs, without -short and without the race detector's own
 # allocations, the fine-grain stencil, kvservice request and remote-invoke
 # allocation guards, the Message size-class guard, the wire codec allocation
-# guards, the one-clock-read-per-entry-method count, the LB strategy's
+# guards, the future-set and Mem transport allocation guards
+# (TestFutureSetAllocs, TestMemSendBufAllocs), the
+# one-clock-read-per-entry-method count, the LB strategy's
 # active-PE view (TestLBSeesOnlyActivePEs), a smoke of the bound
 # when-guard benchmark (0 allocs/op, target <= 30 ns; it fails if an
 # evaluation allocates), the tests that pin the aggregator's flush rules and
 # the kvservice timeout, boot and close-at-once tests; then, under the race
 # detector at 1, 2 and 8 scheduler threads, the two that race a parking PE or
 # a starting node, the one that poisons every returned invoke box (and checks
-# the run semantics: per-sender FIFO, kept messages), the one that sends
+# the run semantics: per-sender FIFO, kept messages; its future-set subtest
+# does the same for replies), the one that sends
 # through a PE's proxy from a goroutine not its own while the PE floods through
 # it too (the PE's box stock must not be shared), the one that checks
 # repeat sub-frames at both ends of the wire, the scheduler's own
@@ -79,7 +89,8 @@ QD_TESTS = TestQuiescence|TestQDNotEarly|TestStressMultiNode
 QD_COUNT ?= 200
 guards:
 	$(GO) test -count=1 -run 'TestStencilFineAllocGuard|TestKVRequestAllocGuard|TestRemoteInvokeAllocGuard' .
-	$(GO) test -count=1 -run 'TestMessageSizeClass|TestAppendMsgAllocs|TestDecodeArgsAllocs|TestDecodeFlatArgsAllocs|TestDecodeErrorReturnsBox|TestOneClockReadPerEM|TestLBSeesOnlyActivePEs' -bench 'BenchmarkWhenGuardBlock' -benchtime 100x ./internal/core
+	$(GO) test -count=1 -run 'TestMessageSizeClass|TestAppendMsgAllocs|TestDecodeArgsAllocs|TestDecodeFlatArgsAllocs|TestDecodeErrorReturnsBox|TestFutureSetAllocs|TestOneClockReadPerEM|TestLBSeesOnlyActivePEs' -bench 'BenchmarkWhenGuardBlock' -benchtime 100x ./internal/core
+	$(GO) test -count=1 -run 'TestMemSendBufAllocs' ./internal/transport
 	$(GO) test -count=1 -run 'TestSenderFlushesWhenAllPEsParked|TestNoStrandedSendUnderParkRace|TestFloodStillBatches|TestBackstopFlushesPinnedPE' ./internal/core
 	$(GO) test -count=1 -run 'TestServiceCloseImmediately|TestCallTimeoutStillFires|TestBootIgnoresRequestTimeout' ./internal/elastic
 	for p in 1 2 8; do \

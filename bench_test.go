@@ -279,19 +279,32 @@ func BenchmarkDispatchStructSerializedReflect(b *testing.B) {
 // the running total, as the repo benchmark's stream_tcp does.
 const remoteCredit = 16384
 
+// remoteHold blocks its PE in Hold until remoteRelease is closed.
+type remoteHold struct {
+	core.Chare
+}
+
+var remoteRelease chan struct{} // benchRemoteRate's; its runs do not overlap
+
+func (h *remoteHold) Hold() { <-remoteRelease }
+
 // benchRemoteRate floods fine-grained invokes, Ping(arg(i)), from node 0 to
 // a chare on node 1 through the aggregator and reports sustained
 // messages/second. The target is bench.Ping, so the wire path runs its typed
 // entry-method handles' dispatch. The sender waits for the running total
 // every remoteCredit messages, which bounds the receiver's backlog and the
 // invoke boxes it holds: the figures are the steady state's, per message,
-// not a growing backlog's.
+// not a growing backlog's. Before the timer starts, two windows queue whole
+// at node 1 while its PE is held: a fresh runtime grows its box stock (and
+// batch buffers and runs) to what a window holds in flight, about 3.5 MB,
+// which the timed flood would otherwise pay within its first windows.
 func benchRemoteRate(b *testing.B, transports []transport.Transport, arg func(i int) int) {
 	b.Helper()
 	rts := make([]*core.Runtime, 2)
 	for i := range rts {
 		rts[i] = core.NewRuntime(core.Config{PEs: 1, Transport: transports[i]})
 		rts[i].Register(&bench.Ping{})
+		rts[i].Register(&remoteHold{})
 	}
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -304,6 +317,18 @@ func benchRemoteRate(b *testing.B, transports []transport.Transport, arg func(i 
 		defer self.Exit()
 		p := self.NewChare(&bench.Ping{}, charmgo.PE(1))
 		w := self.CreateFuture()
+		p.Call("Count", w)
+		w.Get()
+		remoteRelease = make(chan struct{})
+		self.NewChare(&remoteHold{}, charmgo.PE(1)).Call("Hold")
+		for i := 0; i < 2*remoteCredit; i++ {
+			p.Call("Ping", 0)
+		}
+		for rts[1].MailboxDepth() < 2*remoteCredit {
+			time.Sleep(100 * time.Microsecond) // node 1 decodes what the backstop flushes
+		}
+		close(remoteRelease)
+		w = self.CreateFuture()
 		p.Call("Count", w)
 		w.Get()
 		b.ResetTimer()

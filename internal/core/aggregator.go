@@ -112,6 +112,15 @@ func (a *aggregator) sendInvoke(node int, dest PE, m *Message, args []any) {
 	a.close(node, an, off, 0, m.Src, dest)
 }
 
+// sendFutureSet is send for a future-set of ref with value v: like
+// sendInvoke, it is handed no Message that could escape through here.
+func (a *aggregator) sendFutureSet(node int, dest PE, ref FutureRef, v any) {
+	an, off := a.open(node)
+	an.last.n = 0
+	an.buf = appendFutureSet(an.buf, dest, mFutureSet, ref, v)
+	a.close(node, an, off, 0, -1, dest)
+}
+
 // open locks node's batch, starts it if it is empty and reserves the next
 // sub-frame's length slot, at the returned offset; the caller serializes the
 // message in place behind it and calls close.

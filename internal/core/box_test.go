@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"charmgo/internal/ser"
 )
 
 // The box tests send messages whose arguments vouch for each other: a
@@ -205,6 +207,184 @@ func TestRecycledBoxNeverObserved(t *testing.T) {
 		}
 	})
 	t.Run("kept-bytes", keptBytesJob)
+	t.Run("future-set", futureSetJob)
+}
+
+// fsSrc answers with boxArgs's data for a sequence number, through every way
+// a future is completed: an entry method's return value (inline, or from a
+// thread that yields first), Future.Send, and a value that carries a Proxy
+// and a Future of its own.
+type fsSrc struct {
+	Chare
+}
+
+func fsData(seq int) []int64 { _, _, data := boxArgs(seq); return data }
+
+func (s *fsSrc) Reply(seq int) []int64 { return fsData(seq) }
+
+// Slow suspends on a future its own element completes, and replies from the
+// thread with the value that future brought.
+func (s *fsSrc) Slow(seq int) []int64 {
+	f := s.CreateFuture()
+	s.SelfProxy().Call("Send", seq, f)
+	data, _ := f.Get().([]int64)
+	return data
+}
+
+func (s *fsSrc) Send(seq int, f Future) { f.Send(fsData(seq)) }
+
+func (s *fsSrc) Carry(seq int, f Future) fsCarrier {
+	return fsCarrier{Seq: seq, Data: fsData(seq), P: s.SelfProxy(), F: f}
+}
+
+func (s *fsSrc) Poke(seq int) {
+	_, tag, data := boxArgs(seq)
+	boxSeen.see("carried proxy", seq, tag, data)
+}
+
+// fsCarrier crosses nodes through ser's gob fallback: the Proxy and the
+// Future in it must be bound on arrival (rebindMsg walks the value in the
+// box's argument slot).
+type fsCarrier struct {
+	Seq  int
+	Data []int64
+	P    Proxy
+	F    Future
+}
+
+func init() { ser.RegisterType(fsCarrier{}) }
+
+// futureSetJob completes futures, with returned boxes poisoned, from node 1
+// and from node 0's own PEs into PE 0: CallRet replies (from PE 0 itself, its
+// sibling and the other node, inline and threaded), Future.Send (the sender's
+// PE unknown: a new box when local), a CreateFuture(4) that each of the four
+// elements completes, external futures awaited by a plain goroutine that
+// calls through a proxy bound to PE 0 while PE 0 takes boxes from its own
+// stock for its replies, and values that carry a Proxy and a Future, which
+// must arrive bound: the proxy is called and the future completed again.
+// Every value must arrive as it was sent, once.
+func futureSetJob(t *testing.T) {
+	const n = 400 // futures per path
+	log := &boxLog{seen: map[string]map[int]int{}}
+	boxSeen = log
+	seeVal := func(path string, seq int, v any) {
+		data, ok := v.([]int64)
+		if !ok {
+			log.fail("%s: future %d completed with %T %v", path, seq, v, v)
+			return
+		}
+		_, tag, _ := boxArgs(seq)
+		log.see(path, seq, tag, data)
+	}
+	runMultiNode(t, 2, 2, nil, func(rt *Runtime) {
+		rt.poisonBoxes = true
+		rt.Register(&fsSrc{}, Threaded("Slow"))
+	}, func(self *Chare) {
+		arr := self.NewArray(&fsSrc{}, []int{4}) // element i on PE i: 2 and 3 on the other node
+		arr.At(3).CallRet("Reply", 0).Get()      // node 1 knows the array before the flood
+		ext := make(chan struct{})
+		go func() { // not a PE: its proxy is PE 0's, its replies go to external futures
+			defer close(ext)
+			for seq := 0; seq < n; seq++ {
+				for _, i := range []int{1, 3} {
+					ch, _ := arr.At(i).ExtCall("Reply", seq)
+					select {
+					case v := <-ch:
+						seeVal(fmt.Sprintf("ext %d", i), seq, v)
+					case <-time.After(30 * time.Second):
+						log.fail("ext %d: Reply(%d) never completed", i, seq)
+						return
+					}
+				}
+			}
+		}()
+		type pending struct {
+			path string
+			seq  int
+			f    Future
+		}
+		var rets []pending
+		var carried []Future
+		for seq := 0; seq < n; seq++ {
+			for _, i := range []int{0, 1, 3} {
+				rets = append(rets, pending{fmt.Sprintf("reply %d", i), seq, arr.At(i).CallRet("Reply", seq)})
+				f := self.CreateFuture()
+				arr.At(i).Call("Send", seq, f)
+				rets = append(rets, pending{fmt.Sprintf("send %d", i), seq, f})
+			}
+			for _, i := range []int{1, 3} {
+				rets = append(rets, pending{fmt.Sprintf("threaded %d", i), seq, arr.At(i).CallRet("Slow", seq)})
+				f := self.CreateFuture()
+				carried = append(carried, f)
+				rets = append(rets, pending{fmt.Sprintf("carry %d", i), seq, arr.At(i).CallRet("Carry", seq, f)})
+			}
+			all := self.CreateFuture(4)
+			arr.Call("Send", seq, all)
+			rets = append(rets, pending{"all", seq, all})
+		}
+		for _, r := range rets {
+			switch v := r.f.Get().(type) {
+			case []any:
+				if len(v) != 4 {
+					log.fail("all: CreateFuture(4) %d returned %d values", r.seq, len(v))
+				}
+				for _, x := range v {
+					seeVal(r.path, r.seq, x)
+				}
+			case fsCarrier:
+				if v.Seq != r.seq {
+					log.fail("%s: future %d carried seq %d", r.path, r.seq, v.Seq)
+					continue
+				}
+				seeVal(r.path, r.seq, v.Data)
+				v.P.Call("Poke", r.seq) // panics if P arrived unbound
+				v.F.Send(fsData(v.Seq)) // likewise F
+			default:
+				seeVal(r.path, r.seq, v)
+			}
+		}
+		for i, f := range carried {
+			seeVal(fmt.Sprintf("carried future %d", 1+2*(i%2)), i/2, f.Get())
+		}
+		// Waiting on ext would hold PE 0, which completes the external futures.
+		deadline := time.Now().Add(30 * time.Second)
+		for log.total() < 20*n && time.Now().Before(deadline) {
+			arr.At(3).CallRet("Reply", 0).Get() // yields PE 0; the pokes are on their way
+		}
+		<-ext
+	})
+
+	log.mu.Lock()
+	defer log.mu.Unlock()
+	for _, b := range log.bad {
+		t.Error(b)
+	}
+	paths := []string{"all", "carried proxy"}
+	for _, i := range []int{0, 1, 3} {
+		paths = append(paths, fmt.Sprintf("reply %d", i), fmt.Sprintf("send %d", i))
+	}
+	for _, i := range []int{1, 3} {
+		paths = append(paths, fmt.Sprintf("ext %d", i), fmt.Sprintf("threaded %d", i),
+			fmt.Sprintf("carry %d", i), fmt.Sprintf("carried future %d", i))
+	}
+	for _, path := range paths {
+		want := 1
+		switch path {
+		case "all":
+			want = 4
+		case "carried proxy":
+			want = 2
+		}
+		got := log.seen[path]
+		if len(got) != n {
+			t.Errorf("%s: %d distinct futures completed, want %d", path, len(got), n)
+		}
+		for seq, k := range got {
+			if k != want {
+				t.Errorf("%s: future %d completed with %d values, want %d", path, seq, k, want)
+			}
+		}
+	}
 }
 
 // The kept-bytes chares bind handles whose parameters are all fixed-size, so

@@ -77,7 +77,7 @@ func (p *peState) collectBundle() ckptBundle {
 
 // ckptCollect runs on each PE's scheduler: serialize everything local.
 func (p *peState) ckptCollect(cm *ckptCollectMsg) {
-	p.rt.sendFutureSet(cm.Fut, p.collectBundle())
+	p.rt.sendFutureSet(p, cm.Fut, p.collectBundle())
 }
 
 // Checkpoint writes the job's full chare state to path. It must be called

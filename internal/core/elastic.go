@@ -436,7 +436,7 @@ func (rt *Runtime) sendElastic(pe PE, m *Message) {
 // without view delegation — the reply channel to nodes that are (or just
 // became) inactive, and the ack channel of the membership protocol itself.
 func (rt *Runtime) sendFutureSetRaw(ref FutureRef, v any) {
-	rt.sendElastic(ref.PE, &Message{Kind: mElasticAck, Src: -1, Ctl: &futSetMsg{Ref: ref, Val: v}})
+	rt.sendElastic(ref.PE, &Message{Kind: mElasticAck, Src: -1, Fut: ref, Args: []any{v}})
 }
 
 // ---- view application ----

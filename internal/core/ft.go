@@ -192,7 +192,7 @@ func (p *peState) ftShip(epoch int64, g *ftGatherState) {
 		o.ftSnapshot(len(blob))
 	}
 	if rt.numNodes == 1 {
-		rt.sendFutureSet(g.fut, nil) // no buddy: self-commit
+		rt.sendFutureSet(p, g.fut, nil) // no buddy: self-commit
 		return
 	}
 	buddy := (rt.nodeID + 1) % rt.numNodes
@@ -206,7 +206,7 @@ func (p *peState) ftBlob(bm *ftBlobMsg) {
 	if st := p.rt.cfg.FT; st != nil {
 		st.StoreSnapshot(bm.Epoch, bm.Origin, bm.NumNodes, bm.Blob, false)
 	}
-	p.rt.sendFutureSet(bm.Fut, nil)
+	p.rt.sendFutureSet(p, bm.Fut, nil)
 }
 
 // ftRestore reports what snapshots this node's store holds.
@@ -215,7 +215,7 @@ func (p *peState) ftRestore(rm *ftRestoreMsg) {
 	if st := p.rt.cfg.FT; st != nil {
 		hs = st.Holdings()
 	}
-	p.rt.sendFutureSet(rm.Fut, ftHoldingsMsg{Node: p.rt.nodeID, Holdings: hs})
+	p.rt.sendFutureSet(p, rm.Fut, ftHoldingsMsg{Node: p.rt.nodeID, Holdings: hs})
 }
 
 // ftInject decodes the snapshots this node was elected to restore and
@@ -261,7 +261,7 @@ func (p *peState) ftInject(im *ftInjectMsg) {
 				Ctl: &migrateMsg{CID: el.CID, Idx: el.Idx, Blob: el.Blob, RedNo: el.RedNo}})
 		}
 	}
-	rt.sendFutureSet(im.Fut, ack)
+	rt.sendFutureSet(p, im.Fut, ack)
 }
 
 // Abort stops this node's scheduling loops without notifying peers and

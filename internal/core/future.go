@@ -35,11 +35,22 @@ func (f Future) Send(v any) {
 	if f.rt == nil {
 		panic("core: Send on unbound future")
 	}
-	f.rt.sendFutureSet(f.Ref, v)
+	f.rt.sendFutureSet(nil, f.Ref, v)
 }
 
-func (rt *Runtime) sendFutureSet(ref FutureRef, v any) {
-	rt.send(ref.PE, &Message{Kind: mFutureSet, Src: -1, Ctl: &futSetMsg{Ref: ref, Val: v}})
+// sendFutureSet completes ref with v. p is the PE sending, nil when that is
+// not known. The Message stays on this stack, as an invoke's does in
+// Proxy.invoke: a future-set for another node is serialized straight into
+// the batch, one for this node rides an invoke box from p's stock (a new box
+// without p).
+func (rt *Runtime) sendFutureSet(p *peState, ref FutureRef, v any) {
+	m := Message{Kind: mFutureSet, Src: -1, Fut: ref}
+	pe := rt.admit(ref.PE, &m)
+	if rt.isLocal(pe) {
+		rt.sendLocal(pe, p.boxInvoke(&m, []any{v}))
+		return
+	}
+	rt.agg.sendFutureSet(rt.countWire(pe, m.Src), pe, ref, v)
 }
 
 // futureSet runs on the owner PE's scheduler when a value arrives.

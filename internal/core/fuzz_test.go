@@ -26,7 +26,7 @@ func fuzzFrameSeeds(wt *wireTables) [][]byte {
 			Args: []any{int64(9), true, nil},
 		}, wt),
 		encodeMsg(-1, &Message{Kind: mFutureSet, Src: -1,
-			Ctl: &futSetMsg{Ref: FutureRef{PE: 2, ID: 11}, Val: 3.5}}),
+			Fut: FutureRef{PE: 2, ID: 11}, Args: []any{3.5}}),
 		encodeMsg(0, &Message{Kind: mPing, Src: 0}),
 		{0, 0, 0},             // shorter than a header
 		{1, 0, 0, 0, 0xff, 1}, // unknown kind
@@ -76,7 +76,7 @@ func FuzzDecodeFrame(f *testing.F) {
 				m2.Fut != m.Fut || !idxEqual(m2.Idx, m.Idx) || len(m2.Args) != len(m.Args) {
 				t.Fatalf("roundtrip mismatch:\n  first  %d %v\n  second %d %v", dest, m, dest2, m2)
 			}
-			if m.Kind == mInvoke {
+			if m.boxed {
 				stock.giveBack(m)
 				stock.giveBack(m2)
 			}

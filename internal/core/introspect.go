@@ -343,10 +343,6 @@ func (rt *Runtime) setupIntrospect() {
 	}
 }
 
-// Introspect returns the runtime's cluster-introspection holder (nil when
-// introspection is disabled). On node 0 it carries the whole job's view.
-func (rt *Runtime) Introspect() *introspect.Cluster { return rt.intro }
-
 // ---- PE side: collection profiling ----
 
 // introSample handles mIntroSample on the PE scheduler: profile the

@@ -206,7 +206,7 @@ func (o *observer) dispatched(path int) { o.dispatch[path].Inc() }
 
 // decoded counts one message decoded from the wire.
 func (o *observer) decoded(k msgKind) {
-	if k == mInvoke || k == mFutureSet {
+	if k == mInvoke || k == mFutureSet || k == mElasticAck {
 		o.decodeHot.Inc()
 	} else {
 		o.decodeGob.Inc()

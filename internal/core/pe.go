@@ -297,12 +297,14 @@ func (p *peState) handle(m *Message) {
 	case mDoneInserting:
 		p.handleDoneInserting(m.Ctl.(*doneInsertingMsg))
 	case mFutureSet, mElasticAck:
-		fs := m.Ctl.(*futSetMsg)
-		if fs.Ref.ID < 0 {
+		if v := m.Args[0]; m.Fut.ID < 0 {
 			// Negative ids are external (channel-awaited) futures; elastic.go.
-			p.rt.extComplete(fs.Ref.ID, fs.Val)
+			p.rt.extComplete(m.Fut.ID, v)
 		} else {
-			p.futureSet(fs.Ref, fs.Val)
+			p.futureSet(m.Fut, v)
+		}
+		if m.boxed && m == p.cur {
+			p.curSpent = true // the value is taken: nothing reads the box again
 		}
 	case mRedPartial:
 		// The reduction root accumulates job-level results; every other PE
@@ -362,7 +364,7 @@ func (p *peState) handle(m *Message) {
 	case mIntroSample:
 		p.introSample(m.Ctl.(*introSampleMsg).Seq)
 	case mPing:
-		p.rt.sendFutureSet(m.Fut, nil)
+		p.rt.sendFutureSet(p, m.Fut, nil)
 	case mElasticCtl:
 		p.elasticCtl(m.Ctl.(*elasticCtlMsg))
 	case mElasticState:
@@ -759,7 +761,7 @@ func (p *peState) invokeEMInner(el *element, info *emInfo, m *Message) (unpacked
 		o.emEnd(p, el, info.name, start, dur, true)
 	}
 	if m.Fut.valid() {
-		p.rt.sendFutureSet(m.Fut, ret)
+		p.rt.sendFutureSet(p, m.Fut, ret)
 	}
 	return unpacked && m.boxed
 }
@@ -867,7 +869,7 @@ func (p *peState) runThreaded(el *element, info *emInfo, m *Message) {
 			}()
 			ret, _ := p.callEM(el, info, m)
 			if m.Fut.valid() {
-				p.rt.sendFutureSet(m.Fut, ret)
+				p.rt.sendFutureSet(p, m.Fut, ret)
 			}
 		}()
 		p.yieldCh <- thYield{th: th, done: true, panicVal: pv}

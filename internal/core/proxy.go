@@ -147,9 +147,10 @@ func cloneArgs(args []any) []any {
 	return c
 }
 
-// boxInvoke copies a same-node invoke (m's header and index, and args) into
-// an invoke box from the stock of p, the PE its proxy is bound to; a new box
-// if p is nil or another goroutine holding such a proxy has the stock.
+// boxInvoke copies a same-node invoke (m's header and index, and args), or a
+// future-set (its ref in m.Fut, its value as args), into an invoke box from
+// the stock of p, the PE its proxy is bound to or that sends the value; a new
+// box if p is nil or another goroutine holding such a proxy has the stock.
 func (p *peState) boxInvoke(m *Message, args []any) *Message {
 	var b *Message
 	if p != nil && p.boxes.lock.CompareAndSwap(false, true) {

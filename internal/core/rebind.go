@@ -24,8 +24,6 @@ func (rt *Runtime) rebindMsg(m *Message) {
 		m.Args[i] = rt.rebindOwned(a, nil)
 	}
 	switch c := m.Ctl.(type) {
-	case *futSetMsg:
-		c.Val = rt.rebindOwned(c.Val, nil)
 	case *createMsg:
 		// Resolved here, once, before every local PE shares c (putCollMeta).
 		rt.mu.Lock()

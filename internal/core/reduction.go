@@ -397,7 +397,7 @@ func (p *peState) redCheckComplete(coll *localColl, seq int64, slot *rootRedSlot
 
 func (p *peState) deliverRedResult(t Target, result any) {
 	if t.IsFut {
-		p.rt.sendFutureSet(t.Fut, result)
+		p.rt.sendFutureSet(p, t.Fut, result)
 		return
 	}
 	m := &Message{

@@ -217,12 +217,13 @@ type Message struct {
 	Kind msgKind
 	hops int8 // forwarding hop count (location management loop guard)
 
-	// boxed marks an invoke in a box from the node's box list (wire.go),
-	// which a decoder or a same-node Proxy.invoke took: Idx, Args and raw
-	// point at storage that is reused once the box is returned. Only the PE
-	// dispatch loop (for the message it dequeued) and recheck (for a
-	// when-buffered one it took out of el.buf) return one, and only after
-	// invoking it inline; whoever else holds the pointer or the slices keeps
+	// boxed marks an invoke or a future-set in a box from the node's box
+	// list (wire.go), which a decoder, a same-node Proxy.invoke or
+	// sendFutureSet took: Idx, Args and raw point at storage that is reused
+	// once the box is returned. Only the PE dispatch loop (for the message
+	// it dequeued) and recheck (for a when-buffered one it took out of
+	// el.buf) return one, and only after invoking it inline or handing its
+	// value to the future; whoever else holds the pointer or the slices keeps
 	// them, and the box is then left to the GC. Cleared by send and copyOf.
 	// Unexported: node-local, never serialized.
 	boxed bool
@@ -298,11 +299,6 @@ type doneInsertingMsg struct {
 	CID   CID
 	Count int // phase 2: one PE's local element count (-1 in phase 1)
 	Total int // phase 3: global element count, fixed from now on
-}
-
-type futSetMsg struct {
-	Ref FutureRef
-	Val any
 }
 
 type redPartialMsg struct {

@@ -18,7 +18,7 @@ func init() {
 	// Control payloads travel inside Message.Ctl (an interface), so their
 	// concrete types must be registered with gob.
 	for _, v := range []any{
-		&createMsg{}, &insertMsg{}, &doneInsertingMsg{}, &futSetMsg{},
+		&createMsg{}, &insertMsg{}, &doneInsertingMsg{},
 		&redPartialMsg{}, &migrateMsg{}, &locUpdateMsg{},
 		&lbStatsMsg{}, &lbMovesMsg{}, &lbPollMsg{},
 		&qdStartMsg{}, &qdProbeMsg{}, &qdReplyMsg{}, &ckptCollectMsg{},
@@ -40,8 +40,12 @@ func init() {
 // dest < 0 means node-level broadcast (deliver to every PE of the receiving
 // node). The hot kinds (mInvoke, mFutureSet) use a compact custom encoding
 // whose headers are varints and whose argument lists go through internal/ser
-// (direct-copy numeric buffers, gob fallback); everything else is
-// gob-encoded wholesale.
+// (direct-copy numeric buffers, gob fallback); a future-set's body is its
+// ref (PE, id) and its value as a one-element list, and mElasticAck, the
+// membership protocol's uncounted future-set, shares that body. Everything
+// else is gob-encoded wholesale. Both hot kinds decode into invoke boxes
+// (see the ownership rule below), and both have a send path that serializes
+// from the sender's stack (aggregator.sendInvoke, sendFutureSet).
 //
 // Aggregated (TRAM-style) traffic uses a batch frame instead:
 //
@@ -123,16 +127,8 @@ func appendMsg(dst []byte, dest PE, m *Message, wt *wireTables) []byte {
 	switch m.Kind {
 	case mInvoke:
 		return appendInvoke(dst, dest, m, m.Args, wt)
-	case mFutureSet:
-		dst = appendFrameHdr(dst, dest, m.Kind)
-		fs := m.Ctl.(*futSetMsg)
-		dst = binary.AppendVarint(dst, int64(fs.Ref.PE))
-		dst = binary.AppendVarint(dst, fs.Ref.ID)
-		var err error
-		if dst, err = ser.AppendArgs(dst, []any{fs.Val}); err != nil {
-			panic(fmt.Sprintf("core: cannot serialize future value: %v", err))
-		}
-		return dst
+	case mFutureSet, mElasticAck:
+		return appendFutureSet(dst, dest, m.Kind, m.Fut, m.Args[0])
 	}
 	// Cold path (control traffic): gob into a scratch buffer and copy.
 	// Writing through a pointer to dst instead would make the slice
@@ -166,6 +162,22 @@ func appendInvoke(dst []byte, dest PE, m *Message, args []any, wt *wireTables) [
 	dst = appendMethod(dst, m.Method, wt)
 	dst = appendIdx(dst, m.Idx)
 	return appendInvokeArgs(dst, m, args)
+}
+
+// appendFutureSet is appendMsg for a future-set (or an elastic ack, which
+// shares its frame) of ref with value v, and the whole of its encoder: the
+// ref's PE and id as varints, then v as a one-element argument list. Like
+// appendInvoke it only reads what it is handed, so sendFutureSet keeps its
+// Message on its stack (aggregator.sendFutureSet).
+func appendFutureSet(dst []byte, dest PE, kind msgKind, ref FutureRef, v any) []byte {
+	dst = appendFrameHdr(dst, dest, kind)
+	dst = binary.AppendVarint(dst, int64(ref.PE))
+	dst = binary.AppendVarint(dst, ref.ID)
+	dst, err := ser.AppendArgs(dst, []any{v})
+	if err != nil {
+		panic(fmt.Sprintf("core: cannot serialize future value: %v", err))
+	}
+	return dst
 }
 
 // appendInvokeArgs is appendInvoke's argument half, and the whole body of a
@@ -236,18 +248,13 @@ func decodeMsgFull(frame []byte, wt *wireTables, alias bool, rt *Runtime, boxes 
 			return 0, nil, err
 		}
 		return dest, m, nil
-	case mFutureSet:
-		r := &reader{b: body}
-		ref := FutureRef{PE: PE(r.varint())}
-		ref.ID = r.varint()
-		if r.err != nil {
-			return 0, nil, r.err
+	case mFutureSet, mElasticAck:
+		m := boxes.take()
+		if err := decodeFutureSet(m, kind, body, alias); err != nil {
+			boxes.giveBack(m)
+			return 0, nil, err
 		}
-		vals, _, err := ser.DecodeArgs(r.rest())
-		if err != nil || len(vals) != 1 {
-			return 0, nil, fmt.Errorf("future value: %v", err)
-		}
-		return dest, &Message{Kind: mFutureSet, Src: -1, Ctl: &futSetMsg{Ref: ref, Val: vals[0]}}, nil
+		return dest, m, nil
 	default:
 		var m Message
 		dec := gob.NewDecoder(bytes.NewReader(body))
@@ -256,6 +263,24 @@ func decodeMsgFull(frame []byte, wt *wireTables, alias bool, rt *Runtime, boxes 
 		}
 		return dest, &m, nil
 	}
+}
+
+// decodeFutureSet fills the box m from a future-set's (or an elastic ack's)
+// body: the ref goes to m.Fut and the value into the box's first argument slot.
+func decodeFutureSet(m *Message, kind msgKind, body []byte, alias bool) error {
+	m.Kind, m.Src, m.boxed = kind, -1, true
+	r := reader{b: body}
+	m.Fut.PE = PE(r.varint())
+	m.Fut.ID = r.varint()
+	if r.err != nil {
+		return r.err
+	}
+	vals, _, err := ser.DecodeArgsInto(m.Args[:0], r.rest(), alias)
+	if err != nil || len(vals) != 1 {
+		return fmt.Errorf("future value: %d values, %v", len(vals), err)
+	}
+	m.Args = vals
+	return nil
 }
 
 // decodeInvoke fills the box m from an invoke frame's body: the element
@@ -388,12 +413,16 @@ func (b *batchReader) next() (PE, *Message, error) {
 //
 // Message ownership. Every decoded invoke lives in an invokeBox, and so does
 // every same-node unicast invoke (Proxy.invoke fills a box from the issuing
-// PE's stock); boxes are recycled. A decoded invoke for a handle whose
-// parameters are all fixed-size keeps its argument bytes (raw), not a list.
-// A box is returned only right after its entry method ran inline with its
-// arguments unpacked into typed parameters (the typed handle, its wire call
-// or the reflective path did that before user code ran, so nothing the
-// method did can still see them), and only by
+// PE's stock); boxes are recycled. So does every future-set, decoded or
+// same-node (sendFutureSet takes a box from the sending PE's stock, a new
+// one when it does not know that PE): its ref is in Fut, its value in Args[0].
+// A decoded invoke for a handle whose parameters are all fixed-size keeps
+// its argument bytes (raw), not a list. An invoke's box is returned only
+// right after its entry method ran inline with its arguments unpacked into
+// typed parameters (the typed handle, its wire call or the reflective path
+// did that before user code ran, so nothing the method did can still see
+// them), a future-set's once futureSet or extComplete has taken its value
+// (handle), and only by
 //   - the PE dispatch loop, for the message it dequeued;
 //   - recheck, for a when-buffered message it has just taken out of el.buf,
 //     the only reference left: deliverOrBuffer buffers the message being
@@ -406,8 +435,8 @@ func (b *batchReader) next() (PE, *Message, error) {
 // returned, and the GC collects it like any other message. A missed recycle
 // costs one object; a wrong one cannot happen without writing a third return.
 
-// invokeBox bundles a decoded invoke message with a small inline index
-// buffer, so one object holds the message and its (typically ≤4-dim)
+// invokeBox bundles an invoke or future-set message with a small inline
+// index buffer, so one object holds the message and its (typically ≤4-dim)
 // element index. m.Idx points into idx for as long as the box lives; m.Args
 // and m.raw keep whatever capacity earlier uses of the box grew.
 type invokeBox struct {
@@ -467,6 +496,7 @@ type boxList struct {
 	mu          sync.Mutex
 	full, empty []*msgRun
 	nFull       atomic.Int32 // len(full), so a decoder finds the list empty without mu
+	fresh       atomic.Int64 // boxes a stock made because the list had none (tests)
 }
 
 // put takes a chunk its owner is done with, boxes in it or not.
@@ -532,6 +562,7 @@ func (s *boxStock) take() *Message {
 	if s.cur == nil || len(s.cur.ms) == 0 {
 		c := s.list.get(true)
 		if c == nil {
+			s.list.fresh.Add(1)
 			return newBox()
 		}
 		if s.cur != nil {

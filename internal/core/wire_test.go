@@ -74,14 +74,13 @@ func TestWireBroadcastNilIdx(t *testing.T) {
 }
 
 func TestWireFutureSetRoundtrip(t *testing.T) {
-	m := &Message{Kind: mFutureSet, Ctl: &futSetMsg{Ref: FutureRef{PE: 3, ID: 12}, Val: []float64{9, 8}}}
+	m := &Message{Kind: mFutureSet, Fut: FutureRef{PE: 3, ID: 12}, Args: []any{[]float64{9, 8}}}
 	_, out := roundtripMsg(t, 3, m)
-	fs := out.Ctl.(*futSetMsg)
-	if fs.Ref != (FutureRef{PE: 3, ID: 12}) {
-		t.Errorf("ref = %v", fs.Ref)
+	if out.Kind != mFutureSet || out.Fut != (FutureRef{PE: 3, ID: 12}) || !out.boxed || len(out.Args) != 1 {
+		t.Fatalf("decoded %v: kind %d, ref %v, boxed %v, %d values", out, out.Kind, out.Fut, out.boxed, len(out.Args))
 	}
-	if v := fs.Val.([]float64); v[0] != 9 || v[1] != 8 {
-		t.Errorf("val = %v", fs.Val)
+	if v := out.Args[0].([]float64); v[0] != 9 || v[1] != 8 {
+		t.Errorf("val = %v", out.Args[0])
 	}
 }
 

@@ -77,13 +77,13 @@ type ServiceConfig struct {
 // cluster hosting a Shard array behind a request-routing front end with
 // admission control. Requests may be issued from any goroutine.
 type Service struct {
-	cfg  ServiceConfig
-	nw   *transport.MemNetwork
-	rts  []*core.Runtime
-	dets []*ft.Detector
-	mgrs []*Manager
-	arr  core.Proxy
-	gate *Gate
+	cfg   ServiceConfig
+	nw    *transport.MemNetwork
+	rts   []*core.Runtime
+	dets  []*ft.Detector
+	mgrs  []*Manager
+	shard []core.Proxy // one per Shard element, built at boot
+	gate  *Gate
 
 	inflight atomic.Int64
 	deaths   atomic.Int64 // detector false positives (should stay 0)
@@ -171,7 +171,12 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 		}(i)
 	}
 	select {
-	case s.arr = <-ready:
+	case arr := <-ready:
+		// Proxy.At copies the index: call would pay that per request.
+		s.shard = make([]core.Proxy, shards)
+		for i := range s.shard {
+			s.shard[i] = arr.At(i)
+		}
 	case <-time.After(bootTimeout):
 		s.Close()
 		return nil, errors.New("elastic: service cluster did not come up")
@@ -193,7 +198,7 @@ func (s *Service) call(shard int, method string, args ...any) (any, error) {
 	}
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
-	ch, ref := s.arr.At(shard).ExtCall(method, args...)
+	ch, ref := s.shard[shard].ExtCall(method, args...)
 	// The deadline timer is pooled: go.mod predates go 1.23, so a time.After
 	// per request would sit in the timer heap for the whole RequestTimeout —
 	// millions of live timers at the rate this path serves.

@@ -275,6 +275,9 @@ func (e *MemEndpoint) enqueue(node int, f memFrame) error {
 }
 
 func (e *MemEndpoint) pump() {
+	// The queue drained last, emptied, becomes the next e.q: the two
+	// alternate, so a steady flow of frames grows no queue.
+	var spare []memFrame
 	for {
 		e.mu.Lock()
 		for (len(e.q) == 0 || e.h == nil) && !e.done {
@@ -285,7 +288,7 @@ func (e *MemEndpoint) pump() {
 			return
 		}
 		batch := e.q
-		e.q = nil
+		e.q = spare
 		h := e.h
 		e.mu.Unlock()
 		for _, f := range batch {
@@ -296,6 +299,8 @@ func (e *MemEndpoint) pump() {
 				PutBuf(f.shared.buf)
 			}
 		}
+		clear(batch) // drop the frames' buffers
+		spare = batch[:0]
 	}
 }
 
