@@ -24,10 +24,11 @@ vet:
 # (entry-method signatures, gob safety, PE-blocking calls, nil-guarded
 # instrumentation, wire-buffer ownership, zero-copy alias lifetimes,
 # migration safety, entry-method races). See DESIGN.md §3.3 and §3.7.
-# The JSON report is schema-checked by vetcheck, which fails on any finding
-# not recorded in the committed baseline (charmvet_baseline.json).
+# It exits 1 on any finding not recorded in the committed baseline
+# (charmvet_baseline.json); the -json report's schema is held by
+# internal/analysis's TestCharmvetJSONReport.
 charmvet:
-	$(GO) run ./cmd/charmvet -json -baseline charmvet_baseline.json ./... | $(GO) run ./cmd/vetcheck
+	$(GO) run ./cmd/charmvet -baseline charmvet_baseline.json ./...
 
 # vet-baseline regenerates charmvet_baseline.json from the current findings,
 # keeping justifications for entries that still occur. Use it only to accept
@@ -36,7 +37,12 @@ charmvet:
 vet-baseline:
 	$(GO) run ./cmd/charmvet -baseline charmvet_baseline.json -write-baseline ./...
 
+# lint is go vet, charmvet, and the exported-API reachability test: an
+# identifier in internal/... that no non-test file uses fails it unless
+# internal/analysis/testdata/api_allowlist.txt lists it with a citation
+# (DESIGN.md §3.7).
 lint: vet charmvet
+	$(GO) test -count=1 -run TestExportedAPIPaysRent ./internal/analysis
 
 # chaos runs the fault-tolerance suite (failure detection, buddy
 # checkpointing, kill-one-node recovery, chaos transport) under the race
@@ -82,7 +88,8 @@ check: build lint guards
 # per-sender FIFO and one-PE-at-a-time tests (TestPerSenderFIFO,
 # TestSingleExecution, the second across migrations), the handles' wire
 # identity (wire calls against ser), a forced LB round against quiescence
-# detection and against an AtSync round in flight, and the quiescence
+# detection and against an AtSync round in flight, an AtSync round whose
+# PE barriers change under a forced round's moves, and the quiescence
 # tests 20 times over (qd-soak: QD_COUNT = 200 times, the gate for a change
 # to the counting sites of DESIGN.md §quiescence).
 QD_TESTS = TestQuiescence|TestQDNotEarly|TestStressMultiNode
@@ -94,7 +101,7 @@ guards:
 	$(GO) test -count=1 -run 'TestSenderFlushesWhenAllPEsParked|TestNoStrandedSendUnderParkRace|TestFloodStillBatches|TestBackstopFlushesPinnedPE' ./internal/core
 	$(GO) test -count=1 -run 'TestServiceCloseImmediately|TestCallTimeoutStillFires|TestBootIgnoresRequestTimeout' ./internal/elastic
 	for p in 1 2 8; do \
-		GOMAXPROCS=$$p $(GO) test -race -count=1 -run 'TestNoStrandedSendUnderParkRace|TestRecycledBoxNeverObserved|TestForeignGoroutineInvoke|TestBatchRepeatHeaders|TestPerSenderFIFO|TestSingleExecution|TestHandleWireIdentity|TestQDNotEarlyForcedLB|TestForcedLBOverlapsAtSync' ./internal/core && \
+		GOMAXPROCS=$$p $(GO) test -race -count=1 -run 'TestNoStrandedSendUnderParkRace|TestRecycledBoxNeverObserved|TestForeignGoroutineInvoke|TestBatchRepeatHeaders|TestPerSenderFIFO|TestSingleExecution|TestHandleWireIdentity|TestQDNotEarlyForcedLB|TestForcedLBOverlapsAtSync|TestAtSyncAfterForcedMoves' ./internal/core && \
 		GOMAXPROCS=$$p $(GO) test -race -count=1 -run 'TestServiceCloseImmediately' ./internal/elastic || exit 1; \
 	done
 	$(MAKE) qd-soak QD_COUNT=20

@@ -15,9 +15,9 @@
 // directory path for one package. With no arguments, ./... is assumed.
 //
 // -json emits a machine-readable report (schema: internal/analysis.Report,
-// validated by cmd/vetcheck) instead of the line-oriented text form. Each
-// finding carries the rule's stable ID (CV001..); IDs never change even if
-// a rule is renamed. -baseline subtracts the committed suppression file
+// held by its TestCharmvetJSONReport) instead of the line-oriented text
+// form. Each finding carries the rule's stable ID (CV001..); IDs never
+// change even if a rule is renamed. -baseline subtracts the committed suppression file
 // before deciding the exit status, so CI enforces "no new findings";
 // -write-baseline regenerates that file from the current findings,
 // preserving justifications for entries that are still live.
@@ -39,7 +39,7 @@ import (
 func main() {
 	checks := flag.String("checks", "", "comma-separated checks to run (default: all)")
 	list := flag.Bool("list", false, "list available checks and exit")
-	jsonOut := flag.Bool("json", false, "emit findings as JSON (see cmd/vetcheck)")
+	jsonOut := flag.Bool("json", false, "emit findings as JSON (schema: internal/analysis.Report)")
 	baselinePath := flag.String("baseline", "", "baseline file of accepted findings to subtract")
 	writeBaseline := flag.Bool("write-baseline", false, "regenerate the -baseline file from current findings and exit")
 	flag.Usage = func() {

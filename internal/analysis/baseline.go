@@ -5,31 +5,31 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"regexp"
 	"sort"
 )
 
 // baseline.go is the machine-readable output and suppression layer behind
 // `charmvet -json`. A Finding is one diagnostic with a stable rule ID and a
-// module-relative path; a Report is the JSON document charmvet emits and
-// vetcheck validates. The baseline file records findings that are accepted
-// for now: charmvet subtracts it before deciding its exit status, so CI can
-// require "no new findings" without requiring a flag-day cleanup. Baseline
+// module-relative path; a Report is the JSON document charmvet emits (its
+// schema is held by TestCharmvetJSONReport). The baseline file records
+// findings that are accepted for now: charmvet subtracts it before deciding
+// its exit status, so CI can require "no new findings" without requiring a
+// flag-day cleanup. Baseline
 // entries deliberately omit line and column — unrelated edits above a
 // finding must not churn the file — so a finding matches on (rule, file,
 // message).
 
 // ReportVersion is the schema version of charmvet's -json output. Bump only
-// on incompatible changes; vetcheck rejects versions it does not know.
+// on incompatible changes; TestCharmvetJSONReport rejects any other version.
 const ReportVersion = 1
 
 // Finding is one diagnostic in machine-readable form.
 type Finding struct {
-	Rule    string `json:"rule"`    // stable ID, e.g. "CV007"
-	Check   string `json:"check"`   // human name, e.g. "aliasescape"
-	File    string `json:"file"`    // module-relative, forward slashes
-	Line    int    `json:"line"`    // 1-based
-	Col     int    `json:"col"`     // 1-based
+	Rule    string `json:"rule"`  // stable ID, e.g. "CV007"
+	Check   string `json:"check"` // human name, e.g. "aliasescape"
+	File    string `json:"file"`  // module-relative, forward slashes
+	Line    int    `json:"line"`  // 1-based
+	Col     int    `json:"col"`   // 1-based
 	Message string `json:"message"`
 }
 
@@ -38,9 +38,6 @@ type Report struct {
 	Version  int       `json:"version"`
 	Findings []Finding `json:"findings"`
 }
-
-// RuleIDPattern matches well-formed rule IDs. Exported for vetcheck.
-var RuleIDPattern = regexp.MustCompile(`^CV[0-9]{3}$`)
 
 // NewFinding converts a diagnostic to a Finding, making the path relative to
 // the module root (slash-separated) when possible.

@@ -111,7 +111,7 @@ func TestReadBaselineMissing(t *testing.T) {
 func TestRuleIDs(t *testing.T) {
 	seen := map[string]string{}
 	for _, a := range All {
-		if !RuleIDPattern.MatchString(a.ID) {
+		if !ruleIDPattern.MatchString(a.ID) {
 			t.Errorf("%s: malformed ID %q", a.Name, a.ID)
 		}
 		if prev, dup := seen[a.ID]; dup {

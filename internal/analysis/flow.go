@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 )
 
 // flow.go is the shared forward-dataflow engine the CFG-based rules
@@ -45,18 +44,6 @@ func (s State) merge(o State) bool {
 		}
 	}
 	return changed
-}
-
-func (s State) equal(o State) bool {
-	if len(s) != len(o) {
-		return false
-	}
-	for k, v := range s {
-		if ov, ok := o[k]; !ok || ov != v {
-			return false
-		}
-	}
-	return true
 }
 
 // Transfer mutates state through one CFG node. When report is true the pass
@@ -198,21 +185,4 @@ func eachCall(info *types.Info, n ast.Node, fn func(call *ast.CallExpr)) {
 		}
 		return true
 	})
-}
-
-// sortedObjs returns state's keys ordered by fact position then name, for
-// deterministic iteration.
-func sortedObjs(state State) []types.Object {
-	objs := make([]types.Object, 0, len(state))
-	for o := range state {
-		objs = append(objs, o)
-	}
-	sort.Slice(objs, func(i, j int) bool {
-		a, b := objs[i], objs[j]
-		if state[a].Pos != state[b].Pos {
-			return state[a].Pos < state[b].Pos
-		}
-		return a.Name() < b.Name()
-	})
-	return objs
 }

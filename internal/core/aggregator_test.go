@@ -283,7 +283,7 @@ func TestSenderFlushesWhenAllPEsParked(t *testing.T) {
 		t.Errorf("%d batches left by the backstop, want 0", n)
 	}
 	rt.Exit()
-	<-rt.Done()
+	<-rt.done
 }
 
 // TestNoStrandedSendUnderParkRace proves the park/send handshake: a PE
@@ -333,7 +333,7 @@ func TestNoStrandedSendUnderParkRace(t *testing.T) {
 			}
 			rts[0].Exit()
 			for i, rt := range rts {
-				<-rt.Done()
+				<-rt.done
 				if n := rt.nBackstop.Load(); n != 0 {
 					t.Errorf("node %d: %d batches left by the backstop, want 0", i, n)
 				}

@@ -48,9 +48,6 @@ func (c *Chare) MyPE() PE { return c.ctx().p.pe }
 // NumPEs returns the total number of PEs in the job (paper: charm.numPes()).
 func (c *Chare) NumPEs() int { return c.ctx().p.rt.totalPEs }
 
-// Runtime returns the hosting node runtime.
-func (c *Chare) Runtime() *Runtime { return c.ctx().p.rt }
-
 // Exit terminates the parallel program (paper: charm.exit()).
 func (c *Chare) Exit() { c.ctx().p.rt.Exit() }
 
@@ -253,10 +250,4 @@ func (c *Chare) AtSync() {
 	ec := c.ctx()
 	ec.el.atSync = true
 	ec.p.lbMaybeSendStats(ec.coll)
-}
-
-// Load returns the wall-clock entry-method time accumulated by this chare
-// since the last load-balancing round (exposed for tests and examples).
-func (c *Chare) Load() float64 {
-	return c.ctx().el.load.Seconds()
 }

@@ -54,7 +54,7 @@ func TestBroadcastTreeWireSends(t *testing.T) {
 		})
 	var ops int64
 	for n, rt := range rts {
-		b, sends := rt.obs.collBcasts.Value(), rt.BcastSends()
+		b, sends := rt.obs.collBcasts.Value(), rt.nBcastSends.Load()
 		ops += b
 		if sends > b*treeArity {
 			t.Errorf("node %d: %d root sends for %d broadcasts, want <= %d each", n, sends, b, treeArity)

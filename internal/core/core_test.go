@@ -114,7 +114,7 @@ func TestArrayCreationAndIndices(t *testing.T) {
 	}, func(self *Chare) {
 		arr := self.NewArray(&IdxEcho{}, []int{4, 5})
 		f := self.CreateFuture()
-		arr.Call("Report", f.Target()) // broadcast; gather via reduction target
+		arr.Call("Report", Target{Fut: f.Ref, IsFut: true}) // broadcast; gather via reduction target
 		// use a gather reduction instead
 		got := f.Get()
 		_ = got

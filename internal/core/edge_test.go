@@ -323,7 +323,7 @@ func TestFutureReady(t *testing.T) {
 		rt.Register(&FutWorker{})
 	}, func(self *Chare) {
 		f := self.CreateFuture()
-		if f.Ready() {
+		if fs := self.ctx().p.futures[f.Ref.ID]; fs == nil || fs.ready {
 			t.Error("fresh future is ready")
 		}
 		w := self.NewChare(&FutWorker{}, PE(1))
@@ -679,7 +679,7 @@ func (l *LoadProbe) Burn(ms int) {
 	}
 }
 
-func (l *LoadProbe) MyLoad(done Future) { done.Send(l.Load()) }
+func (l *LoadProbe) MyLoad(done Future) { done.Send(l.ctx().el.load.Seconds()) }
 
 func TestChareLoadAccounting(t *testing.T) {
 	runJob(t, Config{PEs: 2}, func(rt *Runtime) {

@@ -275,24 +275,11 @@ func (rt *Runtime) MailboxDepth() int {
 	return n
 }
 
-// ViewEpoch returns the current membership epoch (0 outside elastic mode).
-func (rt *Runtime) ViewEpoch() int64 {
-	if v := rt.view.Load(); v != nil {
-		return v.epoch
-	}
-	return 0
-}
-
 // SetViewHook registers a callback invoked (on a PE scheduler or the
 // coordinator goroutine) after each membership view is applied on this node.
 // The fault-tolerance glue uses it to re-scope the failure detector's watch
 // set. Must be set before Start.
 func (rt *Runtime) SetViewHook(f func(epoch int64, active []bool)) { rt.viewHook = f }
-
-// SetAdmission registers a join-admission gate consulted by the coordinator
-// before admitting a node; a non-nil error rejects the join. Must be set
-// before Start, on node 0.
-func (rt *Runtime) SetAdmission(f func(node int) error) { rt.admitHook = f }
 
 // viewChildren appends this node's children in the collective spanning tree
 // rooted at root, derived over the ACTIVE node set: ranks are relabeled over
@@ -787,11 +774,6 @@ func (rt *Runtime) elasticAdmit(j int) string {
 	}
 	if v.active[j] {
 		return fmt.Sprintf("node %d is already active", j)
-	}
-	if hook := rt.admitHook; hook != nil {
-		if err := hook(j); err != nil {
-			return "join rejected: " + err.Error()
-		}
 	}
 	reps, errs := rt.censusPEs([]PE{rt.basePE}, true)
 	if errs != "" {

@@ -283,7 +283,7 @@ func TestElasticRejections(t *testing.T) {
 	if got := rts[0].ActiveNodes(); len(got) != 2 {
 		t.Fatalf("view disturbed by rejected requests: %v", got)
 	}
-	if epoch := rts[0].ViewEpoch(); epoch != 1 {
+	if epoch := rts[0].view.Load().epoch; epoch != 1 {
 		t.Fatalf("epoch advanced by rejected requests: %d", epoch)
 	}
 }

@@ -278,9 +278,6 @@ func (rt *Runtime) Abort() {
 // recovery driver uses it to tell a finished job from a torn-down one.
 func (rt *Runtime) CleanExit() bool { return rt.cleanExit.Load() }
 
-// FTEpoch returns the last committed (or restored) checkpoint epoch.
-func (rt *Runtime) FTEpoch() int64 { return rt.ftEpoch.Load() }
-
 // RestartFromMemory starts a fresh (typically shrunken) runtime and
 // restores the job from the in-memory snapshots held in Config.FT, then
 // runs entry on the new main chare with proxies to every restored

@@ -76,13 +76,6 @@ func (p *peState) futureSet(ref FutureRef, v any) {
 	}
 }
 
-// Ready reports whether the future's value has arrived (non-blocking).
-func (f Future) Ready() bool {
-	p := f.ownerPE()
-	fs := p.futures[f.Ref.ID]
-	return fs != nil && fs.ready
-}
-
 // Get returns the future's value, suspending the calling threaded entry
 // method until it is available. For CreateFuture(n) with n > 1 it returns a
 // []any of the n values in arrival order; for broadcast-completion futures
@@ -119,10 +112,7 @@ func (f Future) ownerPE() *peState {
 		panic("core: unbound future (zero Future?)")
 	}
 	if !f.rt.isLocal(f.Ref.PE) {
-		panic("core: Future.Get/Ready may only be called on the node that created the future")
+		panic("core: Future.Get may only be called on the node that created the future")
 	}
 	return f.rt.localPE(f.Ref.PE)
 }
-
-// Target returns the future as a reduction target.
-func (f Future) Target() Target { return Target{Fut: f.Ref, IsFut: true} }

@@ -149,30 +149,36 @@ func FuzzDecodeBatch(f *testing.F) {
 
 // TestGenerateFrameCorpus writes the seed frames and batches as committed
 // corpus files. Run with CHARMGO_GEN_CORPUS=1 after changing the wire format;
-// otherwise it verifies the committed corpora are present and well-formed.
+// otherwise it verifies that each committed seed-NN file is byte for byte
+// what the seed builders make today, and that there is no other.
 func TestGenerateFrameCorpus(t *testing.T) {
 	wt := fuzzWireTables()
+	gen := os.Getenv("CHARMGO_GEN_CORPUS") != ""
 	for target, seeds := range map[string][][]byte{
 		"FuzzDecodeFrame": fuzzFrameSeeds(wt),
 		"FuzzDecodeBatch": fuzzBatchSeeds(wt),
 	} {
 		dir := filepath.Join("testdata", "fuzz", target)
-		if os.Getenv("CHARMGO_GEN_CORPUS") != "" {
+		if gen {
 			if err := os.MkdirAll(dir, 0o755); err != nil {
 				t.Fatal(err)
 			}
-			for i, seed := range seeds {
-				name := filepath.Join(dir, fmt.Sprintf("seed-%02d", i))
-				body := "go test fuzz v1\n[]byte(" + strconv.Quote(string(seed)) + ")\n"
+		}
+		for i, seed := range seeds {
+			name := filepath.Join(dir, fmt.Sprintf("seed-%02d", i))
+			body := "go test fuzz v1\n[]byte(" + strconv.Quote(string(seed)) + ")\n"
+			if gen {
 				if err := os.WriteFile(name, []byte(body), 0o644); err != nil {
 					t.Fatal(err)
 				}
+				continue
 			}
-			continue
+			if got, err := os.ReadFile(name); err != nil || string(got) != body {
+				t.Errorf("%s is not what %s's seed builder makes (regenerate with CHARMGO_GEN_CORPUS=1): %v", name, target, err)
+			}
 		}
-		entries, err := os.ReadDir(dir)
-		if err != nil || len(entries) < len(seeds) {
-			t.Fatalf("committed fuzz corpus missing in %s (regenerate with CHARMGO_GEN_CORPUS=1): %v", dir, err)
+		if extra, _ := filepath.Glob(filepath.Join(dir, fmt.Sprintf("seed-%02d", len(seeds)))); len(extra) > 0 {
+			t.Errorf("%s: committed seeds beyond the %d the builder makes", dir, len(seeds))
 		}
 	}
 }

@@ -158,11 +158,22 @@ func TestBadBindPanics(t *testing.T) {
 	}
 }
 
+// travelsFlat reports whether ser encodes v with the flat codec registered
+// under name rather than with gob.
+func travelsFlat(v any, name string) bool {
+	b, err := ser.AppendArgs(nil, []any{v})
+	if err != nil {
+		return false
+	}
+	d := ser.NewDec(b, false)
+	return d.Count() == 1 && d.FlatHeader(name)
+}
+
 // Proxy and Future arguments must round-trip through the flat codec with nil
 // element indices preserved (nil Elem = broadcast proxy) and no gob on the
 // wire.
 func TestProxyFutureFlatCodec(t *testing.T) {
-	if !ser.HasFlat(Proxy{}) || !ser.HasFlat(Future{}) {
+	if !travelsFlat(Proxy{}, proxyFlatName) || !travelsFlat(Future{}, futureFlatName) {
 		t.Fatal("core did not register flat codecs for Proxy/Future")
 	}
 	in := []any{

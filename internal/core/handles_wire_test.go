@@ -164,7 +164,10 @@ func TestHandleWireIdentity(t *testing.T) {
 	}
 	// The four flat structs travel flat, not by gob, in both dispatch modes.
 	for _, v := range []any{stencil.Params{}, leanmd.Params{}, wave2d.Params{}, bench.Vec3{}} {
-		if !ser.HasFlat(v) {
+		typ := reflect.TypeOf(v)
+		b, err := ser.AppendArgs(nil, []any{v})
+		d := ser.NewDec(b, false)
+		if err != nil || d.Count() != 1 || !d.FlatHeader(typ.PkgPath()+"."+typ.Name()) {
 			t.Errorf("%T has no flat codec", v)
 		}
 	}

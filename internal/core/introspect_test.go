@@ -27,7 +27,7 @@ func TestIntrospectSamplingMultiNode(t *testing.T) {
 	}, func(self *Chare) {
 		g := self.NewGroup(&NodeWorker{}, "w")
 		// No LB strategy configured: the forced-LB trigger must refuse.
-		if _, err := self.Runtime().TriggerLBRound(); !errors.Is(err, ErrNoLBStrategy) {
+		if _, err := self.ctx().p.rt.TriggerLBRound(); !errors.Is(err, ErrNoLBStrategy) {
 			t.Errorf("TriggerLBRound without Config.LB = %v, want ErrNoLBStrategy", err)
 		}
 		// Keep every PE busy long enough for several sample rounds to ship.
@@ -111,7 +111,7 @@ func TestTriggerLBRoundMovesElements(t *testing.T) {
 		for i := range before {
 			before[i] = arr.At(i).CallRet("Where").Get().(int)
 		}
-		cids, err := self.Runtime().TriggerLBRound()
+		cids, err := self.ctx().p.rt.TriggerLBRound()
 		if err != nil {
 			t.Errorf("TriggerLBRound: %v", err)
 			return

@@ -71,21 +71,29 @@ func (p *peState) lbObjs(coll *localColl) []LBObject {
 	return objs
 }
 
-// lbMaybeSendStats sends this PE's load statistics to the root once every
-// local element of the collection has reached AtSync.
+// lbMaybeSendStats sends the root the loads of this PE's elements of the
+// collection not yet reported this round, once every local element has
+// reached AtSync. An element that arrives after the PE reported (a forced
+// round's or a drain's move) is reported when it reaches AtSync itself.
 func (p *peState) lbMaybeSendStats(coll *localColl) {
-	if coll.lbStatsSent || len(coll.elems) == 0 {
-		return
-	}
+	var objs []LBObject
 	for _, el := range coll.elems {
 		if !el.atSync {
 			return
 		}
+		if !el.lbReported && !el.dead {
+			objs = append(objs, LBObject{Key: el.key, PE: p.pe, Load: el.load.Seconds()})
+		}
 	}
-	coll.lbStatsSent = true
+	if len(objs) == 0 {
+		return
+	}
+	for _, el := range coll.elems {
+		el.lbReported = true
+	}
 	cid := collCID(coll)
 	p.rt.send(rootPE(p.rt, cid), &Message{Kind: mLBStats, CID: cid, Src: p.pe,
-		Ctl: &lbStatsMsg{Objs: p.lbObjs(coll)}})
+		Ctl: &lbStatsMsg{Objs: objs}})
 }
 
 // lbRootStats accumulates a round's stats at the collection's root and
@@ -207,10 +215,9 @@ func (p *peState) lbResume(cid CID) {
 	if coll == nil {
 		return
 	}
-	coll.lbStatsSent = false
 	els := make([]*element, 0, len(coll.elems))
 	for _, el := range coll.elems {
-		el.atSync = false
+		el.atSync, el.lbReported = false, false
 		el.load = 0
 		els = append(els, el)
 	}

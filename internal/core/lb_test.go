@@ -116,7 +116,7 @@ func TestQDNotEarlyForcedLB(t *testing.T) {
 		for i := range before {
 			before[i] = arr.At(i).CallRet("Where").Get().(int)
 		}
-		if _, err := self.Runtime().TriggerLBRound(); err != nil {
+		if _, err := self.ctx().p.rt.TriggerLBRound(); err != nil {
 			t.Errorf("TriggerLBRound: %v", err)
 			return
 		}
@@ -158,10 +158,9 @@ func (u *OverlapUnit) ResumeFromSync() {
 // is at an AtSync barrier. The forced move order must leave every element
 // at sync where it is, and move the others; once they reach the barrier too,
 // the AtSync round must complete as if no forced round had run: every
-// element moved once more, and resumed exactly once.
-//
-// Each PE keeps one element out of the first half: a PE whose elements were
-// all at sync would send its stats before the forced moves bring it more.
+// element moved once more, and resumed exactly once. The first half is the
+// elements of PEs 0 and 1, so PE 0 reports before the forced moves bring it
+// PE 3's elements.
 func TestForcedLBOverlapsAtSync(t *testing.T) {
 	const nodes, pes, elems = 2, 2, 16
 	const total = nodes * pes
@@ -181,21 +180,21 @@ func TestForcedLBOverlapsAtSync(t *testing.T) {
 			perPE[start[i]] = append(perPE[start[i]], i)
 		}
 		first := map[int]bool{}
-		for pe := 0; pe < total; pe++ {
-			if len(perPE[pe]) < 2 {
-				t.Errorf("PE %d hosts %d elements; the test needs 2 on every PE", pe, len(perPE[pe]))
-				return
-			}
-			for _, i := range perPE[pe][:len(perPE[pe])/2] {
+		for _, pe := range []int{0, 1} {
+			for _, i := range perPE[pe] {
 				first[i] = true
 			}
+		}
+		if len(first) != elems/2 {
+			t.Errorf("PEs 0 and 1 host %d of %d elements, want half", len(first), elems)
+			return
 		}
 		for i := range start {
 			if first[i] && arr.At(i).CallRet("Sync").Get().(int) != start[i] {
 				t.Errorf("element %d moved before the forced round", i)
 			}
 		}
-		if _, err := self.Runtime().TriggerLBRound(); err != nil {
+		if _, err := self.ctx().p.rt.TriggerLBRound(); err != nil {
 			t.Errorf("TriggerLBRound: %v", err)
 			return
 		}
@@ -234,4 +233,99 @@ func TestForcedLBOverlapsAtSync(t *testing.T) {
 			}
 		}
 	})
+}
+
+// allToPE1 moves every element to PE 1.
+type allToPE1 struct{}
+
+func (allToPE1) Name() string { return "all-to-pe1" }
+func (allToPE1) Assign(objs []LBObject, numPEs int) map[string]PE {
+	out := map[string]PE{}
+	for _, o := range objs {
+		out[o.Key] = 1
+	}
+	return out
+}
+
+// TestAtSyncAfterForcedMoves runs an AtSync round across a forced round's
+// moves on one node of 2 PEs, in the two shapes where a PE's barrier
+// changes under it. The round must finish and resume every element once.
+//   - arrival: PE 1's elements are all at sync (PE 1 has reported) when the
+//     forced round (rotateAll) brings it PE 0's elements, which reach
+//     AtSync on PE 1 afterwards;
+//   - departure: the forced round (allToPE1) moves away the one element of
+//     PE 0 not at sync, leaving PE 0's others all at sync.
+func TestAtSyncAfterForcedMoves(t *testing.T) {
+	const elems = 6
+	cases := []struct {
+		name   string
+		lb     LBStrategy
+		early  func(pe int, nth int) bool // at sync before the forced round
+		forced func(pe int) int           // where an element not at sync goes
+		final  func(pe int) int           // where the AtSync round puts it
+	}{
+		{"arrival", rotateAll{},
+			func(pe, nth int) bool { return pe == 1 },
+			func(pe int) int { return 1 - pe },
+			func(pe int) int { return 1 - pe }},
+		{"departure", allToPE1{},
+			func(pe, nth int) bool { return pe == 0 && nth > 0 },
+			func(pe int) int { return 1 },
+			func(pe int) int { return 1 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			overlapLog.Lock()
+			overlapLog.resumed = map[int][]int{}
+			overlapLog.Unlock()
+			runJob(t, Config{PEs: 2, LB: tc.lb}, func(rt *Runtime) {
+				rt.Register(&OverlapUnit{})
+			}, func(self *Chare) {
+				arr := self.NewArray(&OverlapUnit{}, []int{elems})
+				early := map[int]bool{}
+				moved := make([]int, elems) // the element's PE after the forced round
+				nth := map[int]int{}
+				for i := range moved {
+					pe := arr.At(i).CallRet("Where").Get().(int)
+					early[i] = tc.early(pe, nth[pe])
+					nth[pe]++
+					moved[i] = tc.forced(pe)
+					if early[i] {
+						moved[i] = pe
+						arr.At(i).CallRet("Sync").Get()
+					}
+				}
+				if _, err := self.ctx().p.rt.TriggerLBRound(); err != nil {
+					t.Errorf("TriggerLBRound: %v", err)
+					return
+				}
+				// Every move of the forced round lands before an element
+				// not at sync is told to reach the barrier.
+				deadline := time.Now().Add(20 * time.Second)
+				for i, pe := range moved {
+					for !early[i] && arr.At(i).CallRet("Where").Get().(int) != pe {
+						if time.Now().After(deadline) {
+							t.Errorf("element %d did not take the forced move", i)
+							return
+						}
+						time.Sleep(5 * time.Millisecond)
+					}
+				}
+				for i := range moved {
+					if !early[i] {
+						arr.At(i).CallRet("Sync").Get()
+					}
+				}
+				self.WaitQD() // the AtSync round runs to its end, or stalls
+				overlapLog.Lock()
+				defer overlapLog.Unlock()
+				for i, pe := range moved {
+					if r := overlapLog.resumed[i]; len(r) != 1 || r[0] != tc.final(pe) {
+						t.Errorf("element %d (at sync before the forced round: %v) resumed on %v, want once on PE %d",
+							i, early[i], r, tc.final(pe))
+					}
+				}
+			})
+		})
+	}
 }

@@ -179,13 +179,3 @@ func (lc *locCache) scrubRange(lo, hi PE) {
 		s.mu.Unlock()
 	}
 }
-
-// epochSum returns the total number of shard republishes (tests assert the
-// read path's epoch-published batching behaviour).
-func (lc *locCache) epochSum() uint64 {
-	var n uint64
-	for i := range lc.shards {
-		n += lc.shards[i].epoch.Load()
-	}
-	return n
-}

@@ -31,7 +31,7 @@ func TestLocCacheMergePublishes(t *testing.T) {
 	for i := 0; i < n; i++ {
 		lc.put(CID(1), fmt.Sprintf("key-%d", i), PE(i%11))
 	}
-	if lc.epochSum() == 0 {
+	if epochSum(lc) == 0 {
 		t.Fatal("no shard ever merged its dirty overlay into the published map")
 	}
 	for i := 0; i < n; i++ {
@@ -93,4 +93,13 @@ func TestLocCacheConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// epochSum returns the total number of shard republishes.
+func epochSum(lc *locCache) uint64 {
+	var n uint64
+	for i := range lc.shards {
+		n += lc.shards[i].epoch.Load()
+	}
+	return n
 }

@@ -83,8 +83,7 @@ type localColl struct {
 	nodeRed     map[int64]*rootRedSlot // tree combiner accumulation (reduction.go)
 	pendingElem map[string][]*Message  // sparse: messages before insertion
 	insCount    int                    // local insert count (sparse)
-	lbStatsSent bool
-	lb          lbRootState // on the collection's root PE only
+	lb          lbRootState            // on the collection's root PE only
 
 	// treeExpect caches the number of contributions this node's reduction
 	// combiner must merge before forwarding up the tree: the elements
@@ -111,7 +110,8 @@ type element struct {
 	redNo       int64
 	load        time.Duration // cumulative entry-method wall time
 	atSync      bool
-	migrateTo   PE // requested destination PE; -1 when none
+	lbReported  bool // its AtSync stats went to the root this round
+	migrateTo   PE   // requested destination PE; -1 when none
 	lbMove      bool
 	liveThreads int
 	inRecheck   bool
@@ -1021,6 +1021,7 @@ func (p *peState) migrateOut(el *element) {
 	if p.pe == p.rt.homePE(el.cid, el.key) {
 		p.setHomeLoc(el.cid, el.key, to)
 	}
+	p.lbMaybeSendStats(el.coll) // the element that left may have kept the PE from its barrier
 }
 
 // Migrated may be implemented by chares to be notified after arriving on a

@@ -25,12 +25,6 @@ func (pr Proxy) At(idx ...int) Proxy {
 	return pr
 }
 
-// Broadcast returns a proxy referencing the whole collection again.
-func (pr Proxy) Broadcast() Proxy {
-	pr.Elem = nil
-	return pr
-}
-
 // Target names an entry method of the referenced chare(s) as a reduction
 // target (paper: passing proxy.method as target).
 func (pr Proxy) Target(method string) Target {

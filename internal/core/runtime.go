@@ -273,9 +273,6 @@ func NewRuntime(cfg Config) *Runtime {
 // NumPEs returns the total number of PEs across the whole job.
 func (rt *Runtime) NumPEs() int { return rt.totalPEs }
 
-// NodeID returns this node's id.
-func (rt *Runtime) NodeID() int { return rt.nodeID }
-
 // mainChare hosts the user entry point on PE 0 as an implicitly threaded
 // entry method, like CharmPy's entry point (paper section II-B).
 type mainChare struct {
@@ -367,9 +364,6 @@ func (rt *Runtime) localExit() {
 		p.mbox.pushFront(&Message{Kind: mExit, Src: -1})
 	}
 }
-
-// Done returns a channel closed when the job has exited on this node.
-func (rt *Runtime) Done() <-chan struct{} { return rt.done }
 
 // nodeOf returns the node hosting a global PE.
 func (rt *Runtime) nodeOf(pe PE) int { return int(pe) / rt.cfg.PEs }
@@ -742,11 +736,6 @@ func (rt *Runtime) MsgCounts() (local, wire int64) {
 	}
 	return local, wire
 }
-
-// BcastSends returns how many per-destination transmissions this node has
-// used to originate broadcasts (not counting relays); used by tests and
-// benches to assert the spanning tree's O(N) -> O(k) root fan-out drop.
-func (rt *Runtime) BcastSends() int64 { return rt.nBcastSends.Load() }
 
 // collection metadata
 

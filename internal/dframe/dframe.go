@@ -33,15 +33,6 @@ type Col struct {
 // Schema describes a dataframe's columns.
 type Schema []Col
 
-func (s Schema) kindOf(name string) (ColKind, bool) {
-	for _, c := range s {
-		if c.Name == name {
-			return c.Kind, true
-		}
-	}
-	return 0, false
-}
-
 // registered row-wise map functions
 var (
 	fnMu   sync.RWMutex

@@ -33,7 +33,7 @@ func TestGateWatermarks(t *testing.T) {
 	if err := g.Admit(); err != nil {
 		t.Fatalf("admit at depth 7 (delay zone): %v", err)
 	}
-	if got := g.Delayed(); got != 1 {
+	if got := g.delayed.Value(); got != 1 {
 		t.Fatalf("delayed = %d, want 1", got)
 	}
 	depth = 10

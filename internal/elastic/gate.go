@@ -106,11 +106,3 @@ func (g *Gate) Rejected() int64 {
 	}
 	return g.rejected.Value()
 }
-
-// Delayed returns the cumulative delay count (0 when metrics are off).
-func (g *Gate) Delayed() int64 {
-	if g.delayed == nil {
-		return 0
-	}
-	return g.delayed.Value()
-}

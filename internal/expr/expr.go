@@ -66,23 +66,6 @@ func Compile(src string) (*Expr, error) {
 	return &Expr{src: src, root: n}, nil
 }
 
-// MustCompile is Compile but panics on error; for use with literal conditions.
-func MustCompile(src string) *Expr {
-	e, err := Compile(src)
-	if err != nil {
-		panic(err)
-	}
-	return e
-}
-
-// Src returns the original source string.
-func (e *Expr) Src() string { return e.src }
-
-// Eval evaluates the expression against env and returns the resulting value.
-func (e *Expr) Eval(env Env) (any, error) {
-	return e.root.eval(env)
-}
-
 // EvalBool evaluates the expression and converts the result to a boolean
 // using Python-style truthiness.
 func (e *Expr) EvalBool(env Env) (bool, error) {
@@ -91,26 +74,6 @@ func (e *Expr) EvalBool(env Env) (bool, error) {
 		return false, err
 	}
 	return Truthy(v), nil
-}
-
-// Names returns the free top-level variable names referenced by the
-// expression (e.g. {"self", "iter"} for "self.iter == iter").
-func (e *Expr) Names() []string {
-	set := map[string]bool{}
-	collectNames(e.root, set)
-	out := make([]string, 0, len(set))
-	for n := range set {
-		out = append(out, n)
-	}
-	return out
-}
-
-func collectNames(n node, set map[string]bool) {
-	walk(n, func(n node) {
-		if id, ok := n.(*identNode); ok {
-			set[id.name] = true
-		}
-	})
 }
 
 // walk calls f on n and every node below it.

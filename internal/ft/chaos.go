@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"charmgo/internal/transport"
 )
@@ -17,12 +16,10 @@ import (
 //     and death notices). Application frames are never dropped: the runtime
 //     is built on a reliable FIFO transport, and dropping its frames would
 //     wedge the job rather than exercise failure detection.
-//   - SetDelay delays every outbound frame by a fixed amount, preserving
-//     per-peer FIFO order.
-//   - Sever black-holes both directions of one peer link (a partition);
-//     Heal reconnects it.
-//   - Crash black-holes everything, simulating this process dying without
-//     closing sockets — the worst case for a timeout detector.
+//   - A crash black-holes everything, simulating this process dying without
+//     closing sockets — the worst case for a timeout detector. The recovery
+//     tests crash a node at once or arm a fuse that crashes it after n more
+//     application frames, in the middle of its live message stream.
 //
 // Faults are injected deterministically from the seed so chaos runs are
 // reproducible.
@@ -33,30 +30,18 @@ type Chaos struct {
 	mu        sync.Mutex
 	rng       *rand.Rand
 	drop      float64
-	delay     time.Duration
-	severed   map[int]bool
-	links     map[int]*delayLink
 	fuseArmed bool
 	fuse      int64
 	onCrash   func()
 
 	crashed atomic.Bool
 
-	h    atomic.Pointer[transport.Handler]
-	done chan struct{}
-	once sync.Once
-	wg   sync.WaitGroup
+	h atomic.Pointer[transport.Handler]
 }
 
 // Wrap wraps a transport in a chaos layer with a deterministic RNG seed.
 func Wrap(inner transport.Transport, seed int64) *Chaos {
-	c := &Chaos{
-		inner:   inner,
-		rng:     rand.New(rand.NewSource(seed)),
-		severed: map[int]bool{},
-		links:   map[int]*delayLink{},
-		done:    make(chan struct{}),
-	}
+	c := &Chaos{inner: inner, rng: rand.New(rand.NewSource(seed))}
 	if bs, ok := inner.(transport.BufSender); ok {
 		c.bs = bs
 	}
@@ -67,46 +52,6 @@ func Wrap(inner transport.Transport, seed int64) *Chaos {
 func (c *Chaos) SetDropRate(p float64) {
 	c.mu.Lock()
 	c.drop = p
-	c.mu.Unlock()
-}
-
-// SetDelay delays every outbound frame by d (0 disables).
-func (c *Chaos) SetDelay(d time.Duration) {
-	c.mu.Lock()
-	c.delay = d
-	c.mu.Unlock()
-}
-
-// Sever black-holes traffic to and from one peer.
-func (c *Chaos) Sever(peer int) {
-	c.mu.Lock()
-	c.severed[peer] = true
-	c.mu.Unlock()
-}
-
-// Heal reconnects a severed peer.
-func (c *Chaos) Heal(peer int) {
-	c.mu.Lock()
-	delete(c.severed, peer)
-	c.mu.Unlock()
-}
-
-// Crash black-holes all traffic in both directions, permanently. The
-// wrapped transport stays open: to the peers this node is silent, not
-// disconnected.
-func (c *Chaos) Crash() { c.crashed.Store(true) }
-
-// CrashAfterFrames arms a fuse: after n more outbound application frames
-// the layer crashes (as Crash) and fn, if non-nil, runs once on its own
-// goroutine. Unlike Crash this lands the failure in the middle of the
-// node's live message stream — the peers have received part of an
-// in-flight exchange and lose the rest — rather than at a quiet point
-// chosen by the caller. Detector control frames do not burn the fuse.
-func (c *Chaos) CrashAfterFrames(n int64, fn func()) {
-	c.mu.Lock()
-	c.fuseArmed = true
-	c.fuse = n
-	c.onCrash = fn
 	c.mu.Unlock()
 }
 
@@ -126,15 +71,12 @@ func ftControlFrame(frame []byte) bool {
 	return d == hbDest || d == deathDest
 }
 
-const (
-	actPass = iota
-	actDrop
-	actDelay
-)
-
-func (c *Chaos) decide(node int, frame []byte) int {
+// drops reports whether the frame is lost: everything once crashed (the
+// fuse may crash the layer on this frame), else the configured fraction of
+// detector control frames.
+func (c *Chaos) drops(frame []byte) bool {
 	if c.crashed.Load() {
-		return actDrop
+		return true
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -146,29 +88,15 @@ func (c *Chaos) decide(node int, frame []byte) int {
 			if fn := c.onCrash; fn != nil {
 				go fn()
 			}
-			return actDrop
+			return true
 		}
 	}
-	if c.severed[node] {
-		return actDrop
-	}
-	if c.drop > 0 && ftControlFrame(frame) && c.rng.Float64() < c.drop {
-		return actDrop
-	}
-	if c.delay > 0 {
-		return actDelay
-	}
-	return actPass
+	return c.drop > 0 && ftControlFrame(frame) && c.rng.Float64() < c.drop
 }
 
 // Send implements transport.Transport.
 func (c *Chaos) Send(node int, frame []byte) error {
-	switch c.decide(node, frame) {
-	case actDrop:
-		return nil
-	case actDelay:
-		// Copy into a pooled buffer: the caller keeps ownership of frame.
-		c.link(node).enqueue(append(transport.GetBuf(), frame...), c.delayNow())
+	if c.drops(frame) {
 		return nil
 	}
 	return c.inner.Send(node, frame)
@@ -176,11 +104,7 @@ func (c *Chaos) Send(node int, frame []byte) error {
 
 // SendBuf implements transport.BufSender (takes ownership of buf).
 func (c *Chaos) SendBuf(node int, buf []byte) error {
-	switch c.decide(node, buf[transport.PrefixLen:]) {
-	case actDelay:
-		c.link(node).enqueue(buf, c.delayNow())
-		return nil
-	case actDrop:
+	if c.drops(buf[transport.PrefixLen:]) {
 		transport.PutBuf(buf)
 		return nil
 	}
@@ -192,12 +116,6 @@ func (c *Chaos) SendBuf(node int, buf []byte) error {
 	return err
 }
 
-func (c *Chaos) delayNow() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return time.Now().Add(c.delay)
-}
-
 // SetHandler implements transport.Transport, filtering inbound traffic
 // through the fault state.
 func (c *Chaos) SetHandler(h transport.Handler) {
@@ -206,109 +124,11 @@ func (c *Chaos) SetHandler(h transport.Handler) {
 		if c.crashed.Load() {
 			return
 		}
-		c.mu.Lock()
-		cut := c.severed[from]
-		c.mu.Unlock()
-		if cut {
-			return
-		}
 		if hp := c.h.Load(); hp != nil {
 			(*hp)(from, frame)
 		}
 	})
 }
 
-// Close stops the delay links and closes the wrapped transport.
-func (c *Chaos) Close() error {
-	var err error
-	c.once.Do(func() {
-		close(c.done)
-		c.wg.Wait()
-		c.mu.Lock()
-		links := c.links
-		c.links = map[int]*delayLink{}
-		c.mu.Unlock()
-		for _, l := range links {
-			l.drain()
-		}
-		err = c.inner.Close()
-	})
-	return err
-}
-
-// delayLink is a per-peer FIFO queue served by one goroutine, so delayed
-// frames to a peer keep their order.
-type delayLink struct {
-	c    *Chaos
-	node int
-	ch   chan delayed
-}
-
-type delayed struct {
-	due time.Time
-	buf []byte // pooled (transport.GetBuf) buffer; payload after PrefixLen
-}
-
-func (c *Chaos) link(node int) *delayLink {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	l := c.links[node]
-	if l == nil {
-		l = &delayLink{c: c, node: node, ch: make(chan delayed, 4096)}
-		c.links[node] = l
-		c.wg.Add(1)
-		go l.run()
-	}
-	return l
-}
-
-func (l *delayLink) enqueue(buf []byte, due time.Time) {
-	select {
-	case l.ch <- delayed{due: due, buf: buf}:
-	case <-l.c.done:
-		transport.PutBuf(buf)
-	}
-}
-
-func (l *delayLink) run() {
-	defer l.c.wg.Done()
-	for {
-		select {
-		case <-l.c.done:
-			return
-		case d := <-l.ch:
-			if wait := time.Until(d.due); wait > 0 {
-				t := time.NewTimer(wait)
-				select {
-				case <-l.c.done:
-					t.Stop()
-					transport.PutBuf(d.buf)
-					return
-				case <-t.C:
-				}
-			}
-			if l.c.crashed.Load() {
-				transport.PutBuf(d.buf)
-				continue
-			}
-			if bs := l.c.bs; bs != nil {
-				_ = bs.SendBuf(l.node, d.buf)
-			} else {
-				_ = l.c.inner.Send(l.node, d.buf[transport.PrefixLen:])
-				transport.PutBuf(d.buf)
-			}
-		}
-	}
-}
-
-// drain recycles frames still queued after the link goroutine exited.
-func (l *delayLink) drain() {
-	for {
-		select {
-		case d := <-l.ch:
-			transport.PutBuf(d.buf)
-		default:
-			return
-		}
-	}
-}
+// Close closes the wrapped transport.
+func (c *Chaos) Close() error { return c.inner.Close() }

@@ -141,16 +141,6 @@ func (d *Detector) PeerAlive(node int) bool {
 	return !d.dead[node].Load()
 }
 
-// PeerDeparted reports whether a peer announced a planned departure via a
-// goodbye frame. Departed peers are never declared dead: their silence was
-// negotiated, so nothing needs recovering.
-func (d *Detector) PeerDeparted(node int) bool {
-	if node < 0 || node >= d.n {
-		return false
-	}
-	return d.departed[node].Load()
-}
-
 // Watch (re-)adds a peer to the monitored set: it is heartbeated, its
 // silence is timed, and it may be declared dead again. The liveness clock
 // is refreshed so the peer gets a full timeout of grace, and any previous

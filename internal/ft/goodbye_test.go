@@ -173,3 +173,13 @@ func TestGoodbyeStopsGossip(t *testing.T) {
 	_ = d1.Close()
 	_ = d2.Close()
 }
+
+// PeerDeparted reports whether a peer announced a planned departure via a
+// goodbye frame. Departed peers are never declared dead: their silence was
+// negotiated, so nothing needs recovering.
+func (d *Detector) PeerDeparted(node int) bool {
+	if node < 0 || node >= d.n {
+		return false
+	}
+	return d.departed[node].Load()
+}

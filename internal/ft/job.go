@@ -99,22 +99,6 @@ func NewJob(cfg Config) *Job {
 	return j
 }
 
-// Store returns the node's snapshot store (shared with every incarnation).
-func (j *Job) Store() *Manager { return j.store }
-
-// Kill simulates this node dying: the current runtime is torn down and Run
-// returns ErrKilled. Pair it with Chaos.Crash on the node's chaos layer so
-// the peers see silence instead of a closed connection.
-func (j *Job) Kill() {
-	j.mu.Lock()
-	j.killed = true
-	rt := j.curRT
-	j.mu.Unlock()
-	if rt != nil {
-		rt.Abort()
-	}
-}
-
 func (j *Job) isKilled() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -264,39 +248,5 @@ func (j *Job) recoveryDone(epoch int64) {
 	}
 	if g := j.mLastMS; g != nil {
 		g.Set(d.Milliseconds())
-	}
-}
-
-// MemCluster coordinates per-round in-memory transports for in-process
-// multi-node fault-tolerance runs (tests, examples): every survivor of a
-// round asks for the same (round, live) pair and gets its endpoint of one
-// shared MemNetwork.
-type MemCluster struct {
-	mu   sync.Mutex
-	nets map[string]*transport.MemNetwork
-}
-
-// NewMemCluster creates an empty cluster.
-func NewMemCluster() *MemCluster {
-	return &MemCluster{nets: map[string]*transport.MemNetwork{}}
-}
-
-// Factory returns a TransportFactory backed by this cluster.
-func (c *MemCluster) Factory() TransportFactory {
-	return func(round int, live []int, self int) (transport.Transport, error) {
-		key := fmt.Sprintf("%d/%v", round, live)
-		c.mu.Lock()
-		nw := c.nets[key]
-		if nw == nil {
-			nw = transport.NewMemNetwork(len(live))
-			c.nets[key] = nw
-		}
-		c.mu.Unlock()
-		for i, n := range live {
-			if n == self {
-				return nw.Endpoint(i), nil
-			}
-		}
-		return nil, fmt.Errorf("ft: node %d not in live set %v", self, live)
 	}
 }

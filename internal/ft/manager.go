@@ -87,18 +87,3 @@ func (m *Manager) recordRecovery(d time.Duration) {
 	m.lastRecovery = d
 	m.mu.Unlock()
 }
-
-// Recoveries returns how many recoveries this store has lived through.
-func (m *Manager) Recoveries() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.recoveries
-}
-
-// LastRecovery returns the detection-to-restore latency of the most recent
-// recovery (0 if none happened).
-func (m *Manager) LastRecovery() time.Duration {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.lastRecovery
-}

@@ -2,6 +2,7 @@ package ft
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -383,4 +384,69 @@ func TestUnrecoverableDoubleFailure(t *testing.T) {
 		t.Errorf("unrecoverable job still produced a result: %d", total)
 	default:
 	}
+}
+
+// Store returns the node's snapshot store (shared with every incarnation).
+func (j *Job) Store() *Manager { return j.store }
+
+// Kill simulates this node dying: the current runtime is torn down and Run
+// returns ErrKilled. Pair it with Chaos.Crash on the node's chaos layer so
+// the peers see silence instead of a closed connection.
+func (j *Job) Kill() {
+	j.mu.Lock()
+	j.killed = true
+	rt := j.curRT
+	j.mu.Unlock()
+	if rt != nil {
+		rt.Abort()
+	}
+}
+
+// MemCluster coordinates per-round in-memory transports for in-process
+// multi-node fault-tolerance runs (tests, examples): every survivor of a
+// round asks for the same (round, live) pair and gets its endpoint of one
+// shared MemNetwork.
+type MemCluster struct {
+	mu   sync.Mutex
+	nets map[string]*transport.MemNetwork
+}
+
+// NewMemCluster creates an empty cluster.
+func NewMemCluster() *MemCluster {
+	return &MemCluster{nets: map[string]*transport.MemNetwork{}}
+}
+
+// Factory returns a TransportFactory backed by this cluster.
+func (c *MemCluster) Factory() TransportFactory {
+	return func(round int, live []int, self int) (transport.Transport, error) {
+		key := fmt.Sprintf("%d/%v", round, live)
+		c.mu.Lock()
+		nw := c.nets[key]
+		if nw == nil {
+			nw = transport.NewMemNetwork(len(live))
+			c.nets[key] = nw
+		}
+		c.mu.Unlock()
+		for i, n := range live {
+			if n == self {
+				return nw.Endpoint(i), nil
+			}
+		}
+		return nil, fmt.Errorf("ft: node %d not in live set %v", self, live)
+	}
+}
+
+// Recoveries returns how many recoveries this store has lived through.
+func (m *Manager) Recoveries() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.recoveries
+}
+
+// LastRecovery returns the detection-to-restore latency of the most recent
+// recovery (0 if none happened).
+func (m *Manager) LastRecovery() time.Duration {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.lastRecovery
 }

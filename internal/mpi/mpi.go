@@ -4,7 +4,7 @@
 // rank-per-process, one-block-per-rank, Isend/Irecv/Waitall structure.
 //
 // Supported: blocking and nonblocking point-to-point with source/tag
-// wildcards, Barrier, Bcast, Reduce, Allreduce, Gather, Sendrecv.
+// wildcards, Barrier, Bcast, Reduce (Sum, Max), Allreduce, Sendrecv.
 // Semantics follow MPI where it matters for the baseline: eager buffered
 // sends, FIFO matching per (source, tag), collectives called in the same
 // order by all ranks.
@@ -26,11 +26,6 @@ const (
 	tagBarrier = -100 - iota
 	tagBcast
 	tagReduce
-	tagGather
-	tagScatter
-	tagAllgather
-	tagAlltoall
-	tagScan
 )
 
 // Op is a reduction operator for Reduce/Allreduce.
@@ -40,7 +35,6 @@ type Op int
 const (
 	Sum Op = iota
 	Max
-	Min
 )
 
 // World is a communicator spanning n ranks.
@@ -97,9 +91,6 @@ type Comm struct {
 
 // Rank returns the calling rank.
 func (c *Comm) Rank() int { return c.rank }
-
-// Size returns the number of ranks.
-func (c *Comm) Size() int { return c.w.n }
 
 // Send performs a buffered (eager) send: it enqueues and returns.
 func (c *Comm) Send(dest, tag int, data any) {
@@ -197,21 +188,6 @@ func (r *Request) Wait() any {
 	return r.env.data
 }
 
-// Test reports whether the request has completed without blocking.
-func (r *Request) Test() bool {
-	if r.done {
-		return true
-	}
-	select {
-	case env := <-r.ch:
-		r.env = env
-		r.done = true
-		return true
-	default:
-		return false
-	}
-}
-
 // Waitall waits for every request.
 func Waitall(reqs []*Request) {
 	for _, r := range reqs {
@@ -289,81 +265,6 @@ func (c *Comm) Allreduce(op Op, data any) any {
 	return c.Bcast(0, v)
 }
 
-// Gather collects every rank's value at root in rank order; non-root ranks
-// return nil.
-func (c *Comm) Gather(root int, data any) []any {
-	if c.rank != root {
-		c.Send(root, tagGather, data)
-		return nil
-	}
-	out := make([]any, c.w.n)
-	out[c.rank] = data
-	for i := 0; i < c.w.n-1; i++ {
-		v, src, _ := c.Recv(AnySource, tagGather)
-		out[src] = v
-	}
-	return out
-}
-
-// Scatter distributes values[i] from root to rank i and returns this rank's
-// element; non-root ranks pass nil values.
-func (c *Comm) Scatter(root int, values []any) any {
-	if c.rank == root {
-		if len(values) != c.w.n {
-			panic(fmt.Sprintf("mpi: scatter needs %d values, got %d", c.w.n, len(values)))
-		}
-		for r := 0; r < c.w.n; r++ {
-			if r != root {
-				c.Send(r, tagScatter, values[r])
-			}
-		}
-		return values[root]
-	}
-	v, _, _ := c.Recv(root, tagScatter)
-	return v
-}
-
-// Allgather collects every rank's value at every rank, in rank order.
-func (c *Comm) Allgather(data any) []any {
-	out := c.Gather(0, data)
-	v := c.Bcast(0, out)
-	return v.([]any)
-}
-
-// Alltoall sends values[i] to rank i and returns the values received from
-// each rank, in rank order.
-func (c *Comm) Alltoall(values []any) []any {
-	if len(values) != c.w.n {
-		panic(fmt.Sprintf("mpi: alltoall needs %d values, got %d", c.w.n, len(values)))
-	}
-	out := make([]any, c.w.n)
-	out[c.rank] = values[c.rank]
-	for r := 0; r < c.w.n; r++ {
-		if r != c.rank {
-			c.Send(r, tagAlltoall, values[r])
-		}
-	}
-	for i := 0; i < c.w.n-1; i++ {
-		v, src, _ := c.Recv(AnySource, tagAlltoall)
-		out[src] = v
-	}
-	return out
-}
-
-// Scan returns the inclusive prefix reduction over ranks 0..rank.
-func (c *Comm) Scan(op Op, data any) any {
-	// linear chain: receive the prefix from rank-1, fold, pass to rank+1
-	acc := cloneNumeric(data)
-	if c.rank > 0 {
-		prev, _, _ := c.Recv(c.rank-1, tagScan)
-		acc = combine(op, cloneNumeric(prev), data)
-	}
-	if c.rank < c.w.n-1 {
-		c.Send(c.rank+1, tagScan, acc)
-	}
-	return acc
-}
-
 // ---- numeric combine ----
 
 func cloneNumeric(v any) any {
@@ -435,35 +336,21 @@ func asFloat(v any) float64 {
 }
 
 func combineI64(op Op, a, b int64) int64 {
-	switch op {
-	case Sum:
+	if op == Sum {
 		return a + b
-	case Max:
-		if a > b {
-			return a
-		}
-		return b
-	default:
-		if a < b {
-			return a
-		}
-		return b
 	}
+	if a > b { // Max
+		return a
+	}
+	return b
 }
 
 func combineF64(op Op, a, b float64) float64 {
-	switch op {
-	case Sum:
+	if op == Sum {
 		return a + b
-	case Max:
-		if a > b {
-			return a
-		}
-		return b
-	default:
-		if a < b {
-			return a
-		}
-		return b
 	}
+	if a > b { // Max
+		return a
+	}
+	return b
 }

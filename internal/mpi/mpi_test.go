@@ -131,27 +131,13 @@ func TestAllreduce(t *testing.T) {
 
 func TestReduceRootOnly(t *testing.T) {
 	runWithTimeout(t, 3, func(c *Comm) {
-		v := c.Reduce(1, Min, 10-c.Rank())
+		v := c.Reduce(1, Max, 10-c.Rank())
 		if c.Rank() == 1 {
-			if v != 8 {
-				t.Errorf("reduce min = %v", v)
+			if v != 10 {
+				t.Errorf("reduce max = %v", v)
 			}
 		} else if v != nil {
 			t.Errorf("non-root got %v", v)
-		}
-	})
-}
-
-func TestGather(t *testing.T) {
-	const n = 4
-	runWithTimeout(t, n, func(c *Comm) {
-		out := c.Gather(0, c.Rank()*c.Rank())
-		if c.Rank() == 0 {
-			for r := 0; r < n; r++ {
-				if out[r] != r*r {
-					t.Errorf("gather[%d] = %v", r, out[r])
-				}
-			}
 		}
 	})
 }
@@ -210,71 +196,4 @@ func TestAllreduceMatchesSequential(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
 	}
-}
-
-func TestScatter(t *testing.T) {
-	const n = 4
-	runWithTimeout(t, n, func(c *Comm) {
-		var vals []any
-		if c.Rank() == 1 {
-			vals = []any{"a", "b", "c", "d"}
-		}
-		got := c.Scatter(1, vals)
-		want := string(rune('a' + c.Rank()))
-		if got != want {
-			t.Errorf("rank %d scatter = %v, want %q", c.Rank(), got, want)
-		}
-	})
-}
-
-func TestAllgather(t *testing.T) {
-	const n = 5
-	runWithTimeout(t, n, func(c *Comm) {
-		out := c.Allgather(c.Rank() * 2)
-		if len(out) != n {
-			t.Fatalf("allgather len %d", len(out))
-		}
-		for r := 0; r < n; r++ {
-			if out[r] != r*2 {
-				t.Errorf("rank %d: out[%d] = %v", c.Rank(), r, out[r])
-			}
-		}
-	})
-}
-
-func TestAlltoall(t *testing.T) {
-	const n = 4
-	runWithTimeout(t, n, func(c *Comm) {
-		vals := make([]any, n)
-		for r := 0; r < n; r++ {
-			vals[r] = c.Rank()*10 + r // rank i sends i*10+j to rank j
-		}
-		out := c.Alltoall(vals)
-		for r := 0; r < n; r++ {
-			want := r*10 + c.Rank()
-			if out[r] != want {
-				t.Errorf("rank %d: from %d got %v, want %d", c.Rank(), r, out[r], want)
-			}
-		}
-	})
-}
-
-func TestScan(t *testing.T) {
-	const n = 6
-	runWithTimeout(t, n, func(c *Comm) {
-		got := c.Scan(Sum, c.Rank()+1)
-		want := (c.Rank() + 1) * (c.Rank() + 2) / 2
-		if got != want {
-			t.Errorf("rank %d scan = %v, want %d", c.Rank(), got, want)
-		}
-	})
-}
-
-func TestScanVector(t *testing.T) {
-	runWithTimeout(t, 3, func(c *Comm) {
-		got := c.Scan(Max, []float64{float64(c.Rank()), float64(-c.Rank())}).([]float64)
-		if got[0] != float64(c.Rank()) || got[1] != 0 {
-			t.Errorf("rank %d vector scan = %v", c.Rank(), got)
-		}
-	})
 }

@@ -99,13 +99,6 @@ func registerFlat(c *flatCodec, sample any) {
 	flatReg.Store(next)
 }
 
-// HasFlat reports whether a flat codec is registered for the concrete type
-// of v. Exposed for tests and the differential fuzzer.
-func HasFlat(v any) bool {
-	_, ok := flatReg.Load().byType[reflect.TypeOf(v)]
-	return ok
-}
-
 // flatFieldTypes is the direct-copy set a struct field must come from for
 // RegisterFlatStruct: the scalars and flat slices with their own tags.
 var flatFieldTypes = map[reflect.Type]bool{

@@ -166,9 +166,6 @@ func (t *Tracer) SetTopology(totalPEs, basePE int) {
 	t.commMsgs = make([]int64, totalPEs*totalPEs)
 }
 
-// NumPEs returns the number of local PE shards.
-func (t *Tracer) NumPEs() int { return len(t.shard) }
-
 // Dropped returns the number of events lost to ring-buffer overwrites.
 func (t *Tracer) Dropped() uint64 { return t.dropped.Load() }
 

@@ -3,6 +3,7 @@ package transport
 import (
 	"charmgo/internal/testport"
 	"encoding/binary"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -161,4 +162,41 @@ func TestTCPElasticJoinerHello(t *testing.T) {
 	}
 	_ = j2.Close()
 	_ = a.Close()
+}
+
+// AddPeer dials a provisioned slot that was not part of the startup mesh
+// and adds the connection. It is how a joining node attaches to each active
+// member before asking the coordinator for admission. Idempotent: an
+// existing connection (from either direction) is kept. timeout <= 0 uses
+// the transport's handshake timeout.
+func (t *TCP) AddPeer(node int, timeout time.Duration) error {
+	if node == t.id {
+		return nil
+	}
+	if node < 0 || node >= len(t.addrs) {
+		return fmt.Errorf("transport: bad node id %d (of %d)", node, len(t.addrs))
+	}
+	if timeout <= 0 {
+		timeout = t.hsTimeout
+	}
+	t.mu.Lock()
+	_, have := t.conns[node]
+	done := t.done
+	t.mu.Unlock()
+	if done {
+		return ErrTransportClosed
+	}
+	if have {
+		return nil
+	}
+	conn, err := dialRetry(t.addrs[node], timeout)
+	if err != nil {
+		return fmt.Errorf("transport: node %d add peer %d (%s): %w", t.id, node, t.addrs[node], err)
+	}
+	if err := sendHello(conn, t.id); err != nil {
+		conn.Close()
+		return fmt.Errorf("transport: node %d add peer %d: hello: %w", t.id, node, err)
+	}
+	t.addConn(node, conn)
+	return nil
 }

@@ -320,8 +320,8 @@ func (e *MemEndpoint) Close() error {
 // has exactly one connection). Frames are length-prefixed (4-byte
 // big-endian) and the dialing side sends its node id as the first frame.
 // With NewTCPElastic the startup mesh may cover only a subset of the
-// provisioned slots; connections to the rest are added later with AddPeer
-// and removed with DropPeer.
+// provisioned slots; a connection a node outside it dials in later is added
+// like a startup one, and DropPeer removes a departed node's.
 type TCP struct {
 	id        int
 	addrs     []string
@@ -369,7 +369,7 @@ func NewTCPWithTimeout(id int, addrs []string, timeout time.Duration) (*TCP, err
 // NewTCPElastic creates the transport for node id with a partial startup
 // mesh: only the nodes in peers connect to each other at startup; the
 // remaining addrs slots are provisioned (they have a known address and may
-// AddPeer their way in later) but not dialed. A node whose id is not in
+// dial in later) but not dialed. A node whose id is not in
 // peers starts isolated — listening, but with zero connections — which is
 // the posture of a joiner before it dials the cluster. Blocks until the
 // startup mesh is established or timeout expires.
@@ -465,46 +465,9 @@ func (t *TCP) missingPeers() []int {
 	return missing
 }
 
-// AddPeer dials a provisioned slot that was not part of the startup mesh
-// and adds the connection. It is how a joining node attaches to each active
-// member before asking the coordinator for admission. Idempotent: an
-// existing connection (from either direction) is kept. timeout <= 0 uses
-// the transport's handshake timeout.
-func (t *TCP) AddPeer(node int, timeout time.Duration) error {
-	if node == t.id {
-		return nil
-	}
-	if node < 0 || node >= len(t.addrs) {
-		return fmt.Errorf("transport: bad node id %d (of %d)", node, len(t.addrs))
-	}
-	if timeout <= 0 {
-		timeout = t.hsTimeout
-	}
-	t.mu.Lock()
-	_, have := t.conns[node]
-	done := t.done
-	t.mu.Unlock()
-	if done {
-		return ErrTransportClosed
-	}
-	if have {
-		return nil
-	}
-	conn, err := dialRetry(t.addrs[node], timeout)
-	if err != nil {
-		return fmt.Errorf("transport: node %d add peer %d (%s): %w", t.id, node, t.addrs[node], err)
-	}
-	if err := sendHello(conn, t.id); err != nil {
-		conn.Close()
-		return fmt.Errorf("transport: node %d add peer %d: hello: %w", t.id, node, err)
-	}
-	t.addConn(node, conn)
-	return nil
-}
-
 // DropPeer tears down the connection to a departed node, if any. Sends to
-// the node fail afterwards until an AddPeer (from either side) reconnects
-// it; the planned-departure protocol guarantees no traffic still targets
+// the node fail afterwards until a new connection (from either side)
+// reconnects it; the planned-departure protocol guarantees no traffic still targets
 // the node by the time it is dropped.
 func (t *TCP) DropPeer(node int) {
 	t.mu.Lock()
@@ -541,9 +504,6 @@ func dialRetry(addr string, timeout time.Duration) (net.Conn, error) {
 		}
 	}
 }
-
-// Addr returns the listener's actual address (useful with ":0" addresses).
-func (t *TCP) Addr() string { return t.ln.Addr().String() }
 
 func (t *TCP) acceptLoop() {
 	for {
@@ -583,7 +543,7 @@ func readHello(c net.Conn) (peer int, err error) {
 func (t *TCP) addConn(peer int, c net.Conn) {
 	t.mu.Lock()
 	if _, dup := t.conns[peer]; dup {
-		// Simultaneous dials crossed (AddPeer racing an accept): keep the
+		// Simultaneous dials crossed (a dial racing an accept): keep the
 		// established connection, drop the newcomer.
 		t.mu.Unlock()
 		c.Close()

@@ -88,3 +88,36 @@ func TestDynamicDispatchAgrees(t *testing.T) {
 		t.Errorf("dynamic dispatch energy %v, want %v", got.Energy, want.Energy)
 	}
 }
+
+// DefaultParams returns a stable configuration.
+func DefaultParams() Params {
+	return Params{Grid: 64, BX: 2, BY: 2, Steps: 40, C2: 0.25, PulseAmp: 10}
+}
+
+// RunSequential is the single-array reference.
+func RunSequential(p Params) (Result, error) {
+	if _, _, err := p.Validate(); err != nil {
+		return Result{}, err
+	}
+	prev := newField(p.Grid, p.Grid)
+	cur := newField(p.Grid, p.Grid)
+	next := newField(p.Grid, p.Grid)
+	for x := 1; x <= p.Grid; x++ {
+		for y := 1; y <= p.Grid; y++ {
+			v := pulse(p, x-1, y-1)
+			cur.V[cur.at(x, y)] = v
+			prev.V[prev.at(x, y)] = v
+		}
+	}
+	for s := 0; s < p.Steps; s++ {
+		leapfrog(prev, cur, next, p.C2)
+		prev, cur, next = cur, next, prev
+	}
+	field := make([]float64, 0, p.Grid*p.Grid)
+	for x := 1; x <= p.Grid; x++ {
+		for y := 1; y <= p.Grid; y++ {
+			field = append(field, cur.V[cur.at(x, y)])
+		}
+	}
+	return Result{Energy: cur.energy(), Field: field}, nil
+}
