@@ -59,7 +59,8 @@ serve:
 
 # check is the CI gate: build everything, lint (go vet + charmvet), run the
 # full test suite under the race detector, then the chaos/recovery suite, the
-# live-introspection smoke and the elastic-serving smoke. The race run skips the kvservice allocation
+# live-introspection smoke, the elastic-serving smoke and the traced
+# charmrun stencil3d job (profile). The race run skips the kvservice allocation
 # guard, which counts bytes and so also the race detector's own; guards runs
 # it without the detector.
 check: build lint guards
@@ -67,6 +68,7 @@ check: build lint guards
 	$(MAKE) chaos
 	$(MAKE) introspect
 	$(MAKE) serve
+	$(MAKE) profile
 
 # guards runs, without -short and without the race detector's own
 # allocations, the fine-grain stencil, kvservice request and remote-invoke
@@ -87,8 +89,10 @@ check: build lint guards
 # repeat sub-frames at both ends of the wire, the scheduler's own
 # per-sender FIFO and one-PE-at-a-time tests (TestPerSenderFIFO,
 # TestSingleExecution, the second across migrations), the handles' wire
-# identity (wire calls against ser), a forced LB round against quiescence
-# detection and against an AtSync round in flight, an AtSync round whose
+# identity (wire calls against ser), a fragmented broadcast at 4 and 6
+# nodes (identical bytes everywhere, quiescence behind it), a forced LB
+# round against quiescence detection and against an AtSync round in
+# flight, an AtSync round whose
 # PE barriers change under a forced round's moves, and the quiescence
 # tests 20 times over (qd-soak: QD_COUNT = 200 times, the gate for a change
 # to the counting sites of DESIGN.md §quiescence).
@@ -101,7 +105,7 @@ guards:
 	$(GO) test -count=1 -run 'TestSenderFlushesWhenAllPEsParked|TestNoStrandedSendUnderParkRace|TestFloodStillBatches|TestBackstopFlushesPinnedPE' ./internal/core
 	$(GO) test -count=1 -run 'TestServiceCloseImmediately|TestCallTimeoutStillFires|TestBootIgnoresRequestTimeout' ./internal/elastic
 	for p in 1 2 8; do \
-		GOMAXPROCS=$$p $(GO) test -race -count=1 -run 'TestNoStrandedSendUnderParkRace|TestRecycledBoxNeverObserved|TestForeignGoroutineInvoke|TestBatchRepeatHeaders|TestPerSenderFIFO|TestSingleExecution|TestHandleWireIdentity|TestQDNotEarlyForcedLB|TestForcedLBOverlapsAtSync|TestAtSyncAfterForcedMoves' ./internal/core && \
+		GOMAXPROCS=$$p $(GO) test -race -count=1 -run 'TestNoStrandedSendUnderParkRace|TestRecycledBoxNeverObserved|TestForeignGoroutineInvoke|TestBatchRepeatHeaders|TestPerSenderFIFO|TestSingleExecution|TestHandleWireIdentity|TestBroadcastFragmentation|TestQDNotEarlyForcedLB|TestForcedLBOverlapsAtSync|TestAtSyncAfterForcedMoves' ./internal/core && \
 		GOMAXPROCS=$$p $(GO) test -race -count=1 -run 'TestServiceCloseImmediately' ./internal/elastic || exit 1; \
 	done
 	$(MAKE) qd-soak QD_COUNT=20

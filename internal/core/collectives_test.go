@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
 	"testing"
 
 	"charmgo/internal/metrics"
@@ -13,7 +14,8 @@ import (
 // tests: it counts broadcast ticks and contributes them back up.
 type collWorker struct {
 	Chare
-	ticks int
+	ticks   int
+	matched int
 }
 
 func (w *collWorker) Tick() { w.ticks++ }
@@ -24,13 +26,13 @@ func (w *collWorker) GatherPE(done Future) {
 	w.Contribute(int(w.MyPE())*3+1, GatherReducer, done)
 }
 
-func (w *collWorker) Blast(payload []byte, done Future) {
-	sum := 0
-	for _, b := range payload {
-		sum += int(b)
+func (w *collWorker) Check(payload []byte) {
+	if bytes.Equal(payload, largePayload) {
+		w.matched++
 	}
-	w.Contribute(sum, SumReducer, done)
 }
+
+func (w *collWorker) Matched(done Future) { w.Contribute(w.matched, SumReducer, done) }
 
 // TestBroadcastTreeWireSends is the spanning tree's contract: at 8 nodes,
 // originating one broadcast costs its root at most treeArity = 4 wire sends,
@@ -241,37 +243,60 @@ func TestGatherDeterministicAcrossNodeCounts(t *testing.T) {
 	}
 }
 
-// TestBroadcastFragmentation pushes a payload past fragThreshold so the
-// broadcast travels as pipelined fragments, and checks it arrives intact on
-// every PE of every node (the reduction total counts each byte once per
-// PE).
-func TestBroadcastFragmentation(t *testing.T) {
-	const nodes, pes = 3, 2
-	payload := make([]byte, fragThreshold*2+12345)
-	sum := 0
-	for i := range payload {
-		payload[i] = byte(i * 31)
-		sum += int(payload[i])
+// largePayload is TestBroadcastFragmentation's payload: past
+// fragThreshold, with an odd tail.
+var largePayload = func() []byte {
+	b := make([]byte, fragThreshold*2+12345)
+	for i := range b {
+		b[i] = byte(i * 31)
 	}
-	rts := runMultiNode(t, nodes, pes, nil,
-		func(rt *Runtime) { rt.Register(&collWorker{}) },
-		func(self *Chare) {
-			g := self.NewGroup(&collWorker{})
-			f := self.CreateFuture()
-			g.Call("Blast", payload, f)
-			if got := f.Get(); got != sum*nodes*pes {
-				t.Errorf("fragmented broadcast sum = %v, want %d", got, sum*nodes*pes)
+	return b
+}()
+
+// TestBroadcastFragmentation pushes a payload past fragThreshold so the
+// broadcast travels as pipelined fragments, and checks that every element
+// of every node sees identical bytes, that quiescence detection (which
+// counts each fragment) still fires behind it, and that no reassembly is
+// left over. At 4 nodes the root reaches every node directly; at 6 nodes
+// node 1 relays the fragments to node 5.
+func TestBroadcastFragmentation(t *testing.T) {
+	for _, tc := range []struct {
+		nodes   int
+		relayed bool
+	}{{4, false}, {6, true}} {
+		t.Run(fmt.Sprintf("np%d", tc.nodes), func(t *testing.T) {
+			const pes = 2
+			rts := runMultiNode(t, tc.nodes, pes, func(cfg *Config) {
+				cfg.Metrics = metrics.NewRegistry()
+			}, func(rt *Runtime) { rt.Register(&collWorker{}) },
+				func(self *Chare) {
+					g := self.NewGroup(&collWorker{})
+					g.Call("Check", largePayload)
+					self.WaitQD()
+					f := self.CreateFuture()
+					g.Call("Matched", f)
+					if got, want := f.Get(), tc.nodes*pes; got != want {
+						t.Errorf("%v elements saw the payload intact, want %d", got, want)
+					}
+				})
+			if rts[0].bcastSeq.Load() == 0 {
+				t.Error("large broadcast did not take the fragment path")
+			}
+			var relayed int64
+			for i, rt := range rts {
+				if i != 0 {
+					relayed += rt.obs.collFrags.Value()
+				}
+				rt.fragMu.Lock()
+				n := len(rt.frags)
+				rt.fragMu.Unlock()
+				if n != 0 {
+					t.Errorf("node %d: %d fragment assemblies leaked", i, n)
+				}
+			}
+			if (relayed > 0) != tc.relayed {
+				t.Errorf("%d fragments relayed at %d nodes, want relayed = %v", relayed, tc.nodes, tc.relayed)
 			}
 		})
-	if rts[0].bcastSeq.Load() == 0 {
-		t.Error("large broadcast did not take the fragment path")
-	}
-	for i, rt := range rts {
-		rt.fragMu.Lock()
-		n := len(rt.frags)
-		rt.fragMu.Unlock()
-		if n != 0 {
-			t.Errorf("node %d: %d fragment assemblies leaked", i, n)
-		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"charmgo/internal/bench"
 	"charmgo/internal/core"
 	_ "charmgo/internal/darray"
-	"charmgo/internal/dframe"
 	_ "charmgo/internal/elastic"
 	"charmgo/internal/leanmd"
 	_ "charmgo/internal/pool"
@@ -17,6 +16,28 @@ import (
 	"charmgo/internal/stencil"
 	"charmgo/internal/wave2d"
 )
+
+// mapPart is a test-local bound chare whose parameters are maps and a named
+// slice of structs, kinds no shipped chare's entry methods take.
+type mapPart struct{ core.Chare }
+
+type mapCol struct {
+	Name string
+	Kind int
+}
+
+type mapSchema []mapCol
+
+func (*mapPart) Init(mapSchema) {}
+
+func (*mapPart) RecvBatch(map[string][]float64, map[string][]string, core.Future) {}
+
+func init() {
+	core.Bind[mapPart](
+		core.EM1((*mapPart).Init),
+		core.EM3((*mapPart).RecvBatch),
+	)
+}
 
 // sampleArg builds a sample value of parameter type t: every field and
 // element set, integers past the runtime's small-value cache, nil slices
@@ -136,11 +157,12 @@ func TestHandleWireIdentity(t *testing.T) {
 			t.Errorf("bench.%s has no wire call: stream_tcp's invokes decode into a list again", name)
 		}
 	}
-	// The shipped chare types linked into this binary (the examples are
-	// main packages; their parameter types are all among those below).
+	// The shipped chare types linked into this binary, and mapPart (the
+	// examples are main packages; their parameter types are all among
+	// those below).
 	for _, typ := range []string{
 		"charmgo/internal/bench.Ping", "charmgo/internal/darray.Chunk",
-		"charmgo/internal/dframe.Part", "charmgo/internal/elastic.Shard",
+		"charmgo/internal/core_test.mapPart", "charmgo/internal/elastic.Shard",
 		"charmgo/internal/leanmd.Cell", "charmgo/internal/leanmd.Compute",
 		"charmgo/internal/pool.MapManager", "charmgo/internal/pool.Worker",
 		"charmgo/internal/simcluster.pingChare", "charmgo/internal/stencil.Block",
@@ -155,7 +177,8 @@ func TestHandleWireIdentity(t *testing.T) {
 		reflect.TypeFor[wave2d.Params](), reflect.TypeFor[bench.Vec3](),
 		reflect.TypeFor[core.Proxy](), reflect.TypeFor[core.Future](),
 		reflect.TypeFor[[]any](), reflect.TypeFor[any](),
-		reflect.TypeFor[map[string][]float64](), reflect.TypeFor[dframe.Schema](),
+		reflect.TypeFor[map[string][]float64](), reflect.TypeFor[map[string][]string](),
+		reflect.TypeFor[mapSchema](),
 		reflect.TypeFor[bool](), reflect.TypeFor[[]float64](),
 	} {
 		if !params[pt] {

@@ -80,9 +80,9 @@ type Config struct {
 	SampleInterval time.Duration
 	// Introspect, when non-nil, is the cluster-introspection holder the
 	// runtime wires at Start (node 0 fills it with every node's snapshots).
-	// Pass the same *introspect.Cluster to metrics.Serve to expose it. Nil
-	// with SampleInterval > 0 makes the runtime create one (reachable via
-	// Runtime.Introspect).
+	// It is reached through metrics.Serve's /introspect: pass the same
+	// *introspect.Cluster there. Nil with SampleInterval > 0 makes the
+	// runtime create a holder of its own, which nothing serves.
 	Introspect *introspect.Cluster
 	// FT, when non-nil, enables in-memory double checkpointing (see ft.go
 	// and internal/ft): Chare.FTCheckpoint ships each node's snapshot to its

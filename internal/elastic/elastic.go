@@ -5,10 +5,9 @@
 // epochs, join/leave coordination, drain and rebalance); this package adds
 // the operational glue around it:
 //
-//   - Manager (this file) keeps the failure detector's watch set and the
-//     TCP peer mesh in lockstep with the membership view, so a planned
-//     departure never trips the detector and a joiner is watched from its
-//     first committed epoch.
+//   - Manager (this file) keeps the failure detector's watch set in
+//     lockstep with the membership view, so a planned departure never trips
+//     the detector and a joiner is watched from its first committed epoch.
 //   - Gate (gate.go) is the serving front end's admission control:
 //     mailbox-depth watermarks that shed or delay ingress before the
 //     runtime drowns, with counters and a depth histogram.
@@ -21,25 +20,21 @@ package elastic
 import (
 	"charmgo/internal/core"
 	"charmgo/internal/ft"
-	"charmgo/internal/transport"
 )
 
-// Manager reconciles the fault-tolerance and transport layers with the
-// membership view. Install it before Runtime.Start; it registers the
-// runtime's view hook.
+// Manager reconciles the fault-tolerance layer with the membership view.
+// Install it before Runtime.Start; it registers the runtime's view hook.
 type Manager struct {
 	rt   *core.Runtime
 	det  *ft.Detector
-	tcp  *transport.TCP
 	prev []bool
 }
 
-// NewManager wires rt's view changes into det (may be nil) and tcp (may be
-// nil, for in-memory transports). On every committed view, newly-inactive
-// slots are unwatched and their TCP connections dropped; newly-active slots
-// are watched with a fresh grace period.
-func NewManager(rt *core.Runtime, det *ft.Detector, tcp *transport.TCP) *Manager {
-	m := &Manager{rt: rt, det: det, tcp: tcp}
+// NewManager wires rt's view changes into det (may be nil). On every
+// committed view, newly-inactive slots are unwatched; newly-active slots are
+// watched with a fresh grace period.
+func NewManager(rt *core.Runtime, det *ft.Detector) *Manager {
+	m := &Manager{rt: rt, det: det}
 	// The initial view: unwatch every slot that starts inactive, so a
 	// provisioned-but-idle node is never suspected.
 	act := map[int]bool{}
@@ -69,9 +64,6 @@ func (m *Manager) onView(epoch int64, active []bool) {
 		case !a && (was || m.prev == nil):
 			if m.det != nil {
 				m.det.Unwatch(n)
-			}
-			if m.tcp != nil {
-				m.tcp.DropPeer(n)
 			}
 		}
 	}

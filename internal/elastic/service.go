@@ -148,7 +148,7 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 		s.rts[i] = core.NewRuntime(rc)
 		s.rts[i].Register(&Shard{})
 		if cfg.Detectors {
-			s.mgrs[i] = NewManager(s.rts[i], s.dets[i], nil)
+			s.mgrs[i] = NewManager(s.rts[i], s.dets[i])
 		}
 	}
 	gopts := cfg.Gate

@@ -316,12 +316,9 @@ func (e *MemEndpoint) Close() error {
 // ---- TCP transport ----
 
 // TCP is a socket transport. All nodes know the full address list; node i
-// listens on addrs[i] and dials every startup-mesh node j < i (so each pair
-// has exactly one connection). Frames are length-prefixed (4-byte
-// big-endian) and the dialing side sends its node id as the first frame.
-// With NewTCPElastic the startup mesh may cover only a subset of the
-// provisioned slots; a connection a node outside it dials in later is added
-// like a startup one, and DropPeer removes a departed node's.
+// listens on addrs[i] and dials every node j < i (so each pair has exactly
+// one connection). Frames are length-prefixed (4-byte big-endian) and the
+// dialing side sends its node id as the first frame.
 type TCP struct {
 	id        int
 	addrs     []string
@@ -337,9 +334,7 @@ type TCP struct {
 	wmu   map[int]*sync.Mutex
 	ready chan struct{} // closed when the startup mesh is up
 	rdyFn sync.Once
-	nUp   int
-	want  int   // startup connections to wait for (full mesh: all peers)
-	mesh  []int // the startup peer set (elastic: may omit provisioned slots)
+	nUp   int // connections up; the startup mesh waits for one per peer
 	done  bool
 }
 
@@ -359,21 +354,6 @@ func NewTCP(id int, addrs []string) (*TCP, error) {
 // NewTCPWithTimeout is NewTCP with an explicit startup handshake timeout
 // (timeout <= 0 selects the default).
 func NewTCPWithTimeout(id int, addrs []string, timeout time.Duration) (*TCP, error) {
-	peers := make([]int, 0, len(addrs))
-	for j := range addrs {
-		peers = append(peers, j)
-	}
-	return NewTCPElastic(id, addrs, peers, timeout)
-}
-
-// NewTCPElastic creates the transport for node id with a partial startup
-// mesh: only the nodes in peers connect to each other at startup; the
-// remaining addrs slots are provisioned (they have a known address and may
-// dial in later) but not dialed. A node whose id is not in
-// peers starts isolated — listening, but with zero connections — which is
-// the posture of a joiner before it dials the cluster. Blocks until the
-// startup mesh is established or timeout expires.
-func NewTCPElastic(id int, addrs []string, peers []int, timeout time.Duration) (*TCP, error) {
 	if timeout <= 0 {
 		timeout = DefaultHandshakeTimeout
 	}
@@ -387,32 +367,14 @@ func NewTCPElastic(id int, addrs []string, peers []int, timeout time.Duration) (
 		closed:    make(chan struct{}),
 		hsTimeout: timeout,
 	}
-	inMesh := false
-	for _, p := range peers {
-		if p == id {
-			inMesh = true
-		} else if p >= 0 && p < len(addrs) {
-			t.mesh = append(t.mesh, p)
-		}
-	}
-	if inMesh {
-		t.want = len(t.mesh)
-	}
 	ln, err := net.Listen("tcp", addrs[id])
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %s: %w", addrs[id], err)
 	}
 	t.ln = ln
 	go t.acceptLoop()
-	if !inMesh {
-		t.rdyFn.Do(func() { close(t.ready) })
-		return t, nil
-	}
-	// Dial lower-numbered mesh peers (so each pair has one connection).
-	for _, j := range t.mesh {
-		if j >= id {
-			continue
-		}
+	// Dial lower-numbered peers (so each pair has one connection).
+	for j := 0; j < id; j++ {
 		conn, err := dialRetry(addrs[j], timeout)
 		if err != nil {
 			ln.Close()
@@ -424,8 +386,8 @@ func NewTCPElastic(id int, addrs []string, peers []int, timeout time.Duration) (
 		}
 		t.addConn(j, conn)
 	}
-	// Wait until higher-numbered mesh peers have dialed us.
-	if t.want > 0 {
+	// Wait until higher-numbered peers have dialed us.
+	if len(addrs) > 1 {
 		timer := time.NewTimer(timeout)
 		defer timer.Stop()
 		select {
@@ -451,35 +413,17 @@ func sendHello(conn net.Conn, id int) error {
 	return err
 }
 
-// missingPeers lists the startup-mesh nodes this endpoint has no connection
-// to yet.
+// missingPeers lists the peers this endpoint has no connection to yet.
 func (t *TCP) missingPeers() []int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	var missing []int
-	for _, j := range t.mesh {
-		if _, ok := t.conns[j]; !ok {
+	for j := range t.addrs {
+		if _, ok := t.conns[j]; !ok && j != t.id {
 			missing = append(missing, j)
 		}
 	}
 	return missing
-}
-
-// DropPeer tears down the connection to a departed node, if any. Sends to
-// the node fail afterwards until a new connection (from either side)
-// reconnects it; the planned-departure protocol guarantees no traffic still targets
-// the node by the time it is dropped.
-func (t *TCP) DropPeer(node int) {
-	t.mu.Lock()
-	c, ok := t.conns[node]
-	if ok {
-		delete(t.conns, node)
-		delete(t.wmu, node)
-	}
-	t.mu.Unlock()
-	if ok {
-		c.Close()
-	}
 }
 
 // dialRetry dials addr with exponential backoff (peers may not be listening
@@ -552,7 +496,7 @@ func (t *TCP) addConn(peer int, c net.Conn) {
 	t.conns[peer] = c
 	t.wmu[peer] = &sync.Mutex{}
 	t.nUp++
-	allUp := t.nUp >= t.want
+	allUp := t.nUp >= len(t.addrs)-1
 	t.mu.Unlock()
 	go t.readLoop(peer, c)
 	if allUp {
