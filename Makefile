@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test tier1 check guards qd-soak prof/wire lint charmvet vet-baseline race fuzz bench vet profile chaos introspect serve loc
+.PHONY: all build test tier1 check guards qd-soak prof/wire lint charmvet race fuzz bench vet profile chaos introspect serve loc
 
 all: build
 
@@ -20,22 +20,16 @@ tier1:
 vet:
 	$(GO) vet ./...
 
-# charmvet enforces the CharmGo model invariants the compiler cannot see
-# (entry-method signatures, gob safety, PE-blocking calls, nil-guarded
-# instrumentation, wire-buffer ownership, zero-copy alias lifetimes,
-# migration safety, entry-method races). See DESIGN.md §3.3 and §3.7.
-# It exits 1 on any finding not recorded in the committed baseline
-# (charmvet_baseline.json); the -json report's schema is held by
+# charmvet enforces the CharmGo model invariants in chare code that the
+# compiler, go vet and the race detector cannot see (entry-method
+# signatures, gob safety, PE-blocking calls, migration safety). See
+# DESIGN.md §3.3 and §3.7; each rule's witness test (internal/analysis,
+# TestWitness*) shows its mistake passing all three. It exits 1 on any
+# finding; silence a deliberate one on its line with
+# `//charmvet:ignore <check>`. The -json report's schema is held by
 # internal/analysis's TestCharmvetJSONReport.
 charmvet:
-	$(GO) run ./cmd/charmvet -baseline charmvet_baseline.json ./...
-
-# vet-baseline regenerates charmvet_baseline.json from the current findings,
-# keeping justifications for entries that still occur. Use it only to accept
-# a finding deliberately — fixes should delete entries, and charmvet warns
-# about stale ones.
-vet-baseline:
-	$(GO) run ./cmd/charmvet -baseline charmvet_baseline.json -write-baseline ./...
+	$(GO) run ./cmd/charmvet ./...
 
 # lint is go vet, charmvet, and the exported-API reachability test: an
 # identifier in internal/... that no non-test file uses fails it unless
@@ -93,7 +87,10 @@ check: build lint guards
 # nodes (identical bytes everywhere, quiescence behind it), a forced LB
 # round against quiescence detection and against an AtSync round in
 # flight, an AtSync round whose
-# PE barriers change under a forced round's moves, and the quiescence
+# PE barriers change under a forced round's moves, charmvet's rule witnesses
+# 20 times over (each rule's mistake run through a real runtime; a witness
+# that fails says the runtime now rejects the shape and the rule can go),
+# and the quiescence
 # tests 20 times over (qd-soak: QD_COUNT = 200 times, the gate for a change
 # to the counting sites of DESIGN.md §quiescence).
 QD_TESTS = TestQuiescence|TestQDNotEarly|TestStressMultiNode
@@ -106,7 +103,8 @@ guards:
 	$(GO) test -count=1 -run 'TestServiceCloseImmediately|TestCallTimeoutStillFires|TestBootIgnoresRequestTimeout' ./internal/elastic
 	for p in 1 2 8; do \
 		GOMAXPROCS=$$p $(GO) test -race -count=1 -run 'TestNoStrandedSendUnderParkRace|TestRecycledBoxNeverObserved|TestForeignGoroutineInvoke|TestBatchRepeatHeaders|TestPerSenderFIFO|TestSingleExecution|TestHandleWireIdentity|TestBroadcastFragmentation|TestQDNotEarlyForcedLB|TestForcedLBOverlapsAtSync|TestAtSyncAfterForcedMoves' ./internal/core && \
-		GOMAXPROCS=$$p $(GO) test -race -count=1 -run 'TestServiceCloseImmediately' ./internal/elastic || exit 1; \
+		GOMAXPROCS=$$p $(GO) test -race -count=1 -run 'TestServiceCloseImmediately' ./internal/elastic && \
+		GOMAXPROCS=$$p $(GO) test -race -count=20 -run 'TestWitness' ./internal/analysis || exit 1; \
 	done
 	$(MAKE) qd-soak QD_COUNT=20
 

@@ -34,8 +34,8 @@ func (d Diagnostic) String() string {
 }
 
 // Analyzer is one named check. ID is the stable machine-readable identifier
-// surfaced by `charmvet -json` and matched by the suppression baseline; it
-// never changes once assigned, even if the rule is renamed.
+// surfaced by `charmvet -json`; it never changes once assigned, even if the
+// rule is renamed.
 type Analyzer struct {
 	Name string
 	ID   string
@@ -43,9 +43,9 @@ type Analyzer struct {
 	Run  func(*Pass)
 }
 
-// Pass is one analyzer's view of one package. Eng is the package's shared
-// engine (CFGs, entry methods, call summaries), built once and handed to
-// every analyzer over the package.
+// Pass is one analyzer's view of one package. EntryMethods are the
+// package's entry-method declarations, found once and shared by every
+// analyzer over the package.
 type Pass struct {
 	Analyzer *Analyzer
 	Fset     *token.FileSet
@@ -53,7 +53,8 @@ type Pass struct {
 	Pkg      *types.Package
 	Info     *types.Info
 	Mod      *ModuleFacts
-	Eng      *Engine
+
+	EntryMethods []entryMethod
 
 	diags      *[]Diagnostic
 	suppressed map[suppressKey]bool
@@ -122,8 +123,8 @@ type ModuleFacts struct {
 	// ChareRegistered holds type strings of prototypes passed to
 	// Runtime.Register (or pool-style wrappers calling it).
 	ChareRegistered map[string]bool
-	// TG memoizes field-graph walks (hidden fields, migratability, alias
-	// reachability) per type across the whole run.
+	// TG memoizes field-graph walks (hidden fields, migratability) per type
+	// across the whole run.
 	TG *TypeGraph
 }
 
@@ -137,18 +138,18 @@ func Run(analyzers []*Analyzer, pkgs []*Package, fset *token.FileSet) []Diagnost
 			continue
 		}
 		sup := collectSuppressions(fset, pkg.Files)
-		eng := newEngine(pkg, facts)
+		ems := findEntryMethods(pkg)
 		for _, a := range analyzers {
 			pass := &Pass{
-				Analyzer:   a,
-				Fset:       fset,
-				Files:      pkg.Files,
-				Pkg:        pkg.Types,
-				Info:       pkg.Info,
-				Mod:        facts,
-				Eng:        eng,
-				diags:      &diags,
-				suppressed: sup,
+				Analyzer:     a,
+				Fset:         fset,
+				Files:        pkg.Files,
+				Pkg:          pkg.Types,
+				Info:         pkg.Info,
+				Mod:          facts,
+				EntryMethods: ems,
+				diags:        &diags,
+				suppressed:   sup,
 			}
 			a.Run(pass)
 		}
@@ -285,19 +286,4 @@ func typeKey(t types.Type) string {
 		t = p.Elem()
 	}
 	return types.TypeString(t, nil)
-}
-
-// walkStack traverses f, calling fn with each node and the stack of its
-// ancestors (outermost first, excluding n itself).
-func walkStack(f *ast.File, fn func(n ast.Node, stack []ast.Node)) {
-	var stack []ast.Node
-	ast.Inspect(f, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return false
-		}
-		fn(n, stack)
-		stack = append(stack, n)
-		return true
-	})
 }

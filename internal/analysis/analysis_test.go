@@ -23,12 +23,7 @@ func TestFixtures(t *testing.T) {
 		{"entrysig", []*Analyzer{EntrySig}},
 		{"gobsafe", []*Analyzer{GobSafe}},
 		{"noblock", []*Analyzer{NoBlock}},
-		{"tracehook", []*Analyzer{TraceHook}},
-		{"sendown", []*Analyzer{SendOwn}},
-		{"sendowninter", []*Analyzer{SendOwn}},
-		{"aliasescape", []*Analyzer{AliasEscape}},
 		{"migratesafe", []*Analyzer{MigrateSafe}},
-		{"charerace", []*Analyzer{ChareRace}},
 		{"clean", All},
 	}
 

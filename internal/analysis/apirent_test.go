@@ -27,9 +27,10 @@ var exemptPkgs = map[string]bool{
 }
 
 // TestExportedAPIPaysRent fails on any identifier declared in internal/...
-// — an exported package-level identifier, an exported method, or an
-// unexported package-level identifier — that no non-test file of the module
-// uses (charmgo.go, cmd/, examples/ and benchmark/ count as callers). A
+// — a package-level identifier or a method, exported or not — that no
+// non-test file of the module uses (charmgo.go, cmd/, examples/ and
+// benchmark/ count as callers); a use inside the identifier's own
+// declaration, such as a self-recursive call, does not count. A
 // method is exempt when its receiver type implements an interface of any
 // loaded package (the standard library included) that has the method's
 // name, since such a method is called through the interface. What is kept
@@ -103,17 +104,12 @@ func readAllowlist(t *testing.T, path string) map[string]string {
 // "internal/pkg.Type.Method") of the internal/... identifiers that no
 // non-test file uses.
 func unusedAPI(mod *Module, pkgs []*Package) []string {
-	used := map[types.Object]bool{}
-	for _, p := range pkgs {
-		for id, obj := range p.Info.Uses {
-			if obj.Pos() != id.Pos() { // a use, not the declaration itself
-				used[origin(obj)] = true
-			}
-		}
+	type held struct {
+		name string
+		obj  types.Object
 	}
-	ifaces := loadedInterfaces(mod)
-
-	var out []string
+	var all []held
+	own := map[types.Object]ast.Node{}
 	for _, p := range pkgs {
 		rel := strings.TrimPrefix(p.ImportPath, mod.Path+"/")
 		if !strings.HasPrefix(rel, "internal/") || exemptPkgs[rel] {
@@ -121,49 +117,71 @@ func unusedAPI(mod *Module, pkgs []*Package) []string {
 		}
 		for _, f := range p.Files {
 			for _, decl := range f.Decls {
-				for _, obj := range declObjects(p.Info, decl) {
-					if !used[obj] && !viaInterface(obj, ifaces) {
-						out = append(out, rel+"."+qualName(obj))
-					}
+				for _, d := range declObjects(p.Info, decl) {
+					own[d.obj] = d.decl
+					all = append(all, held{rel + "." + qualName(d.obj), d.obj})
 				}
 			}
+		}
+	}
+	used := map[types.Object]bool{}
+	for _, p := range pkgs {
+		for id, obj := range p.Info.Uses {
+			obj = origin(obj)
+			if d := own[obj]; d != nil && d.Pos() <= id.Pos() && id.Pos() < d.End() {
+				continue // inside its own declaration: recursion is no caller
+			}
+			used[obj] = true
+		}
+	}
+	ifaces := loadedInterfaces(mod)
+
+	var out []string
+	for _, h := range all {
+		if !used[h.obj] && !viaInterface(h.obj, ifaces) {
+			out = append(out, h.name)
 		}
 	}
 	sort.Strings(out)
 	return out
 }
 
+// declared is an object the test holds to, with the declaration (the
+// function or the spec) whose uses of it do not count.
+type declared struct {
+	obj  types.Object
+	decl ast.Node
+}
+
 // declObjects lists the objects a top-level declaration defines that the
 // test holds to: package-level identifiers (but init, main and _) and
-// exported methods.
-func declObjects(info *types.Info, decl ast.Decl) []types.Object {
-	var idents []*ast.Ident
+// methods.
+func declObjects(info *types.Info, decl ast.Decl) []declared {
+	var out []declared
+	add := func(id *ast.Ident, n ast.Node) {
+		if id.Name == "_" || id.Name == "init" || id.Name == "main" {
+			return
+		}
+		if obj := info.Defs[id]; obj != nil {
+			out = append(out, declared{obj, n})
+		}
+	}
 	switch d := decl.(type) {
 	case *ast.FuncDecl:
-		if d.Recv != nil && !d.Name.IsExported() {
-			return nil
-		}
-		idents = append(idents, d.Name)
+		add(d.Name, d)
 	case *ast.GenDecl:
 		for _, spec := range d.Specs {
 			switch s := spec.(type) {
 			case *ast.ValueSpec:
-				idents = append(idents, s.Names...)
+				for _, id := range s.Names {
+					add(id, s)
+				}
 			case *ast.TypeSpec:
-				idents = append(idents, s.Name)
+				add(s.Name, s)
 			}
 		}
 	}
-	var objs []types.Object
-	for _, id := range idents {
-		if id.Name == "_" || id.Name == "init" || id.Name == "main" {
-			continue
-		}
-		if obj := info.Defs[id]; obj != nil {
-			objs = append(objs, obj)
-		}
-	}
-	return objs
+	return out
 }
 
 // origin maps an instantiated generic function, method or field to its

@@ -79,10 +79,43 @@ func isBaseMethod(named *types.Named, name string) bool {
 }
 
 // entryMethod describes one entry method declared in the analyzed package.
-// Discovery lives on the Engine (engine.go, findEntryMethods) so all rules
-// share one scan per package.
+// Run finds them once per package (findEntryMethods) and hands them to
+// every rule through Pass.EntryMethods.
 type entryMethod struct {
 	chare *types.Named  // the chare class
 	fn    *types.Func   // the method object
 	decl  *ast.FuncDecl // its declaration (same package)
+}
+
+// findEntryMethods collects every entry-method declaration in the package:
+// exported methods declared on chare structs. Methods promoted from embedded
+// non-Chare structs are entry methods too, but are reported against the
+// package that declares them when that package is analyzed.
+func findEntryMethods(pkg *Package) []entryMethod {
+	var out []entryMethod
+	for _, f := range pkg.Files {
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Recv == nil || !fd.Name.IsExported() {
+				continue
+			}
+			obj, ok := pkg.Info.Defs[fd.Name].(*types.Func)
+			if !ok {
+				continue
+			}
+			sig := obj.Type().(*types.Signature)
+			if sig.Recv() == nil {
+				continue
+			}
+			named := namedOf(sig.Recv().Type())
+			if named == nil || !isChareStruct(named) {
+				continue
+			}
+			if isBaseMethod(named, fd.Name.Name) {
+				continue
+			}
+			out = append(out, entryMethod{chare: named, fn: obj, decl: fd})
+		}
+	}
+	return out
 }

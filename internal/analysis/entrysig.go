@@ -22,7 +22,7 @@ var EntrySig = &Analyzer{
 }
 
 func runEntrySig(pass *Pass) {
-	for _, em := range pass.Eng.EntryMethods() {
+	for _, em := range pass.EntryMethods {
 		sig := em.fn.Type().(*types.Signature)
 		name := fmt.Sprintf("%s.%s", em.chare.Obj().Name(), em.fn.Name())
 

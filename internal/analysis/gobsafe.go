@@ -34,7 +34,7 @@ var GobSafe = &Analyzer{
 func runGobSafe(pass *Pass) {
 	// Part 1: unexported fields in structs reachable from entry-method
 	// parameters.
-	for _, em := range pass.Eng.EntryMethods() {
+	for _, em := range pass.EntryMethods {
 		sig := em.fn.Type().(*types.Signature)
 		name := fmt.Sprintf("%s.%s", em.chare.Obj().Name(), em.fn.Name())
 		for i := 0; i < sig.Params().Len(); i++ {

@@ -27,7 +27,7 @@ var NoBlock = &Analyzer{
 }
 
 func runNoBlock(pass *Pass) {
-	for _, em := range pass.Eng.EntryMethods() {
+	for _, em := range pass.EntryMethods {
 		if em.decl.Body == nil {
 			continue
 		}

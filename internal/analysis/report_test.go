@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"go/token"
 	"os/exec"
 	"path/filepath"
 	"regexp"
@@ -19,8 +20,7 @@ var ruleIDPattern = regexp.MustCompile(`^CV[0-9]{3}$`)
 // schema: the known version, a list (never null) of findings, each with a
 // well-formed rule ID that resolves to a registered analyzer, the check name
 // of that rule, a module-relative slash-separated path, a 1-based position
-// and a non-empty message. charmvet must exit 1, as it does on any finding
-// not in the baseline.
+// and a non-empty message. charmvet must exit 1, as it does on any finding.
 func TestCharmvetJSONReport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: skips building cmd/charmvet")
@@ -35,7 +35,7 @@ func TestCharmvetJSONReport(t *testing.T) {
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("build: %v\n%s", err, out)
 	}
-	fixtures := []string{"entrysig", "gobsafe", "sendown"}
+	fixtures := []string{"entrysig", "gobsafe", "noblock"}
 	args := []string{"-json"}
 	for _, f := range fixtures {
 		args = append(args, "internal/analysis/testdata/src/"+f)
@@ -91,6 +91,44 @@ func TestCharmvetJSONReport(t *testing.T) {
 	for _, f := range fixtures {
 		if !rules[f] {
 			t.Errorf("no %s finding in the report over its fixture", f)
+		}
+	}
+}
+
+// TestNewFinding pins the JSON shape: stable ID resolution, module-relative
+// slash paths.
+func TestNewFinding(t *testing.T) {
+	d := Diagnostic{
+		Pos:     token.Position{Filename: filepath.Join("/mod", "internal", "core", "x.go"), Line: 7, Column: 9},
+		Check:   "migratesafe",
+		Message: "boom",
+	}
+	f := NewFinding(d, "/mod")
+	if f.Rule != "CV008" || f.Check != "migratesafe" {
+		t.Errorf("rule resolution: got %q/%q", f.Rule, f.Check)
+	}
+	if f.File != "internal/core/x.go" {
+		t.Errorf("file not module-relative slash path: %q", f.File)
+	}
+	if f.Line != 7 || f.Col != 9 {
+		t.Errorf("position: got %d:%d", f.Line, f.Col)
+	}
+}
+
+// TestRuleIDs pins every analyzer's stable ID: well-formed, unique, and
+// resolvable both ways.
+func TestRuleIDs(t *testing.T) {
+	seen := map[string]string{}
+	for _, a := range All {
+		if !ruleIDPattern.MatchString(a.ID) {
+			t.Errorf("%s: malformed ID %q", a.Name, a.ID)
+		}
+		if prev, dup := seen[a.ID]; dup {
+			t.Errorf("ID %s assigned to both %s and %s", a.ID, prev, a.Name)
+		}
+		seen[a.ID] = a.Name
+		if ByID(a.ID) != a {
+			t.Errorf("ByID(%s) did not return %s", a.ID, a.Name)
 		}
 	}
 }

@@ -1,14 +1,11 @@
 // Package clean is a charmvet fixture that must produce zero diagnostics
 // under the full analyzer suite: a small but idiomatic chare program using
-// futures, proxy calls, registered message types, guarded tracing, and
-// pooled buffers correctly.
+// futures, proxy calls and registered message types correctly.
 package clean
 
 import (
 	"charmgo/internal/core"
 	"charmgo/internal/ser"
-	"charmgo/internal/trace"
-	"charmgo/internal/transport"
 )
 
 type Params struct {
@@ -40,17 +37,4 @@ func (r *Ranks) Broadcast(pr core.Proxy, p Params) {
 
 func (r *Ranks) Collect(f core.Future) {
 	f.Send(r.Sum)
-}
-
-func emit(tr *trace.Tracer, pe int) {
-	if tr == nil {
-		return
-	}
-	tr.QD(pe, 0)
-}
-
-func ship(s transport.BufSender, payload []byte) error {
-	buf := transport.GetBuf()
-	buf = append(buf, payload...)
-	return s.SendBuf(0, buf)
 }

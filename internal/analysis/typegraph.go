@@ -15,8 +15,6 @@ type TypeGraph struct {
 	hidden map[types.Type]hiddenRes
 	mig    map[types.Type][]MigIssue
 	inMig  map[types.Type]bool
-	canByt map[types.Type]bool
-	inByt  map[types.Type]bool
 }
 
 func newTypeGraph() *TypeGraph {
@@ -24,8 +22,6 @@ func newTypeGraph() *TypeGraph {
 		hidden: map[types.Type]hiddenRes{},
 		mig:    map[types.Type][]MigIssue{},
 		inMig:  map[types.Type]bool{},
-		canByt: map[types.Type]bool{},
-		inByt:  map[types.Type]bool{},
 	}
 }
 
@@ -197,84 +193,6 @@ func (tg *TypeGraph) migWalkSub(t types.Type, path string, silent bool) []MigIss
 		out[i] = MigIssue{path + is.Path, is.Kind, silent || is.Silent}
 	}
 	return out
-}
-
-// CanAliasBytes reports whether a value of type t can carry a []byte that
-// aliases a decode buffer: []byte itself, containers reaching one, and
-// interface types (which may hold one). Strings and scalar types cannot —
-// conversions copy.
-func (tg *TypeGraph) CanAliasBytes(t types.Type) bool {
-	if v, ok := tg.canByt[t]; ok {
-		return v
-	}
-	if tg.inByt[t] {
-		return false // cycle: a recursive type aliases via the outer frame
-	}
-	tg.inByt[t] = true
-	v := tg.canAliasBytes1(t)
-	delete(tg.inByt, t)
-	tg.canByt[t] = v
-	return v
-}
-
-func (tg *TypeGraph) canAliasBytes1(t types.Type) bool {
-	// Runtime handle types (Proxy, Future, Channel, ...) carry routing
-	// state, never payload bytes: the runtime rebinds them rather than
-	// aliasing decode buffers through them.
-	if named := namedOf(t); named != nil {
-		if tn := named.Obj(); tn.Pkg() != nil && tn.Pkg().Path() == corePkgPath {
-			return false
-		}
-	}
-	switch u := t.Underlying().(type) {
-	case *types.Slice:
-		if b, ok := u.Elem().Underlying().(*types.Basic); ok && b.Kind() == types.Byte {
-			return true
-		}
-		return tg.CanAliasBytes(u.Elem())
-	case *types.Array:
-		return tg.CanAliasBytes(u.Elem())
-	case *types.Pointer:
-		return tg.CanAliasBytes(u.Elem())
-	case *types.Interface:
-		return true
-	case *types.Map:
-		return tg.CanAliasBytes(u.Key()) || tg.CanAliasBytes(u.Elem())
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if tg.CanAliasBytes(u.Field(i).Type()) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// refLike reports whether values of t share referenced memory when copied:
-// pointers, slices, maps, channels, functions, interfaces, and aggregates
-// containing one. Used by the escape summaries and the charerace taint.
-func refLike(t types.Type) bool { return refLikeWalk(t, map[types.Type]bool{}) }
-
-func refLikeWalk(t types.Type, seen map[types.Type]bool) bool {
-	if seen[t] {
-		return false
-	}
-	seen[t] = true
-	switch u := t.Underlying().(type) {
-	case *types.Pointer, *types.Slice, *types.Map, *types.Chan, *types.Signature, *types.Interface:
-		return true
-	case *types.Basic:
-		return u.Kind() == types.UnsafePointer
-	case *types.Array:
-		return refLikeWalk(u.Elem(), seen)
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if refLikeWalk(u.Field(i).Type(), seen) {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 func lastSeg(path string) string {

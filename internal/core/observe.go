@@ -107,7 +107,7 @@ func newObserver(rt *Runtime) *observer {
 		if o.tr != nil {
 			reg.GaugeFunc("charmgo_trace_dropped_total"+pe, "trace events lost to the PE's ring-buffer overwrites",
 				func() int64 {
-					if tr := o.tr; tr != nil { // the guard tracehook sees inside a closure
+					if tr := o.tr; tr != nil { // every tracer call sits behind a nil check
 						return int64(tr.DroppedByPE(i))
 					}
 					return 0

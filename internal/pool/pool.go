@@ -75,8 +75,9 @@ func init() {
 func (w *Worker) Start(jobID int, funcName string, tasks []any, chunked bool, master core.Proxy) {
 	w.JobID = jobID
 	w.FuncName = funcName
-	// tasks may arrive on the zero-copy broadcast path, aliasing a delivery
-	// buffer that is recycled when this method returns — clone before keeping.
+	// From a master on this node, tasks is the master's own job.Tasks slice
+	// (arguments are not deep-copied between PEs of one node); the copy keeps
+	// this worker's list its own.
 	w.Tasks = ser.CloneArgs(tasks)
 	w.Chunked = chunked
 	w.Master = master
@@ -151,8 +152,8 @@ func (m *MapManager) Init() {
 // MapAsync starts a new map job applying the named function to tasks on
 // numProcs free PEs; the ordered results are sent to future when done.
 func (m *MapManager) MapAsync(funcName string, numProcs int, tasks []any, future core.Future) {
-	// The job outlives this entry method, so it must not retain buffer-aliased
-	// arguments (see Worker.Start).
+	// The job outlives this entry method, so it keeps its own copy rather
+	// than a same-node caller's slice (see Worker.Start).
 	m.startJob(funcName, numProcs, ser.CloneArgs(tasks), false, future)
 }
 

@@ -20,8 +20,8 @@ func TestClone(t *testing.T) {
 	}
 }
 
-// TestCloneSeversDecodeAlias is the contract the aliasescape rule relies on:
-// a cloned DecodeArgsAlias result survives the backing buffer being reused.
+// TestCloneSeversDecodeAlias: a cloned DecodeArgsAlias result does not
+// change when the buffer it was decoded from is written.
 func TestCloneSeversDecodeAlias(t *testing.T) {
 	buf, err := AppendArgs(nil, []any{[]byte("payload")})
 	if err != nil {
@@ -34,10 +34,10 @@ func TestCloneSeversDecodeAlias(t *testing.T) {
 	aliased := args[0].([]byte)
 	kept := Clone(aliased)
 	for i := range buf {
-		buf[i] = 0xFF // simulate the frame pool recycling the buffer
+		buf[i] = 0xFF // another holder of the buffer writes it
 	}
 	if string(kept) != "payload" {
-		t.Errorf("cloned payload corrupted by buffer reuse: %q", kept)
+		t.Errorf("cloned payload changed by a write to its source buffer: %q", kept)
 	}
 	if string(aliased) == "payload" {
 		t.Errorf("fixture broken: decode did not alias the input buffer")

@@ -155,9 +155,8 @@ func DecodeArgs(data []byte) ([]any, int, error) { return DecodeArgsInto(nil, da
 // alias the input buffer instead of being copied out of it. The runtime uses
 // it to deliver large reassembled broadcasts without an extra payload copy
 // per node; the backing buffer must then be left to the garbage collector,
-// never recycled. A receiver that wants to retain such a []byte beyond the
-// entry method's return must sever the alias with Clone first (charmvet's
-// aliasescape rule enforces this).
+// never recycled. Every local receiver of such a broadcast shares those
+// bytes, so one that wants a []byte of its own takes it with Clone.
 func DecodeArgsAlias(data []byte) ([]any, int, error) { return DecodeArgsInto(nil, data, true) }
 
 // DecodeArgsInto is the decoder behind both: it appends the arguments to dst
